@@ -11,12 +11,12 @@ from .field import (CorrelationModel, CovariancePack, FieldSnapshots, SensorGrid
 from .quantizer import (ScalarQuantizer, TdmaSchedule, lloyd_max, optimize_K,
                         p2p_rate_for_K, quantize, quantizer_from_json,
                         quantizer_to_json, scalar_delta, tdma_schedule)
-from .rates import (RateReport, WaterfillSolution, centralized_rate, dsc_sum_rate,
-                    find_pmax, find_theta, prop1_sum_rate_bound, rate_curve,
-                    rate_curve_csv, rate_loss_bound, reverse_distortion_bound,
-                    target_distortion_dsc)
-from .sim import (SimulationReport, integrated_mse, interpolation_only_jmse,
-                  simulate_dsc, simulate_p2p)
+from .rates import (RateReport, WaterfillSolution, centralized_rate,
+                    dsc_operating_point, dsc_sum_rate, find_pmax, find_theta,
+                    prop1_sum_rate_bound, rate_curve, rate_curve_csv,
+                    rate_loss_bound, reverse_distortion_bound, target_distortion_dsc)
+from .sim import (SimulationReport, interpolation_only_jmse, simulate_dsc,
+                  simulate_p2p)
 
 __version__ = "0.1.0"
 
@@ -29,10 +29,10 @@ __all__ = [
     "covariance_matrix", "sample_snapshots", "nearest_sample_location",
     "interpolate", "mmse_estimate", "mmse_error",
     "averaging_estimator_mse_bound", "target_distortion_dsc",
-    "reverse_distortion_bound", "find_pmax", "dsc_sum_rate",
+    "reverse_distortion_bound", "find_pmax", "dsc_operating_point", "dsc_sum_rate",
     "centralized_rate", "find_theta", "prop1_sum_rate_bound",
     "rate_loss_bound", "rate_curve", "rate_curve_csv", "lloyd_max", "quantize",
     "p2p_rate_for_K", "optimize_K", "tdma_schedule", "scalar_delta",
     "quantizer_to_json", "quantizer_from_json", "simulate_dsc", "simulate_p2p",
-    "integrated_mse", "interpolation_only_jmse",
+    "interpolation_only_jmse",
 ]

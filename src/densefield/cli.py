@@ -3,7 +3,8 @@ reports as CSV/JSON for plotting and scripted verification.
 
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error,
-3 infeasible configuration, 4 bound violation in simulate.
+3 infeasible configuration (a correlation table whose covariance is not
+positive semidefinite included), 4 bound violation in simulate.
 """
 
 import argparse
@@ -15,9 +16,8 @@ import numpy as np
 
 from . import quantizer as qz
 from . import rates, sim
-from .errors import InfeasibleConfigError
-from .field import (EXP_MARKOV, SINC, covariance_matrix, load_correlation_table,
-                    make_correlation, sensor_positions)
+from .errors import ConditioningError, InfeasibleConfigError
+from .field import EXP_MARKOV, SINC, load_correlation_table, make_correlation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,14 +72,8 @@ def _config_dict(cfg):
     return obj
 
 
-def _config_json(cfg):
-    return json.dumps(_config_dict(cfg), sort_keys=True)
-
-
-def _csv_payload(cfg, header, rows):
-    lines = [f"# config: {_config_json(cfg)}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_payload(cfg, csv_text):
+    return f"# config: {json.dumps(_config_dict(cfg), sort_keys=True)}\n{csv_text}"
 
 
 def _json_payload(cfg, body):
@@ -91,24 +85,21 @@ def _json_payload(cfg, body):
 def cmd_pmax_curve(cfg):
     """One row per N: the largest admissible test-channel noise and its slope."""
     model = _resolve_model(cfg.model)
-    rows = []
+    rows = [",".join(PMAX_CSV_COLUMNS)]
     json_rows = []
     for n in cfg.n_list:
         try:
-            d_prime = rates.target_distortion_dsc(cfg.d_net, n, model)
-            cov = covariance_matrix(model, sensor_positions(n))
-            p_max = rates.find_pmax(cov, d_prime)
-            rows.append((str(n), rates.fmt_float(p_max),
-                         rates.fmt_float(p_max / n), "true"))
+            _, _, p_max = rates.dsc_operating_point(model, cfg.d_net, n)
+            rows.append(f"{n},{rates.fmt_float(p_max)},{rates.fmt_float(p_max / n)},true")
             json_rows.append({"N": n, "p_max": p_max, "p_max_over_n": p_max / n,
                               "feasible": True})
         except InfeasibleConfigError:
-            rows.append((str(n), "nan", "nan", "false"))
+            rows.append(f"{n},nan,nan,false")
             json_rows.append({"N": n, "p_max": None, "p_max_over_n": None,
                               "feasible": False})
     if cfg.format == "json":
         return _json_payload(cfg, {"rows": json_rows}), EXIT_OK
-    return _csv_payload(cfg, PMAX_CSV_COLUMNS, rows), EXIT_OK
+    return _csv_payload(cfg, "\n".join(rows) + "\n"), EXIT_OK
 
 
 def cmd_rates(cfg):
@@ -127,9 +118,7 @@ def cmd_rates(cfg):
                 "theta": r.theta, "units": cfg.units, "feasible": r.feasible,
             })
         return _json_payload(cfg, {"rows": rows}), EXIT_OK
-    csv_text = rates.rate_curve_csv(reports, cfg.units)
-    header, *body = csv_text.strip().split("\n")
-    return _csv_payload(cfg, header.split(","), [b.split(",") for b in body]), EXIT_OK
+    return _csv_payload(cfg, rates.rate_curve_csv(reports, cfg.units)), EXIT_OK
 
 
 def cmd_p2p(cfg):
@@ -164,39 +153,16 @@ def cmd_p2p(cfg):
     return _json_payload(cfg, body), EXIT_OK
 
 
-def _default_p2p_k(model, d_net, n):
-    """Rate-minimizing feasible K among the divisors of N."""
-    best = None
-    for k in range(1, n + 1):
-        if n % k:
-            continue
-        try:
-            rate = qz.p2p_rate_for_K(model, d_net, k)
-        except InfeasibleConfigError:
-            continue
-        if best is None or rate < best[1]:
-            best = (k, rate)
-    if best is None:
-        raise InfeasibleConfigError(
-            f"no feasible sub-interval count divides N={n} for d_net={d_net}"
-        )
-    return best[0]
-
-
 def cmd_simulate(cfg):
     """Run one seeded simulation and report the bound verdict."""
     model = _resolve_model(cfg.model)
     if cfg.scheme == "dsc":
-        p = cfg.p
-        if not p:
-            d_prime = rates.target_distortion_dsc(cfg.d_net, cfg.n, model)
-            cov = covariance_matrix(model, sensor_positions(cfg.n))
-            p = rates.find_pmax(cov, d_prime)
+        p = cfg.p or rates.dsc_operating_point(model, cfg.d_net, cfg.n)[2]
         report = sim.simulate_dsc(model, cfg.n, p, m=cfg.m, grid_g=cfg.grid_g,
                                   seed=cfg.seed, naive=cfg.naive)
         resolved = {"p": p}
     else:
-        k = cfg.k or _default_p2p_k(model, cfg.d_net, cfg.n)
+        k = cfg.k or qz.optimize_K(model, cfg.d_net, n_sensors=cfg.n)[0]
         budget = qz.p2p_distortion_budget(model, cfg.d_net, k)
         levels = cfg.levels or qz.min_levels_for_distortion(budget)
         quant = qz.lloyd_max(levels)
@@ -206,7 +172,7 @@ def cmd_simulate(cfg):
                     "designed_distortion": quant.distortion}
     if cfg.csv_log:
         sim.append_report_csv(report, cfg.csv_log)
-    payload = json.loads(sim.report_to_json(report))
+    payload = sim.report_to_dict(report)
     payload["resolved"] = resolved
     code = EXIT_OK if report.verdict == sim.WITHIN else EXIT_BOUND_VIOLATION
     return _json_payload(cfg, payload), code
@@ -338,7 +304,7 @@ def main(argv=None):
     cfg = _config_from_args(args, parser)
     try:
         text, code = _COMMANDS[cfg.command](cfg)
-    except InfeasibleConfigError as exc:
+    except (InfeasibleConfigError, ConditioningError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(text, cfg.out)

@@ -10,17 +10,14 @@ deterministic given the seed regardless of any internal parallelism.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.optimize import minimize_scalar
+
+from .errors import ConditioningError
 
 SINC = "sinc"
 EXP_MARKOV = "exp-markov"
 CUSTOM_TABLE = "custom-table"
 
 _KINDS = (SINC, EXP_MARKOV, CUSTOM_TABLE)
-
-# theta_mono search grid resolution on (0, 1]
-_MONO_GRID = 4096
 
 
 def _freeze(arr):
@@ -62,22 +59,6 @@ class CorrelationModel:
         return out
 
 
-def _sinc_theta_mono():
-    # first stationary point of rho on (0, 1]; sinc has none there, in which
-    # case the whole unit interval is a valid monotone neighbourhood
-    tau = np.linspace(1.0 / _MONO_GRID, 1.0, _MONO_GRID)
-    rho = np.sinc(tau)
-    inc = np.nonzero(np.diff(rho) > 0)[0]
-    if inc.size == 0:
-        return 1.0
-    i = inc[0]
-    lo = tau[max(i - 1, 0)]
-    hi = tau[min(i + 1, tau.size - 1)]
-    res = minimize_scalar(np.sinc, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
-
-
 def _table_theta_mono(tau, rho):
     inc = np.nonzero(np.diff(rho) > 0)[0]
     if inc.size == 0:
@@ -112,7 +93,9 @@ def make_correlation(kind, params=()):
     if kind == SINC:
         if len(params):
             raise ValueError("sinc takes no parameters")
-        return CorrelationModel(kind=SINC, theta_mono=_sinc_theta_mono())
+        # sinc decreases on (0, 1] (its first minimum is at 1.43), so the
+        # whole unit interval is a monotone neighbourhood
+        return CorrelationModel(kind=SINC, theta_mono=1.0)
     if kind == EXP_MARKOV:
         if len(params):
             raise ValueError("exp-markov takes no parameters")
@@ -187,6 +170,13 @@ class CovariancePack:
         raw, vecs = np.linalg.eigh(sigma)
         raw = raw[::-1]
         vecs = vecs[:, ::-1]
+        # rounding leaves rank-deficient PSD spectra slightly negative (sinc:
+        # -1e-12 against 1604 at N = 2048); anything further below is refused
+        if raw[-1] < -1e-8 * max(raw[0], 1.0):
+            raise ConditioningError(
+                f"covariance is not positive semidefinite: smallest eigenvalue "
+                f"{raw[-1]:.6g} against largest {raw[0]:.6g}"
+            )
         clamped = np.maximum(raw, clamp_floor)
         return cls(sigma_x=sigma, eigvals=clamped, eigvecs=vecs,
                    clamp_floor=float(clamp_floor), eigvals_raw=raw,
@@ -201,8 +191,9 @@ def covariance_matrix(model, grid, clamp_floor=1e-10):
     log-determinant work, and ``n_clamped`` reports how often it engaged.
     """
     n = grid.n_sensors
-    first_row = model(np.arange(n) / n)
-    sigma = toeplitz(np.atleast_1d(first_row))
+    lags = np.arange(n)
+    first_row = model(lags / n)
+    sigma = first_row[np.abs(lags[:, None] - lags[None, :])]
     return CovariancePack.from_matrix(sigma, clamp_floor)
 
 

@@ -69,23 +69,14 @@ def _distortion(boundaries, points):
     return float(np.sum(m2 - 2.0 * points * m1 + points ** 2 * prob))
 
 
-def lloyd_fixed_point_residual(q):
-    """Max violation of the midpoint and centroid conditions of a codebook."""
-    res = 0.0
-    if q.levels > 1:
-        mid = 0.5 * (q.points[:-1] + q.points[1:])
-        res = float(np.max(np.abs(q.boundaries - mid)))
-    prob, m1, _ = _cell_stats(q.boundaries)
-    res = max(res, float(np.max(np.abs(m1 / prob - q.points))))
-    return res
-
-
+@lru_cache(maxsize=256)
 def lloyd_max(levels, tol=1e-11, max_iter=500_000):
     """Design the L-level minimum-MSE scalar quantizer for N(0, 1).
 
     Alternates the centroid and midpoint conditions starting from the
     equal-probability quantile codebook, and stops only once the fixed point
-    holds to ``tol`` under independent re-evaluation.
+    holds to ``tol`` under independent re-evaluation.  Designs are cached:
+    the level scan, the delta and the final codebook share one design.
     """
     if levels < 1:
         raise ValueError("need at least one level")
@@ -113,11 +104,6 @@ def lloyd_max(levels, tol=1e-11, max_iter=500_000):
     )
 
 
-@lru_cache(maxsize=256)
-def _lloyd_default(levels):
-    return lloyd_max(levels)
-
-
 def quantize(q, x):
     """Cell index and reproduction point for x; boundary ties go up."""
     idx = np.searchsorted(q.boundaries, x, side="right")
@@ -132,7 +118,7 @@ def scalar_delta(levels):
     rate-distortion function at the same distortion: log2(L) - 0.5 log2(1/D)."""
     if levels < 2:
         raise ValueError("delta is defined for two or more levels")
-    d = _lloyd_default(levels).distortion
+    d = lloyd_max(levels).distortion
     return math.log2(levels) - 0.5 * math.log2(1.0 / d)
 
 
@@ -142,7 +128,7 @@ def min_levels_for_distortion(target, max_levels=1 << 16):
         raise InfeasibleConfigError("no finite codebook reaches distortion <= 0")
     levels = 1
     while levels <= max_levels:
-        if _lloyd_default(levels).distortion <= target:
+        if lloyd_max(levels).distortion <= target:
             return levels
         levels += 1
     raise InfeasibleConfigError(f"no codebook up to {max_levels} levels reaches {target}")
@@ -206,14 +192,17 @@ def p2p_min_feasible_k(model, d_net, k_limit=100_000):
     raise InfeasibleConfigError(f"no feasible K up to {k_limit} for d_net={d_net}")
 
 
-def p2p_rate_scan(model, d_net, k_min, k_max, rate_cap=1e6):
+def p2p_rate_scan(model, d_net, k_min, k_max, rate_cap=1e6, n_sensors=None):
     """Rates for every K in [k_min, k_max]: list of (K, rate, feasible, capped).
 
-    Rates above ``rate_cap`` (the near-boundary blow-up as D_K -> 0) are
-    clamped at the cap and flagged rather than propagated as overflow.
+    With ``n_sensors`` only the divisors of N are scanned.  Rates above
+    ``rate_cap`` (the near-boundary blow-up as D_K -> 0) are clamped at the
+    cap and flagged rather than propagated as overflow.
     """
     out = []
     for k in range(k_min, k_max + 1):
+        if n_sensors and n_sensors % k:
+            continue
         try:
             rate = p2p_rate_for_K(model, d_net, k)
         except InfeasibleConfigError:
@@ -226,26 +215,32 @@ def p2p_rate_scan(model, d_net, k_min, k_max, rate_cap=1e6):
     return out
 
 
-def optimize_K(model, d_net, k_max=None, rate_cap=1e6):
+def optimize_K(model, d_net, k_max=None, rate_cap=1e6, n_sensors=None):
     """Exhaustive minimization of the p2p sum rate over feasible K.
 
     The objective grows roughly linearly in K once the budget saturates, so
     the default scan window [K_min_feasible, 10 K_min_feasible] brackets the
     minimizer without assuming unimodality.  Ties break toward smaller K.
+    With ``n_sensors`` the scan keeps only the divisors of N up to N, the
+    counts a TDMA schedule over N sensors can use.
     """
     k_min = p2p_min_feasible_k(model, d_net)
     if k_max is None:
-        k_max = 10 * k_min
+        k_max = n_sensors or 10 * k_min
     if k_max < k_min:
         raise InfeasibleConfigError(
             f"no feasible K <= {k_max}: need at least K = {k_min}"
         )
     best_k, best_rate = None, math.inf
-    for k, rate, feasible, _ in p2p_rate_scan(model, d_net, k_min, k_max, rate_cap):
+    for k, rate, feasible, _ in p2p_rate_scan(model, d_net, k_min, k_max, rate_cap,
+                                              n_sensors):
         if feasible and rate < best_rate:
             best_k, best_rate = k, rate
-    if best_k is None:  # pragma: no cover - k_min is feasible by construction
-        raise InfeasibleConfigError("no feasible K in the scan window")
+    if best_k is None:  # only the divisor filter can skip the feasible k_min
+        raise InfeasibleConfigError(
+            f"no feasible sub-interval count in [{k_min}, {k_max}] divides "
+            f"N={n_sensors} for d_net={d_net}"
+        )
     return best_k, best_rate
 
 
@@ -260,11 +255,17 @@ class TdmaSchedule:
     N: int
     K: int
     m_prime: int
-    active: dict
 
     @property
     def n_steps(self):
         return self.m_prime * self.N // self.K
+
+    @property
+    def active(self):
+        """Map from each 1-based sensor to its tuple of active time steps."""
+        frame = self.N // self.K
+        return {frame * l + j: tuple(range(j, j + self.m_prime * frame, frame))
+                for l in range(self.K) for j in range(1, frame + 1)}
 
     def active_sensors_at(self, time):
         """1-based sensors active at a 1-based time step, one per sub-interval."""
@@ -280,11 +281,4 @@ def tdma_schedule(n_sensors, k_intervals, m_prime):
         )
     if m_prime < 1:
         raise ValueError("need at least one frame")
-    frame = n_sensors // k_intervals
-    active = {}
-    for l in range(k_intervals):
-        for j in range(1, frame + 1):
-            sensor = frame * l + j
-            active[sensor] = tuple(j + r * frame for r in range(m_prime))
-    return TdmaSchedule(N=int(n_sensors), K=int(k_intervals),
-                        m_prime=int(m_prime), active=active)
+    return TdmaSchedule(N=int(n_sensors), K=int(k_intervals), m_prime=int(m_prime))

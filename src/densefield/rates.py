@@ -129,6 +129,17 @@ def find_pmax(cov, target_mse, rel_tol=1e-6):
     return lo
 
 
+def dsc_operating_point(model, d_net, n, clamp_floor=1e-10, rel_tol=1e-6):
+    """The distributed scheme's chain at N sensors: (d_prime, cov, p_max).
+
+    D'(N) from the field target, the sensor covariance, and the largest
+    test-channel noise whose average MMSE meets D'(N).
+    """
+    d_prime = target_distortion_dsc(d_net, n, model)
+    cov = covariance_matrix(model, sensor_positions(n), clamp_floor)
+    return d_prime, cov, find_pmax(cov, d_prime, rel_tol)
+
+
 def dsc_sum_rate(cov, p):
     """Sum rate of the distributed scheme at test-channel noise p.
 
@@ -273,10 +284,9 @@ def rate_curve(model, d_net, n_list, eps=None, clamp_floor=1e-10, rel_tol=1e-6):
     reports = []
     for n in n_list:
         try:
-            d_prime = target_distortion_dsc(d_net, n, model)
+            d_prime, cov, p_max = dsc_operating_point(model, d_net, n, clamp_floor,
+                                                      rel_tol)
             d_dprime = reverse_distortion_bound(d_net, n, model)
-            cov = covariance_matrix(model, sensor_positions(n), clamp_floor)
-            p_max = find_pmax(cov, d_prime, rel_tol)
             reports.append(RateReport(
                 N=int(n), d_net=d_net, d_prime=d_prime, d_double_prime=d_dprime,
                 p_max=p_max, dsc_sum_rate_nats=dsc_sum_rate(cov, p_max),

@@ -219,36 +219,9 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
         stderr_jmse=stderr_j, stderr_jprime=stderr_jp)
 
 
-def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):
-    """Average integrated squared reconstruction error over [0, 1].
-
-    ``recon_fn(i, nodes)`` returns the reconstruction for snapshot i at the
-    quadrature nodes.  By default the estimate is hybrid: the field between
-    nodes is represented by its conditional law given the nearest sample, so
-    the conditional variance is added analytically and only the nearest-sample
-    mismatch is evaluated from data.  Passing ``grid_truth`` (an m x (N grid_g)
-    matrix of field values at the nodes) switches to direct quadrature against
-    those values.
-    """
-    n = grid.n_sensors
-    nodes = _quadrature_nodes(n, grid_g)
-    idx = nearest_sample_index(nodes, n)
-    rho_n = model(nodes - grid.positions[idx])
-    r2 = rho_n ** 2
-    js = np.empty(truth.m)
-    for i in range(truth.m):
-        rec = np.asarray(recon_fn(i, nodes), dtype=float)
-        if grid_truth is None:
-            vals = (1.0 - r2) + (rho_n * truth.data[i, idx] - rec) ** 2
-        else:
-            vals = (np.asarray(grid_truth[i], dtype=float) - rec) ** 2
-        js[i] = vals.mean()
-    return float(js.mean())
-
-
-def report_to_json(report, config=None):
-    """Stable JSON form of a report; optionally embeds the resolved config."""
-    obj = {
+def report_to_dict(report):
+    """Plain-Python form of a report, the body of its JSON form."""
+    return {
         "scheme": report.scheme,
         "j_mse": report.j_mse,
         "j_prime_mse": report.j_prime_mse,
@@ -262,6 +235,11 @@ def report_to_json(report, config=None):
         "stderr_jmse": report.stderr_jmse,
         "stderr_jprime": report.stderr_jprime,
     }
+
+
+def report_to_json(report, config=None):
+    """Stable JSON form of a report; optionally embeds the resolved config."""
+    obj = report_to_dict(report)
     if config is not None:
         obj["config"] = config
     return json.dumps(obj, indent=2, sort_keys=True)

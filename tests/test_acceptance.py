@@ -40,10 +40,7 @@ def pipeline(kind, n):
     """(cov, d_prime, p_max, dsc_rate) with caching across criteria."""
     key = (kind, n)
     if key not in _pipeline_cache:
-        model = model_of(kind)
-        cov = df.covariance_matrix(model, df.sensor_positions(n))
-        d_prime = df.target_distortion_dsc(D_NET, n, model)
-        p_max = df.find_pmax(cov, d_prime)
+        d_prime, cov, p_max = df.dsc_operating_point(model_of(kind), D_NET, n)
         _pipeline_cache[key] = (cov, d_prime, p_max, df.dsc_sum_rate(cov, p_max))
     return _pipeline_cache[key]
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,39 @@ class TestRates:
         code, out = run_cli(["rates", "--model", "exp", "--n", "32",
                              "--units", "bits"], capsys)
         assert "dsc_rate_bits" in out.strip().split("\n")[1]
+
+    def test_non_psd_table_exits_3(self, capsys, tmp_path):
+        tau = np.linspace(0.0, 1.0, 1001)
+        path = tmp_path / "box.csv"
+        np.savetxt(path, np.column_stack([tau, (tau < 0.3).astype(float)]),
+                   delimiter=",")
+        code, out = run_cli(["rates", "--model", f"table:{path}", "--n", "64"], capsys)
+        assert code == 3 and out == ""
+
+
+class TestSharedChain:
+    @pytest.mark.parametrize("model,n", [("exp", 64), ("exp", 128), ("sinc", 64)])
+    def test_pmax_agrees_across_commands(self, model, n, capsys):
+        common = ["--model", model, "--n", str(n), "--dnet", "0.1"]
+        _, out = run_cli(["pmax-curve", *common], capsys)
+        from_pmax = float(out.strip().split("\n")[2].split(",")[1])
+        _, out = run_cli(["rates", *common], capsys)
+        from_rates = float(out.strip().split("\n")[2].split(",")[3])
+        assert from_pmax == from_rates
+        if model == "exp":
+            _, out = run_cli(["simulate", "--scheme", "dsc", *common, "--m", "50"],
+                             capsys)
+            assert json.loads(out)["resolved"]["p"] == from_pmax
+
+
+def test_cli_import_skips_scipy_linalg_and_optimize():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, densefield.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestP2p:

@@ -114,6 +114,14 @@ class TestCovariance:
         off = cov.sigma_x - np.diag(np.diag(cov.sigma_x))
         assert np.max(np.abs(off)) <= 1.0
 
+    def test_non_psd_table_refused(self):
+        # box kernel: rho = 1 below lag 0.3, else 0; not a valid covariance
+        tau = np.linspace(0.0, 1.0, 1001)
+        box = df.make_correlation("custom-table",
+                                  np.column_stack([tau, (tau < 0.3).astype(float)]))
+        with pytest.raises(df.ConditioningError, match="positive semidefinite"):
+            df.covariance_matrix(box, df.sensor_positions(64))
+
     def test_eigendecomposition_reconstructs(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, df.sensor_positions(64))
         recon = (cov.eigvecs * cov.eigvals_raw) @ cov.eigvecs.T
