@@ -4,7 +4,8 @@ reports as CSV/JSON for plotting and scripted verification.
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error,
 3 infeasible configuration (a correlation table whose covariance is not
-positive semidefinite included), 4 bound violation in simulate.
+positive semidefinite included) or a Lloyd-Max design that did not converge,
+4 bound violation in simulate.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import quantizer as qz
 from . import rates, sim
-from .errors import ConditioningError, InfeasibleConfigError
+from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
 from .field import EXP_MARKOV, SINC, load_correlation_table, make_correlation
 
 EXIT_OK = 0
@@ -306,6 +307,9 @@ def main(argv=None):
         text, code = _COMMANDS[cfg.command](cfg)
     except (InfeasibleConfigError, ConditioningError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(text, cfg.out)
     return code

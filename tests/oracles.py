@@ -3,12 +3,13 @@
 Everything here deliberately avoids the library's computational paths:
 normal-equation solves instead of eigen-filters, brentq roots instead of
 closed forms, water-level bisection instead of the prefix solve, Riemann-grid
-Lloyd iteration instead of error-function moments, slogdet instead of
-eigenvalue sums.
+Lloyd iteration instead of error-function moments, the centroid/midpoint
+fixed point instead of Newton's method, slogdet instead of eigenvalue sums.
 """
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 
 def brute_force_mmse(sigma, p):
@@ -99,6 +100,39 @@ def lloyd_grid(levels, half_width=10.0, n_points=400_001, tol=1e-12,
     idx = np.searchsorted(b, x, side="right")
     distortion = float(np.sum(w * (x - pts[idx]) ** 2))
     return pts, b, distortion
+
+
+def lloyd_fixed_point(levels, tol=1e-11, max_iter=500_000):
+    """Lloyd-Max codebook for N(0, 1) by the centroid/midpoint fixed point.
+
+    Starts from the equal-probability quantile codebook and alternates the
+    two conditions with error-function cell moments until the centroids move
+    less than ``tol`` and the re-evaluated residual is below ``tol``.
+    Returns (points, boundaries, distortion).
+    """
+    def cell_moments(b):
+        edges = np.concatenate(([-np.inf], b, [np.inf]))
+        finite = np.isfinite(edges)
+        pdf = np.exp(-0.5 * edges * edges) / np.sqrt(2 * np.pi)
+        xpdf = np.zeros_like(edges)
+        xpdf[finite] = edges[finite] * pdf[finite]
+        prob = np.diff(ndtr(edges))
+        return prob, pdf[:-1] - pdf[1:], prob - np.diff(xpdf)
+
+    pts = ndtri((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
+    for _ in range(max_iter):
+        b = 0.5 * (pts[:-1] + pts[1:])
+        prob, m1, _ = cell_moments(b)
+        new = m1 / prob
+        delta = np.max(np.abs(new - pts))
+        pts = new
+        if delta < tol:
+            b = 0.5 * (pts[:-1] + pts[1:])
+            prob, m1, m2 = cell_moments(b)
+            if np.max(np.abs(m1 / prob - pts)) < tol:
+                distortion = float(np.sum(m2 - 2.0 * pts * m1 + pts ** 2 * prob))
+                return pts, b, distortion
+    raise RuntimeError(f"fixed point did not reach tol={tol} in {max_iter} steps")
 
 
 def dsc_cross_term(model, grid, cov, p, grid_g=8):

@@ -9,6 +9,7 @@ import pytest
 
 import densefield.cli as cli
 import densefield.sim as sim_mod
+from densefield import ConvergenceError
 
 
 def run_cli(args, capsys=None):
@@ -175,6 +176,16 @@ class TestP2p:
         with pytest.raises(SystemExit) as exc:
             cli.main(["p2p", "--model", "sinc", "--dnet", "1.5"])
         assert exc.value.code == 2
+
+    def test_design_nonconvergence_exits_3(self, capsys, monkeypatch):
+        def no_convergence(levels, tol=1e-11, max_iter=100):
+            raise ConvergenceError("design stalled", residual=1e-3)
+
+        monkeypatch.setattr("densefield.quantizer.lloyd_max", no_convergence)
+        code = cli.main(["p2p", "--model", "exp", "--dnet", "0.02"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "no convergence: design stalled\n"
 
 
 class TestSimulate:
