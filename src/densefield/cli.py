@@ -2,7 +2,8 @@
 reports as CSV/JSON for plotting and scripted verification.
 
 Every command is reproducible from (argv, seed) alone and embeds its fully
-resolved configuration in the output.  Exit codes: 0 success, 2 usage error,
+resolved configuration in the output.  Exit codes: 0 success, 2 usage error
+(a model spec that names no model or a table that cannot be read included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or a Lloyd-Max design that did not converge,
 4 bound violation in simulate.
@@ -58,7 +59,8 @@ def _resolve_model(spec):
         return make_correlation(EXP_MARKOV)
     if spec.startswith("table:"):
         return load_correlation_table(spec[len("table:"):])
-    raise InfeasibleConfigError(f"unknown model spec {spec!r}")
+    raise ValueError(f"unknown model spec {spec!r}; expected sinc, exp or "
+                     "table:<csv path>")
 
 
 def _unit_scale(units):
@@ -83,9 +85,8 @@ def _json_payload(cfg, body):
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_pmax_curve(cfg):
+def cmd_pmax_curve(cfg, model):
     """One row per N: the largest admissible test-channel noise and its slope."""
-    model = _resolve_model(cfg.model)
     rows = [",".join(PMAX_CSV_COLUMNS)]
     json_rows = []
     for n in cfg.n_list:
@@ -103,9 +104,8 @@ def cmd_pmax_curve(cfg):
     return _csv_payload(cfg, "\n".join(rows) + "\n"), EXIT_OK
 
 
-def cmd_rates(cfg):
+def cmd_rates(cfg, model):
     """Distributed vs centralized rate curve, one row per N."""
-    model = _resolve_model(cfg.model)
     reports = rates.rate_curve(model, cfg.d_net, cfg.n_list)
     if cfg.format == "json":
         scale = _unit_scale(cfg.units)
@@ -122,9 +122,8 @@ def cmd_rates(cfg):
     return _csv_payload(cfg, rates.rate_curve_csv(reports, cfg.units)), EXIT_OK
 
 
-def cmd_p2p(cfg):
+def cmd_p2p(cfg, model):
     """Optimal sub-interval count, its sum rate and a codebook meeting it."""
-    model = _resolve_model(cfg.model)
     k_max = cfg.k_max or None
     k_star, rate_nats = qz.optimize_K(model, cfg.d_net, k_max)
     budget = qz.p2p_distortion_budget(model, cfg.d_net, k_star)
@@ -154,9 +153,8 @@ def cmd_p2p(cfg):
     return _json_payload(cfg, body), EXIT_OK
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(cfg, model):
     """Run one seeded simulation and report the bound verdict."""
-    model = _resolve_model(cfg.model)
     if cfg.scheme == "dsc":
         p = cfg.p or rates.dsc_operating_point(model, cfg.d_net, cfg.n)[2]
         report = sim.simulate_dsc(model, cfg.n, p, m=cfg.m, grid_g=cfg.grid_g,
@@ -195,6 +193,13 @@ def _parse_n_list(args, parser):
             parser.error("--n must be a comma-separated list of integers")
         return values
     parser.error("one of --n / --n-range is required")
+
+
+def _require_non_negative(args, names, parser):
+    # 0 selects the default; a negative count or noise variance means nothing
+    for name in names:
+        if getattr(args, name) < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
 
 
 def build_parser():
@@ -260,10 +265,12 @@ def _config_from_args(args, parser):
         if any(n < 1 for n in cfg.n_list):
             parser.error("sensor counts must be >= 1")
     elif args.command == "p2p":
+        _require_non_negative(args, ("k_max", "n", "levels"), parser)
         cfg.k_max = args.k_max
         cfg.n = args.n
         cfg.levels = args.levels
     else:
+        _require_non_negative(args, ("k", "p", "levels"), parser)
         cfg.scheme = args.scheme
         cfg.n = args.n
         cfg.k = args.k
@@ -280,7 +287,11 @@ def _config_from_args(args, parser):
             parser.error("--m and --m-prime must be >= 1")
         if cfg.grid_g < 2:
             parser.error("--grid-g must be >= 2")
-    return cfg
+    try:
+        model = _resolve_model(cfg.model)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--model: {exc}")
+    return cfg, model
 
 
 _COMMANDS = {
@@ -302,9 +313,9 @@ def _emit(text, out_path):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    cfg, model = _config_from_args(args, parser)
     try:
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = _COMMANDS[cfg.command](cfg, model)
     except (InfeasibleConfigError, ConditioningError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

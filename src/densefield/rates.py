@@ -129,15 +129,15 @@ def find_pmax(cov, target_mse, rel_tol=1e-6):
     return lo
 
 
-def dsc_operating_point(model, d_net, n, clamp_floor=1e-10, rel_tol=1e-6):
+def dsc_operating_point(model, d_net, n):
     """The distributed scheme's chain at N sensors: (d_prime, cov, p_max).
 
     D'(N) from the field target, the sensor covariance, and the largest
     test-channel noise whose average MMSE meets D'(N).
     """
     d_prime = target_distortion_dsc(d_net, n, model)
-    cov = covariance_matrix(model, sensor_positions(n), clamp_floor)
-    return d_prime, cov, find_pmax(cov, d_prime, rel_tol)
+    cov = covariance_matrix(model, sensor_positions(n))
+    return d_prime, cov, find_pmax(cov, d_prime)
 
 
 def dsc_sum_rate(cov, p):
@@ -180,15 +180,14 @@ def centralized_rate(cov, avg_distortion):
                                  total_rate_nats=0.0, distortion_achieved=total / n)
     asc = np.sort(lam)
     prefix = np.concatenate([[0.0], np.cumsum(asc)])
-    level = None
-    for k in range(n):
-        cand = (target - prefix[k]) / (n - k)
-        lo = asc[k - 1] if k else 0.0
-        if lo <= cand <= asc[k]:
-            level = cand
-            break
-    if level is None:  # pragma: no cover - the scan is exhaustive
+    # cand[k] is the level if exactly the k smallest modes lie below it; the
+    # solution is the first cand[k] inside [asc[k-1], asc[k]]
+    cand = (target - prefix[:-1]) / (n - np.arange(n))
+    below = np.concatenate([[0.0], asc[:-1]])
+    holds = (below <= cand) & (cand <= asc)
+    if not holds.any():  # pragma: no cover - the scan is exhaustive
         raise RuntimeError("water level bracketing failed")
+    level = cand[np.argmax(holds)]
     rates = np.where(lam > level, 0.5 * np.log(lam / level), 0.0)
     achieved = float(np.minimum(lam, level).sum()) / n
     return WaterfillSolution(theta_level=float(level), per_mode_rate=rates,
@@ -267,25 +266,23 @@ class RateReport:
     infeasible_reason: str = ""
 
 
-def rate_curve(model, d_net, n_list, eps=None, clamp_floor=1e-10, rel_tol=1e-6):
+def rate_curve(model, d_net, n_list):
     """Assemble one RateReport per requested sensor count.
 
-    Infeasible N are flagged in place rather than dropped.  ``eps`` is the
-    slack used for the rate-loss pipeline (default 0.05 * d_net); theta comes
-    from the averaging-window condition at d_net - eps, and the test-channel
-    for the loss bound uses p = theta^2 N.
+    Infeasible N are flagged in place rather than dropped.  The rate-loss
+    pipeline uses the slack eps = 0.05 * d_net; theta comes from the
+    averaging-window condition at d_net - eps, and the test-channel for the
+    loss bound uses p = theta^2 N.
     """
     if not len(n_list):
         raise ValueError("need at least one sensor count")
-    if eps is None:
-        eps = 0.05 * d_net
+    eps = 0.05 * d_net
     theta = find_theta(model, d_net - eps)
     loss_bound = rate_loss_bound(d_net, eps, theta)
     reports = []
     for n in n_list:
         try:
-            d_prime, cov, p_max = dsc_operating_point(model, d_net, n, clamp_floor,
-                                                      rel_tol)
+            d_prime, cov, p_max = dsc_operating_point(model, d_net, n)
             d_dprime = reverse_distortion_bound(d_net, n, model)
             reports.append(RateReport(
                 N=int(n), d_net=d_net, d_prime=d_prime, d_double_prime=d_dprime,

@@ -48,14 +48,6 @@ class SimulationReport:
     stderr_jprime: float
 
 
-def _verdict(j_mse, low, high, margin):
-    if j_mse < low - margin:
-        return VIOLATED_LOW
-    if j_mse > high + margin:
-        return VIOLATED_HIGH
-    return WITHIN
-
-
 def _quadrature_nodes(n_sensors, grid_g):
     """Midpoint-rule nodes: grid_g per inter-sensor gap, uniform on [0, 1]."""
     if grid_g < 2:
@@ -70,11 +62,7 @@ def interpolation_only_jmse(model, n_sensors, grid_g=512):
     Quadrature of the conditional variance 1 - rho^2(s - n(s)); the error
     floor any reconstruction based on nearest-sample interpolation carries.
     """
-    grid = sensor_positions(n_sensors)
-    nodes = _quadrature_nodes(n_sensors, grid_g)
-    idx = nearest_sample_index(nodes, n_sensors)
-    r2 = model(nodes - grid.positions[idx]) ** 2
-    return float(np.mean(1.0 - r2))
+    return _dsc_weights(model, sensor_positions(n_sensors), grid_g)[0]
 
 
 def _dsc_weights(model, grid, grid_g):
@@ -89,8 +77,29 @@ def _dsc_weights(model, grid, grid_g):
     return a0, cell_w, nodes, idx, np.sqrt(r2)
 
 
-def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0,
-                 clamp_floor=1e-10, naive=False):
+def _report(scheme, j_snap, err2, per_sensor, grid_g, seed, bounds):
+    """Means, standard errors and verdict of per-snapshot field errors
+    ``j_snap`` and squared sensor errors ``err2`` (one row per snapshot);
+    ``bounds(j')`` is the (low, high) pair the field MSE is checked against."""
+    m = j_snap.size
+    jprime_snap = err2.mean(axis=1)
+    j_mse = float(j_snap.mean())
+    jprime = float(jprime_snap.mean())
+    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
+    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
+    low, high = bounds(jprime)
+    margin = SIGMA_MARGIN * stderr_j
+    verdict = (VIOLATED_LOW if j_mse < low - margin
+               else VIOLATED_HIGH if j_mse > high + margin else WITHIN)
+    return SimulationReport(
+        scheme=scheme, j_mse=j_mse, j_prime_mse=jprime,
+        per_sensor_mse=per_sensor, n_snapshots=int(m),
+        grid_points_per_gap=int(grid_g), seed=int(seed), bound_low=low,
+        bound_high=high, verdict=verdict, stderr_jmse=stderr_j,
+        stderr_jprime=stderr_jp)
+
+
+def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """Monte Carlo run of the distributed scheme's test-channel surrogate.
 
     Per snapshot: draw the sensor vector X, observe U = X + Z with
@@ -108,45 +117,30 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0,
     a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid, grid_g)
 
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    cov = covariance_matrix(model, grid)
     if naive:
         joint_pos = np.concatenate([grid.positions, nodes])
         joint_cov = CovariancePack.from_matrix(
-            model(np.abs(joint_pos[:, None] - joint_pos[None, :])), clamp_floor)
+            model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
         joint = sample_snapshots(joint_cov, m, field_ss).data
         x = joint[:, :n_sensors]
         x_nodes = joint[:, n_sensors:]
-        cov = covariance_matrix(model, grid, clamp_floor)
     else:
-        cov = covariance_matrix(model, grid, clamp_floor)
         x = sample_snapshots(cov, m, field_ss).data
-        x_nodes = None
 
     noise = np.random.Generator(np.random.Philox(noise_ss))
     u = x + np.sqrt(p) * noise.standard_normal(x.shape)
     x_hat = mmse_estimate(TestChannel(p=p, cov=cov), u)
 
     err2 = (x - x_hat) ** 2
-    per_sensor = err2.mean(axis=0)
-    jprime_snap = err2.mean(axis=1)
-    jprime = float(jprime_snap.mean())
-
     if naive:
         recon_nodes = rho_nodes * x_hat[:, node_idx]
         j_snap = ((x_nodes - recon_nodes) ** 2).mean(axis=1)
     else:
         j_snap = a0 + err2 @ cell_w
-    j_mse = float(j_snap.mean())
-    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-
-    low = float(jmse_lower_bound(model, n_sensors, jprime))
-    high = float(jmse_upper_bound(model, n_sensors, jprime))
-    return SimulationReport(
-        scheme=DSC_SCHEME, j_mse=j_mse, j_prime_mse=jprime,
-        per_sensor_mse=per_sensor, n_snapshots=int(m),
-        grid_points_per_gap=int(grid_g), seed=int(seed), bound_low=low,
-        bound_high=high, verdict=_verdict(j_mse, low, high, SIGMA_MARGIN * stderr_j),
-        stderr_jmse=stderr_j, stderr_jprime=stderr_jp)
+    return _report(DSC_SCHEME, j_snap, err2, err2.mean(axis=0), grid_g, seed,
+                   lambda jp: (float(jmse_lower_bound(model, n_sensors, jp)),
+                               float(jmse_upper_bound(model, n_sensors, jp))))
 
 
 def _p2p_weights(model, n_sensors, k_intervals, grid_g):
@@ -170,7 +164,7 @@ def _p2p_weights(model, n_sensors, k_intervals, grid_g):
 
 
 def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
-                 grid_g=8, seed=0, clamp_floor=1e-10):
+                 grid_g=8, seed=0):
     """Monte Carlo run of the TDMA point-to-point scheme.
 
     Each step activates one sensor per sub-interval following the round-robin
@@ -179,44 +173,31 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     samples exactly) and the field is reconstructed from the active sensor of
     each sub-interval.  The verdict checks the empirical field MSE against the
     additive bound (1 - rho^2(1/K)) + empirical quantizer distortion.
+
+    Step i activates sensor ``i % (N/K) + (N/K) l`` (0-based) of sub-interval
+    l.  Those K sensors sit 1/K apart whatever the phase, so a step's data is
+    one draw of the field at the K-sensor grid: only m x K samples are drawn.
     """
     schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
     frame = n_sensors // k_intervals
-    m = schedule.n_steps
     a0, c = _p2p_weights(model, n_sensors, k_intervals, grid_g)
 
+    # built only to refuse a kernel that is not PSD at the N sensors
+    covariance_matrix(model, sensor_positions(n_sensors))
     field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    cov = covariance_matrix(model, sensor_positions(n_sensors), clamp_floor)
-    x = sample_snapshots(cov, m, field_ss).data
-
-    phases = np.arange(m) % frame
-    cols = phases[:, None] + frame * np.arange(k_intervals)[None, :]
-    active = x[np.arange(m)[:, None], cols]
+    cov = covariance_matrix(model, sensor_positions(k_intervals))
+    active = sample_snapshots(cov, schedule.n_steps, field_ss).data
     if quantizer is None:
         err2 = np.zeros_like(active)
     else:
         _, rep = quantize(quantizer, active)
         err2 = (active - rep) ** 2
 
-    j_snap = a0[phases] + c[phases] * err2.sum(axis=1)
-    j_mse = float(j_snap.mean())
-    jprime_snap = err2.mean(axis=1)
-    jprime = float(jprime_snap.mean())
-    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-
-    per_sensor = np.empty(n_sensors)
-    for j0 in range(frame):
-        per_sensor[j0 + frame * np.arange(k_intervals)] = err2[phases == j0].mean(axis=0)
-
-    low = 0.0
-    high = float((1.0 - model(1.0 / k_intervals) ** 2) + jprime)
-    return SimulationReport(
-        scheme=P2P_SCHEME, j_mse=j_mse, j_prime_mse=jprime,
-        per_sensor_mse=per_sensor, n_snapshots=int(m),
-        grid_points_per_gap=int(grid_g), seed=int(seed), bound_low=low,
-        bound_high=high, verdict=_verdict(j_mse, low, high, SIGMA_MARGIN * stderr_j),
-        stderr_jmse=stderr_j, stderr_jprime=stderr_jp)
+    j_snap = np.tile(a0, m_prime) + np.tile(c, m_prime) * err2.sum(axis=1)
+    per_sensor = err2.reshape(m_prime, frame, k_intervals).mean(axis=0).T.ravel()
+    interp = 1.0 - model(1.0 / k_intervals) ** 2
+    return _report(P2P_SCHEME, j_snap, err2, per_sensor, grid_g, seed,
+                   lambda jp: (0.0, float(interp + jp)))
 
 
 def report_to_dict(report):

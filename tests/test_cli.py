@@ -234,6 +234,18 @@ class TestSimulate:
         lines = log.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[1] == lines[2]
 
+    def test_p2p_non_psd_at_n_exits_3(self, capsys, tmp_path):
+        # exp(-tau) on a 1/480 lag grid but rho(1/480) = 0.5: the 24 active
+        # sensors see a PSD covariance, all 480 sensors do not
+        tau = np.arange(481) / 480
+        rho = np.exp(-tau)
+        rho[1] = 0.5
+        path = tmp_path / "dip.csv"
+        np.savetxt(path, np.column_stack([tau, rho]), delimiter=",")
+        code, out = run_cli(["simulate", "--scheme", "p2p", "--model", f"table:{path}",
+                             "--n", "480", "--k", "24", "--m-prime", "10"], capsys)
+        assert code == 3 and out == ""
+
     def test_default_p_infeasible_n_exits_3(self, capsys):
         # default p needs D'(N); N=8 is below the smallest feasible N for exp
         code, _ = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
@@ -246,6 +258,51 @@ class TestSimulate:
                             capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "within"
+
+
+def _usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    # argparse's usage line, then one error line
+    assert len(err) == 2 and err[0].startswith("usage: ")
+    assert err[1].startswith("densefield: error: ")
+    return err[1]
+
+
+class TestModelSpec:
+    def test_missing_table_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        err = _usage_error(["p2p", "--model", f"table:{path}"], capsys)
+        assert "missing.csv" in err
+
+    def test_one_column_table_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        np.savetxt(path, np.linspace(0.0, 1.0, 11), delimiter=",")
+        err = _usage_error(["rates", "--model", f"table:{path}", "--n", "16"], capsys)
+        assert "two columns" in err
+
+    def test_unknown_model_is_usage_error(self, capsys):
+        err = _usage_error(["simulate", "--scheme", "dsc", "--model", "foo",
+                            "--n", "16"], capsys)
+        assert "'foo'" in err
+
+
+SIM_P2P = ["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"]
+SIM_DSC = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64"]
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["p2p", "--model", "exp"], "--n"),
+    (["p2p", "--model", "exp"], "--levels"),
+    (["p2p", "--model", "exp"], "--k-max"),
+    (SIM_P2P, "--levels"),
+    (SIM_P2P, "--k"),
+    (SIM_DSC, "--p"),
+])
+def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
+    assert _usage_error([*args, flag, "-2"], capsys).endswith(f"{flag} must be >= 0")
 
 
 class TestDeterminism:

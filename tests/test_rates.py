@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import densefield as df
 from densefield.estimation import avg_mmse_from_eigvals
@@ -205,6 +207,19 @@ class TestCentralizedRate:
         cov = df.covariance_matrix(exp_model, df.sensor_positions(2))
         with pytest.raises(ValueError):
             df.centralized_rate(cov, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=64),
+           st.floats(0.01, 0.99))
+    def test_level_solves_waterfilling(self, lam, fraction):
+        # D below the mean eigenvalue, so the level lies under the top mode
+        lam = np.asarray(lam)
+        d = fraction * float(lam.mean())
+        sol = df.centralized_rate(CovariancePack.from_matrix(np.diag(lam)), d)
+        level, _ = waterfill_bisect(lam, d)
+        assert sol.theta_level == pytest.approx(level, rel=1e-9)
+        assert np.minimum(lam, sol.theta_level).sum() == pytest.approx(lam.size * d,
+                                                                       rel=1e-9)
 
 
 class TestFindTheta:

@@ -170,6 +170,38 @@ class TestSimulateP2p:
         assert a.j_mse == b.j_mse
         assert np.array_equal(a.per_sensor_mse, b.per_sensor_mse)
 
+    def test_matches_k_grid_draws(self, exp_model):
+        # rebuild the K-sensor draws of simulate_p2p and score every step
+        # through the schedule's own sensor map
+        n, k, m_prime, grid_g, seed = 12, 4, 50, 8, 21
+        quant = df.lloyd_max(4)
+        rep = df.simulate_p2p(exp_model, n, k, quant, m_prime=m_prime,
+                              grid_g=grid_g, seed=seed)
+        schedule = df.tdma_schedule(n, k, m_prime)
+        field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+        cov = df.covariance_matrix(exp_model, df.sensor_positions(k))
+        draws = df.sample_snapshots(cov, schedule.n_steps, field_ss).data
+        positions = df.sensor_positions(n).positions
+        nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
+        sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
+        js = np.empty(schedule.n_steps)
+        jps = np.empty(schedule.n_steps)
+        err_sum = np.zeros(n)
+        hits = np.zeros(n)
+        for i in range(schedule.n_steps):
+            active = np.asarray(schedule.active_sensors_at(i + 1)) - 1
+            _, rep_i = df.quantize(quant, draws[i])
+            e2 = (draws[i] - rep_i) ** 2
+            r2 = exp_model(nodes - positions[active][sub_of_node]) ** 2
+            js[i] = np.mean(1.0 - r2 + r2 * e2[sub_of_node])
+            jps[i] = e2.mean()
+            err_sum[active] += e2
+            hits[active] += 1
+        assert rep.j_mse == pytest.approx(js.mean(), abs=1e-12)
+        assert rep.j_prime_mse == pytest.approx(jps.mean(), abs=1e-12)
+        np.testing.assert_allclose(rep.per_sensor_mse, err_sum / hits, rtol=0,
+                                   atol=1e-12)
+
     def test_json_round_tripped_codebook_drives_simulation(self, sinc_model):
         q = df.quantizer_from_json(df.quantizer_to_json(df.lloyd_max(8)))
         rep = df.simulate_p2p(sinc_model, 24, 8, q, m_prime=500, seed=6)
