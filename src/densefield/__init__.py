@@ -5,9 +5,9 @@ from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
 from .estimation import (MmseResult, TestChannel, averaging_estimator_mse_bound,
                          mmse_error, mmse_estimate)
 from .field import (CorrelationModel, CovariancePack, FieldSnapshots, SensorGrid,
-                    covariance_matrix, interpolate, load_correlation_table,
+                    Spectrum, covariance_matrix, interpolate, load_correlation_table,
                     make_correlation, nearest_sample_location, sample_snapshots,
-                    sensor_positions)
+                    sensor_positions, spectrum)
 from .quantizer import (ScalarQuantizer, TdmaSchedule, lloyd_max, optimize_K,
                         p2p_rate_for_K, quantize, quantizer_from_json,
                         quantizer_to_json, scalar_delta, tdma_schedule)
@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditioningError", "ConvergenceError", "InfeasibleConfigError",
-    "CorrelationModel", "CovariancePack", "FieldSnapshots", "SensorGrid",
+    "CorrelationModel", "CovariancePack", "FieldSnapshots", "SensorGrid", "Spectrum",
     "MmseResult", "TestChannel", "RateReport", "WaterfillSolution",
     "ScalarQuantizer", "TdmaSchedule", "SimulationReport",
     "make_correlation", "load_correlation_table", "sensor_positions",
-    "covariance_matrix", "sample_snapshots", "nearest_sample_location",
+    "covariance_matrix", "spectrum", "sample_snapshots", "nearest_sample_location",
     "interpolate", "mmse_estimate", "mmse_error",
     "averaging_estimator_mse_bound", "target_distortion_dsc",
     "reverse_distortion_bound", "find_pmax", "dsc_operating_point", "dsc_sum_rate",

@@ -3,7 +3,8 @@ reports as CSV/JSON for plotting and scripted verification.
 
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
-(a model spec that names no model or a table that cannot be read included),
+(a model spec that names no model, a table that cannot be read and a float
+flag that is NaN or infinite included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or a Lloyd-Max design that did not converge,
 4 bound violation in simulate.
@@ -11,6 +12,7 @@ positive semidefinite included) or a Lloyd-Max design that did not converge,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -255,6 +257,10 @@ def build_parser():
 
 
 def _config_from_args(args, parser):
+    # NaN passes every range check and would reach the JSON output as NaN
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            parser.error(f"--{name.replace('_', '-')} must be finite")
     if not 0.0 < args.dnet < 1.0:
         parser.error("--dnet must lie in (0, 1)")
     cfg = RunConfig(command=args.command, model=args.model, d_net=args.dnet,

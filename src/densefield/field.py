@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, ConvergenceError
 
 SINC = "sinc"
 EXP_MARKOV = "exp-markov"
@@ -137,39 +137,41 @@ def sensor_positions(n_sensors):
     return SensorGrid(n_sensors=int(n_sensors), positions=(2 * k - 1) / (2 * n_sensors))
 
 
-@dataclass(frozen=True)
-class CovariancePack:
-    """Sensor-sample covariance with a cached, clamped eigendecomposition.
+CLAMP_FLOOR = 1e-10
 
-    ``eigvals`` are clamped below at ``clamp_floor`` and sorted descending;
-    ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
-    MMSE solves, mutual information and water-filling all run on the clamped
-    spectrum, so every consumer sees one consistent field law.
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenvalues of a sensor covariance, clamped and sorted descending.
+
+    ``eigvals`` are clamped below at ``clamp_floor``; ``n_clamped`` counts
+    the modes the clamp raised, ``raw_min``/``raw_max`` are the unclamped
+    extremes (for ``slepian``, of the modes it computed) and ``backend``
+    names what computed them (``kms``, ``slepian`` or ``dense``).  p_max,
+    the distributed sum rate and water-filling read nothing else, so they
+    never need eigenvectors.
     """
 
-    sigma_x: np.ndarray
     eigvals: np.ndarray
-    eigvecs: np.ndarray
     clamp_floor: float
-    eigvals_raw: np.ndarray
     n_clamped: int
+    raw_min: float
+    raw_max: float
+    backend: str
 
     def __post_init__(self):
-        for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "eigvals", _freeze(self.eigvals))
 
     @property
     def n(self):
-        return self.sigma_x.shape[0]
+        return self.eigvals.size
 
     @classmethod
-    def from_matrix(cls, sigma, clamp_floor=1e-10):
+    def from_raw(cls, raw, n, clamp_floor, backend, **extra):
+        """Clamp the ``raw.size`` leading raw eigenvalues (descending) of an
+        n x n covariance; the modes after them must lie below the floor."""
         if not 0.0 <= clamp_floor <= 1e-6:
             raise ValueError("clamp_floor must lie in [0, 1e-6]")
-        sigma = np.asarray(sigma, dtype=float)
-        raw, vecs = np.linalg.eigh(sigma)
-        raw = raw[::-1]
-        vecs = vecs[:, ::-1]
         # rounding leaves rank-deficient PSD spectra slightly negative (sinc:
         # -1e-12 against 1604 at N = 2048); anything further below is refused
         if raw[-1] < -1e-8 * max(raw[0], 1.0):
@@ -177,24 +179,146 @@ class CovariancePack:
                 f"covariance is not positive semidefinite: smallest eigenvalue "
                 f"{raw[-1]:.6g} against largest {raw[0]:.6g}"
             )
-        clamped = np.maximum(raw, clamp_floor)
-        return cls(sigma_x=sigma, eigvals=clamped, eigvecs=vecs,
-                   clamp_floor=float(clamp_floor), eigvals_raw=raw,
-                   n_clamped=int(np.count_nonzero(raw < clamp_floor)))
+        eigvals = np.full(n, float(clamp_floor))
+        eigvals[:raw.size] = np.maximum(raw, clamp_floor)
+        n_clamped = n - raw.size + np.count_nonzero(raw < clamp_floor)
+        return cls(eigvals=eigvals, clamp_floor=float(clamp_floor),
+                   n_clamped=int(n_clamped), raw_min=float(raw[-1]),
+                   raw_max=float(raw[0]), backend=backend, **extra)
 
 
-def covariance_matrix(model, grid, clamp_floor=1e-10):
+@dataclass(frozen=True)
+class CovariancePack(Spectrum):
+    """Sensor-sample covariance with its clamped spectrum and eigenvectors.
+
+    ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
+    MMSE solves, mutual information and water-filling all run on the clamped
+    spectrum, so every consumer sees one consistent field law.
+    """
+
+    sigma_x: np.ndarray
+    eigvecs: np.ndarray
+    eigvals_raw: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    @classmethod
+    def from_matrix(cls, sigma, clamp_floor=CLAMP_FLOOR):
+        sigma = np.asarray(sigma, dtype=float)
+        raw, vecs = np.linalg.eigh(sigma)
+        raw = raw[::-1]
+        return cls.from_raw(raw, raw.size, clamp_floor, "dense", sigma_x=sigma,
+                            eigvecs=vecs[:, ::-1], eigvals_raw=raw)
+
+
+def _toeplitz(model, n):
+    """N x N covariance rho(|s_i - s_j|) of the regular N-sensor grid."""
+    lags = np.arange(n)
+    first_row = model(lags / n)
+    return first_row[np.abs(lags[:, None] - lags[None, :])]
+
+
+def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
     """N x N Toeplitz covariance rho(|s_i - s_j|) with cached eigenfactors.
 
     Band-limited kernels are numerically rank deficient at large N; the
     clamp floor keeps the cached factorisation usable for sampling and
     log-determinant work, and ``n_clamped`` reports how often it engaged.
     """
-    n = grid.n_sensors
-    lags = np.arange(n)
-    first_row = model(lags / n)
-    sigma = first_row[np.abs(lags[:, None] - lags[None, :])]
-    return CovariancePack.from_matrix(sigma, clamp_floor)
+    return CovariancePack.from_matrix(_toeplitz(model, grid.n_sensors), clamp_floor)
+
+
+def _kms_eigvals(n):
+    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N).
+
+    This is the Kac-Murdock-Szego matrix (1953): its eigenvalues are
+    (1-a^2) / ((1-a)^2 + 4a sin^2(theta/2)) at the N roots theta in (0, pi)
+    of sin(N theta) [(1-a)^2 - 2(1+a^2) sin^2(theta/2)]
+    + (1-a^2) cos(N theta) sin(theta).  1-a and 1-a^2 come from expm1; the
+    textbook forms in cos(theta) cancel as a -> 1 (trace off by 1e-7 at
+    N = 65,536).  Each root is bracketed by a sign change on a grid of
+    4(N+1) cells and bisected, all at once, to adjacent doubles.
+    """
+    a = np.exp(-1.0 / n)
+    c1 = -np.expm1(-1.0 / n)      # 1 - a
+    c2 = -np.expm1(-2.0 / n)      # 1 - a^2
+
+    def negative(t):
+        s2 = np.sin(0.5 * t) ** 2
+        f = (np.sin(n * t) * (c1 * c1 - 2.0 * (1.0 + a * a) * s2)
+             + c2 * np.cos(n * t) * np.sin(t))
+        return np.signbit(f)
+
+    cells = 4 * (n + 1)
+    grid = np.arange(1, cells) * (np.pi / cells)
+    neg = negative(grid)
+    j = np.nonzero(neg[:-1] != neg[1:])[0]
+    if j.size != n:
+        raise ConvergenceError(
+            f"KMS secular equation: {j.size} sign changes for N = {n} roots")
+    lo, hi, neg_lo = grid[j], grid[j + 1], neg[j]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        left = negative(mid) == neg_lo
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    theta = 0.5 * (lo + hi)
+    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2)
+
+
+def _slepian_eigvals(n):
+    """Leading eigenvalues of the sinc covariance, descending.
+
+    sinc((i-j)/N) is N times the prolate matrix with W = 1/(2N), which
+    commutes with Slepian's tridiagonal matrix (1978, "Prolate spheroidal
+    wave functions V: the discrete case"); their eigenvectors coincide, in
+    the same order.  Each of the top k is turned into an eigenvalue by its
+    Rayleigh quotient through an FFT Toeplitz product.  k doubles from 24
+    until the last quotient lies a decade below the floor: the modes after
+    it are smaller still and are clamped to the floor.
+    """
+    from scipy.linalg import eigh_tridiagonal  # kept off the CLI import path
+
+    i = np.arange(n)
+    diag = ((n - 1) / 2.0 - i) ** 2 * np.cos(np.pi / n)
+    off = i[1:] * (n - i[1:]) / 2.0
+    row = np.sinc(i / n)
+    # spectrum of the 2N circulant whose leading N x N block is the Toeplitz
+    row_hat = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]]))
+    k = min(24, n)
+    while True:
+        _, vecs = eigh_tridiagonal(diag, off, select="i",
+                                   select_range=(n - k, n - 1))
+        prod = np.fft.irfft(np.fft.rfft(vecs, 2 * n, axis=0) * row_hat[:, None],
+                            2 * n, axis=0)[:n]
+        quotients = np.sort(np.einsum("ij,ij->j", vecs, prod))[::-1]
+        if k == n or quotients[-1] < 0.1 * CLAMP_FLOOR:
+            return quotients
+        k = min(2 * k, n)
+
+
+def spectrum(model, n_sensors):
+    """Clamped eigenvalues of the N-sensor covariance, without eigenvectors.
+
+    exp-markov takes the closed KMS form (backend ``kms``) and sinc the
+    Slepian tridiagonal route (``slepian``), both without an N x N matrix; a
+    custom table takes a dense ``eigvalsh`` (``dense``), which keeps the
+    positive-semidefinite refusal.
+    """
+    n = int(n_sensors)
+    if n < 1:
+        raise ValueError("need at least one sensor")
+    if model.kind == EXP_MARKOV:
+        raw, backend = _kms_eigvals(n), "kms"
+    elif model.kind == SINC:
+        raw, backend = _slepian_eigvals(n), "slepian"
+    else:
+        raw, backend = np.linalg.eigvalsh(_toeplitz(model, n))[::-1], "dense"
+    return Spectrum.from_raw(raw, n, CLAMP_FLOOR, backend)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleConfigError
 from .estimation import avg_mmse_from_eigvals
-from .field import covariance_matrix, sensor_positions
+from .field import spectrum
 
 _THETA_GRID = 4096
 
@@ -86,10 +86,9 @@ def smallest_feasible_n(model, d_net, n_max=10 ** 7):
     n = 1
     while n <= n_max:
         if 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
-            lo = max(n // 2, 1)
-            for cand in range(lo, n + 1):
-                if 1.0 - model(1.0 / (2 * cand)) ** 2 < d_net:
-                    return cand
+            cand = np.arange(max(n // 2, 1), n + 1)
+            ok = 1.0 - model(1.0 / (2 * cand)) ** 2 < d_net
+            return int(cand[np.argmax(ok)])
         n *= 2
     raise InfeasibleConfigError(f"no feasible N up to {n_max} for d_net={d_net}")
 
@@ -130,14 +129,15 @@ def find_pmax(cov, target_mse, rel_tol=1e-6):
 
 
 def dsc_operating_point(model, d_net, n):
-    """The distributed scheme's chain at N sensors: (d_prime, cov, p_max).
+    """The distributed scheme's chain at N sensors: (d_prime, spectrum, p_max).
 
-    D'(N) from the field target, the sensor covariance, and the largest
-    test-channel noise whose average MMSE meets D'(N).
+    D'(N) from the field target, the clamped covariance spectrum (no
+    eigenvectors, see ``field.spectrum``), and the largest test-channel noise
+    whose average MMSE meets D'(N).
     """
     d_prime = target_distortion_dsc(d_net, n, model)
-    cov = covariance_matrix(model, sensor_positions(n))
-    return d_prime, cov, find_pmax(cov, d_prime)
+    spec = spectrum(model, n)
+    return d_prime, spec, find_pmax(spec, d_prime)
 
 
 def dsc_sum_rate(cov, p):
@@ -282,12 +282,12 @@ def rate_curve(model, d_net, n_list):
     reports = []
     for n in n_list:
         try:
-            d_prime, cov, p_max = dsc_operating_point(model, d_net, n)
+            d_prime, spec, p_max = dsc_operating_point(model, d_net, n)
             d_dprime = reverse_distortion_bound(d_net, n, model)
             reports.append(RateReport(
                 N=int(n), d_net=d_net, d_prime=d_prime, d_double_prime=d_dprime,
-                p_max=p_max, dsc_sum_rate_nats=dsc_sum_rate(cov, p_max),
-                centralized_rate_nats=centralized_rate(cov, d_dprime).total_rate_nats,
+                p_max=p_max, dsc_sum_rate_nats=dsc_sum_rate(spec, p_max),
+                centralized_rate_nats=centralized_rate(spec, d_dprime).total_rate_nats,
                 rate_loss_bound_nats=loss_bound, theta=theta, feasible=True))
         except InfeasibleConfigError as exc:
             reports.append(RateReport(

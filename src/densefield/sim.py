@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimation import TestChannel, mmse_estimate
 from .field import (CovariancePack, covariance_matrix, nearest_sample_index,
-                    sample_snapshots, sensor_positions)
+                    sample_snapshots, sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -182,8 +182,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     frame = n_sensors // k_intervals
     a0, c = _p2p_weights(model, n_sensors, k_intervals, grid_g)
 
-    # built only to refuse a kernel that is not PSD at the N sensors
-    covariance_matrix(model, sensor_positions(n_sensors))
+    # refuses a kernel that is not PSD at the N sensors
+    spectrum(model, n_sensors)
     field_ss, _ = np.random.SeedSequence(seed).spawn(2)
     cov = covariance_matrix(model, sensor_positions(k_intervals))
     active = sample_snapshots(cov, schedule.n_steps, field_ss).data

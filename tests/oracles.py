@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's computational paths:
 normal-equation solves instead of eigen-filters, brentq roots instead of
 closed forms, water-level bisection instead of the prefix solve, Riemann-grid
 Lloyd iteration instead of error-function moments, the centroid/midpoint
-fixed point instead of Newton's method, slogdet instead of eigenvalue sums.
+fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
+scipy's DPSS windows against the dense sinc matrix instead of the FFT
+Rayleigh quotients, a scalar scan over every N instead of the vectorised
+backtrack.
 """
 
 import numpy as np
@@ -181,3 +184,29 @@ def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):
             vals = (np.asarray(grid_truth[i], dtype=float) - rec) ** 2
         js[i] = vals.mean()
     return float(js.mean())
+
+
+def dpss_sinc_eigpairs(n, k):
+    """Leading k eigenvalues of the N-sensor sinc covariance from DPSS windows.
+
+    The covariance sinc((i-j)/N) is N times the prolate matrix with
+    NW = 1/2, so scipy's discrete prolate spheroidal sequences are its
+    eigenvectors.  Returns each window's Rayleigh quotient against the dense
+    matrix and the residual norm |Sigma v - lambda v| that shows it is one.
+    """
+    from scipy.signal.windows import dpss
+
+    lags = np.arange(n)
+    sigma = np.sinc((lags[:, None] - lags[None, :]) / n)
+    win = np.atleast_2d(dpss(n, 0.5, Kmax=k, norm=2))
+    prod = win @ sigma
+    lam = np.einsum("ij,ij->i", win, prod) / np.einsum("ij,ij->i", win, win)
+    return lam, np.linalg.norm(prod - lam[:, None] * win, axis=1)
+
+
+def smallest_feasible_n_scan(model, d_net):
+    """Smallest N with 1 - rho^2(1/(2N)) < d_net, one scalar check per N."""
+    n = 1
+    while not 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
+        n += 1
+    return n

@@ -128,13 +128,16 @@ class TestSharedChain:
 
 
 def test_cli_import_skips_scipy_linalg_and_optimize():
+    # the exp-markov rate chain needs no scipy.linalg either
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, densefield.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
-            "if m in sys.modules))")
+    loaded = ("sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
+              "if m in sys.modules)")
+    code = (f"import os, sys, densefield.cli; print({loaded}); "
+            "densefield.cli.main(['rates', '--model', 'exp', '--n', '64,256', "
+            f"'--out', os.devnull]); print({loaded})")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 class TestP2p:
@@ -186,6 +189,28 @@ class TestP2p:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "no convergence: design stalled\n"
+
+
+@pytest.fixture
+def box_table(tmp_path):
+    # rho = 1 below lag 0.3, else 0: not positive semidefinite at N = 64
+    tau = np.linspace(0.0, 1.0, 1001)
+    path = tmp_path / "box.csv"
+    np.savetxt(path, np.column_stack([tau, (tau < 0.3).astype(float)]), delimiter=",")
+    return f"table:{path}"
+
+
+@pytest.mark.parametrize("args", [
+    ["pmax-curve", "--n", "64"],
+    ["simulate", "--scheme", "dsc", "--n", "64", "--m", "10"],
+    ["simulate", "--scheme", "dsc", "--n", "64", "--m", "10", "--p", "0.5"],
+])
+def test_non_psd_table_exits_3_from_pmax_curve_and_dsc(args, box_table, capsys):
+    code = cli.main([*args, "--model", box_table])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("infeasible configuration: covariance is not "
+                                   "positive semidefinite")
 
 
 class TestSimulate:
@@ -303,6 +328,12 @@ SIM_DSC = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64"]
 ])
 def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
     assert _usage_error([*args, flag, "-2"], capsys).endswith(f"{flag} must be >= 0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_usage_error(value, capsys):
+    err = _usage_error([*SIM_DSC, f"--p={value}", "--m", "200"], capsys)
+    assert err.endswith("--p must be finite")
 
 
 class TestDeterminism:

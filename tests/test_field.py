@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import densefield as df
-from densefield.field import nearest_sample_index
+from densefield.field import Spectrum, nearest_sample_index
+
+from oracles import dpss_sinc_eigpairs
+
+D_NET = 0.1
+STRUCTURED_N = (*range(1, 257), 1000, 2047, 2048)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +126,8 @@ class TestCovariance:
                                   np.column_stack([tau, (tau < 0.3).astype(float)]))
         with pytest.raises(df.ConditioningError, match="positive semidefinite"):
             df.covariance_matrix(box, df.sensor_positions(64))
+        with pytest.raises(df.ConditioningError, match="positive semidefinite"):
+            df.spectrum(box, 64)
 
     def test_eigendecomposition_reconstructs(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, df.sensor_positions(64))
@@ -136,6 +143,62 @@ class TestCovariance:
     def test_clamp_floor_precondition(self, exp_model):
         with pytest.raises(ValueError):
             df.covariance_matrix(exp_model, df.sensor_positions(2), clamp_floor=1e-3)
+
+
+def _dense_spectrum(model, n):
+    lags = np.arange(n)
+    sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)
+    return Spectrum.from_raw(np.linalg.eigvalsh(sigma)[::-1], n, 1e-10, "dense")
+
+
+class TestSpectrumBackends:
+    @pytest.mark.parametrize("kind,backend", [("exp-markov", "kms"), ("sinc", "slepian")])
+    def test_matches_dense_eigvalsh(self, kind, backend):
+        model = df.make_correlation(kind)
+        for n in STRUCTURED_N:
+            fast, dense = df.spectrum(model, n), _dense_spectrum(model, n)
+            assert fast.backend == backend and fast.n == n
+            # the absolute term covers the dense path's own rounding near the
+            # floor (sinc eigenvalues near 1e-10 move by 2e-6 relative there)
+            gap = np.abs(fast.eigvals - dense.eigvals)
+            assert np.all(gap <= np.maximum(1e-9 * dense.eigvals, 1e-12 * n)), n
+            try:
+                d_prime = df.target_distortion_dsc(D_NET, n, model)
+                d_dprime = df.reverse_distortion_bound(D_NET, n, model)
+            except df.InfeasibleConfigError:
+                continue
+            p_fast, p_dense = df.find_pmax(fast, d_prime), df.find_pmax(dense, d_prime)
+            assert p_fast == pytest.approx(p_dense, rel=1e-9), n
+            assert df.dsc_sum_rate(fast, p_fast) == pytest.approx(
+                df.dsc_sum_rate(dense, p_dense), rel=1e-9), n
+            assert df.centralized_rate(fast, d_dprime).total_rate_nats == pytest.approx(
+                df.centralized_rate(dense, d_dprime).total_rate_nats, rel=1e-9), n
+
+    def test_exp_trace_at_65536(self, exp_model):
+        spec = df.spectrum(exp_model, 65536)
+        assert spec.n_clamped == 0
+        assert spec.eigvals.sum() == pytest.approx(65536, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 64, 300, 2048])
+    def test_slepian_matches_dpss(self, sinc_model, n):
+        lam, resid = dpss_sinc_eigpairs(n, 8)
+        assert np.all(resid <= 1e-10 * lam[0])
+        spec = df.spectrum(sinc_model, n)
+        np.testing.assert_allclose(spec.eigvals[:8], np.maximum(lam, 1e-10),
+                                   rtol=1e-9, atol=1e-12 * n)
+        assert spec.n_clamped == n - np.count_nonzero(lam >= 1e-10)
+
+    def test_table_takes_dense_eigvalsh(self):
+        tau = np.linspace(0.0, 1.0, 201)
+        model = df.make_correlation("custom-table", np.column_stack([tau, np.exp(-tau)]))
+        spec = df.spectrum(model, 50)
+        cov = df.covariance_matrix(model, df.sensor_positions(50))
+        assert spec.backend == "dense" and spec.n_clamped == cov.n_clamped == 0
+        np.testing.assert_allclose(spec.eigvals, cov.eigvals, rtol=1e-12)
+        assert (spec.raw_min, spec.raw_max) == pytest.approx(
+            (cov.eigvals_raw[-1], cov.eigvals_raw[0]), rel=1e-12)
+        with pytest.raises(ValueError):
+            spec.eigvals[0] = 2.0
 
 
 class TestSampling:

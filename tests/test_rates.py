@@ -9,8 +9,8 @@ from densefield.field import CovariancePack
 from densefield.rates import (RATE_CSV_COLUMNS, jmse_lower_bound, jmse_upper_bound,
                               rate_curve_csv, smallest_feasible_n)
 
-from oracles import (ddprime_root, dprime_root, logdet_rate, theta_root,
-                     waterfill_bisect)
+from oracles import (ddprime_root, dprime_root, logdet_rate, smallest_feasible_n_scan,
+                     theta_root, waterfill_bisect)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,12 @@ class TestTargetDistortion:
     def test_smallest_feasible_n(self, exp_model, sinc_model):
         assert smallest_feasible_n(exp_model, 0.1) == 10
         assert smallest_feasible_n(sinc_model, 0.1) == 3
+        assert smallest_feasible_n(exp_model, 1e-6) == 1_000_000
+
+    @pytest.mark.parametrize("d_net", [0.5, 0.1, 0.02, 1e-3, 1e-4])
+    def test_smallest_feasible_n_matches_scan(self, exp_model, sinc_model, d_net):
+        for model in (exp_model, sinc_model):
+            assert smallest_feasible_n(model, d_net) == smallest_feasible_n_scan(model, d_net)
 
     def test_approaches_target_from_below_monotonically(self, exp_model):
         values = [df.target_distortion_dsc(0.1, n, exp_model)
@@ -314,6 +320,23 @@ class TestRateCurve:
             reports = df.rate_curve(model, 0.1, [128, 256, 512])
             slopes = [r.p_max / r.N for r in reports]
             assert min(slopes) >= 0.5 * slopes[0]
+
+    def test_exp_markov_bands_hold_at_large_n(self, exp_model):
+        # the acceptance criteria 2 and 3 with their sweeps moved up (README):
+        # the doubling band holds from N = 1024 on, the flatness band from 512
+        reports = df.rate_curve(exp_model, 0.1, [256, 512, 1024, 2048, 4096])
+        p_max = {r.N: r.p_max for r in reports}
+        rate = {r.N: r.dsc_sum_rate_nats for r in reports}
+
+        def doubling_ok(n):
+            return all(1.7 <= p_max[2 * m] / p_max[m] <= 2.3 for m in (n, 2 * n))
+
+        def spread(n):
+            sweep = [rate[n * 2 ** i] for i in range(4)]
+            return max(sweep) / min(sweep)
+
+        assert doubling_ok(1024) and not doubling_ok(512)
+        assert spread(512) <= 1.25 < spread(256)
 
     def test_empty_n_list_rejected(self, exp_model):
         with pytest.raises(ValueError):
