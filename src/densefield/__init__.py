@@ -2,21 +2,17 @@
 of a 1-D stationary Gaussian field, verified by seeded Monte Carlo runs."""
 
 from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
-from .estimation import (MmseResult, TestChannel, averaging_estimator_mse_bound,
-                         mmse_error, mmse_estimate)
+from .estimation import MmseResult, TestChannel, mmse_error, mmse_estimate
 from .field import (CorrelationModel, CovariancePack, FieldSnapshots, SensorGrid,
-                    Spectrum, covariance_matrix, interpolate, load_correlation_table,
-                    make_correlation, nearest_sample_location, sample_snapshots,
-                    sensor_positions, spectrum)
+                    Spectrum, covariance_matrix, load_correlation_table,
+                    make_correlation, sample_snapshots, sensor_positions, spectrum)
 from .quantizer import (ScalarQuantizer, TdmaSchedule, lloyd_max, optimize_K,
-                        p2p_rate_for_K, quantize, quantizer_from_json,
-                        quantizer_to_json, scalar_delta, tdma_schedule)
+                        p2p_rate_for_K, quantize, scalar_delta, tdma_schedule)
 from .rates import (RateReport, WaterfillSolution, centralized_rate,
                     dsc_operating_point, dsc_sum_rate, find_pmax, find_theta,
-                    prop1_sum_rate_bound, rate_curve, rate_curve_csv,
-                    rate_loss_bound, reverse_distortion_bound, target_distortion_dsc)
-from .sim import (SimulationReport, interpolation_only_jmse, simulate_dsc,
-                  simulate_p2p)
+                    rate_curve, rate_curve_csv, rate_loss_bound,
+                    reverse_distortion_bound, target_distortion_dsc)
+from .sim import SimulationReport, simulate_dsc, simulate_p2p
 
 __version__ = "0.1.0"
 
@@ -26,13 +22,10 @@ __all__ = [
     "MmseResult", "TestChannel", "RateReport", "WaterfillSolution",
     "ScalarQuantizer", "TdmaSchedule", "SimulationReport",
     "make_correlation", "load_correlation_table", "sensor_positions",
-    "covariance_matrix", "spectrum", "sample_snapshots", "nearest_sample_location",
-    "interpolate", "mmse_estimate", "mmse_error",
-    "averaging_estimator_mse_bound", "target_distortion_dsc",
-    "reverse_distortion_bound", "find_pmax", "dsc_operating_point", "dsc_sum_rate",
-    "centralized_rate", "find_theta", "prop1_sum_rate_bound",
+    "covariance_matrix", "spectrum", "sample_snapshots", "mmse_estimate",
+    "mmse_error", "target_distortion_dsc", "reverse_distortion_bound", "find_pmax",
+    "dsc_operating_point", "dsc_sum_rate", "centralized_rate", "find_theta",
     "rate_loss_bound", "rate_curve", "rate_curve_csv", "lloyd_max", "quantize",
     "p2p_rate_for_K", "optimize_K", "tdma_schedule", "scalar_delta",
-    "quantizer_to_json", "quantizer_from_json", "simulate_dsc", "simulate_p2p",
-    "interpolation_only_jmse",
+    "simulate_dsc", "simulate_p2p",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .field import CorrelationModel, CovariancePack
+from .field import CovariancePack
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,3 @@ def avg_mmse_from_eigvals(eigvals, p):
     if p == 0.0:
         return 0.0
     return float(np.mean(eigvals * p / (eigvals + p)))
-
-
-def averaging_estimator_mse_bound(model: CorrelationModel, n_sensors, theta, p):
-    """MSE bound for the window-averaging estimator with optimized scale.
-
-    Averaging the ~N*theta noisy samples nearest a sensor, with the scale
-    that minimizes the quadratic part of the error, achieves at most
-
-        1 - rho(theta)^2 / (1 + p/(N theta)) * (1 - 2/(N theta)).
-
-    This upper-bounds the optimal estimator's per-sensor MSE, since any
-    linear estimator does.  Valid while rho is non-increasing and positive
-    out to theta and the window holds more than two samples.
-    """
-    if theta <= 0 or theta > model.theta_mono:
-        raise ValueError("theta must lie in (0, theta_mono]")
-    n_theta = n_sensors * theta
-    if n_theta <= 2:
-        raise ValueError("window N*theta must exceed 2 for the bound to mean anything")
-    r = model(theta)
-    if r <= 0:
-        raise ValueError("rho(theta) must be positive")
-    return 1.0 - (r * r / (1.0 + p / n_theta)) * (1.0 - 2.0 / n_theta)

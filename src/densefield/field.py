@@ -90,16 +90,12 @@ def make_correlation(kind, params=()):
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown correlation kind {kind!r}; expected one of {_KINDS}")
-    if kind == SINC:
+    if kind in (SINC, EXP_MARKOV):
         if len(params):
-            raise ValueError("sinc takes no parameters")
-        # sinc decreases on (0, 1] (its first minimum is at 1.43), so the
+            raise ValueError(f"{kind} takes no parameters")
+        # both decrease on (0, 1] (sinc's first minimum is at 1.43), so the
         # whole unit interval is a monotone neighbourhood
-        return CorrelationModel(kind=SINC, theta_mono=1.0)
-    if kind == EXP_MARKOV:
-        if len(params):
-            raise ValueError("exp-markov takes no parameters")
-        return CorrelationModel(kind=EXP_MARKOV, theta_mono=1.0)
+        return CorrelationModel(kind=kind, theta_mono=1.0)
     arr = np.asarray(params, dtype=float)
     if arr.ndim == 1:
         if arr.size % 2:
@@ -362,35 +358,3 @@ def nearest_sample_index(s, n_sensors):
         raise ValueError("positions must lie in [0, 1]")
     idx = np.minimum(np.floor(s * n_sensors).astype(int), n_sensors - 1)
     return idx
-
-
-def nearest_sample_location(s, n_sensors):
-    """Location of the sample closest to s: (2k+1)/(2N) for s in [k/N, (k+1)/N).
-
-    s = 1 belongs to the last cell so the map is total on [0, 1].
-    """
-    idx = nearest_sample_index(s, n_sensors)
-    loc = (2 * idx + 1) / (2 * n_sensors)
-    if np.ndim(s) == 0:
-        return float(loc)
-    return loc
-
-
-def interpolate(model, recon_at_sensors, grid, s):
-    """Field reconstruction away from the sensors.
-
-    Scales the reconstructed nearest sample by the correlation at the offset:
-    the conditional-mean rule  X~(s) = rho(s - n(s)) * X~(n(s)).  At a sensor
-    position this returns the reconstruction unchanged since rho(0) = 1.
-    """
-    recon = np.asarray(recon_at_sensors, dtype=float)
-    if recon.shape[-1] != grid.n_sensors:
-        raise ValueError(
-            f"reconstruction has {recon.shape[-1]} entries for {grid.n_sensors} sensors"
-        )
-    idx = nearest_sample_index(s, grid.n_sensors)
-    scale = model(np.asarray(s, dtype=float) - grid.positions[idx])
-    out = scale * recon[..., idx]
-    if np.ndim(s) == 0 and recon.ndim == 1:
-        return float(out)
-    return out

@@ -10,13 +10,11 @@ and about a dozen steps reach the tolerance.  The point-to-point scheme splits
 step in a round-robin frame, and codes each active sample on its own.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceError, InfeasibleConfigError
 
@@ -42,6 +40,8 @@ def _cell_stats(boundaries):
     functions: a difference of CDFs there cancels to a few ulps of 1, which
     would floor the design residual near 1e-9 for L of several hundred.
     """
+    from scipy.special import ndtr  # kept off the CLI import path
+
     edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
     cdf = ndtr(edges)
     sf = ndtr(-edges)
@@ -111,6 +111,8 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
     if levels == 1:
         return ScalarQuantizer(levels=1, boundaries=np.empty(0),
                                points=np.zeros(1), distortion=1.0)
+    from scipy.special import ndtri  # kept off the CLI import path
+
     points = ndtri((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
     for _ in range(max_iter):
         boundaries = 0.5 * (points[:-1] + points[1:])
@@ -165,23 +167,6 @@ def min_levels_for_distortion(target, max_levels=1 << 16):
     raise InfeasibleConfigError(f"no codebook up to {max_levels} levels reaches {target}")
 
 
-def quantizer_to_json(q):
-    return json.dumps({
-        "levels": q.levels,
-        "boundaries": [float(b) for b in q.boundaries],
-        "points": [float(p) for p in q.points],
-        "distortion": q.distortion,
-    }, indent=2, sort_keys=True)
-
-
-def quantizer_from_json(text):
-    obj = json.loads(text)
-    return ScalarQuantizer(levels=int(obj["levels"]),
-                           boundaries=np.asarray(obj["boundaries"], dtype=float),
-                           points=np.asarray(obj["points"], dtype=float),
-                           distortion=float(obj["distortion"]))
-
-
 def p2p_distortion_budget(model, d_net, k_intervals):
     """Per-sample coding budget D_K = d_net - (1 - rho^2(1/K)).
 
@@ -208,11 +193,6 @@ def p2p_rate_for_K(model, d_net, k_intervals):
     """
     budget = p2p_distortion_budget(model, d_net, k_intervals)
     return float(-(k_intervals / 2.0) * math.log(budget))
-
-
-def p2p_per_sensor_rate(model, d_net, k_intervals, n_sensors):
-    """Per-sensor, per-time-step rate (K/N) * (1/2) ln(1/D_K)."""
-    return p2p_rate_for_K(model, d_net, k_intervals) / n_sensors
 
 
 def p2p_min_feasible_k(model, d_net, k_limit=100_000):
@@ -290,19 +270,6 @@ class TdmaSchedule:
     @property
     def n_steps(self):
         return self.m_prime * self.N // self.K
-
-    @property
-    def active(self):
-        """Map from each 1-based sensor to its tuple of active time steps."""
-        frame = self.N // self.K
-        return {frame * l + j: tuple(range(j, j + self.m_prime * frame, frame))
-                for l in range(self.K) for j in range(1, frame + 1)}
-
-    def active_sensors_at(self, time):
-        """1-based sensors active at a 1-based time step, one per sub-interval."""
-        frame = self.N // self.K
-        j = (time - 1) % frame + 1
-        return [frame * l + j for l in range(self.K)]
 
 
 def tdma_schedule(n_sensors, k_intervals, m_prime):

@@ -2,8 +2,8 @@
 
 Covers the sensor-sample distortion targets implied by a field target, the
 largest admissible test-channel noise (p_max), the distributed sum rate, the
-centralized reverse-water-filling reference, and the constant bounds on the
-sum rate and on the rate loss of distributed versus centralized coding.
+centralized reverse-water-filling reference, and the constant bound on the
+rate loss of distributed versus centralized coding.
 All rates are in nats per snapshot.
 """
 
@@ -199,33 +199,29 @@ def find_theta(model, target_mse):
     """Largest theta <= theta_mono with rho(theta) > 0 and
     1 - rho^2(theta)/(1 + theta) <= target_mse.
 
-    Grid scan plus bisection refinement; a feasible theta always exists since
-    the left side vanishes as theta -> 0.
+    Grid scan up to the first failing point, then bisection refinement; a
+    feasible theta always exists since the left side vanishes as theta -> 0.
     """
     if not 0 < target_mse < 1:
         raise ValueError("target must lie in (0, 1)")
 
     def ok(t):
         r = model(t)
-        return r > 0 and 1.0 - r * r / (1.0 + t) <= target_mse
+        return (r > 0) & (1.0 - r * r / (1.0 + t) <= target_mse)
 
     hi = model.theta_mono
     if ok(hi):
         return float(hi)
     grid = np.linspace(0.0, hi, _THETA_GRID + 1)[1:]
-    good = None
-    for t in grid:
-        if ok(t):
-            good = t
-        else:
-            break
-    if good is None:
-        good = grid[0]
+    # the last grid point is hi, which fails, so argmin finds a failure
+    first_bad = int(np.argmin(ok(grid)))
+    if first_bad:
+        good = grid[first_bad - 1]
+        bad = min(good + hi / _THETA_GRID, hi)
+    else:
+        good = bad = grid[0]
         while not ok(good):
             good /= 2.0
-        bad = grid[0]
-    else:
-        bad = min(good + hi / _THETA_GRID, hi)
     for _ in range(100):
         mid = 0.5 * (good + bad)
         if ok(mid):
@@ -233,13 +229,6 @@ def find_theta(model, target_mse):
         else:
             bad = mid
     return float(good)
-
-
-def prop1_sum_rate_bound(theta):
-    """Constant upper bound 1/(2 theta^2) on the distributed sum rate."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    return 1.0 / (2.0 * theta * theta)
 
 
 def rate_loss_bound(d_net, eps, theta):

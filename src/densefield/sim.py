@@ -9,12 +9,12 @@ quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
 """
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import InfeasibleConfigError
 from .estimation import TestChannel, mmse_estimate
 from .field import (CovariancePack, covariance_matrix, nearest_sample_index,
                     sample_snapshots, sensor_positions, spectrum)
@@ -48,33 +48,32 @@ class SimulationReport:
     stderr_jprime: float
 
 
-def _quadrature_nodes(n_sensors, grid_g):
-    """Midpoint-rule nodes: grid_g per inter-sensor gap, uniform on [0, 1]."""
-    if grid_g < 2:
-        raise ValueError("need at least two quadrature points per gap")
-    total = n_sensors * grid_g
-    return (np.arange(total) + 0.5) / total
+def _dsc_weights(model, positions, grid_g, n_cells=None):
+    """Per-snapshot J = a0 + sum_k w_k e_k^2 for the nearest-sample scheme.
 
-
-def interpolation_only_jmse(model, n_sensors, grid_g=512):
-    """Integrated MSE of the scheme with perfect sensor samples.
-
-    Quadrature of the conditional variance 1 - rho^2(s - n(s)); the error
-    floor any reconstruction based on nearest-sample interpolation carries.
+    Midpoint rule on [0, 1] split into ``n_cells`` equal cells (default: one
+    per sample) of grid_g nodes each; a node in cell k is reconstructed from
+    the sample at ``positions[k]``.  Only the first ``positions.size`` cells
+    are built, so a0 and w_k are those cells' share of the integral.
     """
-    return _dsc_weights(model, sensor_positions(n_sensors), grid_g)[0]
-
-
-def _dsc_weights(model, grid, grid_g):
-    """Per-snapshot J = a0 + sum_k w_k e_k^2 for the nearest-sample scheme."""
-    n = grid.n_sensors
-    nodes = _quadrature_nodes(n, grid_g)
-    idx = nearest_sample_index(nodes, n)
-    r2 = model(nodes - grid.positions[idx]) ** 2
-    w = 1.0 / nodes.size
+    n = positions.size
+    n_cells = n if n_cells is None else n_cells
+    nodes = (np.arange(n * grid_g) + 0.5) / (n_cells * grid_g)
+    idx = nearest_sample_index(nodes, n_cells)
+    r2 = model(nodes - positions[idx]) ** 2
+    w = 1.0 / (n_cells * grid_g)
     a0 = float(np.sum(1.0 - r2) * w)
     cell_w = (r2 * w).reshape(n, grid_g).sum(axis=1)
     return a0, cell_w, nodes, idx, np.sqrt(r2)
+
+
+def _check_inputs(n_snapshots, grid_g):
+    """Refuse a run whose report would be undefined."""
+    if grid_g < 2:
+        raise ValueError("need at least two quadrature points per gap")
+    if n_snapshots < 2:
+        raise InfeasibleConfigError(
+            f"{n_snapshots} snapshot(s) give no standard error: need at least two")
 
 
 def _report(scheme, j_snap, err2, per_sensor, grid_g, seed, bounds):
@@ -85,8 +84,8 @@ def _report(scheme, j_snap, err2, per_sensor, grid_g, seed, bounds):
     jprime_snap = err2.mean(axis=1)
     j_mse = float(j_snap.mean())
     jprime = float(jprime_snap.mean())
-    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
+    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m))
+    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m))
     low, high = bounds(jprime)
     margin = SIGMA_MARGIN * stderr_j
     verdict = (VIOLATED_LOW if j_mse < low - margin
@@ -111,10 +110,10 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
-    if m < 1:
-        raise ValueError("need at least one snapshot")
+    _check_inputs(m, grid_g)
     grid = sensor_positions(n_sensors)
-    a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid, grid_g)
+    a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid.positions,
+                                                          grid_g)
 
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     cov = covariance_matrix(model, grid)
@@ -143,26 +142,6 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
                                float(jmse_upper_bound(model, n_sensors, jp))))
 
 
-def _p2p_weights(model, n_sensors, k_intervals, grid_g):
-    """Per-phase constants: J_i = a0[phase] + c[phase] * sum_l e_l^2.
-
-    Within a frame of N/K steps the active sensor's offset inside its
-    sub-interval cycles through (2j-1)/(2N); by translation symmetry the
-    quadrature weights are identical for every sub-interval.
-    """
-    frame = n_sensors // k_intervals
-    per_sub = frame * grid_g
-    local = (np.arange(per_sub) + 0.5) / (n_sensors * grid_g)
-    a0 = np.empty(frame)
-    c = np.empty(frame)
-    for j0 in range(frame):
-        off = (2 * j0 + 1) / (2 * n_sensors)
-        r2 = model(local - off) ** 2
-        a0[j0] = float(np.mean(1.0 - r2))
-        c[j0] = float(np.sum(r2) / (n_sensors * grid_g))
-    return a0, c
-
-
 def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
                  grid_g=8, seed=0):
     """Monte Carlo run of the TDMA point-to-point scheme.
@@ -177,10 +156,19 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     Step i activates sensor ``i % (N/K) + (N/K) l`` (0-based) of sub-interval
     l.  Those K sensors sit 1/K apart whatever the phase, so a step's data is
     one draw of the field at the K-sensor grid: only m x K samples are drawn.
+    Phase j's sensors form the K-sensor grid shifted to
+    ``((N/K) l + j + 1/2) / N``, whose cells are the sub-intervals, so its
+    quadrature is the distributed scheme's with (N/K) grid_g nodes per cell.
+    By translation symmetry its K cells are equal, so only the first is built.
     """
     schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
+    _check_inputs(schedule.n_steps, grid_g)
     frame = n_sensors // k_intervals
-    a0, c = _p2p_weights(model, n_sensors, k_intervals, grid_g)
+    cells = [_dsc_weights(model, np.array([(j + 0.5) / n_sensors]),
+                          frame * grid_g, n_cells=k_intervals)[:2]
+             for j in range(frame)]
+    a0 = k_intervals * np.array([a for a, _ in cells])
+    c = np.array([w[0] for _, w in cells])
 
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
@@ -193,8 +181,9 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
         _, rep = quantize(quantizer, active)
         err2 = (active - rep) ** 2
 
-    j_snap = np.tile(a0, m_prime) + np.tile(c, m_prime) * err2.sum(axis=1)
-    per_sensor = err2.reshape(m_prime, frame, k_intervals).mean(axis=0).T.ravel()
+    by_phase = err2.reshape(m_prime, frame, k_intervals)
+    j_snap = (a0 + c * by_phase.sum(axis=2)).ravel()
+    per_sensor = by_phase.mean(axis=0).T.ravel()
     interp = 1.0 - model(1.0 / k_intervals) ** 2
     return _report(P2P_SCHEME, j_snap, err2, per_sensor, grid_g, seed,
                    lambda jp: (0.0, float(interp + jp)))
@@ -202,28 +191,9 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
 
 def report_to_dict(report):
     """Plain-Python form of a report, the body of its JSON form."""
-    return {
-        "scheme": report.scheme,
-        "j_mse": report.j_mse,
-        "j_prime_mse": report.j_prime_mse,
-        "per_sensor_mse": [float(v) for v in report.per_sensor_mse],
-        "n_snapshots": report.n_snapshots,
-        "grid_points_per_gap": report.grid_points_per_gap,
-        "seed": report.seed,
-        "bound_low": report.bound_low,
-        "bound_high": report.bound_high,
-        "verdict": report.verdict,
-        "stderr_jmse": report.stderr_jmse,
-        "stderr_jprime": report.stderr_jprime,
-    }
-
-
-def report_to_json(report, config=None):
-    """Stable JSON form of a report; optionally embeds the resolved config."""
-    obj = report_to_dict(report)
-    if config is not None:
-        obj["config"] = config
-    return json.dumps(obj, indent=2, sort_keys=True)
+    obj = asdict(report)
+    obj["per_sensor_mse"] = report.per_sensor_mse.tolist()
+    return obj
 
 
 _CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
@@ -237,10 +207,5 @@ def append_report_csv(report, path):
     with open(path, "a", encoding="utf-8") as fh:
         if new:
             fh.write(",".join(_CSV_LOG_COLUMNS) + "\n")
-        row = [report.scheme, str(report.n_snapshots),
-               str(report.grid_points_per_gap), str(report.seed),
-               repr(report.j_mse), repr(report.j_prime_mse),
-               repr(report.bound_low), repr(report.bound_high),
-               repr(report.stderr_jmse), repr(report.stderr_jprime),
-               report.verdict]
-        fh.write(",".join(row) + "\n")
+        # str of a float is its shortest round-trip form, as repr
+        fh.write(",".join(str(getattr(report, c)) for c in _CSV_LOG_COLUMNS) + "\n")

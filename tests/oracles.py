@@ -7,12 +7,23 @@ Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix instead of the FFT
 Rayleigh quotients, a scalar scan over every N instead of the vectorised
-backtrack.
+backtrack, a scalar walk of find_theta's grid instead of one array.
+
+The end of the file also holds helpers that only tests read, kept out of the
+library: the nearest-sample interpolation rule, the window-averaging and
+Prop. 1 bounds, codebook and report JSON, the per-sensor p2p rate, the TDMA
+activation maps and the interpolation-only integrated MSE.
 """
+
+import json
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
+
+from densefield.field import CorrelationModel, nearest_sample_index
+from densefield.quantizer import ScalarQuantizer, p2p_rate_for_K
+from densefield.sim import report_to_dict
 
 
 def brute_force_mmse(sigma, p):
@@ -204,9 +215,166 @@ def dpss_sinc_eigpairs(n, k):
     return lam, np.linalg.norm(prod - lam[:, None] * win, axis=1)
 
 
+def find_theta_loop(model, target_mse, grid_points=4096):
+    """find_theta with its grid scanned one scalar model() call at a time.
+
+    Walks the grid up to the first failing point, then bisects 100 times, as
+    the library does; the library evaluates the grid in one array instead.
+    """
+    def ok(t):
+        r = model(t)
+        return r > 0 and 1.0 - r * r / (1.0 + t) <= target_mse
+
+    hi = model.theta_mono
+    if ok(hi):
+        return float(hi)
+    grid = np.linspace(0.0, hi, grid_points + 1)[1:]
+    good = None
+    for t in grid:
+        if ok(t):
+            good = t
+        else:
+            break
+    if good is None:
+        good = grid[0]
+        while not ok(good):
+            good /= 2.0
+        bad = grid[0]
+    else:
+        bad = min(good + hi / grid_points, hi)
+    for _ in range(100):
+        mid = 0.5 * (good + bad)
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return float(good)
+
+
 def smallest_feasible_n_scan(model, d_net):
     """Smallest N with 1 - rho^2(1/(2N)) < d_net, one scalar check per N."""
     n = 1
     while not 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
         n += 1
     return n
+
+
+# helpers that only tests read
+
+
+def nearest_sample_location(s, n_sensors):
+    """Location of the sample closest to s: (2k+1)/(2N) for s in [k/N, (k+1)/N).
+
+    s = 1 belongs to the last cell so the map is total on [0, 1].
+    """
+    idx = nearest_sample_index(s, n_sensors)
+    loc = (2 * idx + 1) / (2 * n_sensors)
+    if np.ndim(s) == 0:
+        return float(loc)
+    return loc
+
+
+def interpolate(model, recon_at_sensors, grid, s):
+    """Field reconstruction away from the sensors.
+
+    Scales the reconstructed nearest sample by the correlation at the offset:
+    the conditional-mean rule  X~(s) = rho(s - n(s)) * X~(n(s)).  At a sensor
+    position this returns the reconstruction unchanged since rho(0) = 1.
+    """
+    recon = np.asarray(recon_at_sensors, dtype=float)
+    if recon.shape[-1] != grid.n_sensors:
+        raise ValueError(
+            f"reconstruction has {recon.shape[-1]} entries for {grid.n_sensors} sensors"
+        )
+    idx = nearest_sample_index(s, grid.n_sensors)
+    scale = model(np.asarray(s, dtype=float) - grid.positions[idx])
+    out = scale * recon[..., idx]
+    if np.ndim(s) == 0 and recon.ndim == 1:
+        return float(out)
+    return out
+
+
+def averaging_estimator_mse_bound(model: CorrelationModel, n_sensors, theta, p):
+    """MSE bound for the window-averaging estimator with optimized scale.
+
+    Averaging the ~N*theta noisy samples nearest a sensor, with the scale
+    that minimizes the quadratic part of the error, achieves at most
+
+        1 - rho(theta)^2 / (1 + p/(N theta)) * (1 - 2/(N theta)).
+
+    This upper-bounds the optimal estimator's per-sensor MSE, since any
+    linear estimator does.  Valid while rho is non-increasing and positive
+    out to theta and the window holds more than two samples.
+    """
+    if theta <= 0 or theta > model.theta_mono:
+        raise ValueError("theta must lie in (0, theta_mono]")
+    n_theta = n_sensors * theta
+    if n_theta <= 2:
+        raise ValueError("window N*theta must exceed 2 for the bound to mean anything")
+    r = model(theta)
+    if r <= 0:
+        raise ValueError("rho(theta) must be positive")
+    return 1.0 - (r * r / (1.0 + p / n_theta)) * (1.0 - 2.0 / n_theta)
+
+
+def prop1_sum_rate_bound(theta):
+    """Constant upper bound 1/(2 theta^2) on the distributed sum rate."""
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    return 1.0 / (2.0 * theta * theta)
+
+
+def quantizer_to_json(q):
+    return json.dumps({
+        "levels": q.levels,
+        "boundaries": [float(b) for b in q.boundaries],
+        "points": [float(p) for p in q.points],
+        "distortion": q.distortion,
+    }, indent=2, sort_keys=True)
+
+
+def quantizer_from_json(text):
+    obj = json.loads(text)
+    return ScalarQuantizer(levels=int(obj["levels"]),
+                           boundaries=np.asarray(obj["boundaries"], dtype=float),
+                           points=np.asarray(obj["points"], dtype=float),
+                           distortion=float(obj["distortion"]))
+
+
+def p2p_per_sensor_rate(model, d_net, k_intervals, n_sensors):
+    """Per-sensor, per-time-step rate (K/N) * (1/2) ln(1/D_K)."""
+    return p2p_rate_for_K(model, d_net, k_intervals) / n_sensors
+
+
+def active_times(schedule):
+    """Map from each 1-based sensor to its tuple of active time steps."""
+    frame = schedule.N // schedule.K
+    return {frame * l + j: tuple(range(j, j + schedule.m_prime * frame, frame))
+            for l in range(schedule.K) for j in range(1, frame + 1)}
+
+
+def active_sensors_at(schedule, time):
+    """1-based sensors active at a 1-based time step, one per sub-interval."""
+    frame = schedule.N // schedule.K
+    j = (time - 1) % frame + 1
+    return [frame * l + j for l in range(schedule.K)]
+
+
+def report_to_json(report, config=None):
+    """Stable JSON form of a report; optionally embeds the resolved config."""
+    obj = report_to_dict(report)
+    if config is not None:
+        obj["config"] = config
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def interpolation_only_jmse(model, n_sensors, grid_g=512):
+    """Integrated MSE of the scheme with perfect sensor samples.
+
+    Direct midpoint quadrature of the conditional variance 1 - rho^2(s - n(s));
+    the error floor any reconstruction based on nearest-sample interpolation
+    carries.
+    """
+    nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
+    r2 = model(nodes - nearest_sample_location(nodes, n_sensors)) ** 2
+    return float(np.mean(1.0 - r2))

@@ -20,7 +20,8 @@ import densefield.cli as cli
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import smallest_feasible_n
 
-from oracles import brute_force_mmse, ddprime_root, dprime_root
+from oracles import (brute_force_mmse, ddprime_root, dprime_root,
+                     prop1_sum_rate_bound)
 from test_quantizer import independent_lloyd_residual
 
 D_NET = 0.1
@@ -82,7 +83,7 @@ class TestCriterion3BoundedSumRate:
         start = time.monotonic()
         rates = [pipeline(kind, n)[3] for n in SWEEP]
         theta = df.find_theta(model_of(kind), D_NET - 0.01)
-        bound = df.prop1_sum_rate_bound(theta)
+        bound = prop1_sum_rate_bound(theta)
         elapsed = time.monotonic() - start
         spread = max(rates) / min(rates)
         ok = spread <= 1.25 and max(rates) <= bound and elapsed < 120.0

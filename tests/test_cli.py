@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import densefield
 import densefield.cli as cli
 import densefield.sim as sim_mod
 from densefield import ConvergenceError
@@ -128,16 +129,19 @@ class TestSharedChain:
 
 
 def test_cli_import_skips_scipy_linalg_and_optimize():
-    # the exp-markov rate chain needs no scipy.linalg either
+    # no scipy module at all, and the exp-markov rate chain loads none either
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    loaded = ("sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
-              "if m in sys.modules)")
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
     code = (f"import os, sys, densefield.cli; print({loaded}); "
             "densefield.cli.main(['rates', '--model', 'exp', '--n', '64,256', "
             f"'--out', os.devnull]); print({loaded})")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_every_public_name_resolves():
+    assert [name for name in densefield.__all__ if not hasattr(densefield, name)] == []
 
 
 class TestP2p:
@@ -276,6 +280,18 @@ class TestSimulate:
         code, _ = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
                            "--n", "8", "--m", "50"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("args", [
+        ["--scheme", "dsc", "--n", "4", "--m", "1", "--p", "0.5"],
+        ["--scheme", "p2p", "--n", "24", "--k", "24", "--m-prime", "1"],
+    ])
+    def test_single_snapshot_exits_3(self, args, capsys):
+        # one snapshot has no standard error, so no verdict can be given
+        code = cli.main(["simulate", "--model", "exp", *args])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("infeasible configuration: 1 snapshot")
+        assert captured.err.count("\n") == 1
 
     def test_naive_flag_small_n(self, capsys):
         code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",

@@ -4,7 +4,7 @@ import pytest
 import densefield as df
 from densefield.field import CovariancePack
 
-from oracles import brute_force_mmse
+from oracles import averaging_estimator_mse_bound, brute_force_mmse
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +121,12 @@ class TestMmseError:
 class TestAveragingEstimatorBound:
     def test_zero_noise_large_window_limit(self, exp_model):
         theta = 0.3
-        val = df.averaging_estimator_mse_bound(exp_model, 10 ** 9, theta, 0.0)
+        val = averaging_estimator_mse_bound(exp_model, 10 ** 9, theta, 0.0)
         assert val == pytest.approx(1 - np.exp(-2 * theta), rel=1e-6)
 
     def test_frozen_arithmetic_example(self, exp_model):
         # theta=0.2, N=100, p = N theta^2 = 4
-        val = df.averaging_estimator_mse_bound(exp_model, 100, 0.2, 4.0)
+        val = averaging_estimator_mse_bound(exp_model, 100, 0.2, 4.0)
         assert val == pytest.approx(0.4972599654732706, abs=1e-12)
 
     def test_bounds_optimal_estimator(self, exp_model, sinc_model):
@@ -140,13 +140,13 @@ class TestAveragingEstimatorBound:
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, df.sensor_positions(n))
             res = df.mmse_error(df.TestChannel(p=p, cov=cov))
-            bound = df.averaging_estimator_mse_bound(model, n, theta, p)
+            bound = averaging_estimator_mse_bound(model, n, theta, p)
             assert bound >= np.max(res.per_sample_mse) - 1e-12
 
     def test_small_window_rejected(self, exp_model):
         with pytest.raises(ValueError):
-            df.averaging_estimator_mse_bound(exp_model, 4, 0.25, 1.0)
+            averaging_estimator_mse_bound(exp_model, 4, 0.25, 1.0)
 
     def test_theta_beyond_monotone_radius_rejected(self, exp_model):
         with pytest.raises(ValueError):
-            df.averaging_estimator_mse_bound(exp_model, 100, 1.5, 1.0)
+            averaging_estimator_mse_bound(exp_model, 100, 1.5, 1.0)

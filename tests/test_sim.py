@@ -6,9 +6,11 @@ import pytest
 import densefield as df
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
-from densefield.sim import WITHIN, append_report_csv, report_to_json
+from densefield.sim import WITHIN, append_report_csv
 
-from oracles import dsc_cross_term, integrated_mse
+from oracles import (active_sensors_at, dsc_cross_term, integrated_mse, interpolate,
+                     interpolation_only_jmse, quantizer_from_json, quantizer_to_json,
+                     report_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +27,7 @@ class TestSimulateDsc:
     def test_vanishing_noise_leaves_interpolation_error_only(self, exp_model):
         rep = df.simulate_dsc(exp_model, 16, p=1e-8, m=2000, grid_g=8, seed=3)
         assert rep.j_prime_mse < 1e-6
-        floor = df.interpolation_only_jmse(exp_model, 16, grid_g=8)
+        floor = interpolation_only_jmse(exp_model, 16, grid_g=8)
         assert rep.j_mse == pytest.approx(floor, abs=1e-5)
         assert rep.verdict == WITHIN
 
@@ -163,6 +165,19 @@ class TestSimulateP2p:
         with pytest.raises(df.InfeasibleConfigError):
             df.simulate_p2p(exp_model, 10, 4, None, m_prime=10)
 
+    @pytest.mark.parametrize("n,k", [(24, 24), (24, 8)])
+    def test_invalid_inputs(self, exp_model, n, k):
+        # grid_g is checked whatever the frame length, as in simulate_dsc
+        with pytest.raises(ValueError, match="quadrature"):
+            df.simulate_p2p(exp_model, n, k, None, m_prime=10, grid_g=1)
+        # one frame of N/K steps: a single snapshot when K = N
+        run = lambda: df.simulate_p2p(exp_model, n, k, None, m_prime=1)
+        if n == k:
+            with pytest.raises(df.InfeasibleConfigError, match="snapshot"):
+                run()
+        else:
+            assert run().n_snapshots == n // k
+
     def test_deterministic(self, exp_model):
         q = df.lloyd_max(4)
         a = df.simulate_p2p(exp_model, 8, 4, q, m_prime=100, seed=1)
@@ -189,7 +204,7 @@ class TestSimulateP2p:
         err_sum = np.zeros(n)
         hits = np.zeros(n)
         for i in range(schedule.n_steps):
-            active = np.asarray(schedule.active_sensors_at(i + 1)) - 1
+            active = np.asarray(active_sensors_at(schedule, i + 1)) - 1
             _, rep_i = df.quantize(quant, draws[i])
             e2 = (draws[i] - rep_i) ** 2
             r2 = exp_model(nodes - positions[active][sub_of_node]) ** 2
@@ -203,7 +218,7 @@ class TestSimulateP2p:
                                    atol=1e-12)
 
     def test_json_round_tripped_codebook_drives_simulation(self, sinc_model):
-        q = df.quantizer_from_json(df.quantizer_to_json(df.lloyd_max(8)))
+        q = quantizer_from_json(quantizer_to_json(df.lloyd_max(8)))
         rep = df.simulate_p2p(sinc_model, 24, 8, q, m_prime=500, seed=6)
         assert rep.verdict == WITHIN
         ref = df.simulate_p2p(sinc_model, 24, 8, df.lloyd_max(8), m_prime=500, seed=6)
@@ -218,7 +233,7 @@ class TestIntegratedMse:
         truth = df.sample_snapshots(cov, 50, seed=6)
 
         def recon(i, nodes):
-            return df.interpolate(exp_model, truth.data[i], grid, nodes)
+            return interpolate(exp_model, truth.data[i], grid, nodes)
 
         got = integrated_mse(truth, recon, 4096, model=exp_model, grid=grid)
         assert got == pytest.approx(np.exp(-1.0), abs=1e-5)
@@ -237,7 +252,7 @@ class TestIntegratedMse:
         truth = df.sample_snapshots(cov, 20, seed=8)
 
         def recon(i, nodes):
-            return df.interpolate(exp_model, 0.9 * truth.data[i], grid, nodes)
+            return interpolate(exp_model, 0.9 * truth.data[i], grid, nodes)
 
         coarse = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
         fine = integrated_mse(truth, recon, 16, model=exp_model, grid=grid)
@@ -257,7 +272,7 @@ class TestIntegratedMse:
         x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
 
         def recon(i, nodes):
-            return df.interpolate(exp_model, x_hat[i], grid, nodes)
+            return interpolate(exp_model, x_hat[i], grid, nodes)
 
         got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
