@@ -5,9 +5,13 @@ optimal estimate of X from U is linear, and both the estimate and its exact
 error are evaluated on the covariance pack's cached eigendecomposition
 (shift of the eigenvalues by p) rather than by forming an explicit inverse,
 which stays stable for near-singular band-limited covariances across p sweeps.
+The estimate is one product with the N x N filter V diag(lambda/(lambda+p)) V^T,
+which a channel builds on first use and keeps, so a caller that filters its
+observations in batches builds it once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +29,14 @@ class TestChannel:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("noise variance must be nonnegative")
+
+    @cached_property
+    def mmse_filter(self):
+        """N x N filter H = V diag(lambda/(lambda+p)) V^T, so x_hat = u @ H."""
+        cov = self.cov
+        h = (cov.eigvecs * (cov.eigvals / (cov.eigvals + self.p))) @ cov.eigvecs.T
+        h.flags.writeable = False
+        return h
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,7 @@ def mmse_estimate(ch, u):
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != cov.n:
         raise ValueError(f"observation length {u.shape[-1]} != {cov.n}")
-    gain = cov.eigvals / (cov.eigvals + p)
-    return (u @ cov.eigvecs) * gain @ cov.eigvecs.T
+    return u @ ch.mmse_filter
 
 
 def mmse_error(ch):

@@ -8,10 +8,11 @@ deterministic given the seed regardless of any internal parallelism.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError
+from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
 
 SINC = "sinc"
 EXP_MARKOV = "exp-markov"
@@ -135,6 +136,20 @@ def sensor_positions(n_sensors):
 
 CLAMP_FLOOR = 1e-10
 
+# largest N x N float64 matrix a dense path builds (512 MiB: N <= 8192); an
+# eigendecomposition holds several such arrays at once
+DENSE_BUDGET_BYTES = 512 * 2**20
+
+
+def check_dense_size(n, what="N"):
+    """Refuse an n x n float64 matrix over ``DENSE_BUDGET_BYTES`` before it
+    is allocated."""
+    if 8 * n * n > DENSE_BUDGET_BYTES:
+        raise InfeasibleConfigError(
+            f"{what} = {n} needs a {n} x {n} float64 matrix of "
+            f"{8 * n * n / 2**30:.1f} GiB, over the dense budget of "
+            f"{DENSE_BUDGET_BYTES >> 20} MiB")
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -200,6 +215,12 @@ class CovariancePack(Spectrum):
         for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
+    @cached_property
+    def factor(self):
+        """V sqrt(Lambda), built on first use: a row g of N(0, I) draws maps
+        to the field draw g @ factor.T."""
+        return _freeze(self.eigvecs * np.sqrt(self.eigvals))
+
     @classmethod
     def from_matrix(cls, sigma, clamp_floor=CLAMP_FLOOR):
         sigma = np.asarray(sigma, dtype=float)
@@ -211,6 +232,7 @@ class CovariancePack(Spectrum):
 
 def _toeplitz(model, n):
     """N x N covariance rho(|s_i - s_j|) of the regular N-sensor grid."""
+    check_dense_size(n)
     lags = np.arange(n)
     first_row = model(lags / n)
     return first_row[np.abs(lags[:, None] - lags[None, :])]
@@ -331,7 +353,10 @@ class FieldSnapshots:
 
 def _generator(seed_source):
     # counter-based generator so streams are reproducible independent of
-    # any evaluation schedule; one root seed, SeedSequence-derived children
+    # any evaluation schedule; one root seed, SeedSequence-derived children.
+    # A Generator is used as it is, so successive calls continue its stream.
+    if isinstance(seed_source, np.random.Generator):
+        return seed_source
     if isinstance(seed_source, np.random.SeedSequence):
         ss = seed_source
     else:
@@ -340,13 +365,17 @@ def _generator(seed_source):
 
 
 def sample_snapshots(cov, m, seed):
-    """Draw m i.i.d. N(0, Sigma_clamped) rows, bit-reproducible for a seed."""
+    """Draw m i.i.d. N(0, Sigma_clamped) rows, bit-reproducible for a seed.
+
+    ``seed`` is an int, a ``SeedSequence`` or a Philox ``Generator``; Philox
+    fills rows in order, so draws of m1 then m2 rows from one generator are
+    the Gaussians of a single (m1 + m2)-row draw.
+    """
     if m < 1:
         raise ValueError("need at least one snapshot")
     rng = _generator(seed)
     gauss = rng.standard_normal((int(m), cov.n))
-    factor = cov.eigvecs * np.sqrt(cov.eigvals)
-    data = gauss @ factor.T
+    data = gauss @ cov.factor.T
     seed_val = seed if isinstance(seed, int) else -1
     return FieldSnapshots(data=data, seed=seed_val, m=int(m))
 

@@ -7,6 +7,11 @@ only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
+``simulate_dsc`` runs its snapshots in blocks of a fixed number of rows.  A
+row's J and J' are summed within the row, the per-sensor error is summed row
+by row across blocks, and the means and standard errors are taken over the
+stored length-m vectors, so no reduction depends on the block size; only
+BLAS may round a row of a matrix product differently with the block height.
 """
 
 import os
@@ -16,8 +21,9 @@ import numpy as np
 
 from .errors import InfeasibleConfigError
 from .estimation import TestChannel, mmse_estimate
-from .field import (CovariancePack, covariance_matrix, nearest_sample_index,
-                    sample_snapshots, sensor_positions, spectrum)
+from .field import (CovariancePack, check_dense_size, covariance_matrix,
+                    nearest_sample_index, sample_snapshots, sensor_positions,
+                    spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -30,6 +36,9 @@ VIOLATED_HIGH = "violated-high"
 
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
+
+# snapshot rows per block of simulate_dsc (2 MB per block array at N = 1024)
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,11 @@ def _check_inputs(n_snapshots, grid_g):
             f"{n_snapshots} snapshot(s) give no standard error: need at least two")
 
 
-def _report(scheme, j_snap, err2, per_sensor, grid_g, seed, bounds):
-    """Means, standard errors and verdict of per-snapshot field errors
-    ``j_snap`` and squared sensor errors ``err2`` (one row per snapshot);
-    ``bounds(j')`` is the (low, high) pair the field MSE is checked against."""
+def _report(scheme, j_snap, jprime_snap, per_sensor, grid_g, seed, bounds):
+    """Means, standard errors and verdict of the per-snapshot field errors
+    ``j_snap`` and sensor-sample MSEs ``jprime_snap``; ``bounds(j')`` is the
+    (low, high) pair the field MSE is checked against."""
     m = j_snap.size
-    jprime_snap = err2.mean(axis=1)
     j_mse = float(j_snap.mean())
     jprime = float(jprime_snap.mean())
     stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m))
@@ -98,6 +106,17 @@ def _report(scheme, j_snap, err2, per_sensor, grid_g, seed, bounds):
         stderr_jprime=stderr_jp)
 
 
+def _blocks(m, rows):
+    """[lo, hi) ranges of ``rows`` rows (at least two) that cover range(m).
+
+    No block is a single row: a one-row matrix product takes the BLAS
+    matrix-vector path, which rounds differently, so a lone last row joins
+    the block before it.
+    """
+    starts = list(range(0, m - 1, max(rows, 2)))
+    return zip(starts, starts[1:] + [m])
+
+
 def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """Monte Carlo run of the distributed scheme's test-channel surrogate.
 
@@ -107,37 +126,47 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     squared error.  The report carries the empirical field MSE, the empirical
     sensor-sample MSE, and a verdict against the distortion sandwich evaluated
     at the empirical sensor-sample MSE.
+
+    Snapshots are drawn, filtered and scored a block of rows at a time from
+    field and noise generators kept across blocks, so memory is
+    O(rows N + N^2) whatever m; only the per-snapshot J and J' are kept.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
     _check_inputs(m, grid_g)
     grid = sensor_positions(n_sensors)
+    channel = TestChannel(p=p, cov=covariance_matrix(model, grid))
     a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid.positions,
                                                           grid_g)
-
-    field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    cov = covariance_matrix(model, grid)
     if naive:
         joint_pos = np.concatenate([grid.positions, nodes])
-        joint_cov = CovariancePack.from_matrix(
+        check_dense_size(joint_pos.size, "N (1 + grid_g)")
+        law = CovariancePack.from_matrix(
             model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-        joint = sample_snapshots(joint_cov, m, field_ss).data
-        x = joint[:, :n_sensors]
-        x_nodes = joint[:, n_sensors:]
     else:
-        x = sample_snapshots(cov, m, field_ss).data
+        law = channel.cov
 
-    noise = np.random.Generator(np.random.Philox(noise_ss))
-    u = x + np.sqrt(p) * noise.standard_normal(x.shape)
-    x_hat = mmse_estimate(TestChannel(p=p, cov=cov), u)
-
-    err2 = (x - x_hat) ** 2
-    if naive:
-        recon_nodes = rho_nodes * x_hat[:, node_idx]
-        j_snap = ((x_nodes - recon_nodes) ** 2).mean(axis=1)
-    else:
-        j_snap = a0 + err2 @ cell_w
-    return _report(DSC_SCHEME, j_snap, err2, err2.mean(axis=0), grid_g, seed,
+    field_rng, noise_rng = (np.random.Generator(np.random.Philox(ss))
+                            for ss in np.random.SeedSequence(seed).spawn(2))
+    j_snap, jprime_snap = np.empty(m), np.empty(m)
+    err_sum = np.zeros(n_sensors)
+    for lo, hi in _blocks(m, _BLOCK_ROWS):
+        draw = sample_snapshots(law, hi - lo, field_rng).data
+        x = draw[:, :n_sensors]
+        u = x + np.sqrt(p) * noise_rng.standard_normal(x.shape)
+        x_hat = mmse_estimate(channel, u)
+        err2 = (x - x_hat) ** 2
+        if naive:
+            recon_nodes = rho_nodes * x_hat[:, node_idx]
+            j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
+        else:
+            # a row sum: BLAS's err2 @ cell_w rounds a row by its neighbours
+            j_snap[lo:hi] = a0 + (err2 * cell_w).sum(axis=1)
+        jprime_snap[lo:hi] = err2.mean(axis=1)
+        # carry the running total into the first row, then add row by row
+        err2[0] += err_sum
+        err_sum = np.cumsum(err2, axis=0)[-1]
+    return _report(DSC_SCHEME, j_snap, jprime_snap, err_sum / m, grid_g, seed,
                    lambda jp: (float(jmse_lower_bound(model, n_sensors, jp)),
                                float(jmse_upper_bound(model, n_sensors, jp))))
 
@@ -185,7 +214,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     j_snap = (a0 + c * by_phase.sum(axis=2)).ravel()
     per_sensor = by_phase.mean(axis=0).T.ravel()
     interp = 1.0 - model(1.0 / k_intervals) ** 2
-    return _report(P2P_SCHEME, j_snap, err2, per_sensor, grid_g, seed,
+    return _report(P2P_SCHEME, j_snap, err2.mean(axis=1), per_sensor, grid_g, seed,
                    lambda jp: (0.0, float(interp + jp)))
 
 

@@ -7,7 +7,9 @@ Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix instead of the FFT
 Rayleigh quotients, a scalar scan over every N instead of the vectorised
-backtrack, a scalar walk of find_theta's grid instead of one array.
+backtrack, a scalar walk of find_theta's grid instead of one array, and a
+direct node-by-node quadrature of the dsc field error's closed-form mean
+instead of the simulator's cell weights.
 
 The end of the file also holds helpers that only tests read, kept out of the
 library: the nearest-sample interpolation rule, the window-averaging and
@@ -168,6 +170,19 @@ def dsc_cross_term(model, grid, cov, p, grid_g=8):
         cross = rho_s * (rho_s - a_mat[k] @ c_s - rho_s * (1.0 - (a_mat @ sigma)[k, k]))
         total += cross
     return total / nodes.size
+
+
+def dsc_expected_jmse(model, n_sensors, per_sample_mse, grid_g=8):
+    """Closed-form mean of simulate_dsc's per-snapshot field error.
+
+    Direct midpoint quadrature of E[J] = a0 + cell_w . diag(Sigma_e): a node s
+    reconstructed from sample k adds 1 - rho^2(s - s_k) + rho^2(s - s_k) e_k,
+    where e_k = ``per_sample_mse[k]`` is the sample's exact MMSE.
+    """
+    nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
+    idx = np.minimum((nodes * n_sensors).astype(int), n_sensors - 1)
+    r2 = model(nodes - (2 * idx + 1) / (2 * n_sensors)) ** 2
+    return float(np.mean(1.0 - r2 + r2 * np.asarray(per_sample_mse)[idx]))
 
 
 def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):

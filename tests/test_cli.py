@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -293,6 +294,19 @@ class TestSimulate:
         assert captured.err.startswith("infeasible configuration: 1 snapshot")
         assert captured.err.count("\n") == 1
 
+    def test_dense_budget_exits_3(self, capsys):
+        # a 40000 x 40000 float64 covariance is 12 GiB: refused before any
+        # of it is allocated
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--scheme", "dsc", "--model", "exp",
+                         "--n", "40000", "--p", "0.5", "--m", "2"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "N = 40000" in captured.err and "512 MiB" in captured.err
+        assert elapsed < 1.0
+
     def test_naive_flag_small_n(self, capsys):
         code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
                              "--n", "8", "--p", "0.5", "--m", "500", "--naive"],
@@ -367,3 +381,18 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_rerun_across_blocks_is_byte_identical(self, capsys, tmp_path):
+        # m = 5000 spans many of simulate_dsc's blocks
+        assert 5000 > 4 * sim_mod._BLOCK_ROWS
+        log = tmp_path / "runs.csv"
+        args = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64",
+                "--m", "5000", "--seed", "77", "--csv-log", str(log)]
+        outs = []
+        for _ in range(2):
+            code, out = run_cli(args, capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        lines = log.read_text().strip().split("\n")
+        assert len(lines) == 3 and lines[1] == lines[2]

@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import densefield as df
-from densefield.field import Spectrum, nearest_sample_index
+from densefield.field import (DENSE_BUDGET_BYTES, Spectrum, check_dense_size,
+                              nearest_sample_index)
 
 from oracles import dpss_sinc_eigpairs, interpolate, nearest_sample_location
 
@@ -128,6 +132,26 @@ class TestCovariance:
             df.covariance_matrix(box, df.sensor_positions(64))
         with pytest.raises(df.ConditioningError, match="positive semidefinite"):
             df.spectrum(box, 64)
+
+    def test_dense_budget_refused_before_allocation(self, exp_model):
+        n_max = math.isqrt(DENSE_BUDGET_BYTES // 8)
+        check_dense_size(n_max)
+        tau = np.linspace(0.0, 1.0, 101)
+        table = df.make_correlation("custom-table",
+                                    np.column_stack([tau, np.exp(-tau)]))
+        builds = (lambda: df.covariance_matrix(exp_model,
+                                               df.sensor_positions(n_max + 1)),
+                  lambda: df.spectrum(table, n_max + 1))
+        for build in builds:
+            tracemalloc.start()
+            try:
+                with pytest.raises(df.InfeasibleConfigError,
+                                   match=f"N = {n_max + 1} .* 512 MiB"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_eigendecomposition_reconstructs(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, df.sensor_positions(64))

@@ -1,16 +1,27 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import densefield as df
+from densefield import sim
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN, append_report_csv
 
-from oracles import (active_sensors_at, dsc_cross_term, integrated_mse, interpolate,
-                     interpolation_only_jmse, quantizer_from_json, quantizer_to_json,
-                     report_to_json)
+from oracles import (active_sensors_at, dsc_cross_term, dsc_expected_jmse,
+                     integrated_mse, interpolate, interpolation_only_jmse,
+                     quantizer_from_json, quantizer_to_json, report_to_json)
+
+
+def assert_reports_equal(a, b):
+    for field_ in dataclasses.fields(a):
+        va, vb = getattr(a, field_.name), getattr(b, field_.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), field_.name
+        else:
+            assert va == vb, field_.name
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +88,71 @@ class TestSimulateDsc:
         # numerically singular; the clamped factorisation must still sample
         rep = df.simulate_dsc(sinc_model, 8, 0.8, m=3000, seed=4, naive=True)
         assert rep.verdict == WITHIN
+
+    @pytest.mark.parametrize("rows", [1, 7, 13, 64, 300, 301, 602])
+    def test_report_does_not_depend_on_block_size(self, exp_model, monkeypatch,
+                                                  rows):
+        # 301 rows as one block against 1 (no block is a single row, so 2),
+        # 7 (43 full blocks), 13 and 64 (a short last block), m - 1 (a lone
+        # last row), m and 2m
+        run = lambda: df.simulate_dsc(exp_model, 6, 0.7, m=301, seed=13)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
+        whole = run()
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        assert_reports_equal(run(), whole)
+
+    @pytest.mark.parametrize("rows", [1, 13, 300])
+    def test_naive_report_does_not_depend_on_block_size(self, exp_model,
+                                                        monkeypatch, rows):
+        # the 54-column joint draw's matrix product rounds differently with
+        # the block height, so equal to 1e-12, which any boundary slip breaks
+        run = lambda: df.simulate_dsc(exp_model, 6, 0.7, m=301, seed=13,
+                                      naive=True)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
+        whole = run()
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        got = run()
+        for name in ("j_mse", "j_prime_mse", "stderr_jmse", "stderr_jprime",
+                     "bound_low", "bound_high"):
+            assert getattr(got, name) == pytest.approx(getattr(whole, name),
+                                                       abs=1e-12), name
+        np.testing.assert_allclose(got.per_sensor_mse, whole.per_sensor_mse,
+                                   rtol=0, atol=1e-12)
+        assert got.verdict == whole.verdict
+
+    def test_peak_memory_does_not_grow_with_m(self, exp_model):
+        # The block loop keeps a few _BLOCK_ROWS x N arrays (0.5 MB each at
+        # N = 256) and a few N x N matrices (0.5 MB each), a few MB in all
+        # whatever m.  Holding the m x N draws, observations and estimates at
+        # once, as a run over all snapshots does, needs five or more 41 MB
+        # arrays; one quarter of one is the bound.
+        n, m = 256, 20_000
+        tracemalloc.start()
+        try:
+            df.simulate_dsc(exp_model, n, 0.5, m=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 4
+
+    def test_field_mse_calibrated_to_closed_form(self, exp_model):
+        # z = (J - E[J]) / stderr over many seeds: mean near 0, no outlier.
+        # The distortion sandwich alone misses a mis-scaled noise stream
+        # (noise x 1.05 gives z near 25 with verdict "within").
+        n, p, m, seeds = 64, 0.5, 2000, range(24)
+        cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
+        diag = df.mmse_error(df.TestChannel(p=p, cov=cov)).per_sample_mse
+        expected = dsc_expected_jmse(exp_model, n, diag)
+        z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
+                      for rep in (df.simulate_dsc(exp_model, n, p, m=m, seed=s)
+                                  for s in seeds)])
+        assert abs(z.mean()) <= 4 / np.sqrt(len(seeds))
+        assert np.max(np.abs(z)) <= 5
+
+    def test_naive_joint_covariance_over_budget_refused(self, exp_model):
+        # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the budget
+        with pytest.raises(df.InfeasibleConfigError, match=r"N \(1 \+ grid_g\)"):
+            df.simulate_dsc(exp_model, 512, 0.5, m=2, grid_g=16, naive=True)
 
     def test_invalid_inputs(self, exp_model):
         with pytest.raises(ValueError):
@@ -276,6 +352,30 @@ class TestIntegratedMse:
 
         got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
+
+    def test_matches_simulate_dsc_fast_path_across_blocks(self, exp_model):
+        # as above with m spanning several blocks and a short last one, so a
+        # slip at a block boundary shows
+        n, p, seed = 6, 0.7, 13
+        m = 3 * sim._BLOCK_ROWS + 45
+        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        grid = df.sensor_positions(n)
+        cov = df.covariance_matrix(exp_model, grid)
+        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+        truth = df.sample_snapshots(cov, m, field_ss)
+        noise = np.random.Generator(np.random.Philox(noise_ss))
+        u = truth.data + np.sqrt(p) * noise.standard_normal(truth.data.shape)
+        x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
+
+        def recon(i, nodes):
+            return interpolate(exp_model, x_hat[i], grid, nodes)
+
+        got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
+        assert got == pytest.approx(rep.j_mse, abs=1e-12)
+        err2 = (truth.data - x_hat) ** 2
+        assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
+        np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
+                                   rtol=0, atol=1e-12)
 
 
 class TestReportSerialization:
