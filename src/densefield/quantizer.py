@@ -1,13 +1,14 @@
 """Scalar quantization and the point-to-point TDMA coding scheme.
 
 Lloyd-Max codebooks for the unit Gaussian are designed with closed-form cell
-moments (error-function integrals), so the design is exact up to its
-tolerance with no Monte Carlo noise.  The design solves the centroid
-condition, with boundaries at the midpoints of the points, by Newton's
-method: the Jacobian is tridiagonal in closed form, so each step costs O(L),
-and about a dozen steps reach the tolerance.  The point-to-point scheme splits
-[0, 1] into K sub-intervals, activates one sensor per sub-interval per time
-step in a round-robin frame, and codes each active sample on its own.
+moments (error-function integrals from the standard library's ``math.erfc``),
+so the design is exact up to its tolerance with no Monte Carlo noise.  The
+design solves the centroid condition, with boundaries at the midpoints of
+the points, by Newton's method: the Jacobian is tridiagonal in closed form,
+so each step costs O(L), and about a dozen steps reach the tolerance.  The
+point-to-point scheme splits [0, 1] into K sub-intervals, activates one
+sensor per sub-interval per time step in a round-robin frame, and codes each
+active sample on its own.
 """
 
 import math
@@ -19,10 +20,26 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleConfigError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _norm_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+def _norm_cdf(x):
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2) of an array; 0 and 1 at -inf
+    and +inf exactly."""
+    return 0.5 * _ERFC(-x / _SQRT_2).astype(float)
+
+
+def _norm_ppf(p):
+    """Standard normal quantile of each probability in an array."""
+    from statistics import NormalDist  # kept off the CLI import path
+
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(v) for v in p.tolist()])
 
 
 def _edge_term(edges):
@@ -40,11 +57,9 @@ def _cell_stats(boundaries):
     functions: a difference of CDFs there cancels to a few ulps of 1, which
     would floor the design residual near 1e-9 for L of several hundred.
     """
-    from scipy.special import ndtr  # kept off the CLI import path
-
     edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
-    cdf = ndtr(edges)
-    sf = ndtr(-edges)
+    cdf = _norm_cdf(edges)
+    sf = _norm_cdf(-edges)
     pdf = np.where(np.isfinite(edges), _norm_pdf(edges), 0.0)
     xpdf = _edge_term(edges)
     prob = np.where(edges[:-1] >= 0.0, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
@@ -103,7 +118,7 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
     pdf(b_{i-1}) / 2 and J[i, i] = J[i, i+1] + J[i, i-1] - prob_i.  The
     design returns only once max |m1/prob - y| < ``tol``, and raises
     ``ConvergenceError`` with that residual after ``max_iter`` steps.
-    Designs are cached: the level scan, the delta and the final codebook
+    Designs are cached: the level search, the delta and the final codebook
     share one design.
     """
     if levels < 1:
@@ -111,9 +126,7 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
     if levels == 1:
         return ScalarQuantizer(levels=1, boundaries=np.empty(0),
                                points=np.zeros(1), distortion=1.0)
-    from scipy.special import ndtri  # kept off the CLI import path
-
-    points = ndtri((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
+    points = _norm_ppf((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
     for _ in range(max_iter):
         boundaries = 0.5 * (points[:-1] + points[1:])
         prob, m1, _ = _cell_stats(boundaries)
@@ -156,15 +169,27 @@ def scalar_delta(levels):
 
 
 def min_levels_for_distortion(target, max_levels=1 << 16):
-    """Smallest codebook size whose designed distortion is <= target."""
+    """Smallest codebook size whose designed distortion is <= target.
+
+    The designed distortion falls strictly with L, so L is found by doubling
+    to a bracket (lo, hi] with D(lo) > target >= D(hi), then bisection: about
+    2 log2(L) designs instead of L.
+    """
     if target <= 0:
         raise InfeasibleConfigError("no finite codebook reaches distortion <= 0")
-    levels = 1
-    while levels <= max_levels:
-        if lloyd_max(levels).distortion <= target:
-            return levels
-        levels += 1
-    raise InfeasibleConfigError(f"no codebook up to {max_levels} levels reaches {target}")
+    lo, hi = 0, 1
+    while lloyd_max(hi).distortion > target:
+        if hi == max_levels:
+            raise InfeasibleConfigError(
+                f"no codebook up to {max_levels} levels reaches {target}")
+        lo, hi = hi, min(2 * hi, max_levels)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lloyd_max(mid).distortion <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def p2p_distortion_budget(model, d_net, k_intervals):

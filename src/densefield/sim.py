@@ -7,11 +7,13 @@ only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
-``simulate_dsc`` runs its snapshots in blocks of a fixed number of rows.  A
-row's J and J' are summed within the row, the per-sensor error is summed row
-by row across blocks, and the means and standard errors are taken over the
-stored length-m vectors, so no reduction depends on the block size; only
-BLAS may round a row of a matrix product differently with the block height.
+Both simulators run in blocks: ``simulate_dsc`` of a fixed number of
+snapshot rows, ``simulate_p2p`` of whole frames (the N/K steps that visit
+every sensor once).  A row's J and J' are summed within the row, the
+per-sensor error is summed row by row across blocks, and the means and
+standard errors are taken over the stored per-snapshot vectors, so no
+reduction depends on the block size; only BLAS may round a row of a matrix
+product differently with the block height.
 """
 
 import os
@@ -37,7 +39,8 @@ VIOLATED_HIGH = "violated-high"
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
 
-# snapshot rows per block of simulate_dsc (2 MB per block array at N = 1024)
+# snapshot rows per block (2 MB per block array at N = 1024); simulate_p2p
+# rounds it down to whole frames, at least two
 _BLOCK_ROWS = 256
 
 
@@ -109,11 +112,11 @@ def _report(scheme, j_snap, jprime_snap, per_sensor, grid_g, seed, bounds):
 def _blocks(m, rows):
     """[lo, hi) ranges of ``rows`` rows (at least two) that cover range(m).
 
-    No block is a single row: a one-row matrix product takes the BLAS
-    matrix-vector path, which rounds differently, so a lone last row joins
-    the block before it.
+    No block is a single row unless m is 1: a one-row matrix product takes
+    the BLAS matrix-vector path, which rounds differently, so a lone last row
+    joins the block before it.
     """
-    starts = list(range(0, m - 1, max(rows, 2)))
+    starts = list(range(0, max(m - 1, 1), max(rows, 2)))
     return zip(starts, starts[1:] + [m])
 
 
@@ -189,6 +192,9 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     ``((N/K) l + j + 1/2) / N``, whose cells are the sub-intervals, so its
     quadrature is the distributed scheme's with (N/K) grid_g nodes per cell.
     By translation symmetry its K cells are equal, so only the first is built.
+    Steps are drawn, quantized and scored a block of whole frames at a time
+    from one generator kept across blocks, so only the per-step J and J' grow
+    with m'.
     """
     schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
     _check_inputs(schedule.n_steps, grid_g)
@@ -202,19 +208,25 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
     field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    field_rng = np.random.Generator(np.random.Philox(field_ss))
     cov = covariance_matrix(model, sensor_positions(k_intervals))
-    active = sample_snapshots(cov, schedule.n_steps, field_ss).data
-    if quantizer is None:
-        err2 = np.zeros_like(active)
-    else:
-        _, rep = quantize(quantizer, active)
-        err2 = (active - rep) ** 2
-
-    by_phase = err2.reshape(m_prime, frame, k_intervals)
-    j_snap = (a0 + c * by_phase.sum(axis=2)).ravel()
-    per_sensor = by_phase.mean(axis=0).T.ravel()
+    j_snap, jprime_snap = np.empty(schedule.n_steps), np.empty(schedule.n_steps)
+    err_sum = np.zeros((frame, k_intervals))
+    for lo, hi in _blocks(m_prime, _BLOCK_ROWS // frame):
+        active = sample_snapshots(cov, (hi - lo) * frame, field_rng).data
+        if quantizer is None:
+            err2 = np.zeros_like(active)
+        else:
+            _, rep = quantize(quantizer, active)
+            err2 = (active - rep) ** 2
+        by_phase = err2.reshape(hi - lo, frame, k_intervals)
+        j_snap[lo * frame:hi * frame] = (a0 + c * by_phase.sum(axis=2)).ravel()
+        jprime_snap[lo * frame:hi * frame] = err2.mean(axis=1)
+        by_phase[0] += err_sum
+        err_sum = np.cumsum(by_phase, axis=0)[-1]
+    per_sensor = (err_sum / m_prime).T.ravel()
     interp = 1.0 - model(1.0 / k_intervals) ** 2
-    return _report(P2P_SCHEME, j_snap, err2.mean(axis=1), per_sensor, grid_g, seed,
+    return _report(P2P_SCHEME, j_snap, jprime_snap, per_sensor, grid_g, seed,
                    lambda jp: (0.0, float(interp + jp)))
 
 

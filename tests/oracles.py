@@ -7,7 +7,8 @@ Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix instead of the FFT
 Rayleigh quotients, a scalar scan over every N instead of the vectorised
-backtrack, a scalar walk of find_theta's grid instead of one array, and a
+backtrack, a scalar walk of find_theta's grid instead of one array, a
+linear scan over every codebook size instead of doubling and bisection, and a
 direct node-by-node quadrature of the dsc field error's closed-form mean
 instead of the simulator's cell weights.
 
@@ -24,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from densefield.field import CorrelationModel, nearest_sample_index
-from densefield.quantizer import ScalarQuantizer, p2p_rate_for_K
+from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.sim import report_to_dict
 
 
@@ -272,6 +273,15 @@ def smallest_feasible_n_scan(model, d_net):
     while not 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
         n += 1
     return n
+
+
+def min_levels_scan(target, max_levels):
+    """Smallest L <= max_levels with designed distortion <= target, one design
+    per L from 1 upward; None if there is none."""
+    for levels in range(1, max_levels + 1):
+        if lloyd_max(levels).distortion <= target:
+            return levels
+    return None
 
 
 # helpers that only tests read

@@ -141,6 +141,23 @@ def test_cli_import_skips_scipy_linalg_and_optimize():
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
+def test_p2p_commands_load_no_scipy():
+    # the Lloyd-Max design takes its normal CDF and quantile from the
+    # standard library, so neither p2p command loads a scipy module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = ("import os, sys, densefield.cli; "
+            "densefield.cli.main(['p2p', '--model', 'exp', '--dnet', '0.1', "
+            "'--out', os.devnull]); "
+            f"print({loaded}); "
+            "densefield.cli.main(['simulate', '--scheme', 'p2p', '--model', 'exp', "
+            "'--n', '48', '--m-prime', '50', '--out', os.devnull]); "
+            f"print({loaded})")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
 def test_every_public_name_resolves():
     assert [name for name in densefield.__all__ if not hasattr(densefield, name)] == []
 

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import densefield as df
-from densefield.quantizer import (min_levels_for_distortion, p2p_distortion_budget,
-                                  p2p_min_feasible_k, p2p_rate_scan)
+from densefield.quantizer import (_norm_cdf, _norm_ppf, min_levels_for_distortion,
+                                  p2p_distortion_budget, p2p_min_feasible_k,
+                                  p2p_rate_scan)
 from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
-                     p2p_per_sensor_rate, quantizer_from_json, quantizer_to_json)
+                     min_levels_scan, p2p_per_sensor_rate, quantizer_from_json,
+                     quantizer_to_json)
 
 PANTER_DITE = math.pi * math.sqrt(3) / 2
 
@@ -121,6 +124,29 @@ class TestLloydMax:
 
     def test_large_codebook_residual(self):
         assert independent_lloyd_residual(df.lloyd_max(512)) < 1e-9
+
+    def test_32768_levels_converge(self):
+        # with scipy's ndtr the residual floored at 1.26e-11, above tol
+        assert df.lloyd_max(32768).levels == 32768
+
+
+class TestNormalFunctions:
+    @pytest.mark.parametrize("limit,bound", [(8.0, 5e-14), (37.0, 1e-12)])
+    def test_cdf_and_survival_match_scipy(self, limit, bound):
+        # the survival function, cdf(-x), gives the probability of cells above 0
+        x = np.linspace(-limit, limit, 100_001)
+        assert np.max(np.abs(_norm_cdf(x) / ndtr(x) - 1.0)) <= bound
+        assert np.max(np.abs(_norm_cdf(-x) / norm.sf(x) - 1.0)) <= bound
+
+    def test_infinite_edges_exact(self):
+        edges = np.array([-np.inf, np.inf])
+        assert _norm_cdf(edges).tolist() == [0.0, 1.0]
+        assert _norm_cdf(-edges).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("levels", [2, 3, 64, 1000, 32768])
+    def test_quantile_matches_scipy_on_design_grid(self, levels):
+        p = (2.0 * np.arange(levels) + 1.0) / (2.0 * levels)
+        assert np.max(np.abs(_norm_ppf(p) - ndtri(p))) <= 4e-15
 
 
 class TestLloydMaxProperties:
@@ -309,6 +335,29 @@ def test_min_levels_for_distortion(exp_model):
 def test_min_levels_for_distortion_1e4():
     assert min_levels_for_distortion(1e-4) == 164
     assert df.lloyd_max(164).distortion <= 1e-4 < df.lloyd_max(163).distortion
+
+
+@pytest.mark.parametrize("max_levels", [50, 64])
+def test_min_levels_matches_linear_scan(max_levels):
+    # targets at, just above and just below each D(L); below D(max_levels)
+    # no codebook qualifies and both refuse
+    for levels in range(1, 65):
+        d = df.lloyd_max(levels).distortion
+        for target in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)):
+            want = min_levels_scan(target, max_levels)
+            if want is None:
+                with pytest.raises(df.InfeasibleConfigError):
+                    min_levels_for_distortion(target, max_levels)
+            else:
+                assert min_levels_for_distortion(target, max_levels) == want
+
+
+def test_min_levels_designs_logarithmically_many():
+    levels = 2000
+    target = df.lloyd_max(levels).distortion
+    df.lloyd_max.cache_clear()
+    assert min_levels_for_distortion(target) == levels
+    assert df.lloyd_max.cache_info().misses <= 2 * math.ceil(math.log2(levels)) + 2
 
 
 @pytest.mark.parametrize("kind", ["sinc", "exp-markov"])

@@ -261,6 +261,37 @@ class TestSimulateP2p:
         assert a.j_mse == b.j_mse
         assert np.array_equal(a.per_sensor_mse, b.per_sensor_mse)
 
+    @pytest.mark.parametrize("rows", [1, 7, 13, 64, 300, 303, 606])
+    def test_report_does_not_depend_on_block_size(self, exp_model, monkeypatch,
+                                                  rows):
+        # frames of N/K = 3 steps, m' = 101: all 303 steps as one block
+        # against blocks of 2 frames (rows 1 and 7), 4 (a lone last frame
+        # joins the block before it), 21 (a short last block), 100 (one
+        # block of 101), m' and 2m' frames
+        quant = df.lloyd_max(4)
+        run = lambda: df.simulate_p2p(exp_model, 12, 4, quant, m_prime=101,
+                                      seed=13)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 303)
+        whole = run()
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        assert_reports_equal(run(), whole)
+
+    def test_peak_memory_does_not_hold_every_step(self, exp_model):
+        # N = 4800, K = 24, m' = 2000: 400,000 steps of 24 active samples.
+        # Blocks of whole frames keep a few 400 x 24 arrays, so only the
+        # per-step J and J' (3.2 MB each) grow with m'.  Drawing every step
+        # at once holds the 76.8 MB m' x N draws, their squared errors and
+        # more, a 317 MB peak; a quarter of one such array is the bound.
+        n, k, m_prime = 4800, 24, 2000
+        quant = df.lloyd_max(11)
+        tracemalloc.start()
+        try:
+            df.simulate_p2p(exp_model, n, k, quant, m_prime=m_prime)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m_prime * n * 8 / 4
+
     def test_matches_k_grid_draws(self, exp_model):
         # rebuild the K-sensor draws of simulate_p2p and score every step
         # through the schedule's own sensor map
