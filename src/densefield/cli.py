@@ -3,8 +3,8 @@ reports as CSV/JSON for plotting and scripted verification.
 
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
-(a model spec that names no model, a table that cannot be read and a float
-flag that is NaN or infinite included),
+(a model spec that names no model, a table that cannot be read, a negative
+count or seed and a float flag that is NaN or infinite included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or a Lloyd-Max design that did not converge,
 4 bound violation in simulate.
@@ -14,9 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-
-import numpy as np
+from dataclasses import asdict, dataclass, replace
 
 from . import quantizer as qz
 from . import rates, sim
@@ -31,11 +29,13 @@ EXIT_BOUND_VIOLATION = 4
 PMAX_CSV_COLUMNS = ("N", "p_max", "p_max_over_n", "feasible")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every CLI setting and its default; the parser declares flags only."""
+
     command: str
     model: str
-    d_net: float
+    d_net: float = 0.1
     n_list: tuple = ()
     n: int = 0
     k: int = 0
@@ -63,10 +63,6 @@ def _resolve_model(spec):
         return load_correlation_table(spec[len("table:"):])
     raise ValueError(f"unknown model spec {spec!r}; expected sinc, exp or "
                      "table:<csv path>")
-
-
-def _unit_scale(units):
-    return 1.0 if units == "nats" else 1.0 / np.log(2.0)
 
 
 def _config_dict(cfg):
@@ -110,16 +106,17 @@ def cmd_rates(cfg, model):
     """Distributed vs centralized rate curve, one row per N."""
     reports = rates.rate_curve(model, cfg.d_net, cfg.n_list)
     if cfg.format == "json":
-        scale = _unit_scale(cfg.units)
-        rows = []
-        for r in reports:
-            rows.append({
-                "N": r.N, "d_prime": r.d_prime, "d_double_prime": r.d_double_prime,
-                "p_max": r.p_max, "dsc_rate": r.dsc_sum_rate_nats * scale,
-                "centralized_rate": r.centralized_rate_nats * scale,
-                "loss_bound": r.rate_loss_bound_nats * scale,
-                "theta": r.theta, "units": cfg.units, "feasible": r.feasible,
-            })
+        scale = rates.unit_scale(cfg.units)
+        rows = [{
+            "N": r.N, "d_prime": r.d_prime, "d_double_prime": r.d_double_prime,
+            "p_max": r.p_max, "dsc_rate": r.dsc_sum_rate_nats * scale,
+            "centralized_rate": r.centralized_rate_nats * scale,
+            "loss_bound": r.rate_loss_bound_nats * scale,
+            "theta": r.theta, "units": cfg.units, "feasible": r.feasible,
+        } for r in reports]
+        # an infeasible N has no operating point: null, as pmax-curve writes it
+        rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                 for k, v in row.items()} for row in rows]
         return _json_payload(cfg, {"rows": rows}), EXIT_OK
     return _csv_payload(cfg, rates.rate_curve_csv(reports, cfg.units)), EXIT_OK
 
@@ -131,7 +128,7 @@ def cmd_p2p(cfg, model):
     budget = qz.p2p_distortion_budget(model, cfg.d_net, k_star)
     levels = cfg.levels or qz.min_levels_for_distortion(budget)
     quant = qz.lloyd_max(levels)
-    scale = _unit_scale(cfg.units)
+    scale = rates.unit_scale(cfg.units)
     body = {
         "K_star": k_star,
         "sum_rate": rate_nats * scale,
@@ -179,29 +176,44 @@ def cmd_simulate(cfg, model):
     return _json_payload(cfg, payload), code
 
 
-def _parse_n_list(args, parser):
-    if args.n_range:
-        try:
-            lo, hi, step = (int(v) for v in args.n_range.split(":"))
-        except ValueError:
-            parser.error("--n-range must look like LO:HI:STEP")
-        if step < 1 or hi < lo:
-            parser.error("--n-range must satisfy LO <= HI and STEP >= 1")
-        return tuple(range(lo, hi + 1, step))
-    if args.n:
-        try:
-            values = tuple(int(v) for v in args.n.split(","))
-        except ValueError:
-            parser.error("--n must be a comma-separated list of integers")
-        return values
-    parser.error("one of --n / --n-range is required")
+_TABLE = ("pmax-curve", "rates")
+_SIM = ("simulate",)
+_ALL = (*_TABLE, "p2p", "simulate")
 
-
-def _require_non_negative(args, names, parser):
-    # 0 selects the default; a negative count or noise variance means nothing
-    for name in names:
-        if getattr(args, name) < 0:
-            parser.error(f"--{name.replace('_', '-')} must be >= 0")
+# One row per flag: option, the RunConfig field it sets, the subcommands that
+# take it and its add_argument keywords.  No row carries a default.
+_FLAGS = (
+    ("--model", "model", _ALL, dict(required=True, help="sinc | exp | table:<csv path>")),
+    ("--dnet", "d_net", _ALL,
+     dict(type=float, metavar="DNET", help="field distortion target in (0, 1)")),
+    ("--seed", "seed", _ALL, dict(type=int)),
+    ("--units", "units", _ALL, dict(choices=("nats", "bits"))),
+    ("--out", "out", _ALL, dict(help="output path (default stdout)")),
+    ("--format", "format", _ALL, dict(choices=("csv", "json"))),
+    # both append (option, text) to n_list, which _parse_n_list reads once
+    # argparse is done, so its errors keep their own text
+    ("--n", "n_list", _TABLE, dict(action="append", type=lambda text: ("--n", text),
+                                   metavar="N", help="comma-separated sensor counts")),
+    ("--n-range", "n_list", _TABLE,
+     dict(action="append", type=lambda text: ("--n-range", text), metavar="N_RANGE",
+          help="LO:HI:STEP sweep")),
+    ("--k-max", "k_max", ("p2p",), dict(type=int)),
+    ("--n", "n", ("p2p",), dict(type=int, help="sensor count for the per-sensor rate")),
+    ("--scheme", "scheme", _SIM, dict(choices=("dsc", "p2p"), required=True)),
+    ("--n", "n", _SIM, dict(type=int, required=True)),
+    ("--k", "k", _SIM, dict(type=int)),
+    ("--p", "p", _SIM, dict(type=float)),
+    ("--levels", "levels", ("p2p", "simulate"),
+     dict(type=int, help="codebook size (default: smallest meeting the budget)")),
+    ("--m", "m", _SIM, dict(type=int)),
+    ("--m-prime", "m_prime", _SIM, dict(type=int)),
+    ("--grid-g", "grid_g", _SIM, dict(type=int)),
+    ("--naive", "naive", _SIM,
+     dict(action="store_true", help="slow full-field oracle quadrature (small N only)")),
+    ("--csv-log", "csv_log", _SIM,
+     dict(help="append a one-line summary to this CSV file")),
+)
+_OPTION = {dest: option for option, dest, _, _ in _FLAGS}
 
 
 def build_parser():
@@ -210,89 +222,61 @@ def build_parser():
         description="Rates, distortion targets and Monte Carlo checks for "
                     "dense sampling of a 1-D Gaussian field.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_default):
-        p.add_argument("--model", required=True,
-                       help="sinc | exp | table:<csv path>")
-        p.add_argument("--dnet", type=float, default=0.1,
-                       help="field distortion target in (0, 1)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        p.add_argument("--out", default="", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-
-    p = sub.add_parser("pmax-curve", help="largest admissible noise per N")
-    common(p, "csv")
-    p.add_argument("--n", default="", help="comma-separated sensor counts")
-    p.add_argument("--n-range", default="", help="LO:HI:STEP sweep")
-
-    p = sub.add_parser("rates", help="distributed vs centralized rate curve")
-    common(p, "csv")
-    p.add_argument("--n", default="")
-    p.add_argument("--n-range", default="")
-
-    p = sub.add_parser("p2p", help="optimize the TDMA sub-interval count")
-    common(p, "json")
-    p.add_argument("--k-max", type=int, default=0)
-    p.add_argument("--n", type=int, default=0,
-                   help="sensor count for the per-sensor rate")
-    p.add_argument("--levels", type=int, default=0,
-                   help="codebook size (default: smallest meeting the budget)")
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo bound check")
-    common(p, "json")
-    p.add_argument("--scheme", choices=("dsc", "p2p"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--levels", type=int, default=0)
-    p.add_argument("--m", type=int, default=20_000)
-    p.add_argument("--m-prime", type=int, default=2000)
-    p.add_argument("--grid-g", type=int, default=8)
-    p.add_argument("--naive", action="store_true",
-                   help="slow full-field oracle quadrature (small N only)")
-    p.add_argument("--csv-log", default="",
-                   help="append a one-line summary to this CSV file")
+    # a flag left out leaves no attribute, so RunConfig supplies its default
+    subs = {name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+            for name, text in (("pmax-curve", "largest admissible noise per N"),
+                               ("rates", "distributed vs centralized rate curve"),
+                               ("p2p", "optimize the TDMA sub-interval count"),
+                               ("simulate", "seeded Monte Carlo bound check"))}
+    for option, dest, commands, kwargs in _FLAGS:
+        for name in commands:
+            subs[name].add_argument(option, dest=dest, **kwargs)
+    for name, p in subs.items():
+        p.set_defaults(format="csv" if name in _TABLE else "json")
     return parser
 
 
+def _parse_n_list(pairs, parser):
+    texts = dict(pairs)
+    if texts.get("--n-range"):
+        try:
+            lo, hi, step = (int(v) for v in texts["--n-range"].split(":"))
+        except ValueError:
+            parser.error("--n-range must look like LO:HI:STEP")
+        if step < 1 or hi < lo:
+            parser.error("--n-range must satisfy LO <= HI and STEP >= 1")
+        return tuple(range(lo, hi + 1, step))
+    if texts.get("--n"):
+        try:
+            return tuple(int(v) for v in texts["--n"].split(","))
+        except ValueError:
+            parser.error("--n must be a comma-separated list of integers")
+    parser.error("one of --n / --n-range is required")
+
+
 def _config_from_args(args, parser):
+    """Check the parsed flags; none is altered and RunConfig fills the rest."""
+    cfg = RunConfig(**vars(args))
     # NaN passes every range check and would reach the JSON output as NaN
-    for name, value in vars(args).items():
+    for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
-            parser.error(f"--{name.replace('_', '-')} must be finite")
-    if not 0.0 < args.dnet < 1.0:
+            parser.error(f"{_OPTION[name]} must be finite")
+    if not 0.0 < cfg.d_net < 1.0:
         parser.error("--dnet must lie in (0, 1)")
-    cfg = RunConfig(command=args.command, model=args.model, d_net=args.dnet,
-                    seed=args.seed, units=args.units, out=args.out,
-                    format=args.format)
-    if args.command in ("pmax-curve", "rates"):
-        cfg.n_list = _parse_n_list(args, parser)
+    if cfg.command in _TABLE:
+        cfg = replace(cfg, n_list=_parse_n_list(cfg.n_list, parser))
         if any(n < 1 for n in cfg.n_list):
             parser.error("sensor counts must be >= 1")
-    elif args.command == "p2p":
-        _require_non_negative(args, ("k_max", "n", "levels"), parser)
-        cfg.k_max = args.k_max
-        cfg.n = args.n
-        cfg.levels = args.levels
-    else:
-        _require_non_negative(args, ("k", "p", "levels"), parser)
-        cfg.scheme = args.scheme
-        cfg.n = args.n
-        cfg.k = args.k
-        cfg.p = args.p
-        cfg.levels = args.levels
-        cfg.m = args.m
-        cfg.m_prime = args.m_prime
-        cfg.grid_g = args.grid_g
-        cfg.naive = args.naive
-        cfg.csv_log = args.csv_log
-        if cfg.n < 1:
-            parser.error("--n must be >= 1")
-        if cfg.m < 1 or cfg.m_prime < 1:
-            parser.error("--m and --m-prime must be >= 1")
-        if cfg.grid_g < 2:
-            parser.error("--grid-g must be >= 2")
+    if cfg.command == "simulate" and cfg.n < 1:
+        parser.error("--n must be >= 1")
+    # 0 selects the default; a negative count, seed or noise variance means nothing
+    for name in ("seed", "k_max", "n", "k", "p", "levels"):
+        if getattr(cfg, name) < 0:
+            parser.error(f"{_OPTION[name]} must be >= 0")
+    if cfg.m < 1 or cfg.m_prime < 1:
+        parser.error("--m and --m-prime must be >= 1")
+    if cfg.grid_g < 2:
+        parser.error("--grid-g must be >= 2")
     try:
         model = _resolve_model(cfg.model)
     except (OSError, ValueError) as exc:
@@ -308,14 +292,6 @@ _COMMANDS = {
 }
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -328,7 +304,11 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(text, cfg.out)
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 

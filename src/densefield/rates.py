@@ -297,9 +297,14 @@ def fmt_float(x):
     return repr(float(x))
 
 
+def unit_scale(units):
+    """Factor taking a rate in nats to ``units`` ("nats" or "bits")."""
+    return 1.0 if units == "nats" else 1.0 / np.log(2.0)
+
+
 def rate_curve_csv(reports, units="nats"):
     """Serialize rate reports to CSV; bit units rename the rate columns."""
-    scale = 1.0 if units == "nats" else 1.0 / np.log(2.0)
+    scale = unit_scale(units)
     cols = list(RATE_CSV_COLUMNS)
     if units == "bits":
         cols = [c.replace("_nats", "_bits") for c in cols]

@@ -129,6 +129,23 @@ class TestSharedChain:
             assert json.loads(out)["resolved"]["p"] == from_pmax
 
 
+@pytest.mark.parametrize("command", ["pmax-curve", "rates"])
+def test_infeasible_json_row_is_null_not_nan(command, capsys):
+    code, out = run_cli([command, "--model", "exp", "--n", "2,64", "--format", "json"],
+                        capsys)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(out, parse_constant=refuse)["rows"]
+    assert code == 0 and [r["feasible"] for r in rows] == [False, True]
+    assert rows[0]["p_max"] is None and rows[1]["p_max"] > 0
+    if command == "rates":
+        assert {k for k, v in rows[0].items() if v is None} == {
+            "d_prime", "d_double_prime", "p_max", "dsc_rate", "centralized_rate"}
+        assert rows[0]["loss_bound"] == rows[1]["loss_bound"]
+
+
 def test_cli_import_skips_scipy_linalg_and_optimize():
     # no scipy module at all, and the exp-markov rate chain loads none either
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -372,6 +389,8 @@ SIM_DSC = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64"]
     (SIM_P2P, "--levels"),
     (SIM_P2P, "--k"),
     (SIM_DSC, "--p"),
+    (SIM_DSC, "--seed"),
+    (SIM_P2P, "--seed"),
 ])
 def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
     assert _usage_error([*args, flag, "-2"], capsys).endswith(f"{flag} must be >= 0")
@@ -381,6 +400,65 @@ def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
 def test_non_finite_float_flag_is_usage_error(value, capsys):
     err = _usage_error([*SIM_DSC, f"--p={value}", "--m", "200"], capsys)
     assert err.endswith("--p must be finite")
+
+
+def _subparsers():
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+class TestParserContract:
+    COMMON_USAGE = ("[-h] --model MODEL [--dnet DNET] [--seed SEED] "
+                    "[--units {nats,bits}] [--out OUT] [--format {csv,json}]")
+    USAGE = {
+        "pmax-curve": "[--n N] [--n-range N_RANGE]",
+        "rates": "[--n N] [--n-range N_RANGE]",
+        "p2p": "[--k-max K_MAX] [--n N] [--levels LEVELS]",
+        "simulate": ("--scheme {dsc,p2p} --n N [--k K] [--p P] [--levels LEVELS] "
+                     "[--m M] [--m-prime M_PRIME] [--grid-g GRID_G] [--naive] "
+                     "[--csv-log CSV_LOG]"),
+    }
+    COMMON_HELP = ["show this help message and exit", "sinc | exp | table:<csv path>",
+                   "field distortion target in (0, 1)", None, None,
+                   "output path (default stdout)", None]
+    LEVELS_HELP = "codebook size (default: smallest meeting the budget)"
+    # rates' --n and --n-range and simulate's --levels are the same flags as
+    # pmax-curve's and p2p's, declared once, so they show the same help
+    HELP = {
+        "pmax-curve": ["comma-separated sensor counts", "LO:HI:STEP sweep"],
+        "rates": ["comma-separated sensor counts", "LO:HI:STEP sweep"],
+        "p2p": [None, "sensor count for the per-sensor rate", LEVELS_HELP],
+        "simulate": [None, None, None, None, LEVELS_HELP, None, None, None,
+                     "slow full-field oracle quadrature (small N only)",
+                     "append a one-line summary to this CSV file"],
+    }
+
+    @pytest.mark.parametrize("argv,given", [
+        (["pmax-curve", "--model", "exp", "--n", "16"], dict(n_list=(16,), format="csv")),
+        (["rates", "--model", "exp", "--n-range", "16:32:16"],
+         dict(n_list=(16, 32), format="csv")),
+        (["p2p", "--model", "exp"], dict(format="json")),
+        (["simulate", "--model", "exp", "--scheme", "dsc", "--n", "16"],
+         dict(scheme="dsc", n=16, format="json")),
+    ])
+    def test_required_flags_only_give_runconfig_defaults(self, argv, given):
+        parser = cli.build_parser()
+        cfg, _ = cli._config_from_args(parser.parse_args(argv), parser)
+        assert cfg == cli.RunConfig(command=argv[0], model="exp", **given)
+
+    def test_every_dest_is_a_runconfig_field(self):
+        names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        dests = {a.dest for p in _subparsers().values() for a in p._actions
+                 if a.dest != "help"}
+        assert dests <= names and "command" in names
+
+    def test_options_and_help_texts(self):
+        subs = _subparsers()
+        assert list(subs) == list(self.USAGE)
+        for name, p in subs.items():
+            usage = " ".join(p.format_usage().split())
+            assert usage == (f"usage: densefield {name} {self.COMMON_USAGE} "
+                             f"{self.USAGE[name]}")
+            assert [a.help for a in p._actions] == self.COMMON_HELP + self.HELP[name]
 
 
 class TestDeterminism:
