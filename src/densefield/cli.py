@@ -4,7 +4,8 @@ reports as CSV/JSON for plotting and scripted verification.
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
 (a model spec that names no model, a table that cannot be read, a negative
-count or seed and a float flag that is NaN or infinite included),
+count or seed, a float flag that is NaN or infinite and ``--format csv`` for
+the JSON-only p2p and simulate included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or a Lloyd-Max design that did not converge,
 4 bound violation in simulate.
@@ -263,6 +264,8 @@ def _config_from_args(args, parser):
             parser.error(f"{_OPTION[name]} must be finite")
     if not 0.0 < cfg.d_net < 1.0:
         parser.error("--dnet must lie in (0, 1)")
+    if cfg.format == "csv" and cfg.command not in _TABLE:
+        parser.error(f"--format csv: {cfg.command} writes JSON only")
     if cfg.command in _TABLE:
         cfg = replace(cfg, n_list=_parse_n_list(cfg.n_list, parser))
         if any(n < 1 for n in cfg.n_list):

@@ -1,17 +1,16 @@
 """Linear MMSE estimation through the additive-noise test channel.
 
 The channel observes U = X + Z with Z ~ N(0, p I) independent of X.  The
-optimal estimate of X from U is linear, and both the estimate and its exact
-error are evaluated on the covariance pack's cached eigendecomposition
-(shift of the eigenvalues by p) rather than by forming an explicit inverse,
-which stays stable for near-singular band-limited covariances across p sweeps.
-The estimate is one product with the N x N filter V diag(lambda/(lambda+p)) V^T,
-which a channel builds on first use and keeps, so a caller that filters its
-observations in batches builds it once.
+optimal estimate of X from U is linear and diagonal in the covariance's
+eigenbasis: mode k of U is scaled by lambda_k/(lambda_k+p).  ``sim.simulate_dsc``
+applies that gain mode by mode; ``mmse_estimate`` forms the N x N filter
+V diag(lambda/(lambda+p)) V^T for each call.  Both the estimate and its exact
+error are evaluated on the covariance pack's cached eigendecomposition (shift
+of the eigenvalues by p) rather than by forming an explicit inverse, which
+stays stable for near-singular band-limited covariances across p sweeps.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +28,6 @@ class TestChannel:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("noise variance must be nonnegative")
-
-    @cached_property
-    def mmse_filter(self):
-        """N x N filter H = V diag(lambda/(lambda+p)) V^T, so x_hat = u @ H."""
-        cov = self.cov
-        h = (cov.eigvecs * (cov.eigvals / (cov.eigvals + self.p))) @ cov.eigvecs.T
-        h.flags.writeable = False
-        return h
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ def mmse_estimate(ch, u):
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != cov.n:
         raise ValueError(f"observation length {u.shape[-1]} != {cov.n}")
-    return u @ ch.mmse_filter
+    return u @ ((cov.eigvecs * (cov.eigvals / (cov.eigvals + p))) @ cov.eigvecs.T)
 
 
 def mmse_error(ch):

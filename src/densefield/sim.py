@@ -8,8 +8,9 @@ off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
 Both simulators run in blocks: ``simulate_dsc`` of a fixed number of
-snapshot rows, ``simulate_p2p`` of whole frames (the N/K steps that visit
-every sensor once).  A row's J and J' are summed within the row, the
+snapshot rows, each drawn and estimated in the covariance's eigenbasis and
+rotated back once, ``simulate_p2p`` of whole frames (the N/K steps that
+visit every sensor once).  A row's J and J' are summed within the row, the
 per-sensor error is summed row by row across blocks, and the means and
 standard errors are taken over the stored per-snapshot vectors, so no
 reduction depends on the block size; only BLAS may round a row of a matrix
@@ -22,10 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfeasibleConfigError
-from .estimation import TestChannel, mmse_estimate
-from .field import (CovariancePack, check_dense_size, covariance_matrix,
-                    nearest_sample_index, sample_snapshots, sensor_positions,
-                    spectrum)
+from .field import (DENSE_BUDGET_BYTES, CovariancePack, check_dense_size,
+                    covariance_matrix, nearest_sample_index, sample_snapshots,
+                    sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -79,10 +79,16 @@ def _dsc_weights(model, positions, grid_g, n_cells=None):
     return a0, cell_w, nodes, idx, np.sqrt(r2)
 
 
-def _check_inputs(n_snapshots, grid_g):
-    """Refuse a run whose report would be undefined."""
+def _check_inputs(n_sensors, n_snapshots, grid_g):
+    """Refuse a run whose report would be undefined, or whose N grid_g
+    quadrature nodes would not fit the dense budget, before allocating."""
     if grid_g < 2:
         raise ValueError("need at least two quadrature points per gap")
+    if 8 * n_sensors * grid_g > DENSE_BUDGET_BYTES:
+        raise InfeasibleConfigError(
+            f"N = {n_sensors} with grid_g = {grid_g} needs "
+            f"{8 * n_sensors * grid_g / 2**30:.1f} GiB of float64 quadrature "
+            f"nodes, over the dense budget of {DENSE_BUDGET_BYTES >> 20} MiB")
     if n_snapshots < 2:
         raise InfeasibleConfigError(
             f"{n_snapshots} snapshot(s) give no standard error: need at least two")
@@ -130,15 +136,18 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     sensor-sample MSE, and a verdict against the distortion sandwich evaluated
     at the empirical sensor-sample MSE.
 
-    Snapshots are drawn, filtered and scored a block of rows at a time from
-    field and noise generators kept across blocks, so memory is
-    O(rows N + N^2) whatever m; only the per-snapshot J and J' are kept.
+    Draws and estimate are made in the eigenbasis x' = x V, where X has
+    independent N(0, lambda_k) modes, white noise stays white and the
+    estimate scales mode k by lambda_k/(lambda_k+p).  A block of rows at a
+    time is drawn from field and noise generators kept across blocks,
+    estimated, rotated back once and scored, so memory is O(rows N + N^2)
+    whatever m; only the per-snapshot J and J' are kept.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
-    _check_inputs(m, grid_g)
+    _check_inputs(n_sensors, m, grid_g)
     grid = sensor_positions(n_sensors)
-    channel = TestChannel(p=p, cov=covariance_matrix(model, grid))
+    cov = covariance_matrix(model, grid)
     a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid.positions,
                                                           grid_g)
     if naive:
@@ -146,29 +155,35 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         check_dense_size(joint_pos.size, "N (1 + grid_g)")
         law = CovariancePack.from_matrix(
             model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-    else:
-        law = channel.cov
+    gain = cov.eigvals / (cov.eigvals + p)
 
     field_rng, noise_rng = (np.random.Generator(np.random.Philox(ss))
                             for ss in np.random.SeedSequence(seed).spawn(2))
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
-        draw = sample_snapshots(law, hi - lo, field_rng).data
-        x = draw[:, :n_sensors]
-        u = x + np.sqrt(p) * noise_rng.standard_normal(x.shape)
-        x_hat = mmse_estimate(channel, u)
-        err2 = (x - x_hat) ** 2
+        shape = (hi - lo, n_sensors)
         if naive:
+            draw = sample_snapshots(law, shape[0], field_rng).data
+            x_eig = draw[:, :n_sensors] @ cov.eigvecs
+        else:
+            # the Gaussians sample_snapshots(cov, ...) draws, not yet rotated
+            x_eig = field_rng.standard_normal(shape) * np.sqrt(cov.eigvals)
+        u_eig = x_eig + np.sqrt(p) * noise_rng.standard_normal(shape)
+        err = (x_eig - gain * u_eig) @ cov.eigvecs.T
+        err2 = err ** 2
+        if naive:
+            x_hat = draw[:, :n_sensors] - err
             recon_nodes = rho_nodes * x_hat[:, node_idx]
             j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
         else:
             # a row sum: BLAS's err2 @ cell_w rounds a row by its neighbours
             j_snap[lo:hi] = a0 + (err2 * cell_w).sum(axis=1)
         jprime_snap[lo:hi] = err2.mean(axis=1)
-        # carry the running total into the first row, then add row by row
-        err2[0] += err_sum
-        err_sum = np.cumsum(err2, axis=0)[-1]
+        # row by row: numpy sums down a single column pairwise, so a
+        # column sum would round by the block size
+        for row in err2:
+            err_sum += row
     return _report(DSC_SCHEME, j_snap, jprime_snap, err_sum / m, grid_g, seed,
                    lambda jp: (float(jmse_lower_bound(model, n_sensors, jp)),
                                float(jmse_upper_bound(model, n_sensors, jp))))
@@ -197,7 +212,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     with m'.
     """
     schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
-    _check_inputs(schedule.n_steps, grid_g)
+    _check_inputs(n_sensors, schedule.n_steps, grid_g)
     frame = n_sensors // k_intervals
     cells = [_dsc_weights(model, np.array([(j + 0.5) / n_sensors]),
                           frame * grid_g, n_cells=k_intervals)[:2]
@@ -222,8 +237,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
         by_phase = err2.reshape(hi - lo, frame, k_intervals)
         j_snap[lo * frame:hi * frame] = (a0 + c * by_phase.sum(axis=2)).ravel()
         jprime_snap[lo * frame:hi * frame] = err2.mean(axis=1)
-        by_phase[0] += err_sum
-        err_sum = np.cumsum(by_phase, axis=0)[-1]
+        for frame_err in by_phase:
+            err_sum += frame_err
     per_sensor = (err_sum / m_prime).T.ravel()
     interp = 1.0 - model(1.0 / k_intervals) ** 2
     return _report(P2P_SCHEME, j_snap, jprime_snap, per_sensor, grid_g, seed,

@@ -402,6 +402,12 @@ def test_non_finite_float_flag_is_usage_error(value, capsys):
     assert err.endswith("--p must be finite")
 
 
+@pytest.mark.parametrize("args", [["p2p", "--model", "exp"], SIM_P2P, SIM_DSC])
+def test_csv_format_for_json_command_is_usage_error(args, capsys):
+    err = _usage_error([*args, "--format", "csv"], capsys)
+    assert err.endswith(f"--format csv: {args[0]} writes JSON only")
+
+
 def _subparsers():
     return cli.build_parser()._subparsers._group_actions[0].choices
 

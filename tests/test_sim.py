@@ -101,6 +101,17 @@ class TestSimulateDsc:
         monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
         assert_reports_equal(run(), whole)
 
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_one_sensor_report_does_not_depend_on_block_size(
+            self, exp_model, monkeypatch, rows):
+        # numpy sums a one-column array down its rows pairwise, so the
+        # per-sensor total must be carried row by row here too
+        run = lambda: df.simulate_dsc(exp_model, 1, 0.7, m=301, seed=13)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
+        whole = run()
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        assert_reports_equal(run(), whole)
+
     @pytest.mark.parametrize("rows", [1, 13, 300])
     def test_naive_report_does_not_depend_on_block_size(self, exp_model,
                                                         monkeypatch, rows):
@@ -135,6 +146,31 @@ class TestSimulateDsc:
             tracemalloc.stop()
         assert peak < m * n * 8 / 4
 
+    def test_peak_memory_holds_no_filter_or_factor(self, exp_model):
+        # At N = 1024 an N x N float64 matrix is 8 MiB.  The covariance, its
+        # eigendecomposition's workspace and eigenvectors and a few 256 x N
+        # block arrays stay under 4.5 of them; an N x N MMSE filter or field
+        # factor held beside the eigenvectors goes over.
+        n = 1024
+        tracemalloc.start()
+        try:
+            df.simulate_dsc(exp_model, n, 0.5, m=600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * n * n * 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_naive_sensor_mse_agrees_with_fast_path(self, exp_model, seed):
+        # J' is the same quantity on both paths; the naive run draws the
+        # joint sensor-and-node field and rotates its sensor rows into the
+        # eigenbasis itself.  Distinct seeds keep the two runs independent.
+        fast = df.simulate_dsc(exp_model, 8, 0.5, m=2000, seed=seed)
+        naive = df.simulate_dsc(exp_model, 8, 0.5, m=2000, seed=seed + 100,
+                                naive=True)
+        se = np.hypot(fast.stderr_jprime, naive.stderr_jprime)
+        assert abs(fast.j_prime_mse - naive.j_prime_mse) <= 4 * se
+
     def test_field_mse_calibrated_to_closed_form(self, exp_model):
         # z = (J - E[J]) / stderr over many seeds: mean near 0, no outlier.
         # The distortion sandwich alone misses a mis-scaled noise stream
@@ -161,6 +197,25 @@ class TestSimulateDsc:
             df.simulate_dsc(exp_model, 8, p=0.5, m=0)
         with pytest.raises(ValueError):
             df.simulate_dsc(exp_model, 8, p=0.5, m=10, grid_g=1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model: df.simulate_dsc(model, 1024, 0.5, m=2, grid_g=2**17),
+    lambda model: df.simulate_p2p(model, 1024, 32, None, m_prime=2,
+                                  grid_g=2**17),
+], ids=["dsc", "p2p"])
+def test_quadrature_nodes_over_budget_refused(exp_model, run):
+    # N grid_g = 2^27 nodes make a 1 GiB float64 vector, over the 512 MiB
+    # dense budget: refused before any node is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(df.InfeasibleConfigError,
+                           match=r"N = 1024 with grid_g = 131072 .* 512 MiB"):
+            run(exp_model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestCrossTermDecomposition:
@@ -276,6 +331,18 @@ class TestSimulateP2p:
         monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
         assert_reports_equal(run(), whole)
 
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_one_sensor_report_does_not_depend_on_block_size(
+            self, exp_model, monkeypatch, rows):
+        # N = K = 1: one-step frames of one sample, a one-column error sum
+        quant = df.lloyd_max(4)
+        run = lambda: df.simulate_p2p(exp_model, 1, 1, quant, m_prime=301,
+                                      seed=4)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
+        whole = run()
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        assert_reports_equal(run(), whole)
+
     def test_peak_memory_does_not_hold_every_step(self, exp_model):
         # N = 4800, K = 24, m' = 2000: 400,000 steps of 24 active samples.
         # Blocks of whole frames keep a few 400 x 24 arrays, so only the
@@ -375,7 +442,8 @@ class TestIntegratedMse:
         field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
         truth = df.sample_snapshots(cov, m, field_ss)
         noise = np.random.Generator(np.random.Philox(noise_ss))
-        u = truth.data + np.sqrt(p) * noise.standard_normal(truth.data.shape)
+        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
+                                       @ cov.eigvecs.T)
         x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
 
         def recon(i, nodes):
@@ -395,7 +463,8 @@ class TestIntegratedMse:
         field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
         truth = df.sample_snapshots(cov, m, field_ss)
         noise = np.random.Generator(np.random.Philox(noise_ss))
-        u = truth.data + np.sqrt(p) * noise.standard_normal(truth.data.shape)
+        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
+                                       @ cov.eigvecs.T)
         x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
 
         def recon(i, nodes):
