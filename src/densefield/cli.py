@@ -7,8 +7,8 @@ resolved configuration in the output.  Exit codes: 0 success, 2 usage error
 count or seed, a float flag that is NaN or infinite and ``--format csv`` for
 the JSON-only p2p and simulate included),
 3 infeasible configuration (a correlation table whose covariance is not
-positive semidefinite included) or a Lloyd-Max design that did not converge,
-4 bound violation in simulate.
+positive semidefinite included) or an iterative solve that did not converge
+(the Lloyd-Max design or the sinc spectrum), 4 bound violation in simulate.
 """
 
 import argparse

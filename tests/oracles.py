@@ -5,12 +5,12 @@ normal-equation solves instead of eigen-filters, brentq roots instead of
 closed forms, water-level bisection instead of the prefix solve, Riemann-grid
 Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
-scipy's DPSS windows against the dense sinc matrix instead of the FFT
-Rayleigh quotients, a scalar scan over every N instead of the vectorised
-backtrack, a scalar walk of find_theta's grid instead of one array, a
-linear scan over every codebook size instead of doubling and bisection, and a
-direct node-by-node quadrature of the dsc field error's closed-form mean
-instead of the simulator's cell weights.
+scipy's DPSS windows against the dense sinc matrix and Slepian's
+tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
+every N instead of the vectorised backtrack, a scalar walk of find_theta's
+grid instead of one array, a linear scan over every codebook size instead of
+doubling and bisection, and a direct node-by-node quadrature of the dsc
+field error's closed-form mean instead of the simulator's cell weights.
 
 The end of the file also holds helpers that only tests read, kept out of the
 library: the nearest-sample interpolation rule, the window-averaging and
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from densefield.field import CorrelationModel, nearest_sample_index
+from densefield.field import CLAMP_FLOOR, CorrelationModel, nearest_sample_index
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.sim import report_to_dict
 
@@ -229,6 +229,35 @@ def dpss_sinc_eigpairs(n, k):
     prod = win @ sigma
     lam = np.einsum("ij,ij->i", win, prod) / np.einsum("ij,ij->i", win, win)
     return lam, np.linalg.norm(prod - lam[:, None] * win, axis=1)
+
+
+def slepian_tridiagonal_eigvals(n):
+    """Leading sinc eigenvalues from Slepian's tridiagonal eigenvectors.
+
+    sinc((i-j)/N) is N times the prolate matrix with W = 1/(2N), which
+    commutes with Slepian's tridiagonal matrix (1978); their eigenvectors
+    coincide, in the same order.  The top k come from scipy's
+    ``eigh_tridiagonal`` and each becomes an eigenvalue by its Rayleigh
+    quotient through an FFT Toeplitz product.  k doubles from 24 until the
+    last quotient lies a decade below the clamp floor.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    i = np.arange(n)
+    diag = ((n - 1) / 2.0 - i) ** 2 * np.cos(np.pi / n)
+    off = i[1:] * (n - i[1:]) / 2.0
+    row = np.sinc(i / n)
+    row_hat = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]]))
+    k = min(24, n)
+    while True:
+        _, vecs = eigh_tridiagonal(diag, off, select="i",
+                                   select_range=(n - k, n - 1))
+        prod = np.fft.irfft(np.fft.rfft(vecs, 2 * n, axis=0) * row_hat[:, None],
+                            2 * n, axis=0)[:n]
+        quotients = np.sort(np.einsum("ij,ij->j", vecs, prod))[::-1]
+        if k == n or quotients[-1] < 0.1 * CLAMP_FLOOR:
+            return quotients
+        k = min(2 * k, n)
 
 
 def find_theta_loop(model, target_mse, grid_points=4096):

@@ -175,6 +175,28 @@ def test_p2p_commands_load_no_scipy():
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
+def test_every_sinc_subcommand_loads_no_scipy():
+    # the sinc spectrum is numpy subspace iteration, so no command loads scipy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    commands = [
+        ["rates", "--model", "sinc", "--n", "64,2048"],
+        ["pmax-curve", "--model", "sinc", "--n-range", "16:256:16"],
+        ["p2p", "--model", "sinc", "--dnet", "0.1"],
+        ["simulate", "--scheme", "dsc", "--model", "sinc", "--n", "32", "--m", "50"],
+        ["simulate", "--scheme", "dsc", "--model", "sinc", "--n", "32", "--m", "50",
+         "--naive"],
+        ["simulate", "--scheme", "p2p", "--model", "sinc", "--n", "48",
+         "--m-prime", "50"],
+    ]
+    code = ("import os, sys, densefield.cli\n"
+            f"for args in {commands!r}:\n"
+            "    assert densefield.cli.main(args + ['--out', os.devnull]) == 0, args\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_every_public_name_resolves():
     assert [name for name in densefield.__all__ if not hasattr(densefield, name)] == []
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import densefield as df
-from densefield.field import (DENSE_BUDGET_BYTES, Spectrum, check_dense_size,
-                              nearest_sample_index)
+import densefield.field as field_mod
+from densefield.field import (CLAMP_FLOOR, DENSE_BUDGET_BYTES, Spectrum,
+                              check_dense_size, nearest_sample_index)
 
-from oracles import dpss_sinc_eigpairs, interpolate, nearest_sample_location
+from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_location,
+                     slepian_tridiagonal_eigvals)
 
 D_NET = 0.1
 STRUCTURED_N = (*range(1, 257), 1000, 2047, 2048)
@@ -211,6 +213,33 @@ class TestSpectrumBackends:
         np.testing.assert_allclose(spec.eigvals[:8], np.maximum(lam, 1e-10),
                                    rtol=1e-9, atol=1e-12 * n)
         assert spec.n_clamped == n - np.count_nonzero(lam >= 1e-10)
+
+    @pytest.mark.parametrize("n", [1, 23, 24, 25, 2048, 8192, 65536])
+    def test_slepian_matches_tridiagonal_oracle(self, sinc_model, n):
+        spec = df.spectrum(sinc_model, n)
+        ref = Spectrum.from_raw(slepian_tridiagonal_eigvals(n), n, CLAMP_FLOOR, "oracle")
+        # both routes are exact up to roundoff on lambda_max ~ 0.6 N, whose ulp
+        # is about 1e-16 N: 1e-12 N allows some 10,000 ulps (the largest gap
+        # seen over N = 1..399 and 12 larger N up to 65,536 is 2.3e-15 N)
+        np.testing.assert_allclose(spec.eigvals, ref.eigvals, rtol=0, atol=1e-12 * n)
+        assert spec.n_clamped == ref.n_clamped
+
+    def test_k_doubles_up_to_n(self, monkeypatch):
+        # no Ritz value lies a decade below a floor of -1, so k doubles
+        # 24 -> 48 -> 96 -> N = 100, where the Ritz values are the spectrum
+        monkeypatch.setattr(field_mod, "CLAMP_FLOOR", -1.0)
+        lags = np.arange(100)
+        dense = np.linalg.eigvalsh(np.sinc(np.subtract.outer(lags, lags) / 100))[::-1]
+        np.testing.assert_allclose(field_mod._slepian_eigvals(100), dense,
+                                   rtol=0, atol=1e-12 * 100)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_unsettled_ritz_values_raise(self, sinc_model, monkeypatch, cap):
+        # sinc needs 3 Toeplitz products at N = 2048; fewer cannot settle
+        monkeypatch.setattr(field_mod, "_RITZ_MAX_ITER", cap)
+        with pytest.raises(df.ConvergenceError, match="N = 2048, k = 24") as info:
+            df.spectrum(sinc_model, 2048)
+        assert info.value.residual > 0
 
     def test_table_takes_dense_eigvalsh(self):
         tau = np.linspace(0.0, 1.0, 201)
