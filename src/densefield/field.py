@@ -204,22 +204,55 @@ class CovariancePack(Spectrum):
 
     ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
     MMSE solves, mutual information and water-filling all run on the clamped
-    spectrum, so every consumer sees one consistent field law.
+    spectrum, so every consumer sees one consistent field law.  ``parity``
+    is +1 or -1 per mode when the eigenvectors come from the reflection
+    split (``covariance_matrix``): column j then equals its own row reversal
+    times parity[j].  ``from_matrix`` leaves it None.
     """
 
     sigma_x: np.ndarray
     eigvecs: np.ndarray
     eigvals_raw: np.ndarray
+    parity: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw", "parity"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @cached_property
     def factor(self):
         """V sqrt(Lambda), built on first use: a row g of N(0, I) draws maps
         to the field draw g @ factor.T."""
         return _freeze(self.eigvecs * np.sqrt(self.eigvals))
+
+    @cached_property
+    def _halves(self):
+        # the modes of each parity and the top rows of their eigenvectors
+        sym, skew = np.flatnonzero(self.parity > 0), np.flatnonzero(self.parity < 0)
+        k = self.n // 2
+        return sym, skew, self.eigvecs[:self.n - k, sym], self.eigvecs[:k, skew]
+
+    def to_sensors(self, coef):
+        """Rows c of eigenbasis coefficients mapped to sensor values c V^T.
+
+        With parities known this is one product with the top ceil(N/2) rows
+        of the symmetric modes and one with the top floor(N/2) rows of the
+        skew ones, half the flops of c V^T: the top rows are their sum, the
+        bottom rows their difference reversed, and the middle row of odd N
+        comes from the symmetric modes alone.
+        """
+        if self.parity is None:
+            return coef @ self.eigvecs.T
+        sym, skew, v_sym, v_skew = self._halves
+        k = self.n // 2
+        y_sym = coef[:, sym] @ v_sym.T
+        y_skew = coef[:, skew] @ v_skew.T
+        out = np.empty_like(coef)
+        out[:, k:self.n - k] = y_sym[:, k:]
+        np.add(y_sym[:, :k], y_skew, out=out[:, :k])
+        np.subtract(y_sym[:, :k], y_skew, out=out[:, ::-1][:, :k])
+        return out
 
     @classmethod
     def from_matrix(cls, sigma, clamp_floor=CLAMP_FLOOR):
@@ -230,22 +263,72 @@ class CovariancePack(Spectrum):
                             eigvecs=vecs[:, ::-1], eigvals_raw=raw)
 
 
-def _toeplitz(model, n):
-    """N x N covariance rho(|s_i - s_j|) of the regular N-sensor grid."""
+def _first_row(model, n):
+    """rho at the lags 0, 1/N, ..., (N-1)/N of the regular N-sensor grid,
+    refused by the dense budget before anything is allocated."""
     check_dense_size(n)
-    lags = np.arange(n)
-    first_row = model(lags / n)
-    return first_row[np.abs(lags[:, None] - lags[None, :])]
+    return model(np.arange(n) / n)
+
+
+def _reflection_split(row):
+    """The two half-size problems of the symmetric Toeplitz matrix Sigma
+    with first row ``row``.
+
+    Sigma equals its own row-and-column reversal, so its eigenvectors can be
+    taken symmetric, [x/sqrt2; y; Jx/sqrt2], or skew, [x/sqrt2; 0; -Jx/sqrt2],
+    with J the reversal and the middle entry y only for odd N (Cantoni and
+    Butler 1976).  With h = ceil(N/2) and k = floor(N/2), (lambda, [x; y]) is
+    an eigenpair of the h x h ``sym`` = T + XJ and (lambda, x) of the k x k
+    ``skew`` = T - XJ, where T holds rho at the lags |i - j| of the top rows
+    and XJ at the reflected lags N-1-i-j.  For odd N the middle row and
+    column of ``sym`` are scaled by 1/sqrt2, which keeps it symmetric.
+    """
+    n = row.size
+    k, h = n // 2, n - n // 2
+    i = np.arange(h)
+    direct = row[np.abs(i[:, None] - i)]
+    reflected = row[n - 1 - i[:, None] - i]
+    skew = direct[:k, :k] - reflected[:k, :k]
+    sym = direct
+    sym += reflected
+    if h > k:
+        sym[k] *= np.sqrt(0.5)
+        sym[:, k] *= np.sqrt(0.5)
+    return sym, skew
 
 
 def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
     """N x N Toeplitz covariance rho(|s_i - s_j|) with cached eigenfactors.
 
-    Band-limited kernels are numerically rank deficient at large N; the
-    clamp floor keeps the cached factorisation usable for sampling and
-    log-determinant work, and ``n_clamped`` reports how often it engaged.
+    The eigenpairs come from the two half-size problems of
+    ``_reflection_split``, one ``eigh`` each.  Their eigenvalues are merged
+    in descending order (a stable sort, so a tie puts the symmetric mode
+    first) and each mode's parity is recorded.  Band-limited kernels are
+    numerically rank deficient at large N; the clamp floor keeps the cached
+    factorisation usable for sampling and log-determinant work, and
+    ``n_clamped`` reports how often it engaged.
     """
-    return CovariancePack.from_matrix(_toeplitz(model, grid.n_sensors), clamp_floor)
+    n = grid.n_sensors
+    row = _first_row(model, n)
+    (raw_sym, vecs_sym), (raw_skew, vecs_skew) = map(np.linalg.eigh,
+                                                     _reflection_split(row))
+    raw = np.concatenate([raw_sym[::-1], raw_skew[::-1]])
+    order = np.argsort(-raw, kind="stable")
+    k, h = n // 2, n - n // 2
+    parity = np.where(order < h, 1.0, -1.0)
+    # each mode's half-size eigenvector fills the top rows (the k outer ones
+    # times 1/sqrt2) and, reversed and times its parity, the bottom k rows
+    vecs = np.zeros((n, n))
+    vecs[:h, parity > 0] = vecs_sym[:, ::-1]
+    vecs[:k, parity < 0] = vecs_skew[:, ::-1]
+    vecs[:k] *= np.sqrt(0.5)
+    np.multiply(vecs[:k][::-1], parity, out=vecs[h:])
+    # row i of the Toeplitz matrix is rho at lags i, i-1, ..., 0, 1, ...
+    mirrored = np.concatenate([row[:0:-1], row])
+    sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+    raw = raw[order]
+    return CovariancePack.from_raw(raw, n, clamp_floor, "dense", sigma_x=sigma,
+                                   eigvecs=vecs, eigvals_raw=raw, parity=parity)
 
 
 def _kms_eigvals(n):
@@ -345,8 +428,9 @@ def spectrum(model, n_sensors):
 
     exp-markov takes the closed KMS form (backend ``kms``) and sinc subspace
     iteration on an FFT Toeplitz product (``slepian``), both without an
-    N x N matrix and with numpy alone; a custom table takes a dense
-    ``eigvalsh`` (``dense``), which keeps the positive-semidefinite refusal.
+    N x N matrix and with numpy alone; a custom table takes ``eigvalsh`` of
+    the two halves of ``_reflection_split`` (``dense``), which keeps the
+    positive-semidefinite refusal.
     """
     n = int(n_sensors)
     if n < 1:
@@ -356,7 +440,9 @@ def spectrum(model, n_sensors):
     elif model.kind == SINC:
         raw, backend = _slepian_eigvals(n), "slepian"
     else:
-        raw, backend = np.linalg.eigvalsh(_toeplitz(model, n))[::-1], "dense"
+        halves = _reflection_split(_first_row(model, n))
+        raw = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))[::-1]
+        backend = "dense"
     return Spectrum.from_raw(raw, n, CLAMP_FLOOR, backend)
 
 

@@ -139,9 +139,11 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     Draws and estimate are made in the eigenbasis x' = x V, where X has
     independent N(0, lambda_k) modes, white noise stays white and the
     estimate scales mode k by lambda_k/(lambda_k+p).  A block of rows at a
-    time is drawn from field and noise generators kept across blocks,
-    estimated, rotated back once and scored, so memory is O(rows N + N^2)
-    whatever m; only the per-snapshot J and J' are kept.
+    time is drawn from field and noise generators kept across blocks, its
+    estimation error formed mode by mode, rotated back once by
+    ``CovariancePack.to_sensors`` (two half-size products) and scored, so
+    memory is O(rows N + N^2) whatever m; only the per-snapshot J and J' are
+    kept.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
@@ -156,6 +158,9 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         law = CovariancePack.from_matrix(
             model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
     gain = cov.eigvals / (cov.eigvals + p)
+    # the estimate's error in the eigenbasis, e' = x'(1 - gain) - sqrt(p) gain z
+    keep = (1.0 - gain) if naive else np.sqrt(cov.eigvals) * (1.0 - gain)
+    noise_gain = np.sqrt(p) * gain
 
     field_rng, noise_rng = (np.random.Generator(np.random.Philox(ss))
                             for ss in np.random.SeedSequence(seed).spawn(2))
@@ -165,12 +170,15 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         shape = (hi - lo, n_sensors)
         if naive:
             draw = sample_snapshots(law, shape[0], field_rng).data
-            x_eig = draw[:, :n_sensors] @ cov.eigvecs
+            err_eig = draw[:, :n_sensors] @ cov.eigvecs
         else:
             # the Gaussians sample_snapshots(cov, ...) draws, not yet rotated
-            x_eig = field_rng.standard_normal(shape) * np.sqrt(cov.eigvals)
-        u_eig = x_eig + np.sqrt(p) * noise_rng.standard_normal(shape)
-        err = (x_eig - gain * u_eig) @ cov.eigvecs.T
+            err_eig = field_rng.standard_normal(shape)
+        err_eig *= keep
+        noise = noise_rng.standard_normal(shape)
+        noise *= noise_gain
+        err_eig -= noise
+        err = cov.to_sensors(err_eig)
         err2 = err ** 2
         if naive:
             x_hat = draw[:, :n_sensors] - err

@@ -171,6 +171,46 @@ class TestCovariance:
             df.covariance_matrix(exp_model, df.sensor_positions(2), clamp_floor=1e-3)
 
 
+def _split_models():
+    # a triangle kernel is convex and decreasing on [0, inf), so positive
+    # definite by Polya's criterion, and its linear interpolant is itself
+    tau = np.linspace(0.0, 1.0, 101)
+    triangle = np.column_stack([tau, np.maximum(0.0, 1.0 - tau / 0.6)])
+    return {"exp": df.make_correlation("exp-markov"),
+            "sinc": df.make_correlation("sinc"),
+            "table": df.make_correlation("custom-table", triangle)}
+
+
+class TestReflectionSplit:
+    """covariance_matrix and the dense spectrum backend solve two half-size
+    problems; each is checked against one full-size decomposition."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 1024, 1025])
+    @pytest.mark.parametrize("name", ["exp", "sinc", "table"])
+    def test_matches_full_eigendecomposition(self, name, n):
+        model = _split_models()[name]
+        cov = df.covariance_matrix(model, df.sensor_positions(n))
+        full = np.linalg.eigvalsh(cov.sigma_x)[::-1]
+        np.testing.assert_allclose(cov.eigvals_raw, full, rtol=0, atol=1e-12 * n)
+        vecs = cov.eigvecs
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose((vecs * cov.eigvals_raw) @ vecs.T, cov.sigma_x,
+                                   rtol=0, atol=1e-12 * n)
+        assert set(np.unique(cov.parity)) <= {-1.0, 1.0}
+        assert np.array_equal(vecs[::-1], vecs * cov.parity)
+        coef = np.random.default_rng(n).standard_normal((3, n))
+        np.testing.assert_allclose(cov.to_sensors(coef), coef @ vecs.T,
+                                   rtol=0, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 1024, 1025])
+    def test_table_spectrum_matches_full_eigvalsh(self, n):
+        model = _split_models()["table"]
+        spec, dense = df.spectrum(model, n), _dense_spectrum(model, n)
+        assert spec.backend == "dense" and spec.n_clamped == dense.n_clamped
+        np.testing.assert_allclose(spec.eigvals, dense.eigvals, rtol=0,
+                                   atol=1e-12 * n)
+
+
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)

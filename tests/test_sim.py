@@ -185,6 +185,35 @@ class TestSimulateDsc:
         assert abs(z.mean()) <= 4 / np.sqrt(len(seeds))
         assert np.max(np.abs(z)) <= 5
 
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_field_errors_do_not_depend_on_eigenbasis(self, exp_model,
+                                                      monkeypatch, n):
+        # J and J' read only |e'|^2 (every cell weight is equal), so the split
+        # pack and one full eigh of the same matrix, whose eigenvectors may
+        # differ in sign, give the same errors up to rounding
+        split = df.simulate_dsc(exp_model, n, 0.5, m=2000, seed=17)
+        full_pack = lambda model, grid: df.CovariancePack.from_matrix(
+            df.covariance_matrix(model, grid).sigma_x)
+        monkeypatch.setattr(sim, "covariance_matrix", full_pack)
+        full = df.simulate_dsc(exp_model, n, 0.5, m=2000, seed=17)
+        assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
+        assert split.j_prime_mse == pytest.approx(full.j_prime_mse, rel=1e-12)
+
+    def test_decomposes_only_half_size_matrices(self, exp_model, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        df.simulate_dsc(exp_model, 1024, 0.5, m=2)
+        assert shapes and max(max(s) for s in shapes) <= 512
+        shapes.clear()
+        df.covariance_matrix(exp_model, df.sensor_positions(1024))
+        assert shapes == [(512, 512), (512, 512)]
+
     def test_naive_joint_covariance_over_budget_refused(self, exp_model):
         # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the budget
         with pytest.raises(df.InfeasibleConfigError, match=r"N \(1 \+ grid_g\)"):
@@ -436,6 +465,25 @@ class TestIntegratedMse:
         # rebuild the exact draws of simulate_dsc and feed them through the
         # public quadrature with the interpolating reconstruction
         n, p, m, seed = 6, 0.7, 300, 13
+        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        grid = df.sensor_positions(n)
+        cov = df.covariance_matrix(exp_model, grid)
+        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+        truth = df.sample_snapshots(cov, m, field_ss)
+        noise = np.random.Generator(np.random.Philox(noise_ss))
+        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
+                                       @ cov.eigvecs.T)
+        x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
+
+        def recon(i, nodes):
+            return interpolate(exp_model, x_hat[i], grid, nodes)
+
+        got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
+        assert got == pytest.approx(rep.j_mse, abs=1e-12)
+
+    def test_matches_simulate_dsc_fast_path_odd_n(self, exp_model):
+        # as above with odd N, so the middle row of the unfold is scored
+        n, p, m, seed = 7, 0.7, 300, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(exp_model, grid)
