@@ -22,7 +22,11 @@ _KINDS = (SINC, EXP_MARKOV, CUSTOM_TABLE)
 
 
 def _freeze(arr):
-    out = np.ascontiguousarray(np.asarray(arr, dtype=float))
+    """A read-only float array of ``arr``'s values: a read-only float array
+    as it is, anything else copied, so the caller's array stays writeable."""
+    if isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable:
+        return arr
+    out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -204,50 +208,45 @@ class CovariancePack(Spectrum):
 
     ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
     MMSE solves, mutual information and water-filling all run on the clamped
-    spectrum, so every consumer sees one consistent field law.  ``parity``
-    is +1 or -1 per mode when the eigenvectors come from the reflection
-    split (``covariance_matrix``): column j then equals its own row reversal
-    times parity[j].  ``from_matrix`` leaves it None.
+    spectrum, so every consumer sees one consistent field law.  ``blocks``
+    holds the eigenvectors as solved: from the reflection split
+    (``covariance_matrix``) the top ceil(N/2) rows of the symmetric modes and
+    the top floor(N/2) rows of the skew ones, with ``parity`` +1 or -1 per
+    mode (its bottom rows are its top rows reversed times parity); from
+    ``from_matrix`` the one N x N V, with ``parity`` None.
     """
 
     sigma_x: np.ndarray
-    eigvecs: np.ndarray
     eigvals_raw: np.ndarray
+    blocks: tuple
     parity: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("sigma_x", "eigvals", "eigvecs", "eigvals_raw", "parity"):
+        for name in ("sigma_x", "eigvals", "eigvals_raw", "parity"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "blocks", tuple(map(_freeze, self.blocks)))
 
     @cached_property
-    def factor(self):
-        """V sqrt(Lambda), built on first use: a row g of N(0, I) draws maps
-        to the field draw g @ factor.T."""
-        return _freeze(self.eigvecs * np.sqrt(self.eigvals))
-
-    @cached_property
-    def _halves(self):
-        # the modes of each parity and the top rows of their eigenvectors
-        sym, skew = np.flatnonzero(self.parity > 0), np.flatnonzero(self.parity < 0)
-        k = self.n // 2
-        return sym, skew, self.eigvecs[:self.n - k, sym], self.eigvecs[:k, skew]
+    def eigvecs(self):
+        """The N x N V, columns in descending order, unfolded on first use;
+        a product with the identity is exact, so V has the blocks' bits."""
+        return _freeze(self.to_sensors(np.eye(self.n)).T)
 
     def to_sensors(self, coef):
         """Rows c of eigenbasis coefficients mapped to sensor values c V^T.
 
-        With parities known this is one product with the top ceil(N/2) rows
-        of the symmetric modes and one with the top floor(N/2) rows of the
-        skew ones, half the flops of c V^T: the top rows are their sum, the
-        bottom rows their difference reversed, and the middle row of odd N
-        comes from the symmetric modes alone.
+        With parities known this is one product with the symmetric block and
+        one with the skew block, half the flops of c V^T: the top rows are
+        their sum, the bottom rows their difference reversed, and the middle
+        row of odd N comes from the symmetric modes alone.
         """
         if self.parity is None:
-            return coef @ self.eigvecs.T
-        sym, skew, v_sym, v_skew = self._halves
+            return coef @ self.blocks[0].T
+        top_sym, top_skew = self.blocks
         k = self.n // 2
-        y_sym = coef[:, sym] @ v_sym.T
-        y_skew = coef[:, skew] @ v_skew.T
+        y_sym = coef[:, self.parity > 0] @ top_sym.T
+        y_skew = coef[:, self.parity < 0] @ top_skew.T
         out = np.empty_like(coef)
         out[:, k:self.n - k] = y_sym[:, k:]
         np.add(y_sym[:, :k], y_skew, out=out[:, :k])
@@ -260,7 +259,7 @@ class CovariancePack(Spectrum):
         raw, vecs = np.linalg.eigh(sigma)
         raw = raw[::-1]
         return cls.from_raw(raw, raw.size, clamp_floor, "dense", sigma_x=sigma,
-                            eigvecs=vecs[:, ::-1], eigvals_raw=raw)
+                            eigvals_raw=raw, blocks=(vecs[:, ::-1],))
 
 
 def _first_row(model, n):
@@ -298,14 +297,14 @@ def _reflection_split(row):
 
 
 def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
-    """N x N Toeplitz covariance rho(|s_i - s_j|) with cached eigenfactors.
+    """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
 
     The eigenpairs come from the two half-size problems of
     ``_reflection_split``, one ``eigh`` each.  Their eigenvalues are merged
     in descending order (a stable sort, so a tie puts the symmetric mode
     first) and each mode's parity is recorded.  Band-limited kernels are
-    numerically rank deficient at large N; the clamp floor keeps the cached
-    factorisation usable for sampling and log-determinant work, and
+    numerically rank deficient at large N; the clamp floor keeps the
+    decomposition usable for sampling and log-determinant work, and
     ``n_clamped`` reports how often it engaged.
     """
     n = grid.n_sensors
@@ -314,21 +313,19 @@ def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
                                                      _reflection_split(row))
     raw = np.concatenate([raw_sym[::-1], raw_skew[::-1]])
     order = np.argsort(-raw, kind="stable")
-    k, h = n // 2, n - n // 2
-    parity = np.where(order < h, 1.0, -1.0)
-    # each mode's half-size eigenvector fills the top rows (the k outer ones
-    # times 1/sqrt2) and, reversed and times its parity, the bottom k rows
-    vecs = np.zeros((n, n))
-    vecs[:h, parity > 0] = vecs_sym[:, ::-1]
-    vecs[:k, parity < 0] = vecs_skew[:, ::-1]
-    vecs[:k] *= np.sqrt(0.5)
-    np.multiply(vecs[:k][::-1], parity, out=vecs[h:])
-    # row i of the Toeplitz matrix is rho at lags i, i-1, ..., 0, 1, ...
+    parity = np.where(order < n - n // 2, 1.0, -1.0)
+    # the top rows of each mode: its half-size eigenvector, the n // 2 outer
+    # rows times 1/sqrt2
+    top_sym, top_skew = vecs_sym[:, ::-1], vecs_skew[:, ::-1]
+    top_sym[:n // 2] *= np.sqrt(0.5)
+    top_skew *= np.sqrt(0.5)
+    # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
-    sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+    sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
     raw = raw[order]
     return CovariancePack.from_raw(raw, n, clamp_floor, "dense", sigma_x=sigma,
-                                   eigvecs=vecs, eigvals_raw=raw, parity=parity)
+                                   eigvals_raw=raw, blocks=(top_sym, top_skew),
+                                   parity=parity)
 
 
 def _kms_eigvals(n):
@@ -482,7 +479,9 @@ def sample_snapshots(cov, m, seed):
         raise ValueError("need at least one snapshot")
     rng = _generator(seed)
     gauss = rng.standard_normal((int(m), cov.n))
-    data = gauss @ cov.factor.T
+    gauss *= np.sqrt(cov.eigvals)
+    data = cov.to_sensors(gauss)
+    data.flags.writeable = False  # fresh, so FieldSnapshots keeps it uncopied
     seed_val = seed if isinstance(seed, int) else -1
     return FieldSnapshots(data=data, seed=seed_val, m=int(m))
 

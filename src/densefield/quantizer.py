@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleConfigError
+from .field import _freeze
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -79,9 +80,7 @@ class ScalarQuantizer:
 
     def __post_init__(self):
         for name in ("boundaries", "points"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def rate_bits(self):

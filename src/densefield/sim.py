@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfeasibleConfigError
-from .field import (DENSE_BUDGET_BYTES, CovariancePack, check_dense_size,
-                    covariance_matrix, nearest_sample_index, sample_snapshots,
-                    sensor_positions, spectrum)
+from .field import (DENSE_BUDGET_BYTES, CovariancePack, _generator,
+                    check_dense_size, covariance_matrix, nearest_sample_index,
+                    sample_snapshots, sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -162,8 +162,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     keep = (1.0 - gain) if naive else np.sqrt(cov.eigvals) * (1.0 - gain)
     noise_gain = np.sqrt(p) * gain
 
-    field_rng, noise_rng = (np.random.Generator(np.random.Philox(ss))
-                            for ss in np.random.SeedSequence(seed).spawn(2))
+    field_rng, noise_rng = map(_generator, np.random.SeedSequence(seed).spawn(2))
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
@@ -230,8 +229,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
 
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
-    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    field_rng = np.random.Generator(np.random.Philox(field_ss))
+    field_rng = _generator(np.random.SeedSequence(seed).spawn(2)[0])
     cov = covariance_matrix(model, sensor_positions(k_intervals))
     j_snap, jprime_snap = np.empty(schedule.n_steps), np.empty(schedule.n_steps)
     err_sum = np.zeros((frame, k_intervals))

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,23 @@ def test_every_sinc_subcommand_loads_no_scipy():
 
 def test_every_public_name_resolves():
     assert [name for name in densefield.__all__ if not hasattr(densefield, name)] == []
+
+
+def test_bench_per_layer_metrics_name_public_functions():
+    # the benchmark reads a traced <layer>.<fn>.<x> metric only if it wrapped
+    # densefield.<layer>.<fn>, a public callable defined in that module
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    missing = []
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) != 3:
+            continue
+        mod = importlib.import_module(f"densefield.{parts[0]}")
+        fn = getattr(mod, parts[1], None)
+        if (parts[1].startswith("_") or not callable(fn) or inspect.isclass(fn)
+                or getattr(fn, "__module__", None) != mod.__name__):
+            missing.append(metric["name"])
+    assert missing == []
 
 
 class TestP2p:

@@ -202,6 +202,21 @@ class TestReflectionSplit:
         np.testing.assert_allclose(cov.to_sensors(coef), coef @ vecs.T,
                                    rtol=0, atol=1e-12 * n)
 
+    def test_pack_retains_less_than_one_matrix(self, exp_model):
+        # the two blocks hold ceil(N/2)^2 + floor(N/2)^2 = N^2 / 2 floats and
+        # sigma_x is a view of 2N - 1; an unfolded N x N eigvecs, a cached
+        # V sqrt(Lambda) or an N x N sigma_x each fill one N x N matrix more
+        n = 1024
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
+            cov.to_sensors(np.ones((2, n)))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < n * n * 8
+
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 1024, 1025])
     def test_table_spectrum_matches_full_eigvalsh(self, n):
         model = _split_models()["table"]
@@ -314,6 +329,20 @@ class TestSampling:
         c = df.sample_snapshots(cov, 64, seed=8)
         assert not np.array_equal(a.data, c.data)
 
+    @pytest.mark.parametrize("pack, n", [("split", 64), ("split", 65),
+                                         ("matrix", 65)])
+    def test_matches_unfolded_eigenvector_draw(self, sinc_model, pack, n):
+        # g sqrt(Lambda) V^T through to_sensors against g (V sqrt(Lambda))^T
+        # with the unfolded V: the same draw up to rounding (entries are
+        # O(1) sums of N products, so 1e-13 is a few hundred ulps)
+        cov = df.covariance_matrix(sinc_model, df.sensor_positions(n))
+        if pack == "matrix":
+            cov = df.CovariancePack.from_matrix(cov.sigma_x)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+        want = rng.standard_normal((300, n)) @ (cov.eigvecs * np.sqrt(cov.eigvals)).T
+        got = df.sample_snapshots(cov, 300, seed=5).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
     def test_empirical_covariance_matches(self, kind):
         model = df.make_correlation(kind)
@@ -390,6 +419,16 @@ def test_snapshots_are_read_only(exp_model):
         snaps.data[0, 0] = 5.0
     with pytest.raises(ValueError):
         cov.sigma_x[0, 0] = 2.0
+
+
+def test_freezing_copies_the_callers_array_only_if_writeable():
+    s = np.eye(3)
+    cov = df.CovariancePack.from_matrix(s)
+    s[0, 0] = 2.0
+    assert cov.sigma_x[0, 0] == 1.0
+    fixed = np.arange(3.0)
+    fixed.flags.writeable = False
+    assert field_mod._freeze(fixed) is fixed
 
 
 def test_nearest_index_vectorized_matches_scalar():

@@ -116,6 +116,15 @@ class TestLloydMax:
                                     points=points, distortion=distortion)
         assert independent_lloyd_residual(q) <= independent_lloyd_residual(oracle)
 
+    def test_construction_leaves_callers_arrays_writeable(self):
+        boundaries, points = np.array([0.0]), np.array([-0.8, 0.8])
+        q = df.ScalarQuantizer(levels=2, boundaries=boundaries, points=points,
+                               distortion=0.36)
+        boundaries[0], points[0] = 1.0, 0.0
+        assert q.boundaries.tolist() == [0.0] and q.points.tolist() == [-0.8, 0.8]
+        with pytest.raises(ValueError):
+            q.points[0] = 0.0
+
     @pytest.mark.parametrize("levels", [512, 1024])
     def test_large_codebooks_converge(self, levels):
         # upper-tail cell probabilities taken as CDF differences floor the

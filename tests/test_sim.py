@@ -160,6 +160,17 @@ class TestSimulateDsc:
             tracemalloc.stop()
         assert peak < 4.5 * n * n * 8
 
+    def test_fast_path_never_unfolds_eigvecs(self, exp_model, monkeypatch):
+        packs = []
+
+        def keep_pack(model, grid):
+            packs.append(df.covariance_matrix(model, grid))
+            return packs[-1]
+
+        monkeypatch.setattr(sim, "covariance_matrix", keep_pack)
+        df.simulate_dsc(exp_model, 17, 0.5, m=300)
+        assert len(packs) == 1 and "eigvecs" not in packs[0].__dict__
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_naive_sensor_mse_agrees_with_fast_path(self, exp_model, seed):
         # J' is the same quantity on both paths; the naive run draws the
