@@ -209,11 +209,13 @@ class CovariancePack(Spectrum):
     ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
     MMSE solves, mutual information and water-filling all run on the clamped
     spectrum, so every consumer sees one consistent field law.  ``blocks``
-    holds the eigenvectors as solved: from the reflection split
-    (``covariance_matrix``) the top ceil(N/2) rows of the symmetric modes and
-    the top floor(N/2) rows of the skew ones, with ``parity`` +1 or -1 per
-    mode (its bottom rows are its top rows reversed times parity); from
-    ``from_matrix`` the one N x N V, with ``parity`` None.
+    holds the eigenvectors as built: from ``covariance_matrix`` (the KMS
+    sinusoids for exp-markov, the reflection split otherwise) the top
+    ceil(N/2) rows of the unit-norm symmetric modes and the top floor(N/2)
+    rows of the skew ones, with ``parity`` +1 or -1 per mode (its bottom rows
+    are its top rows reversed times parity); from ``from_matrix`` the one
+    N x N V, with ``parity`` None.  Read-only float blocks are kept as they
+    are, anything else is copied.
     """
 
     sigma_x: np.ndarray
@@ -296,40 +298,83 @@ def _reflection_split(row):
     return sym, skew
 
 
-def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
-    """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
+def _split_eigpairs(row):
+    """Descending eigenvalues, the two eigenvector blocks and the parities
+    of the symmetric Toeplitz matrix with first row ``row``, from one
+    ``eigh`` of each half of ``_reflection_split``.
 
-    The eigenpairs come from the two half-size problems of
-    ``_reflection_split``, one ``eigh`` each.  Their eigenvalues are merged
-    in descending order (a stable sort, so a tie puts the symmetric mode
-    first) and each mode's parity is recorded.  Band-limited kernels are
-    numerically rank deficient at large N; the clamp floor keeps the
-    decomposition usable for sampling and log-determinant work, and
-    ``n_clamped`` reports how often it engaged.
+    The eigenvalues are merged in descending order (a stable sort, so a tie
+    puts the symmetric mode first).  A mode's top rows are its half-size
+    eigenvector with the n // 2 outer rows times 1/sqrt2.
     """
-    n = grid.n_sensors
-    row = _first_row(model, n)
+    n = row.size
     (raw_sym, vecs_sym), (raw_skew, vecs_skew) = map(np.linalg.eigh,
                                                      _reflection_split(row))
     raw = np.concatenate([raw_sym[::-1], raw_skew[::-1]])
     order = np.argsort(-raw, kind="stable")
     parity = np.where(order < n - n // 2, 1.0, -1.0)
-    # the top rows of each mode: its half-size eigenvector, the n // 2 outer
-    # rows times 1/sqrt2
-    top_sym, top_skew = vecs_sym[:, ::-1], vecs_skew[:, ::-1]
+    top_sym = np.ascontiguousarray(vecs_sym[:, ::-1])
+    top_skew = np.ascontiguousarray(vecs_skew[:, ::-1])
     top_sym[:n // 2] *= np.sqrt(0.5)
     top_skew *= np.sqrt(0.5)
+    return raw[order], (top_sym, top_skew), parity
+
+
+def _kms_eigpairs(n):
+    """Descending eigenvalues, the two eigenvector blocks and the parities
+    of the exp-markov covariance, in closed form.
+
+    The inverse of the KMS matrix is tridiagonal, so its eigenvectors are
+    sinusoids at the roots theta_k of ``_kms_eigvals`` (Grenander and Szego
+    1958): cos((i - (N-1)/2) theta_k) for even k (symmetric) and
+    sin((i - (N-1)/2) theta_k) for odd k (skew), k counted from the largest
+    eigenvalue.  Each block is built in place from its top rows and divided
+    by the column norm of the whole vector: twice the outer rows' squares,
+    plus 1 for the middle row cos(0) of odd N.
+    """
+    raw, theta = _kms_eigvals(n)
+    k = n // 2
+    offset = np.arange(n - k) - 0.5 * (n - 1)
+    top_sym = np.multiply.outer(offset, theta[0::2])
+    np.cos(top_sym, out=top_sym)
+    top_skew = np.multiply.outer(offset[:k], theta[1::2])
+    np.sin(top_skew, out=top_skew)
+    top_sym /= np.sqrt(2.0 * np.einsum("ij,ij->j", top_sym[:k], top_sym[:k])
+                       + n % 2)
+    top_skew /= np.sqrt(2.0 * np.einsum("ij,ij->j", top_skew, top_skew))
+    parity = np.where(np.arange(n) % 2, -1.0, 1.0)
+    return raw, (top_sym, top_skew), parity
+
+
+def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
+    """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
+
+    exp-markov takes its eigenpairs in closed form (``_kms_eigpairs``,
+    backend ``kms``), any other kernel from the two half-size problems of
+    the reflection split (``_split_eigpairs``, one ``eigh`` each, backend
+    ``dense``).  Both give the pack C-contiguous read-only blocks, which it
+    keeps uncopied.  Band-limited kernels are numerically rank deficient at
+    large N; the clamp floor keeps the decomposition usable for sampling and
+    log-determinant work, and ``n_clamped`` reports how often it engaged.
+    """
+    n = grid.n_sensors
+    row = _first_row(model, n)
+    if model.kind == EXP_MARKOV:
+        (raw, blocks, parity), backend = _kms_eigpairs(n), "kms"
+    else:
+        (raw, blocks, parity), backend = _split_eigpairs(row), "dense"
+    for block in blocks:
+        block.flags.writeable = False
     # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
     sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    raw = raw[order]
-    return CovariancePack.from_raw(raw, n, clamp_floor, "dense", sigma_x=sigma,
-                                   eigvals_raw=raw, blocks=(top_sym, top_skew),
-                                   parity=parity)
+    return CovariancePack.from_raw(raw, n, clamp_floor, backend, sigma_x=sigma,
+                                   eigvals_raw=raw, blocks=blocks, parity=parity)
 
 
 def _kms_eigvals(n):
-    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N).
+    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N),
+    and the ascending roots theta they come from.
 
     This is the Kac-Murdock-Szego matrix (1953): its eigenvalues are
     (1-a^2) / ((1-a)^2 + 4a sin^2(theta/2)) at the N roots theta in (0, pi)
@@ -365,7 +410,7 @@ def _kms_eigvals(n):
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
     theta = 0.5 * (lo + hi)
-    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2)
+    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2), theta
 
 
 # subspace iteration stops once no Ritz value moves by more than _RITZ_RTOL
@@ -433,7 +478,7 @@ def spectrum(model, n_sensors):
     if n < 1:
         raise ValueError("need at least one sensor")
     if model.kind == EXP_MARKOV:
-        raw, backend = _kms_eigvals(n), "kms"
+        raw, backend = _kms_eigvals(n)[0], "kms"
     elif model.kind == SINC:
         raw, backend = _slepian_eigvals(n), "slepian"
     else:

@@ -112,19 +112,23 @@ def find_pmax(cov, target_mse, rel_tol=1e-6):
             f"target {target_mse} at or below the clamp epsilon {eps}"
         )
     lam = cov.eigvals
+    # the average MMSE at each end is carried, one evaluation per step
     lo, hi = 0.0, 1.0
-    while avg_mmse_from_eigvals(lam, hi) <= target_mse:
-        lo = hi
+    mse_lo, mse_hi = 0.0, avg_mmse_from_eigvals(lam, hi)
+    while mse_hi <= target_mse:
+        lo, mse_lo = hi, mse_hi
         hi *= 2.0
         if hi > 1e300:  # pragma: no cover - unreachable for target < 1
             raise InfeasibleConfigError("bracketing diverged")
+        mse_hi = avg_mmse_from_eigvals(lam, hi)
     while hi - lo > rel_tol * max(lo, np.finfo(float).tiny):
-        assert avg_mmse_from_eigvals(lam, lo) <= target_mse < avg_mmse_from_eigvals(lam, hi)
+        assert mse_lo <= target_mse < mse_hi
         mid = 0.5 * (lo + hi)
-        if avg_mmse_from_eigvals(lam, mid) <= target_mse:
-            lo = mid
+        mse_mid = avg_mmse_from_eigvals(lam, mid)
+        if mse_mid <= target_mse:
+            lo, mse_lo = mid, mse_mid
         else:
-            hi = mid
+            hi, mse_hi = mid, mse_mid
     return lo
 
 

@@ -39,9 +39,10 @@ VIOLATED_HIGH = "violated-high"
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
 
-# snapshot rows per block (2 MB per block array at N = 1024); simulate_p2p
-# rounds it down to whole frames, at least two
-_BLOCK_ROWS = 256
+# snapshot rows per block: a block array is 0.5 MB at N = 1024, so the few
+# alive at once stay under the pack's 4 MB of eigenvector blocks;
+# simulate_p2p rounds it down to whole frames, at least two
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -165,27 +166,35 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     field_rng, noise_rng = map(_generator, np.random.SeedSequence(seed).spawn(2))
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
-    for lo, hi in _blocks(m, _BLOCK_ROWS):
-        shape = (hi - lo, n_sensors)
+    blocks = list(_blocks(m, _BLOCK_ROWS))
+    # the draws go into two buffers kept across blocks and the error is
+    # squared in place: block arrays freed and made again every block let
+    # glibc trim the heap and fault its pages back in (about 100,000 minor
+    # faults and 0.2 s of system time for exp at N = 1024, m = 20,000)
+    draw_buf, noise_buf = np.empty((2, max(hi - lo for lo, hi in blocks),
+                                    n_sensors))
+    for lo, hi in blocks:
+        rows = hi - lo
         if naive:
-            draw = sample_snapshots(law, shape[0], field_rng).data
+            draw = sample_snapshots(law, rows, field_rng).data
             err_eig = draw[:, :n_sensors] @ cov.eigvecs
         else:
             # the Gaussians sample_snapshots(cov, ...) draws, not yet rotated
-            err_eig = field_rng.standard_normal(shape)
+            err_eig = field_rng.standard_normal(out=draw_buf[:rows])
         err_eig *= keep
-        noise = noise_rng.standard_normal(shape)
+        noise = noise_rng.standard_normal(out=noise_buf[:rows])
         noise *= noise_gain
         err_eig -= noise
         err = cov.to_sensors(err_eig)
-        err2 = err ** 2
         if naive:
             x_hat = draw[:, :n_sensors] - err
             recon_nodes = rho_nodes * x_hat[:, node_idx]
             j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
-        else:
-            # a row sum: BLAS's err2 @ cell_w rounds a row by its neighbours
-            j_snap[lo:hi] = a0 + (err2 * cell_w).sum(axis=1)
+        err2 = np.square(err, out=err)
+        if not naive:
+            # a row sum (BLAS's err2 @ cell_w rounds a row by its
+            # neighbours), its products written over the spent noise
+            j_snap[lo:hi] = a0 + np.multiply(err2, cell_w, out=noise).sum(axis=1)
         jprime_snap[lo:hi] = err2.mean(axis=1)
         # row by row: numpy sums down a single column pairwise, so a
         # column sum would round by the block size

@@ -132,7 +132,7 @@ class TestSimulateDsc:
         assert got.verdict == whole.verdict
 
     def test_peak_memory_does_not_grow_with_m(self, exp_model):
-        # The block loop keeps a few _BLOCK_ROWS x N arrays (0.5 MB each at
+        # The block loop keeps a few _BLOCK_ROWS x N arrays (128 KB each at
         # N = 256) and a few N x N matrices (0.5 MB each), a few MB in all
         # whatever m.  Holding the m x N draws, observations and estimates at
         # once, as a run over all snapshots does, needs five or more 41 MB
@@ -148,9 +148,9 @@ class TestSimulateDsc:
 
     def test_peak_memory_holds_no_filter_or_factor(self, exp_model):
         # At N = 1024 an N x N float64 matrix is 8 MiB.  The covariance, its
-        # eigendecomposition's workspace and eigenvectors and a few 256 x N
-        # block arrays stay under 4.5 of them; an N x N MMSE filter or field
-        # factor held beside the eigenvectors goes over.
+        # eigendecomposition's workspace and eigenvectors and a few
+        # _BLOCK_ROWS x N block arrays stay under 4.5 of them; an N x N MMSE
+        # filter or field factor held beside the eigenvectors goes over.
         n = 1024
         tracemalloc.start()
         try:
@@ -159,6 +159,20 @@ class TestSimulateDsc:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * n * n * 8
+
+    def test_peak_memory_is_the_eigenvector_blocks(self, exp_model):
+        # exp-markov's eigenvectors come in closed form, so the block loop
+        # sets the peak: the two eigenvector blocks (N^2 / 2 floats, 4 MiB at
+        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64
+        # rows), about 8 MiB; 256-row blocks take it to about 16 MiB
+        n = 1024
+        tracemalloc.start()
+        try:
+            df.simulate_dsc(exp_model, n, 0.5, m=600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_fast_path_never_unfolds_eigvecs(self, exp_model, monkeypatch):
         packs = []
@@ -210,7 +224,9 @@ class TestSimulateDsc:
         assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
         assert split.j_prime_mse == pytest.approx(full.j_prime_mse, rel=1e-12)
 
-    def test_decomposes_only_half_size_matrices(self, exp_model, monkeypatch):
+    def test_decomposes_only_half_size_matrices(self, sinc_model, monkeypatch):
+        # exp-markov makes no eigh call at all (test_field.py,
+        # TestKmsEigenvectors); sinc takes the reflection split
         shapes = []
         eigh = np.linalg.eigh
 
@@ -219,10 +235,10 @@ class TestSimulateDsc:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        df.simulate_dsc(exp_model, 1024, 0.5, m=2)
+        df.simulate_dsc(sinc_model, 1024, 0.5, m=2)
         assert shapes and max(max(s) for s in shapes) <= 512
         shapes.clear()
-        df.covariance_matrix(exp_model, df.sensor_positions(1024))
+        df.covariance_matrix(sinc_model, df.sensor_positions(1024))
         assert shapes == [(512, 512), (512, 512)]
 
     def test_naive_joint_covariance_over_budget_refused(self, exp_model):
