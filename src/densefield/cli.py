@@ -238,6 +238,8 @@ def build_parser():
 
 
 def _parse_n_list(pairs, parser):
+    if len(pairs) > 1:
+        parser.error("give one --n or one --n-range, not several")
     texts = dict(pairs)
     if texts.get("--n-range"):
         try:

@@ -2,9 +2,10 @@
 
 The channel observes U = X + Z with Z ~ N(0, p I) independent of X.  The
 optimal estimate of X from U is linear and diagonal in the covariance's
-eigenbasis: mode k of U is scaled by lambda_k/(lambda_k+p).  ``sim.simulate_dsc``
-applies that gain mode by mode; ``mmse_estimate`` forms the N x N filter
-V diag(lambda/(lambda+p)) V^T for each call.  Both the estimate and its exact
+eigenbasis: mode k of U is scaled by lambda_k/(lambda_k+p), so mode k of the
+error is N(0, lambda_k p/(lambda_k+p)), which ``sim.simulate_dsc`` draws
+directly; ``mmse_estimate`` forms the N x N filter V diag(lambda/(lambda+p))
+V^T for each call.  Both the estimate and its exact
 error are evaluated on the covariance pack's cached eigendecomposition (shift
 of the eigenvalues by p) rather than by forming an explicit inverse, which
 stays stable for near-singular band-limited covariances across p sweeps.

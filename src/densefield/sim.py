@@ -7,14 +7,14 @@ only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
-Both simulators run in blocks: ``simulate_dsc`` of a fixed number of
-snapshot rows, each drawn and estimated in the covariance's eigenbasis and
-rotated back once, ``simulate_p2p`` of whole frames (the N/K steps that
-visit every sensor once).  A row's J and J' are summed within the row, the
-per-sensor error is summed row by row across blocks, and the means and
-standard errors are taken over the stored per-snapshot vectors, so no
-reduction depends on the block size; only BLAS may round a row of a matrix
-product differently with the block height.
+Both simulators run in blocks: ``simulate_dsc`` of snapshot rows, each
+mode's error drawn in the eigenbasis and rotated back once, ``simulate_p2p``
+of whole frames (the N/K steps that visit every sensor once); both score a
+sample error e as a0 + c e^2 through one quadrature cell.  A row's J and J'
+are summed within the row, the per-sensor error row by row across blocks,
+and the means and standard errors are taken over the stored per-snapshot
+vectors, so no reduction depends on the block size; only BLAS may round a
+row of a matrix product differently with the block height.
 """
 
 import os
@@ -39,10 +39,13 @@ VIOLATED_HIGH = "violated-high"
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
 
-# snapshot rows per block: a block array is 0.5 MB at N = 1024, so the few
-# alive at once stay under the pack's 4 MB of eigenvector blocks;
-# simulate_p2p rounds it down to whole frames, at least two
+# snapshot rows per simulate_dsc block: a block array is 0.5 MB at N = 1024,
+# so the few alive at once stay under the pack's 4 MB of eigenvector blocks
 _BLOCK_ROWS = 64
+# whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
+# at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
+# 10.0 MB, 16 0.071 s / 12.2 MB, 64 0.068 s / 23.7 MB (over its 19.2 MB bound)
+_P2P_BLOCK_FRAMES = 16
 
 
 @dataclass(frozen=True)
@@ -61,23 +64,15 @@ class SimulationReport:
     stderr_jprime: float
 
 
-def _dsc_weights(model, positions, grid_g, n_cells=None):
-    """Per-snapshot J = a0 + sum_k w_k e_k^2 for the nearest-sample scheme.
-
-    Midpoint rule on [0, 1] split into ``n_cells`` equal cells (default: one
-    per sample) of grid_g nodes each; a node in cell k is reconstructed from
-    the sample at ``positions[k]``.  Only the first ``positions.size`` cells
-    are built, so a0 and w_k are those cells' share of the integral.
-    """
-    n = positions.size
-    n_cells = n if n_cells is None else n_cells
-    nodes = (np.arange(n * grid_g) + 0.5) / (n_cells * grid_g)
-    idx = nearest_sample_index(nodes, n_cells)
-    r2 = model(nodes - positions[idx]) ** 2
+def _cell_quadrature(model, position, n_cells, grid_g):
+    """(a0, c): the first of ``n_cells`` equal cells of [0, 1], by the
+    midpoint rule on grid_g nodes reconstructed from the sample at
+    ``position`` with error e, adds a0 + c e^2 to the integrated squared
+    error, and so does each translate of it."""
+    nodes = (np.arange(grid_g) + 0.5) / (n_cells * grid_g)
+    r2 = model(nodes - position) ** 2
     w = 1.0 / (n_cells * grid_g)
-    a0 = float(np.sum(1.0 - r2) * w)
-    cell_w = (r2 * w).reshape(n, grid_g).sum(axis=1)
-    return a0, cell_w, nodes, idx, np.sqrt(r2)
+    return float(np.sum(1.0 - r2) * w), float(np.sum(r2 * w))
 
 
 def _check_inputs(n_sensors, n_snapshots, grid_g):
@@ -137,65 +132,66 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     sensor-sample MSE, and a verdict against the distortion sandwich evaluated
     at the empirical sensor-sample MSE.
 
-    Draws and estimate are made in the eigenbasis x' = x V, where X has
-    independent N(0, lambda_k) modes, white noise stays white and the
-    estimate scales mode k by lambda_k/(lambda_k+p).  A block of rows at a
-    time is drawn from field and noise generators kept across blocks, its
-    estimation error formed mode by mode, rotated back once by
-    ``CovariancePack.to_sensors`` (two half-size products) and scored, so
-    memory is O(rows N + N^2) whatever m; only the per-snapshot J and J' are
-    kept.
+    In the eigenbasis x' = x V, X has independent N(0, lambda_k) modes and
+    the estimate scales mode k of U by lambda_k/(lambda_k+p), so mode k of
+    its error is one N(0, lambda_k p/(lambda_k+p)) draw.  A block of rows at
+    a time draws them from one generator kept across blocks, rotates them
+    back once by ``CovariancePack.to_sensors`` and scores one row sum as
+    J = a0 + c sum_i e_i^2 and J' = sum_i e_i^2 / N; memory is
+    O(rows N + N^2) whatever m.  This hybrid J leaves out the cross term of
+    the sample error with the off-sensor field (twice it is -13% of J for exp
+    at N = 64 at the design point, -1.2% at N = 512, under 3e-4 for sinc);
+    only ``naive``, which draws the field at every node and the noise from a
+    second generator, measures the scheme's own J.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
     _check_inputs(n_sensors, m, grid_g)
     grid = sensor_positions(n_sensors)
     cov = covariance_matrix(model, grid)
-    a0, cell_w, nodes, node_idx, rho_nodes = _dsc_weights(model, grid.positions,
-                                                          grid_g)
+    field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    field_rng = _generator(field_ss)
     if naive:
+        nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
+        node_idx = nearest_sample_index(nodes, n_sensors)
+        rho_nodes = model(nodes - grid.positions[node_idx])
         joint_pos = np.concatenate([grid.positions, nodes])
         check_dense_size(joint_pos.size, "N (1 + grid_g)")
         law = CovariancePack.from_matrix(
             model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-    gain = cov.eigvals / (cov.eigvals + p)
-    # the estimate's error in the eigenbasis, e' = x'(1 - gain) - sqrt(p) gain z
-    keep = (1.0 - gain) if naive else np.sqrt(cov.eigvals) * (1.0 - gain)
-    noise_gain = np.sqrt(p) * gain
+        gain = cov.eigvals / (cov.eigvals + p)
+        noise_rng = _generator(noise_ss)
+    else:
+        a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
+        err_sd = np.sqrt(cov.eigvals * p / (cov.eigvals + p))
 
-    field_rng, noise_rng = map(_generator, np.random.SeedSequence(seed).spawn(2))
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
     blocks = list(_blocks(m, _BLOCK_ROWS))
-    # the draws go into two buffers kept across blocks and the error is
-    # squared in place: block arrays freed and made again every block let
-    # glibc trim the heap and fault its pages back in (about 100,000 minor
-    # faults and 0.2 s of system time for exp at N = 1024, m = 20,000)
-    draw_buf, noise_buf = np.empty((2, max(hi - lo for lo, hi in blocks),
-                                    n_sensors))
+    # one draw buffer kept across blocks, the error squared in place: arrays
+    # freed and made again every block let glibc trim the heap and fault it
+    # back in (100,000 minor faults, 0.2 s system time at exp N = 1024)
+    draw_buf = np.empty((max(hi - lo for lo, hi in blocks), n_sensors))
     for lo, hi in blocks:
         rows = hi - lo
         if naive:
             draw = sample_snapshots(law, rows, field_rng).data
+            # the estimate's error, e' = x'(1 - gain) - sqrt(p) gain z'
             err_eig = draw[:, :n_sensors] @ cov.eigvecs
+            err_eig *= 1.0 - gain
+            err_eig -= np.sqrt(p) * gain * noise_rng.standard_normal((rows, n_sensors))
         else:
-            # the Gaussians sample_snapshots(cov, ...) draws, not yet rotated
             err_eig = field_rng.standard_normal(out=draw_buf[:rows])
-        err_eig *= keep
-        noise = noise_rng.standard_normal(out=noise_buf[:rows])
-        noise *= noise_gain
-        err_eig -= noise
+            err_eig *= err_sd
         err = cov.to_sensors(err_eig)
         if naive:
-            x_hat = draw[:, :n_sensors] - err
-            recon_nodes = rho_nodes * x_hat[:, node_idx]
+            recon_nodes = rho_nodes * (draw[:, :n_sensors] - err)[:, node_idx]
             j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
         err2 = np.square(err, out=err)
+        row_sum = err2.sum(axis=1)
         if not naive:
-            # a row sum (BLAS's err2 @ cell_w rounds a row by its
-            # neighbours), its products written over the spent noise
-            j_snap[lo:hi] = a0 + np.multiply(err2, cell_w, out=noise).sum(axis=1)
-        jprime_snap[lo:hi] = err2.mean(axis=1)
+            j_snap[lo:hi] = n_sensors * a0 + c * row_sum
+        jprime_snap[lo:hi] = row_sum / n_sensors
         # row by row: numpy sums down a single column pairwise, so a
         # column sum would round by the block size
         for row in err2:
@@ -230,11 +226,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
     _check_inputs(n_sensors, schedule.n_steps, grid_g)
     frame = n_sensors // k_intervals
-    cells = [_dsc_weights(model, np.array([(j + 0.5) / n_sensors]),
-                          frame * grid_g, n_cells=k_intervals)[:2]
-             for j in range(frame)]
-    a0 = k_intervals * np.array([a for a, _ in cells])
-    c = np.array([w[0] for _, w in cells])
+    a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
+                                       frame * grid_g) for j in range(frame)]).T
 
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
@@ -242,7 +235,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     cov = covariance_matrix(model, sensor_positions(k_intervals))
     j_snap, jprime_snap = np.empty(schedule.n_steps), np.empty(schedule.n_steps)
     err_sum = np.zeros((frame, k_intervals))
-    for lo, hi in _blocks(m_prime, _BLOCK_ROWS // frame):
+    for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES):
         active = sample_snapshots(cov, (hi - lo) * frame, field_rng).data
         if quantizer is None:
             err2 = np.zeros_like(active)
@@ -250,7 +243,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
             _, rep = quantize(quantizer, active)
             err2 = (active - rep) ** 2
         by_phase = err2.reshape(hi - lo, frame, k_intervals)
-        j_snap[lo * frame:hi * frame] = (a0 + c * by_phase.sum(axis=2)).ravel()
+        j_snap[lo * frame:hi * frame] = (k_intervals * a0
+                                         + c * by_phase.sum(axis=2)).ravel()
         jprime_snap[lo * frame:hi * frame] = err2.mean(axis=1)
         for frame_err in by_phase:
             err_sum += frame_err

@@ -67,6 +67,15 @@ class TestPmaxCurve:
             cli.main(["pmax-curve", "--model", "exp"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--n", "64", "--n-range", "128:256:128"],
+                                       ["--n", "64", "--n", "128"]])
+    def test_more_than_one_n_flag_is_usage_error(self, flags, capsys):
+        # neither flag may silently override the other
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rates", "--model", "exp", *flags])
+        assert exc.value.code == 2
+        assert "give one --n or one --n-range" in capsys.readouterr().err
+
     def test_bad_n_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pmax-curve", "--model", "exp", "--n-range", "10-20"])

@@ -174,6 +174,40 @@ class TestSimulateDsc:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("kind, n", [("exp-markov", 7),
+                                         ("exp-markov", 1024), ("sinc", 257)])
+    def test_field_mse_is_affine_in_sensor_mse(self, kind, n):
+        # the grid's cells are translates, so with one cell's (a0, c) every
+        # snapshot's J is N a0 + c N J'
+        model = df.make_correlation(kind)
+        rep = df.simulate_dsc(model, n, 0.5, m=600, seed=5)
+        a0, c = sim._cell_quadrature(model, 0.5 / n, n, 8)
+        assert rep.j_mse == pytest.approx(n * a0 + c * n * rep.j_prime_mse,
+                                          rel=1e-14)
+
+    def test_fast_path_draws_one_gaussian_per_mode(self, exp_model,
+                                                   monkeypatch):
+        # each mode's estimation error is one N(0, lambda p/(lambda + p))
+        # draw: m N Gaussians from a single generator, no noise stream
+        counters = []
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+                counters.append(self)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                self.drawn += out.size
+                return out
+
+        real = sim._generator
+        monkeypatch.setattr(sim, "_generator",
+                            lambda seed: CountingGenerator(real(seed)))
+        n, m = 9, 301
+        df.simulate_dsc(exp_model, n, 0.5, m=m, seed=3)
+        assert [g.drawn for g in counters] == [m * n]
+
     def test_fast_path_never_unfolds_eigvecs(self, exp_model, monkeypatch):
         packs = []
 
@@ -372,36 +406,36 @@ class TestSimulateP2p:
         assert a.j_mse == b.j_mse
         assert np.array_equal(a.per_sensor_mse, b.per_sensor_mse)
 
-    @pytest.mark.parametrize("rows", [1, 7, 13, 64, 300, 303, 606])
+    @pytest.mark.parametrize("steps", [1, 7, 13, 48, 64, 300, 303, 606])
     def test_report_does_not_depend_on_block_size(self, exp_model, monkeypatch,
-                                                  rows):
+                                                  steps):
         # frames of N/K = 3 steps, m' = 101: all 303 steps as one block
-        # against blocks of 2 frames (rows 1 and 7), 4 (a lone last frame
-        # joins the block before it), 21 (a short last block), 100 (one
-        # block of 101), m' and 2m' frames
+        # against blocks of steps // 3 frames: 2 (steps 1 and 7), 4 (a lone
+        # last frame joins the block before it), 16 and 21 (a short last
+        # block), 100 (one block of 101), m' and 2m' frames
         quant = df.lloyd_max(4)
         run = lambda: df.simulate_p2p(exp_model, 12, 4, quant, m_prime=101,
                                       seed=13)
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", 303)
+        monkeypatch.setattr(sim, "_P2P_BLOCK_FRAMES", 303 // 3)
         whole = run()
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(sim, "_P2P_BLOCK_FRAMES", steps // 3)
         assert_reports_equal(run(), whole)
 
-    @pytest.mark.parametrize("rows", [7, 64])
+    @pytest.mark.parametrize("frames", [7, 64])
     def test_one_sensor_report_does_not_depend_on_block_size(
-            self, exp_model, monkeypatch, rows):
+            self, exp_model, monkeypatch, frames):
         # N = K = 1: one-step frames of one sample, a one-column error sum
         quant = df.lloyd_max(4)
         run = lambda: df.simulate_p2p(exp_model, 1, 1, quant, m_prime=301,
                                       seed=4)
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
+        monkeypatch.setattr(sim, "_P2P_BLOCK_FRAMES", 301)
         whole = run()
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(sim, "_P2P_BLOCK_FRAMES", frames)
         assert_reports_equal(run(), whole)
 
     def test_peak_memory_does_not_hold_every_step(self, exp_model):
         # N = 4800, K = 24, m' = 2000: 400,000 steps of 24 active samples.
-        # Blocks of whole frames keep a few 400 x 24 arrays, so only the
+        # Blocks of 16 whole frames keep a few 3,200 x 24 arrays, so only the
         # per-step J and J' (3.2 MB each) grow with m'.  Drawing every step
         # at once holds the 76.8 MB m' x N draws, their squared errors and
         # more, a 317 MB peak; a quarter of one such array is the bound.
@@ -455,6 +489,15 @@ class TestSimulateP2p:
         assert rep.j_mse == ref.j_mse
 
 
+def dsc_fast_path_errors(cov, p, m, seed):
+    """simulate_dsc's sensor errors: one N(0, lambda p/(lambda + p)) draw per
+    mode from the field child of ``seed``, rotated to the sensors."""
+    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    gauss = np.random.Generator(np.random.Philox(field_ss)).standard_normal((m, cov.n))
+    err = (gauss * np.sqrt(cov.eigvals * p / (cov.eigvals + p))) @ cov.eigvecs.T
+    return df.FieldSnapshots(data=err, seed=seed, m=m)
+
+
 class TestIntegratedMse:
     def test_perfect_reconstruction_single_sensor_closed_form(self, exp_model):
         # integral of 1 - e^(-2|s - 1/2|) over [0, 1] equals e^-1
@@ -489,23 +532,16 @@ class TestIntegratedMse:
         assert abs(fine - coarse) / coarse < 0.005
 
     def test_matches_simulate_dsc_fast_path(self, exp_model):
-        # rebuild the exact draws of simulate_dsc and feed them through the
-        # public quadrature with the interpolating reconstruction
+        # rebuild the exact draws of simulate_dsc, the estimation error of
+        # each mode, and feed them through the hybrid quadrature as the
+        # truth with a zero reconstruction
         n, p, m, seed = 6, 0.7, 300, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(exp_model, grid)
-        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-        truth = df.sample_snapshots(cov, m, field_ss)
-        noise = np.random.Generator(np.random.Philox(noise_ss))
-        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
-                                       @ cov.eigvecs.T)
-        x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
-
-        def recon(i, nodes):
-            return interpolate(exp_model, x_hat[i], grid, nodes)
-
-        got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
+        err = dsc_fast_path_errors(cov, p, m, seed)
+        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
     def test_matches_simulate_dsc_fast_path_odd_n(self, exp_model):
@@ -514,17 +550,9 @@ class TestIntegratedMse:
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(exp_model, grid)
-        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-        truth = df.sample_snapshots(cov, m, field_ss)
-        noise = np.random.Generator(np.random.Philox(noise_ss))
-        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
-                                       @ cov.eigvecs.T)
-        x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
-
-        def recon(i, nodes):
-            return interpolate(exp_model, x_hat[i], grid, nodes)
-
-        got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
+        err = dsc_fast_path_errors(cov, p, m, seed)
+        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
     def test_matches_simulate_dsc_fast_path_across_blocks(self, exp_model):
@@ -535,19 +563,11 @@ class TestIntegratedMse:
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(exp_model, grid)
-        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-        truth = df.sample_snapshots(cov, m, field_ss)
-        noise = np.random.Generator(np.random.Philox(noise_ss))
-        u = truth.data + np.sqrt(p) * (noise.standard_normal(truth.data.shape)
-                                       @ cov.eigvecs.T)
-        x_hat = df.mmse_estimate(df.TestChannel(p=p, cov=cov), u)
-
-        def recon(i, nodes):
-            return interpolate(exp_model, x_hat[i], grid, nodes)
-
-        got = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
+        err = dsc_fast_path_errors(cov, p, m, seed)
+        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
-        err2 = (truth.data - x_hat) ** 2
+        err2 = err.data ** 2
         assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
         np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
                                    rtol=0, atol=1e-12)
