@@ -413,6 +413,21 @@ def _kms_eigvals(n):
     return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2), theta
 
 
+def _kms_precision(n):
+    """Diagonal and off-diagonal value of the tridiagonal inverse of the
+    exp-markov covariance a^|i-j|, a = e^(-1/N): (1+a^2)/(1-a^2) inside,
+    1/(1-a^2) at both corners and -a/(1-a^2) off the diagonal, with 1-a^2
+    from expm1 as in ``_kms_eigvals``.  One sensor's covariance is [1], and
+    so is its inverse."""
+    if n == 1:
+        return np.ones(1), 0.0
+    a = np.exp(-1.0 / n)
+    c2 = -np.expm1(-2.0 / n)      # 1 - a^2
+    diag = np.full(n, (1.0 + a * a) / c2)
+    diag[[0, -1]] = 1.0 / c2
+    return diag, -a / c2
+
+
 # subspace iteration stops once no Ritz value moves by more than _RITZ_RTOL
 # of the largest (at most 3 Toeplitz products at every N tried)
 _RITZ_RTOL = 1e-13

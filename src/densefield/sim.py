@@ -7,12 +7,14 @@ only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
-Both simulators run in blocks: ``simulate_dsc`` of snapshot rows, each
-mode's error drawn in the eigenbasis and rotated back once, ``simulate_p2p``
-of whole frames (the N/K steps that visit every sensor once); both score a
-sample error e as a0 + c e^2 through one quadrature cell.  A row's J and J'
-are summed within the row, the per-sensor error row by row across blocks,
-and the means and standard errors are taken over the stored per-snapshot
+Both simulators score a sample error e as a0 + c e^2 through one quadrature
+cell.  ``simulate_dsc`` draws the exp-markov error sensor by sensor from its
+tridiagonal precision, with no eigenvectors; any other kernel, and
+``naive``, runs in blocks of snapshot rows, each mode's error drawn in the
+eigenbasis and rotated back once.  ``simulate_p2p`` runs in blocks of whole
+frames (the N/K steps that visit every sensor once).  A row's J and J' are
+summed within the row, the per-sensor error row by row across blocks, and
+the means and standard errors are taken over the stored per-snapshot
 vectors, so no reduction depends on the block size; only BLAS may round a
 row of a matrix product differently with the block height.
 """
@@ -23,9 +25,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfeasibleConfigError
-from .field import (DENSE_BUDGET_BYTES, CovariancePack, _generator,
-                    check_dense_size, covariance_matrix, nearest_sample_index,
-                    sample_snapshots, sensor_positions, spectrum)
+from .field import (DENSE_BUDGET_BYTES, EXP_MARKOV, CovariancePack,
+                    _generator, _kms_precision, check_dense_size,
+                    covariance_matrix, nearest_sample_index, sample_snapshots,
+                    sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -39,8 +42,9 @@ VIOLATED_HIGH = "violated-high"
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
 
-# snapshot rows per simulate_dsc block: a block array is 0.5 MB at N = 1024,
-# so the few alive at once stay under the pack's 4 MB of eigenvector blocks
+# snapshot rows per block of simulate_dsc's eigenbasis path (every kernel but
+# exp-markov, and naive): a block array is 0.5 MB at N = 1024, so the few
+# alive at once stay under the pack's 4 MB of eigenvector blocks
 _BLOCK_ROWS = 64
 # whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
 # at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
@@ -122,6 +126,38 @@ def _blocks(m, rows):
     return zip(starts, starts[1:] + [m])
 
 
+def _markov_error_sums(n, p, m, rng):
+    """Per-snapshot sums and per-sensor means of e_i^2 over m draws of the
+    exp-markov test channel's MMSE error e.
+
+    The N samples form an AR(1) chain, so e has the tridiagonal precision
+    Q = Sigma^-1 + I/p (Rue and Held 2005).  Q = U U^T with U upper
+    bidiagonal, diagonal u and w[i] = U[i-1, i], factored from the last
+    sensor up; then e = U^-T g is the recurrence
+    e_i = (g_i - w_i e_(i-1)) / u_i along the sensors, run for all m
+    snapshots at once from m Gaussians per sensor drawn into one kept
+    vector.  Memory is O(m + N).
+    """
+    diag, off = _kms_precision(n)
+    diag = diag + 1.0 / p
+    u, w = np.empty(n), np.zeros(n)
+    u[-1] = np.sqrt(diag[-1])
+    for i in range(n - 2, -1, -1):
+        w[i + 1] = off / u[i + 1]
+        u[i] = np.sqrt(diag[i] - w[i + 1] ** 2)
+    g, e = np.empty(m), np.zeros(m)
+    row_sum, per_sensor = np.zeros(m), np.empty(n)
+    for i in range(n):
+        rng.standard_normal(out=g)
+        e *= -w[i]
+        e += g
+        e /= u[i]
+        e2 = np.square(e, out=g)
+        row_sum += e2
+        per_sensor[i] = e2.mean()
+    return row_sum, per_sensor
+
+
 def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """Monte Carlo run of the distributed scheme's test-channel surrogate.
 
@@ -132,25 +168,42 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     sensor-sample MSE, and a verdict against the distortion sandwich evaluated
     at the empirical sensor-sample MSE.
 
-    In the eigenbasis x' = x V, X has independent N(0, lambda_k) modes and
-    the estimate scales mode k of U by lambda_k/(lambda_k+p), so mode k of
-    its error is one N(0, lambda_k p/(lambda_k+p)) draw.  A block of rows at
-    a time draws them from one generator kept across blocks, rotates them
-    back once by ``CovariancePack.to_sensors`` and scores one row sum as
-    J = a0 + c sum_i e_i^2 and J' = sum_i e_i^2 / N; memory is
-    O(rows N + N^2) whatever m.  This hybrid J leaves out the cross term of
-    the sample error with the off-sensor field (twice it is -13% of J for exp
-    at N = 64 at the design point, -1.2% at N = 512, under 3e-4 for sinc);
-    only ``naive``, which draws the field at every node and the noise from a
-    second generator, measures the scheme's own J.
+    The fast path draws only the estimate's error e and scores one row sum
+    per snapshot as J = N a0 + c sum_i e_i^2 and J' = sum_i e_i^2 / N.  For
+    exp-markov e comes from its tridiagonal precision by one recurrence
+    along the sensors (``_markov_error_sums``), in O(m + N) memory.  For any
+    other kernel it is drawn in the eigenbasis x' = x V, where X has
+    independent N(0, lambda_k) modes and the estimate scales mode k of U by
+    lambda_k/(lambda_k+p), so mode k of its error is one
+    N(0, lambda_k p/(lambda_k+p)) draw.  A block of rows at a time draws
+    them from one generator kept across blocks and rotates them back once by
+    ``CovariancePack.to_sensors``; memory is O(rows N + N^2) whatever m.
+    Both draw from the field child of the seed.  This hybrid J leaves out the
+    cross term of the sample error with the off-sensor field (twice it is
+    -13% of J for exp at N = 64 at the design point, -1.2% at N = 512, under
+    3e-4 for sinc); only ``naive``, which draws the field at every node and
+    the noise from a second generator, measures the scheme's own J.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
     _check_inputs(n_sensors, m, grid_g)
     grid = sensor_positions(n_sensors)
-    cov = covariance_matrix(model, grid)
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     field_rng = _generator(field_ss)
+
+    def bounds(jp):
+        return (float(jmse_lower_bound(model, n_sensors, jp)),
+                float(jmse_upper_bound(model, n_sensors, jp)))
+
+    if model.kind == EXP_MARKOV and not naive:
+        # no N x N matrix is built, but N stays under the limit of every
+        # other path, so the same N is refused whatever the kernel
+        check_dense_size(n_sensors)
+        a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
+        row_sum, per_sensor = _markov_error_sums(n_sensors, p, m, field_rng)
+        return _report(DSC_SCHEME, n_sensors * a0 + c * row_sum,
+                       row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
+    cov = covariance_matrix(model, grid)
     if naive:
         nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
         node_idx = nearest_sample_index(nodes, n_sensors)
@@ -197,8 +250,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         for row in err2:
             err_sum += row
     return _report(DSC_SCHEME, j_snap, jprime_snap, err_sum / m, grid_g, seed,
-                   lambda jp: (float(jmse_lower_bound(model, n_sensors, jp)),
-                               float(jmse_upper_bound(model, n_sensors, jp))))
+                   bounds)
 
 
 def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,

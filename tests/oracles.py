@@ -11,8 +11,10 @@ half-angle KMS secular equation in brackets known in advance instead of the
 bisected grid sign changes, a scalar scan over
 every N instead of the vectorised backtrack, a scalar walk of find_theta's
 grid instead of one array, a linear scan over every codebook size instead of
-doubling and bisection, and a direct node-by-node quadrature of the dsc
-field error's closed-form mean instead of the simulator's cell weights.
+doubling and bisection, a direct node-by-node quadrature of the dsc
+field error's closed-form mean instead of the simulator's cell weights, and
+a dense inverse, Cholesky factor and triangular solve for the exp-markov
+dsc errors instead of the bidiagonal recurrence along the sensors.
 
 The end of the file also holds helpers that only tests read, kept out of the
 library: the nearest-sample interpolation rule, the window-averaging and
@@ -187,6 +189,27 @@ def dsc_expected_jmse(model, n_sensors, per_sample_mse, grid_g=8):
     idx = np.minimum((nodes * n_sensors).astype(int), n_sensors - 1)
     r2 = model(nodes - (2 * idx + 1) / (2 * n_sensors)) ** 2
     return float(np.mean(1.0 - r2 + r2 * np.asarray(per_sample_mse)[idx]))
+
+
+def markov_dsc_errors(n, p, m, seed):
+    """simulate_dsc's exp-markov sensor errors as an m x N array, densely.
+
+    Q = inv(Sigma) + I/p from the dense inverse of a^|i-j|, a = e^(-1/N);
+    its upper-triangular factor Q = U U^T is the Cholesky factor of Q with
+    rows and columns reversed, reversed back (unique with a positive
+    diagonal, so it is the library's bidiagonal U).  The field child of
+    ``seed`` is drawn sensor-major as one N x m array g, and U^T e = g is
+    solved for e.
+    """
+    from scipy.linalg import solve_triangular
+
+    lags = np.arange(n)
+    sigma = np.exp(-np.abs(lags[:, None] - lags[None, :]) / n)
+    q = np.linalg.inv(sigma) + np.eye(n) / p
+    u = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
+    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    g = np.random.Generator(np.random.Philox(field_ss)).standard_normal((n, m))
+    return solve_triangular(u.T, g, lower=True).T
 
 
 def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):

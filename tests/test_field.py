@@ -268,6 +268,29 @@ class TestKmsEigenvectors:
         assert peak < 0.75 * n * n * 8
 
 
+class TestKmsPrecision:
+    """The tridiagonal inverse of the exp-markov covariance, from which
+    simulate_dsc draws its test-channel error without eigenvectors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+    def test_is_the_inverse(self, exp_model, n):
+        # one sensor's inverse is [1], not the corner value 1/(1 - a^2)
+        diag, off = field_mod._kms_precision(n)
+        prec = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        sigma = df.covariance_matrix(exp_model, df.sensor_positions(n)).sigma_x
+        np.testing.assert_allclose(prec @ sigma, np.eye(n), rtol=0,
+                                   atol=1e-12 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024, 8192])
+    def test_clamp_never_engages(self, exp_model, n):
+        # every KMS eigenvalue exceeds (1 - a)/(1 + a) = tanh(1/(2N)), 6e-5 at
+        # N = 8192, far above the floor: the precision's law is the clamped
+        # spectrum's
+        spec = df.spectrum(exp_model, n)
+        assert spec.n_clamped == 0
+        assert spec.raw_min >= math.tanh(0.5 / n) > 1e5 * CLAMP_FLOOR
+
+
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)

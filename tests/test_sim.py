@@ -10,8 +10,9 @@ from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budge
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN, append_report_csv
 
-from oracles import (active_sensors_at, dsc_cross_term, dsc_expected_jmse,
-                     integrated_mse, interpolate, interpolation_only_jmse,
+from oracles import (active_sensors_at, brute_force_mmse, dsc_cross_term,
+                     dsc_expected_jmse, integrated_mse, interpolate,
+                     interpolation_only_jmse, markov_dsc_errors,
                      quantizer_from_json, quantizer_to_json, report_to_json)
 
 
@@ -90,12 +91,12 @@ class TestSimulateDsc:
         assert rep.verdict == WITHIN
 
     @pytest.mark.parametrize("rows", [1, 7, 13, 64, 300, 301, 602])
-    def test_report_does_not_depend_on_block_size(self, exp_model, monkeypatch,
+    def test_report_does_not_depend_on_block_size(self, sinc_model, monkeypatch,
                                                   rows):
         # 301 rows as one block against 1 (no block is a single row, so 2),
         # 7 (43 full blocks), 13 and 64 (a short last block), m - 1 (a lone
         # last row), m and 2m
-        run = lambda: df.simulate_dsc(exp_model, 6, 0.7, m=301, seed=13)
+        run = lambda: df.simulate_dsc(sinc_model, 6, 0.7, m=301, seed=13)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
         whole = run()
         monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
@@ -103,10 +104,10 @@ class TestSimulateDsc:
 
     @pytest.mark.parametrize("rows", [7, 64])
     def test_one_sensor_report_does_not_depend_on_block_size(
-            self, exp_model, monkeypatch, rows):
+            self, sinc_model, monkeypatch, rows):
         # numpy sums a one-column array down its rows pairwise, so the
         # per-sensor total must be carried row by row here too
-        run = lambda: df.simulate_dsc(exp_model, 1, 0.7, m=301, seed=13)
+        run = lambda: df.simulate_dsc(sinc_model, 1, 0.7, m=301, seed=13)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
         whole = run()
         monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
@@ -161,10 +162,11 @@ class TestSimulateDsc:
         assert peak < 4.5 * n * n * 8
 
     def test_peak_memory_is_the_eigenvector_blocks(self, exp_model):
-        # exp-markov's eigenvectors come in closed form, so the block loop
-        # sets the peak: the two eigenvector blocks (N^2 / 2 floats, 4 MiB at
-        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64
-        # rows), about 8 MiB; 256-row blocks take it to about 16 MiB
+        # exp-markov draws its error from its tridiagonal precision, with no
+        # eigenvector blocks and no block loop: a few m-vectors, bounded at
+        # 2 MiB by test_markov_peak_memory_is_a_few_snapshot_vectors.  This
+        # bound is the eigenbasis path's two blocks (N^2 / 2 floats, 4 MiB at
+        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64 rows)
         n = 1024
         tracemalloc.start()
         try:
@@ -208,7 +210,7 @@ class TestSimulateDsc:
         df.simulate_dsc(exp_model, n, 0.5, m=m, seed=3)
         assert [g.drawn for g in counters] == [m * n]
 
-    def test_fast_path_never_unfolds_eigvecs(self, exp_model, monkeypatch):
+    def test_fast_path_never_unfolds_eigvecs(self, sinc_model, monkeypatch):
         packs = []
 
         def keep_pack(model, grid):
@@ -216,7 +218,7 @@ class TestSimulateDsc:
             return packs[-1]
 
         monkeypatch.setattr(sim, "covariance_matrix", keep_pack)
-        df.simulate_dsc(exp_model, 17, 0.5, m=300)
+        df.simulate_dsc(sinc_model, 17, 0.5, m=300)
         assert len(packs) == 1 and "eigvecs" not in packs[0].__dict__
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -245,16 +247,16 @@ class TestSimulateDsc:
         assert np.max(np.abs(z)) <= 5
 
     @pytest.mark.parametrize("n", [7, 64])
-    def test_field_errors_do_not_depend_on_eigenbasis(self, exp_model,
+    def test_field_errors_do_not_depend_on_eigenbasis(self, sinc_model,
                                                       monkeypatch, n):
         # J and J' read only |e'|^2 (every cell weight is equal), so the split
         # pack and one full eigh of the same matrix, whose eigenvectors may
         # differ in sign, give the same errors up to rounding
-        split = df.simulate_dsc(exp_model, n, 0.5, m=2000, seed=17)
+        split = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
         full_pack = lambda model, grid: df.CovariancePack.from_matrix(
             df.covariance_matrix(model, grid).sigma_x)
         monkeypatch.setattr(sim, "covariance_matrix", full_pack)
-        full = df.simulate_dsc(exp_model, n, 0.5, m=2000, seed=17)
+        full = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
         assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
         assert split.j_prime_mse == pytest.approx(full.j_prime_mse, rel=1e-12)
 
@@ -274,6 +276,61 @@ class TestSimulateDsc:
         shapes.clear()
         df.covariance_matrix(sinc_model, df.sensor_positions(1024))
         assert shapes == [(512, 512), (512, 512)]
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7])
+    def test_markov_matches_dense_precision_oracle(self, exp_model, n):
+        # exp-markov runs e = U^-T g along the sensors; the dense inverse,
+        # Cholesky factor and triangular solve of the same sensor-major draw
+        # give the same errors (N = 1 pins the one-sensor precision [1])
+        p, m, seed = 0.7, 301, 13
+        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        err = markov_dsc_errors(n, p, m, seed)
+        got = integrated_mse(df.FieldSnapshots(data=err, seed=seed, m=m),
+                             lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, grid=df.sensor_positions(n))
+        assert rep.j_mse == pytest.approx(got, abs=1e-12)
+        assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
+        np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_markov_per_sensor_mse_follows_law(self, exp_model, n):
+        # each sensor's mean e_i^2 against its MMSE from the normal equations,
+        # diag(Q^-1), within 4 standard errors sqrt(2/m) diag(Q^-1); at N = 1
+        # the corner value 1/(1 - a^2) in place of [1] reads 0.386 for 0.412
+        p, m = 0.7, 100_000
+        rep = df.simulate_dsc(exp_model, n, p, m=m, seed=29)
+        sigma = df.covariance_matrix(exp_model, df.sensor_positions(n)).sigma_x
+        mmse = brute_force_mmse(np.array(sigma), p)
+        assert np.all(np.abs(rep.per_sensor_mse - mmse)
+                      <= 4 * np.sqrt(2 / m) * mmse)
+
+    def test_markov_path_builds_no_covariance(self, exp_model, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            calls.append(("eigh", np.shape(a)))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(sim, "covariance_matrix",
+                            lambda *args: calls.append("covariance_matrix"))
+        df.simulate_dsc(exp_model, 64, 0.5, m=300)
+        assert calls == []
+
+    def test_markov_peak_memory_is_a_few_snapshot_vectors(self, exp_model):
+        # the draw, the error and the row sum are m-vectors (160 KB each at
+        # m = 20,000) beside the per-snapshot J and J'; the eigenbasis path's
+        # two eigenvector blocks alone are 4 MiB at N = 1024
+        n, m = 1024, 20_000
+        tracemalloc.start()
+        try:
+            df.simulate_dsc(exp_model, n, 0.5, m=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_naive_joint_covariance_over_budget_refused(self, exp_model):
         # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the budget
@@ -531,41 +588,41 @@ class TestIntegratedMse:
         fine = integrated_mse(truth, recon, 16, model=exp_model, grid=grid)
         assert abs(fine - coarse) / coarse < 0.005
 
-    def test_matches_simulate_dsc_fast_path(self, exp_model):
+    def test_matches_simulate_dsc_fast_path(self, sinc_model):
         # rebuild the exact draws of simulate_dsc, the estimation error of
         # each mode, and feed them through the hybrid quadrature as the
         # truth with a zero reconstruction
         n, p, m, seed = 6, 0.7, 300, 13
-        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(exp_model, grid)
+        cov = df.covariance_matrix(sinc_model, grid)
         err = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=grid)
+                             model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
-    def test_matches_simulate_dsc_fast_path_odd_n(self, exp_model):
+    def test_matches_simulate_dsc_fast_path_odd_n(self, sinc_model):
         # as above with odd N, so the middle row of the unfold is scored
         n, p, m, seed = 7, 0.7, 300, 13
-        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(exp_model, grid)
+        cov = df.covariance_matrix(sinc_model, grid)
         err = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=grid)
+                             model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
-    def test_matches_simulate_dsc_fast_path_across_blocks(self, exp_model):
+    def test_matches_simulate_dsc_fast_path_across_blocks(self, sinc_model):
         # as above with m spanning several blocks and a short last one, so a
         # slip at a block boundary shows
         n, p, seed = 6, 0.7, 13
         m = 3 * sim._BLOCK_ROWS + 45
-        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(exp_model, grid)
+        cov = df.covariance_matrix(sinc_model, grid)
         err = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=grid)
+                             model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
         err2 = err.data ** 2
         assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
