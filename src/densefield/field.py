@@ -162,9 +162,11 @@ class Spectrum:
     ``eigvals`` are clamped below at ``clamp_floor``; ``n_clamped`` counts
     the modes the clamp raised, ``raw_min``/``raw_max`` are the unclamped
     extremes (for ``slepian``, of the modes it computed) and ``backend``
-    names what computed them (``kms``, ``slepian`` or ``dense``).  p_max,
-    the distributed sum rate and water-filling read nothing else, so they
-    never need eigenvectors.
+    names what computed them: ``kms`` (the exp-markov secular equation) or
+    ``slepian`` (sinc subspace iteration) from ``spectrum``, ``dense``
+    (LAPACK) for a custom table and every pack.  p_max, the distributed sum
+    rate and water-filling read nothing else, so they never need
+    eigenvectors.
     """
 
     eigvals: np.ndarray
@@ -209,13 +211,13 @@ class CovariancePack(Spectrum):
     ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
     MMSE solves, mutual information and water-filling all run on the clamped
     spectrum, so every consumer sees one consistent field law.  ``blocks``
-    holds the eigenvectors as built: from ``covariance_matrix`` (the KMS
-    sinusoids for exp-markov, the reflection split otherwise) the top
-    ceil(N/2) rows of the unit-norm symmetric modes and the top floor(N/2)
-    rows of the skew ones, with ``parity`` +1 or -1 per mode (its bottom rows
-    are its top rows reversed times parity); from ``from_matrix`` the one
-    N x N V, with ``parity`` None.  Read-only float blocks are kept as they
-    are, anything else is copied.
+    holds the eigenvectors as built: from ``covariance_matrix`` (the
+    reflection split, for every kernel) the top ceil(N/2) rows of the
+    unit-norm symmetric modes and the top floor(N/2) rows of the skew ones,
+    with ``parity`` +1 or -1 per mode (its bottom rows are its top rows
+    reversed times parity); from ``from_matrix`` the one N x N V, with
+    ``parity`` None.  Read-only float blocks are kept as they are, anything
+    else is copied.
     """
 
     sigma_x: np.ndarray
@@ -320,61 +322,30 @@ def _split_eigpairs(row):
     return raw[order], (top_sym, top_skew), parity
 
 
-def _kms_eigpairs(n):
-    """Descending eigenvalues, the two eigenvector blocks and the parities
-    of the exp-markov covariance, in closed form.
-
-    The inverse of the KMS matrix is tridiagonal, so its eigenvectors are
-    sinusoids at the roots theta_k of ``_kms_eigvals`` (Grenander and Szego
-    1958): cos((i - (N-1)/2) theta_k) for even k (symmetric) and
-    sin((i - (N-1)/2) theta_k) for odd k (skew), k counted from the largest
-    eigenvalue.  Each block is built in place from its top rows and divided
-    by the column norm of the whole vector: twice the outer rows' squares,
-    plus 1 for the middle row cos(0) of odd N.
-    """
-    raw, theta = _kms_eigvals(n)
-    k = n // 2
-    offset = np.arange(n - k) - 0.5 * (n - 1)
-    top_sym = np.multiply.outer(offset, theta[0::2])
-    np.cos(top_sym, out=top_sym)
-    top_skew = np.multiply.outer(offset[:k], theta[1::2])
-    np.sin(top_skew, out=top_skew)
-    top_sym /= np.sqrt(2.0 * np.einsum("ij,ij->j", top_sym[:k], top_sym[:k])
-                       + n % 2)
-    top_skew /= np.sqrt(2.0 * np.einsum("ij,ij->j", top_skew, top_skew))
-    parity = np.where(np.arange(n) % 2, -1.0, 1.0)
-    return raw, (top_sym, top_skew), parity
-
-
 def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
     """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
 
-    exp-markov takes its eigenpairs in closed form (``_kms_eigpairs``,
-    backend ``kms``), any other kernel from the two half-size problems of
-    the reflection split (``_split_eigpairs``, one ``eigh`` each, backend
-    ``dense``).  Both give the pack C-contiguous read-only blocks, which it
-    keeps uncopied.  Band-limited kernels are numerically rank deficient at
-    large N; the clamp floor keeps the decomposition usable for sampling and
+    Every kernel takes its eigenpairs from the two half-size problems of the
+    reflection split (``_split_eigpairs``, one ``eigh`` each, backend
+    ``dense``), whose C-contiguous blocks the pack keeps uncopied.
+    Band-limited kernels are numerically rank deficient at large N; the
+    clamp floor keeps the decomposition usable for sampling and
     log-determinant work, and ``n_clamped`` reports how often it engaged.
     """
     n = grid.n_sensors
     row = _first_row(model, n)
-    if model.kind == EXP_MARKOV:
-        (raw, blocks, parity), backend = _kms_eigpairs(n), "kms"
-    else:
-        (raw, blocks, parity), backend = _split_eigpairs(row), "dense"
+    raw, blocks, parity = _split_eigpairs(row)
     for block in blocks:
         block.flags.writeable = False
     # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
     sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    return CovariancePack.from_raw(raw, n, clamp_floor, backend, sigma_x=sigma,
+    return CovariancePack.from_raw(raw, n, clamp_floor, "dense", sigma_x=sigma,
                                    eigvals_raw=raw, blocks=blocks, parity=parity)
 
 
 def _kms_eigvals(n):
-    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N),
-    and the ascending roots theta they come from.
+    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N).
 
     This is the Kac-Murdock-Szego matrix (1953): its eigenvalues are
     (1-a^2) / ((1-a)^2 + 4a sin^2(theta/2)) at the N roots theta in (0, pi)
@@ -410,7 +381,7 @@ def _kms_eigvals(n):
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
     theta = 0.5 * (lo + hi)
-    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2), theta
+    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2)
 
 
 def _kms_precision(n):
@@ -493,7 +464,7 @@ def spectrum(model, n_sensors):
     if n < 1:
         raise ValueError("need at least one sensor")
     if model.kind == EXP_MARKOV:
-        raw, backend = _kms_eigvals(n)[0], "kms"
+        raw, backend = _kms_eigvals(n), "kms"
     elif model.kind == SINC:
         raw, backend = _slepian_eigvals(n), "slepian"
     else:

@@ -6,9 +6,7 @@ closed forms, water-level bisection instead of the prefix solve, Riemann-grid
 Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix and Slepian's
-tridiagonal eigenvectors instead of subspace iteration, brentq on a
-half-angle KMS secular equation in brackets known in advance instead of the
-bisected grid sign changes, a scalar scan over
+tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
 every N instead of the vectorised backtrack, a scalar walk of find_theta's
 grid instead of one array, a linear scan over every codebook size instead of
 doubling and bisection, a direct node-by-node quadrature of the dsc
@@ -23,7 +21,6 @@ activation maps and the interpolation-only integrated MSE.
 """
 
 import json
-import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -284,38 +281,6 @@ def slepian_tridiagonal_eigvals(n):
         if k == n or quotients[-1] < 0.1 * CLAMP_FLOOR:
             return quotients
         k = min(2 * k, n)
-
-
-def kms_eigvecs(n):
-    """The N x N eigenvectors of the exp-markov covariance a^|i-j|,
-    a = e^(-1/N), columns in descending eigenvalue order, from the formula.
-
-    Column k is cos((i - (N-1)/2) theta_k) for even k and sin(...) for odd
-    k, normalised, at the k-th smallest root theta_k in (0, pi) of
-    sin((N+1)t) - 2a sin(Nt) + a^2 sin((N-1)t), written with s = sin(t/2)
-    and c = 1 - a as -4 s^2 sin(Nt) + 4 c s cos((N-1/2)t) + c^2 sin((N-1)t)
-    so that no term cancels as a -> 1.  The form alternates in sign at
-    t = j pi/(N+1), j = 1..N, and is positive just above 0, so each bracket
-    (j pi/(N+1), (j+1) pi/(N+1)) holds one root; t = 0 solves the form but
-    not the matrix, and the first bracket starts at 1e-9 instead, below
-    theta_0 > 1/(2N) (the largest eigenvalue is at most the trace N).
-    """
-    c = -math.expm1(-1.0 / n)
-
-    def secular(t):
-        s = math.sin(0.5 * t)
-        return (-4.0 * s * s * math.sin(n * t)
-                + 4.0 * c * s * math.cos((n - 0.5) * t)
-                + c * c * math.sin((n - 1) * t))
-
-    edges = np.arange(n + 1) * (math.pi / (n + 1))
-    edges[0] = 1e-9
-    theta = np.array([brentq(secular, lo, hi, xtol=1e-300,
-                             rtol=4 * np.finfo(float).eps)
-                      for lo, hi in zip(edges[:-1], edges[1:])])
-    phase = np.outer(np.arange(n) - 0.5 * (n - 1), theta)
-    vecs = np.where(np.arange(n) % 2, np.sin(phase), np.cos(phase))
-    return vecs / np.linalg.norm(vecs, axis=0)
 
 
 def find_theta_loop(model, target_mse, grid_points=4096):

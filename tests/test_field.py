@@ -9,8 +9,8 @@ import densefield.field as field_mod
 from densefield.field import (CLAMP_FLOOR, DENSE_BUDGET_BYTES, Spectrum,
                               check_dense_size, nearest_sample_index)
 
-from oracles import (dpss_sinc_eigpairs, interpolate, kms_eigvecs,
-                     nearest_sample_location, slepian_tridiagonal_eigvals)
+from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_location,
+                     slepian_tridiagonal_eigvals)
 
 D_NET = 0.1
 STRUCTURED_N = (*range(1, 257), 1000, 2047, 2048)
@@ -190,6 +190,7 @@ class TestReflectionSplit:
     def test_matches_full_eigendecomposition(self, name, n):
         model = _split_models()[name]
         cov = df.covariance_matrix(model, df.sensor_positions(n))
+        assert cov.backend == "dense"
         full = np.linalg.eigvalsh(cov.sigma_x)[::-1]
         np.testing.assert_allclose(cov.eigvals_raw, full, rtol=0, atol=1e-12 * n)
         vecs = cov.eigvecs
@@ -224,48 +225,6 @@ class TestReflectionSplit:
         assert spec.backend == "dense" and spec.n_clamped == dense.n_clamped
         np.testing.assert_allclose(spec.eigvals, dense.eigvals, rtol=0,
                                    atol=1e-12 * n)
-
-
-class TestKmsEigenvectors:
-    """exp-markov's pack takes its eigenvectors in closed form at the roots
-    of the spectrum's own KMS secular equation, with no eigh call."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 1024, 1025])
-    def test_matches_formula_and_lapack_up_to_sign(self, exp_model, n):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
-        assert cov.backend == "kms"
-        assert np.array_equal(cov.eigvals, df.spectrum(exp_model, n).eigvals)
-        np.testing.assert_allclose(cov.eigvecs, kms_eigvecs(n), rtol=0,
-                                   atol=1e-12)
-        # the KMS eigenvalues are distinct, so each column is LAPACK's up to
-        # its sign
-        lapack = np.linalg.eigh(np.array(cov.sigma_x))[1][:, ::-1]
-        cosines = np.einsum("ij,ij->j", cov.eigvecs, lapack)
-        np.testing.assert_allclose(np.abs(cosines), 1.0, rtol=0, atol=1e-10)
-
-    def test_makes_no_eigh_call(self, exp_model, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def recording_eigh(a):
-            calls.append(np.shape(a))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(1024))
-        assert calls == [] and cov.backend == "kms"
-
-    def test_peak_memory_is_the_blocks(self, exp_model):
-        # the two blocks hold N^2 / 2 floats; a second copy of them, or an
-        # eigh workspace, takes the peak to a full N x N matrix or more
-        n = 1024
-        tracemalloc.start()
-        try:
-            df.covariance_matrix(exp_model, df.sensor_positions(n))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.75 * n * n * 8
 
 
 class TestKmsPrecision:

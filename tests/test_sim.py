@@ -132,45 +132,47 @@ class TestSimulateDsc:
                                    rtol=0, atol=1e-12)
         assert got.verdict == whole.verdict
 
-    def test_peak_memory_does_not_grow_with_m(self, exp_model):
-        # The block loop keeps a few _BLOCK_ROWS x N arrays (128 KB each at
-        # N = 256) and a few N x N matrices (0.5 MB each), a few MB in all
+    def test_peak_memory_does_not_grow_with_m(self, sinc_model):
+        # The eigenbasis block loop keeps a few _BLOCK_ROWS x N arrays
+        # (128 KB each at N = 256) beside the pack's two half-size blocks and
+        # the split's half-size matrices (128 KB each), 1.9 MiB in all
         # whatever m.  Holding the m x N draws, observations and estimates at
         # once, as a run over all snapshots does, needs five or more 41 MB
         # arrays; one quarter of one is the bound.
         n, m = 256, 20_000
         tracemalloc.start()
         try:
-            df.simulate_dsc(exp_model, n, 0.5, m=m)
+            df.simulate_dsc(sinc_model, n, 0.5, m=m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < m * n * 8 / 4
 
-    def test_peak_memory_holds_no_filter_or_factor(self, exp_model):
-        # At N = 1024 an N x N float64 matrix is 8 MiB.  The covariance, its
-        # eigendecomposition's workspace and eigenvectors and a few
-        # _BLOCK_ROWS x N block arrays stay under 4.5 of them; an N x N MMSE
-        # filter or field factor held beside the eigenvectors goes over.
+    def test_peak_memory_holds_no_filter_or_factor(self, sinc_model):
+        # At N = 1024 an N x N float64 matrix is 8 MiB.  The split's two
+        # half-size matrices, their eigh workspace and eigenvectors and a few
+        # _BLOCK_ROWS x N block arrays stay under 4.5 of them (8.1 MiB
+        # measured); an N x N MMSE filter or field factor held beside the
+        # eigenvectors goes over.
         n = 1024
         tracemalloc.start()
         try:
-            df.simulate_dsc(exp_model, n, 0.5, m=600)
+            df.simulate_dsc(sinc_model, n, 0.5, m=600)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * n * n * 8
 
-    def test_peak_memory_is_the_eigenvector_blocks(self, exp_model):
-        # exp-markov draws its error from its tridiagonal precision, with no
-        # eigenvector blocks and no block loop: a few m-vectors, bounded at
-        # 2 MiB by test_markov_peak_memory_is_a_few_snapshot_vectors.  This
-        # bound is the eigenbasis path's two blocks (N^2 / 2 floats, 4 MiB at
-        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64 rows)
+    def test_peak_memory_is_the_eigenvector_blocks(self, sinc_model):
+        # the eigenbasis path's two blocks (N^2 / 2 floats, 4 MiB at
+        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64
+        # rows): 8.1 MiB measured.  An unfolded N x N eigvecs (8 MiB) beside
+        # them goes over.  exp-markov keeps no blocks; its bound is
+        # test_markov_peak_memory_is_a_few_snapshot_vectors
         n = 1024
         tracemalloc.start()
         try:
-            df.simulate_dsc(exp_model, n, 0.5, m=600)
+            df.simulate_dsc(sinc_model, n, 0.5, m=600)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -188,9 +190,11 @@ class TestSimulateDsc:
                                           rel=1e-14)
 
     def test_fast_path_draws_one_gaussian_per_mode(self, exp_model,
-                                                   monkeypatch):
+                                                   sinc_model, monkeypatch):
         # each mode's estimation error is one N(0, lambda p/(lambda + p))
-        # draw: m N Gaussians from a single generator, no noise stream
+        # draw, and each sensor's step of exp-markov's precision recurrence
+        # one N(0, 1) per snapshot: m N Gaussians from a single generator, no
+        # noise stream, on both paths
         counters = []
 
         class CountingGenerator:
@@ -207,8 +211,10 @@ class TestSimulateDsc:
         monkeypatch.setattr(sim, "_generator",
                             lambda seed: CountingGenerator(real(seed)))
         n, m = 9, 301
-        df.simulate_dsc(exp_model, n, 0.5, m=m, seed=3)
-        assert [g.drawn for g in counters] == [m * n]
+        for model in (exp_model, sinc_model):
+            counters.clear()
+            df.simulate_dsc(model, n, 0.5, m=m, seed=3)
+            assert [g.drawn for g in counters] == [m * n], model.kind
 
     def test_fast_path_never_unfolds_eigvecs(self, sinc_model, monkeypatch):
         packs = []
@@ -260,9 +266,9 @@ class TestSimulateDsc:
         assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
         assert split.j_prime_mse == pytest.approx(full.j_prime_mse, rel=1e-12)
 
-    def test_decomposes_only_half_size_matrices(self, sinc_model, monkeypatch):
-        # exp-markov makes no eigh call at all (test_field.py,
-        # TestKmsEigenvectors); sinc takes the reflection split
+    def test_decomposes_only_half_size_matrices(self, exp_model, sinc_model,
+                                                monkeypatch):
+        # every pack takes the reflection split, exp-markov's too
         shapes = []
         eigh = np.linalg.eigh
 
@@ -273,9 +279,15 @@ class TestSimulateDsc:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         df.simulate_dsc(sinc_model, 1024, 0.5, m=2)
         assert shapes and max(max(s) for s in shapes) <= 512
+        for model in (sinc_model, exp_model):
+            shapes.clear()
+            df.covariance_matrix(model, df.sensor_positions(1024))
+            assert shapes == [(512, 512), (512, 512)], model.kind
+        # p2p's pack is the K-sensor grid's, and exp-markov's N-sensor
+        # spectrum is the KMS secular equation's
         shapes.clear()
-        df.covariance_matrix(sinc_model, df.sensor_positions(1024))
-        assert shapes == [(512, 512), (512, 512)]
+        df.simulate_p2p(exp_model, 480, 24, m_prime=20, seed=1)
+        assert shapes == [(12, 12), (12, 12)]
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7])
     def test_markov_matches_dense_precision_oracle(self, exp_model, n):
