@@ -9,7 +9,8 @@ quadrature node is available behind a flag as a slower oracle for small N.
 Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
 Both simulators score a sample error e as a0 + c e^2 through one quadrature
 cell.  ``simulate_dsc`` draws the exp-markov error sensor by sensor from its
-tridiagonal precision, with no eigenvectors; any other kernel, and
+tridiagonal precision, with no eigenvectors, in fixed chunks of snapshots
+drawn on worker threads, one Philox stream per chunk; any other kernel, and
 ``naive``, runs in blocks of snapshot rows, each mode's error drawn in the
 eigenbasis and rotated back once.  ``simulate_p2p`` runs in blocks of whole
 frames (the N/K steps that visit every sensor once).  A row's J and J' are
@@ -20,6 +21,7 @@ row of a matrix product differently with the block height.
 """
 
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,6 +48,11 @@ SIGMA_MARGIN = 3.0
 # exp-markov, and naive): a block array is 0.5 MB at N = 1024, so the few
 # alive at once stay under the pack's 4 MB of eigenvector blocks
 _BLOCK_ROWS = 64
+# snapshots per chunk of the exp-markov recurrence; a run of at most this
+# many is the one-stream run.  N = 1024, m = 20,000 in process on 2 vCPUs:
+# one stream 0.48-0.55 s, two chunks of 10,000 0.29-0.32 s (chunks of 2,500
+# pay more CPU per snapshot: 0.63-0.65 s against 0.52-0.58 s)
+_MARKOV_CHUNK = 10_000
 # whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
 # at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
 # 10.0 MB, 16 0.071 s / 12.2 MB, 64 0.068 s / 23.7 MB (over its 19.2 MB bound)
@@ -126,7 +133,47 @@ def _blocks(m, rows):
     return zip(starts, starts[1:] + [m])
 
 
-def _markov_error_sums(n, p, m, rng):
+def _usable_cpus():
+    """CPUs this process may run on; ``os.cpu_count()`` where the affinity
+    mask cannot be read (macOS, Windows)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_chunks(work, n_chunks):
+    """Call work(c) for c in range(n_chunks), chunk c on worker c mod W of
+    W = min(n_chunks, usable CPUs) workers, worker 0 the calling thread.
+
+    work(c) writes only chunk c's outputs, so nothing computed depends on W
+    or on the scheduling.  Once a worker raises, no worker takes a new chunk,
+    and the exception is raised here after every worker has stopped.
+    """
+    workers = min(n_chunks, _usable_cpus())
+    errors = []
+
+    def run(w):
+        try:
+            for c in range(w, n_chunks, workers):
+                if errors:
+                    return
+                work(c)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _markov_error_sums(n, p, m, field_ss):
     """Per-snapshot sums and per-sensor means of e_i^2 over m draws of the
     exp-markov test channel's MMSE error e.
 
@@ -134,9 +181,13 @@ def _markov_error_sums(n, p, m, rng):
     Q = Sigma^-1 + I/p (Rue and Held 2005).  Q = U U^T with U upper
     bidiagonal, diagonal u and w[i] = U[i-1, i], factored from the last
     sensor up; then e = U^-T g is the recurrence
-    e_i = (g_i - w_i e_(i-1)) / u_i along the sensors, run for all m
-    snapshots at once from m Gaussians per sensor drawn into one kept
-    vector.  Memory is O(m + N).
+    e_i = (g_i - w_i e_(i-1)) / u_i along the sensors.  The snapshots run in
+    chunks of ``_MARKOV_CHUNK`` (the last may be short) on worker threads,
+    each chunk drawing sensor-major into a chunk-long vector from its own
+    Philox stream: chunk 0 from the field child ``field_ss``, chunk c >= 1
+    from the (c-1)-th child spawned from it.  A chunk adds e_i^2 into its
+    own slice of the row sum and keeps its own per-sensor sums, added in
+    chunk order.  Memory is O(m) plus N floats per chunk.
     """
     diag, off = _kms_precision(n)
     diag = diag + 1.0 / p
@@ -145,17 +196,29 @@ def _markov_error_sums(n, p, m, rng):
     for i in range(n - 2, -1, -1):
         w[i + 1] = off / u[i + 1]
         u[i] = np.sqrt(diag[i] - w[i + 1] ** 2)
-    g, e = np.empty(m), np.zeros(m)
-    row_sum, per_sensor = np.zeros(m), np.empty(n)
-    for i in range(n):
-        rng.standard_normal(out=g)
-        e *= -w[i]
-        e += g
-        e /= u[i]
-        e2 = np.square(e, out=g)
-        row_sum += e2
-        per_sensor[i] = e2.mean()
-    return row_sum, per_sensor
+    chunk = _MARKOV_CHUNK
+    starts = range(0, m, chunk)
+    streams = [field_ss] + field_ss.spawn(len(starts) - 1)
+    row_sum, chunk_sums = np.zeros(m), np.empty((len(starts), n))
+
+    def draw(c):
+        rng = _generator(streams[c])
+        rows = row_sum[starts[c]:starts[c] + chunk]
+        g, e = np.empty(rows.size), np.zeros(rows.size)
+        for i in range(n):
+            rng.standard_normal(out=g)
+            e *= -w[i]
+            e += g
+            e /= u[i]
+            e2 = np.square(e, out=g)
+            rows += e2
+            chunk_sums[c, i] = e2.sum()
+
+    _run_chunks(draw, len(starts))
+    err_sum = np.zeros(n)
+    for sums in chunk_sums:
+        err_sum += sums
+    return row_sum, err_sum / m
 
 
 def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
@@ -171,14 +234,18 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     The fast path draws only the estimate's error e and scores one row sum
     per snapshot as J = N a0 + c sum_i e_i^2 and J' = sum_i e_i^2 / N.  For
     exp-markov e comes from its tridiagonal precision by one recurrence
-    along the sensors (``_markov_error_sums``), in O(m + N) memory.  For any
-    other kernel it is drawn in the eigenbasis x' = x V, where X has
-    independent N(0, lambda_k) modes and the estimate scales mode k of U by
-    lambda_k/(lambda_k+p), so mode k of its error is one
+    along the sensors (``_markov_error_sums``), in O(m) memory plus N
+    floats per chunk, run in chunks of ``_MARKOV_CHUNK`` snapshots on worker
+    threads, each drawing from its own Philox stream (the first from the
+    field child, the others from children spawned from it), so no report
+    depends on the number of CPUs and a run of one chunk is the one-stream
+    run.  For any other kernel e is drawn in the eigenbasis x' = x V, where
+    X has independent N(0, lambda_k) modes and the estimate scales mode k of
+    U by lambda_k/(lambda_k+p), so mode k of its error is one
     N(0, lambda_k p/(lambda_k+p)) draw.  A block of rows at a time draws
-    them from one generator kept across blocks and rotates them back once by
-    ``CovariancePack.to_sensors``; memory is O(rows N + N^2) whatever m.
-    Both draw from the field child of the seed.  This hybrid J leaves out the
+    them from the field child, one generator kept across blocks, and rotates
+    them back once by ``CovariancePack.to_sensors``; memory is
+    O(rows N + N^2) whatever m.  This hybrid J leaves out the
     cross term of the sample error with the off-sensor field (twice it is
     -13% of J for exp at N = 64 at the design point, -1.2% at N = 512, under
     3e-4 for sinc); only ``naive``, which draws the field at every node and
@@ -189,7 +256,6 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     _check_inputs(n_sensors, m, grid_g)
     grid = sensor_positions(n_sensors)
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    field_rng = _generator(field_ss)
 
     def bounds(jp):
         return (float(jmse_lower_bound(model, n_sensors, jp)),
@@ -200,9 +266,10 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         # other path, so the same N is refused whatever the kernel
         check_dense_size(n_sensors)
         a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
-        row_sum, per_sensor = _markov_error_sums(n_sensors, p, m, field_rng)
+        row_sum, per_sensor = _markov_error_sums(n_sensors, p, m, field_ss)
         return _report(DSC_SCHEME, n_sensors * a0 + c * row_sum,
                        row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
+    field_rng = _generator(field_ss)
     cov = covariance_matrix(model, grid)
     if naive:
         nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
@@ -220,12 +287,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
 
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
-    blocks = list(_blocks(m, _BLOCK_ROWS))
-    # one draw buffer kept across blocks, the error squared in place, so no
-    # block array is freed and faulted back in (sinc N = 1024, m = 20,000:
-    # 7,500 minor page faults, against 7,700 with fresh arrays every block)
-    draw_buf = np.empty((max(hi - lo for lo, hi in blocks), n_sensors))
-    for lo, hi in blocks:
+    for lo, hi in _blocks(m, _BLOCK_ROWS):
         rows = hi - lo
         if naive:
             draw = sample_snapshots(law, rows, field_rng).data
@@ -234,13 +296,13 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
             err_eig *= 1.0 - gain
             err_eig -= np.sqrt(p) * gain * noise_rng.standard_normal((rows, n_sensors))
         else:
-            err_eig = field_rng.standard_normal(out=draw_buf[:rows])
+            err_eig = field_rng.standard_normal((rows, n_sensors))
             err_eig *= err_sd
         err = cov.to_sensors(err_eig)
         if naive:
             recon_nodes = rho_nodes * (draw[:, :n_sensors] - err)[:, node_idx]
             j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
-        err2 = np.square(err, out=err)
+        err2 = np.square(err)
         row_sum = err2.sum(axis=1)
         if not naive:
             j_snap[lo:hi] = n_sensors * a0 + c * row_sum

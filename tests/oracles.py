@@ -188,7 +188,7 @@ def dsc_expected_jmse(model, n_sensors, per_sample_mse, grid_g=8):
     return float(np.mean(1.0 - r2 + r2 * np.asarray(per_sample_mse)[idx]))
 
 
-def markov_dsc_errors(n, p, m, seed):
+def markov_dsc_errors(n, p, m, seed, chunk=None):
     """simulate_dsc's exp-markov sensor errors as an m x N array, densely.
 
     Q = inv(Sigma) + I/p from the dense inverse of a^|i-j|, a = e^(-1/N);
@@ -196,7 +196,9 @@ def markov_dsc_errors(n, p, m, seed):
     rows and columns reversed, reversed back (unique with a positive
     diagonal, so it is the library's bidiagonal U).  The field child of
     ``seed`` is drawn sensor-major as one N x m array g, and U^T e = g is
-    solved for e.
+    solved for e.  With ``chunk``, the snapshots [c chunk, (c+1) chunk) are
+    drawn sensor-major from their own stream instead: chunk 0 from the field
+    child, chunk c >= 1 from the field child's (c-1)-th spawned child.
     """
     from scipy.linalg import solve_triangular
 
@@ -205,7 +207,11 @@ def markov_dsc_errors(n, p, m, seed):
     q = np.linalg.inv(sigma) + np.eye(n) / p
     u = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
     field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    g = np.random.Generator(np.random.Philox(field_ss)).standard_normal((n, m))
+    chunk = chunk or m
+    starts = range(0, m, chunk)
+    streams = [field_ss] + field_ss.spawn(len(starts) - 1)
+    g = np.hstack([np.random.Generator(np.random.Philox(ss)).standard_normal(
+        (n, min(chunk, m - lo))) for ss, lo in zip(streams, starts)])
     return solve_triangular(u.T, g, lower=True).T
 
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -189,18 +193,16 @@ class TestSimulateDsc:
         assert rep.j_mse == pytest.approx(n * a0 + c * n * rep.j_prime_mse,
                                           rel=1e-14)
 
-    def test_fast_path_draws_one_gaussian_per_mode(self, exp_model,
-                                                   sinc_model, monkeypatch):
-        # each mode's estimation error is one N(0, lambda p/(lambda + p))
-        # draw, and each sensor's step of exp-markov's precision recurrence
-        # one N(0, 1) per snapshot: m N Gaussians from a single generator, no
-        # noise stream, on both paths
-        counters = []
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        # every generator the simulation makes, with the Gaussians drawn
+        # from it so far
+        made = []
 
         class CountingGenerator:
             def __init__(self, rng):
                 self.rng, self.drawn = rng, 0
-                counters.append(self)
+                made.append(self)
 
             def standard_normal(self, *args, **kwargs):
                 out = self.rng.standard_normal(*args, **kwargs)
@@ -210,6 +212,14 @@ class TestSimulateDsc:
         real = sim._generator
         monkeypatch.setattr(sim, "_generator",
                             lambda seed: CountingGenerator(real(seed)))
+        return made
+
+    def test_fast_path_draws_one_gaussian_per_mode(self, exp_model,
+                                                   sinc_model, counters):
+        # each mode's estimation error is one N(0, lambda p/(lambda + p))
+        # draw, and each sensor's step of exp-markov's precision recurrence
+        # one N(0, 1) per snapshot: m N Gaussians from a single generator, no
+        # noise stream, on both paths
         n, m = 9, 301
         for model in (exp_model, sinc_model):
             counters.clear()
@@ -343,6 +353,118 @@ class TestSimulateDsc:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_markov_chunks_match_dense_precision_oracle(self, exp_model,
+                                                        monkeypatch, n):
+        # three chunks of at most 100 snapshots, the last one short, each
+        # drawn sensor-major from its own stream
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        p, m, seed = 0.7, 207, 13
+        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+        err = markov_dsc_errors(n, p, m, seed, chunk=100)
+        got = integrated_mse(df.FieldSnapshots(data=err, seed=seed, m=m),
+                             lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, grid=df.sensor_positions(n))
+        assert rep.j_mse == pytest.approx(got, abs=1e-12)
+        assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
+        np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
+                                   rtol=0, atol=1e-12)
+
+    def test_markov_draws_one_generator_per_chunk(self, exp_model,
+                                                  monkeypatch, counters):
+        # three chunks, each drawing its own rows x N Gaussians
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        n = 9
+        df.simulate_dsc(exp_model, n, 0.5, m=207, seed=3)
+        assert sorted(g.drawn for g in counters) == [7 * n, 100 * n, 100 * n]
+
+    @pytest.fixture
+    def worker_threads(self, monkeypatch):
+        # a run that asks for more than eight threads fails at the ninth,
+        # before it is made
+        made = []
+
+        class RecordingThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                assert len(made) < 8, "more worker threads than expected"
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "threading",
+                            types.SimpleNamespace(Thread=RecordingThread))
+        return made
+
+    def test_markov_report_does_not_depend_on_worker_count(
+            self, exp_model, monkeypatch, worker_threads):
+        # 11 chunks, the last of three snapshots, on 1, 2 and 5 workers,
+        # switching threads every microsecond so that a write lost between
+        # chunks would show
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 5):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)),
+                                    raising=False)
+                worker_threads.clear()
+                reports.append(df.simulate_dsc(exp_model, 16, 0.5, m=1003,
+                                               seed=8))
+                assert len(worker_threads) == cpus - 1
+        finally:
+            sys.setswitchinterval(interval)
+        for rep in reports[1:]:
+            assert_reports_equal(reports[0], rep)
+
+    def test_markov_workers_bounded_by_chunks_and_cpus(
+            self, exp_model, monkeypatch, worker_threads):
+        # a million CPUs and three chunks: three workers, the caller one of
+        # them; three CPUs and 1,000 chunks: three workers
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: range(10**6), raising=False)
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        df.simulate_dsc(exp_model, 4, 0.5, m=207, seed=1)
+        assert len(worker_threads) == 2
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: range(3), raising=False)
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 10)
+        worker_threads.clear()
+        df.simulate_dsc(exp_model, 1, 0.5, m=10_000, seed=1)
+        assert len(worker_threads) == 2
+
+    def test_usable_cpus_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert sim._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert sim._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
+
+    def test_markov_worker_exception_reaches_caller(self, exp_model,
+                                                    monkeypatch):
+        # chunk 1 draws from the field child's first spawned child, on
+        # worker 1 of two
+        raised_on = []
+
+        def failing_generator(seed):
+            if seed.spawn_key == (0, 0):
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("chunk 1 failed")
+            return real(seed)
+
+        real = sim._generator
+        monkeypatch.setattr(sim, "_generator", failing_generator)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            df.simulate_dsc(exp_model, 5, 0.5, m=207, seed=2)
+        assert len(raised_on) == 1
+        assert raised_on[0] is not threading.main_thread()
 
     def test_naive_joint_covariance_over_budget_refused(self, exp_model):
         # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the budget
