@@ -10,7 +10,7 @@ Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
 Both simulators score a sample error e as a0 + c e^2 through one quadrature
 cell.  ``simulate_dsc`` draws the exp-markov error sensor by sensor from its
 tridiagonal precision, with no eigenvectors, in fixed chunks of snapshots
-drawn on worker threads, one Philox stream per chunk; any other kernel, and
+drawn on worker threads, one spawned stream per chunk; any other kernel, and
 ``naive``, runs in blocks of snapshot rows, each mode's error drawn in the
 eigenbasis and rotated back once.  ``simulate_p2p`` runs in blocks of whole
 frames (the N/K steps that visit every sensor once).  A row's J and J' are
@@ -50,8 +50,8 @@ SIGMA_MARGIN = 3.0
 _BLOCK_ROWS = 64
 # snapshots per chunk of the exp-markov recurrence; a run of at most this
 # many is the one-stream run.  N = 1024, m = 20,000 in process on 2 vCPUs:
-# one stream 0.48-0.55 s, two chunks of 10,000 0.29-0.32 s (chunks of 2,500
-# pay more CPU per snapshot: 0.63-0.65 s against 0.52-0.58 s)
+# one stream 0.34-0.41 s, two chunks of 10,000 0.22-0.26 s (chunks of 2,500
+# pay more CPU per snapshot: 0.51-0.54 s against 0.39-0.43 s)
 _MARKOV_CHUNK = 10_000
 # whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
 # at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
@@ -184,7 +184,7 @@ def _markov_error_sums(n, p, m, field_ss):
     e_i = (g_i - w_i e_(i-1)) / u_i along the sensors.  The snapshots run in
     chunks of ``_MARKOV_CHUNK`` (the last may be short) on worker threads,
     each chunk drawing sensor-major into a chunk-long vector from its own
-    Philox stream: chunk 0 from the field child ``field_ss``, chunk c >= 1
+    stream: chunk 0 from the field child ``field_ss``, chunk c >= 1
     from the (c-1)-th child spawned from it.  A chunk adds e_i^2 into its
     own slice of the row sum and keeps its own per-sensor sums, added in
     chunk order.  Memory is O(m) plus N floats per chunk.
@@ -236,8 +236,8 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     exp-markov e comes from its tridiagonal precision by one recurrence
     along the sensors (``_markov_error_sums``), in O(m) memory plus N
     floats per chunk, run in chunks of ``_MARKOV_CHUNK`` snapshots on worker
-    threads, each drawing from its own Philox stream (the first from the
-    field child, the others from children spawned from it), so no report
+    threads, each drawing from its own stream (the first from the field
+    child, the others from children spawned from it), so no report
     depends on the number of CPUs and a run of one chunk is the one-stream
     run.  For any other kernel e is drawn in the eigenbasis x' = x V, where
     X has independent N(0, lambda_k) modes and the estimate scales mode k of

@@ -26,7 +26,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from densefield.field import CLAMP_FLOOR, CorrelationModel, nearest_sample_index
+from densefield.field import (CLAMP_FLOOR, CorrelationModel, _generator,
+                              nearest_sample_index)
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.sim import report_to_dict
 
@@ -210,8 +211,8 @@ def markov_dsc_errors(n, p, m, seed, chunk=None):
     chunk = chunk or m
     starts = range(0, m, chunk)
     streams = [field_ss] + field_ss.spawn(len(starts) - 1)
-    g = np.hstack([np.random.Generator(np.random.Philox(ss)).standard_normal(
-        (n, min(chunk, m - lo))) for ss, lo in zip(streams, starts)])
+    g = np.hstack([_generator(ss).standard_normal((n, min(chunk, m - lo)))
+                   for ss, lo in zip(streams, starts)])
     return solve_triangular(u.T, g, lower=True).T
 
 

@@ -544,10 +544,11 @@ class TestDeterminism:
         assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_rerun_across_blocks_is_byte_identical(self, capsys, tmp_path):
-        # m = 5000 spans many of simulate_dsc's blocks
+        # m = 5000 spans many of simulate_dsc's eigenbasis blocks, which
+        # sinc runs (exp-markov draws by its recurrence, not in blocks)
         assert 5000 > 4 * sim_mod._BLOCK_ROWS
         log = tmp_path / "runs.csv"
-        args = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64",
+        args = ["simulate", "--scheme", "dsc", "--model", "sinc", "--n", "64",
                 "--m", "5000", "--seed", "77", "--csv-log", str(log)]
         outs = []
         for _ in range(2):

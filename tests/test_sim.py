@@ -10,6 +10,7 @@ import pytest
 
 import densefield as df
 from densefield import sim
+from densefield.field import _generator
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN, append_report_csv
@@ -261,6 +262,32 @@ class TestSimulateDsc:
                                   for s in seeds)])
         assert abs(z.mean()) <= 4 / np.sqrt(len(seeds))
         assert np.max(np.abs(z)) <= 5
+
+    @staticmethod
+    def assert_calibrated_to_trace(model, n, p, m):
+        # every cell adds a0 + c e_i^2, so E[J] = N a0 + c tr(Sigma_e), the
+        # trace being sum lambda p/(lambda + p); equal cells let the oracle
+        # take the trace spread evenly over the sensors
+        lam = df.spectrum(model, n).eigvals
+        trace = float(np.sum(lam * p / (lam + p)))
+        expected = dsc_expected_jmse(model, n, np.full(n, trace / n))
+        seeds = range(24)
+        z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
+                      for rep in (df.simulate_dsc(model, n, p, m=m, seed=s)
+                                  for s in seeds)])
+        assert abs(z.mean()) <= 4 / np.sqrt(len(seeds))
+        assert np.max(np.abs(z)) <= 5
+
+    def test_markov_chunk_streams_calibrated_to_closed_form(self, exp_model,
+                                                            monkeypatch):
+        # 20 chunks of 100 snapshots, 19 of them from spawned children
+        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        self.assert_calibrated_to_trace(exp_model, 64, 0.5, 2000)
+
+    def test_eigenbasis_blocks_calibrated_to_closed_form(self, sinc_model):
+        # m = 2000 runs 32 blocks of rows from one generator
+        assert 2000 > 30 * sim._BLOCK_ROWS
+        self.assert_calibrated_to_trace(sinc_model, 64, 0.5, 2000)
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_field_errors_do_not_depend_on_eigenbasis(self, sinc_model,
@@ -684,7 +711,7 @@ def dsc_fast_path_errors(cov, p, m, seed):
     """simulate_dsc's sensor errors: one N(0, lambda p/(lambda + p)) draw per
     mode from the field child of ``seed``, rotated to the sensors."""
     field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    gauss = np.random.Generator(np.random.Philox(field_ss)).standard_normal((m, cov.n))
+    gauss = _generator(field_ss).standard_normal((m, cov.n))
     err = (gauss * np.sqrt(cov.eigvals * p / (cov.eigvals + p))) @ cov.eigvecs.T
     return df.FieldSnapshots(data=err, seed=seed, m=m)
 
