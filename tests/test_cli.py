@@ -209,6 +209,49 @@ def test_every_sinc_subcommand_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def _child_env(timeout):
+    # the pytest parent holds OPENBLAS_THREAD_TIMEOUT once it has imported
+    # densefield, so each child starts without it unless the test sets one
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+@pytest.mark.parametrize("given, seen", [(None, "20"), ("7", "7")])
+def test_blas_thread_timeout_is_set_before_numpy_loads(given, seen):
+    # OpenBLAS reads the variable only when its library loads, so record it at
+    # the first lookup of numpy; a value the user set is kept
+    code = ("import os, sys\n"
+            "class Probe:\n"
+            "    seen = []\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not self.seen:\n"
+            "            self.seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "import densefield.cli\n"
+            "print(Probe.seen)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(given), check=True)
+    assert proc.stdout == f"[{seen!r}]\n"
+
+
+def test_blas_thread_timeout_changes_no_output():
+    # 28 is OpenBLAS's own default spin; the shorter one must not move a byte
+    commands = [
+        ["rates", "--model", "sinc", "--n", "64,2048"],
+        ["simulate", "--scheme", "dsc", "--model", "sinc", "--n", "64", "--m", "500"],
+        ["p2p", "--model", "exp", "--dnet", "0.1"],
+    ]
+    for args in commands:
+        outs = [subprocess.run([sys.executable, "-m", "densefield.cli", *args],
+                               capture_output=True, env=_child_env(timeout),
+                               check=True).stdout
+                for timeout in ("28", None)]
+        assert outs[0] == outs[1] and outs[0], args
+
+
 def test_every_public_name_resolves():
     assert [name for name in densefield.__all__ if not hasattr(densefield, name)] == []
 
