@@ -61,11 +61,11 @@ def mmse_error(ch):
 
     The error covariance is Sigma - Sigma (Sigma + pI)^-1 Sigma, whose
     eigenbasis form has mode errors lambda*p/(lambda+p); the diagonal is
-    recovered through the eigenvectors.
+    recovered by ``CovariancePack.sensor_variances``.
     """
     cov, p = ch.cov, ch.p
     mode_mse = cov.eigvals * p / (cov.eigvals + p) if p > 0 else np.zeros(cov.n)
-    per_sample = (cov.eigvecs ** 2) @ mode_mse
+    per_sample = cov.sensor_variances(mode_mse)
     return MmseResult(per_sample_mse=per_sample, avg_mse=float(np.mean(per_sample)))
 
 

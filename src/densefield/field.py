@@ -257,6 +257,18 @@ class CovariancePack(Spectrum):
         np.subtract(y_sym[:, :k], y_skew, out=out[:, ::-1][:, :k])
         return out
 
+    def sensor_variances(self, s):
+        """(V o V) s, each sensor's variance when mode k has variance s_k:
+        with parities known the top rows come from the squared symmetric and
+        skew blocks and the bottom rows mirror them, so V is never unfolded."""
+        if self.parity is None:
+            return np.square(self.blocks[0]) @ s
+        top_sym, top_skew = self.blocks
+        k = self.n // 2
+        top = np.square(top_sym) @ s[self.parity > 0]
+        top[:k] += np.square(top_skew) @ s[self.parity < 0]
+        return np.concatenate([top, top[:k][::-1]])
+
     @classmethod
     def from_matrix(cls, sigma, clamp_floor=CLAMP_FLOOR):
         sigma = np.asarray(sigma, dtype=float)

@@ -6,18 +6,13 @@ from, the conditional variance 1 - rho^2(s - n(s)) enters analytically and
 only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
-Reductions use fixed-order numpy sums, so a seed pins the report bit-for-bit.
 Both simulators score a sample error e as a0 + c e^2 through one quadrature
-cell.  ``simulate_dsc`` draws the exp-markov error sensor by sensor from its
-tridiagonal precision, with no eigenvectors, in fixed chunks of snapshots
-drawn on worker threads, one spawned stream per chunk; any other kernel, and
-``naive``, runs in blocks of snapshot rows, each mode's error drawn in the
-eigenbasis and rotated back once.  ``simulate_p2p`` runs in blocks of whole
-frames (the N/K steps that visit every sensor once).  A row's J and J' are
-summed within the row, the per-sensor error row by row across blocks, and
-the means and standard errors are taken over the stored per-snapshot
-vectors, so no reduction depends on the block size; only BLAS may round a
-row of a matrix product differently with the block height.
+cell.  ``simulate_dsc`` draws e by one precision recurrence for every kernel,
+in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
+``naive`` and ``simulate_p2p`` run in blocks of rows.  Every reduction runs
+in an order that neither the block size nor the thread schedule changes, so
+a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
+product differently with the block height.
 """
 
 import os
@@ -44,15 +39,15 @@ VIOLATED_HIGH = "violated-high"
 # statistical margin on bound checks, in standard errors of the mean
 SIGMA_MARGIN = 3.0
 
-# snapshot rows per block of simulate_dsc's eigenbasis path (every kernel but
-# exp-markov, and naive): a block array is 0.5 MB at N = 1024, so the few
-# alive at once stay under the pack's 4 MB of eigenvector blocks
+# snapshot rows per block of simulate_dsc's naive path: its joint draw is
+# N (1 + grid_g) <= 8192 columns wide, so a block array (4 MiB at most)
+# stays far under the joint law's N (1 + grid_g) square eigenvectors
 _BLOCK_ROWS = 64
-# snapshots per chunk of the exp-markov recurrence; a run of at most this
-# many is the one-stream run.  N = 1024, m = 20,000 in process on 2 vCPUs:
-# one stream 0.34-0.41 s, two chunks of 10,000 0.22-0.26 s (chunks of 2,500
-# pay more CPU per snapshot: 0.51-0.54 s against 0.39-0.43 s)
-_MARKOV_CHUNK = 10_000
+# snapshots per chunk of simulate_dsc's recurrence (every kernel); a run of
+# at most this many is one stream.  exp-markov, N = 1024, m = 20,000, in
+# process on 2 vCPUs: one stream 0.34-0.41 s, two chunks 0.22-0.26 s
+# (chunks of 2,500 pay more CPU: 0.51-0.54 s against 0.39-0.43 s)
+_CHUNK = 10_000
 # whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
 # at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
 # 10.0 MB, 16 0.071 s / 12.2 MB, 64 0.068 s / 23.7 MB (over its 19.2 MB bound)
@@ -173,22 +168,11 @@ def _run_chunks(work, n_chunks):
         raise errors[0]
 
 
-def _markov_error_sums(n, p, m, field_ss):
-    """Per-snapshot sums and per-sensor means of e_i^2 over m draws of the
-    exp-markov test channel's MMSE error e.
-
-    The N samples form an AR(1) chain, so e has the tridiagonal precision
-    Q = Sigma^-1 + I/p (Rue and Held 2005).  Q = U U^T with U upper
-    bidiagonal, diagonal u and w[i] = U[i-1, i], factored from the last
-    sensor up; then e = U^-T g is the recurrence
-    e_i = (g_i - w_i e_(i-1)) / u_i along the sensors.  The snapshots run in
-    chunks of ``_MARKOV_CHUNK`` (the last may be short) on worker threads,
-    each chunk drawing sensor-major into a chunk-long vector from its own
-    stream: chunk 0 from the field child ``field_ss``, chunk c >= 1
-    from the (c-1)-th child spawned from it.  A chunk adds e_i^2 into its
-    own slice of the row sum and keeps its own per-sensor sums, added in
-    chunk order.  Memory is O(m) plus N floats per chunk.
-    """
+def _markov_factor(n, p):
+    """(u, w) of U for the exp-markov test channel's MMSE error, whose
+    precision Q = Sigma^-1 + I/p is tridiagonal (the N samples form an AR(1)
+    chain; Rue and Held 2005): Q = U U^T, U upper bidiagonal with diagonal u
+    and w[i] = U[i-1, i], factored from the last sensor up."""
     diag, off = _kms_precision(n)
     diag = diag + 1.0 / p
     u, w = np.empty(n), np.zeros(n)
@@ -196,7 +180,22 @@ def _markov_error_sums(n, p, m, field_ss):
     for i in range(n - 2, -1, -1):
         w[i + 1] = off / u[i + 1]
         u[i] = np.sqrt(diag[i] - w[i + 1] ** 2)
-    chunk = _MARKOV_CHUNK
+    return u, w
+
+
+def _error_sums(u, w, m, field_ss):
+    """Per-snapshot sums and per-coordinate means of e_i^2 over m draws of
+    e = U^-T g, U upper bidiagonal with diagonal u and w[i] = U[i-1, i]:
+    the recurrence e_i = (g_i - w_i e_(i-1)) / u_i.  The snapshots run in
+    chunks of ``_CHUNK`` (the last may be short) on worker threads, each
+    drawing coordinate-major into a chunk-long vector from its own stream:
+    chunk 0 from the field child ``field_ss``, chunk c >= 1 from its (c-1)-th
+    spawned child.  A chunk adds e_i^2 into its own slice of the row sum and
+    keeps its own per-coordinate sums, added in chunk order.  Memory is O(m)
+    plus N floats per chunk.
+    """
+    n = u.size
+    chunk = _CHUNK
     starts = range(0, m, chunk)
     streams = [field_ss] + field_ss.spawn(len(starts) - 1)
     row_sum, chunk_sums = np.zeros(m), np.empty((len(starts), n))
@@ -231,25 +230,18 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     sensor-sample MSE, and a verdict against the distortion sandwich evaluated
     at the empirical sensor-sample MSE.
 
-    The fast path draws only the estimate's error e and scores one row sum
-    per snapshot as J = N a0 + c sum_i e_i^2 and J' = sum_i e_i^2 / N.  For
-    exp-markov e comes from its tridiagonal precision by one recurrence
-    along the sensors (``_markov_error_sums``), in O(m) memory plus N
-    floats per chunk, run in chunks of ``_MARKOV_CHUNK`` snapshots on worker
-    threads, each drawing from its own stream (the first from the field
-    child, the others from children spawned from it), so no report
-    depends on the number of CPUs and a run of one chunk is the one-stream
-    run.  For any other kernel e is drawn in the eigenbasis x' = x V, where
-    X has independent N(0, lambda_k) modes and the estimate scales mode k of
-    U by lambda_k/(lambda_k+p), so mode k of its error is one
-    N(0, lambda_k p/(lambda_k+p)) draw.  A block of rows at a time draws
-    them from the field child, one generator kept across blocks, and rotates
-    them back once by ``CovariancePack.to_sensors``; memory is
-    O(rows N + N^2) whatever m.  This hybrid J leaves out the
-    cross term of the sample error with the off-sensor field (twice it is
-    -13% of J for exp at N = 64 at the design point, -1.2% at N = 512, under
-    3e-4 for sinc); only ``naive``, which draws the field at every node and
-    the noise from a second generator, measures the scheme's own J.
+    The fast path draws only the estimate's error e, whose precision is
+    Q = Sigma^-1 + I/p, as e = U^-T g for Q = U U^T (``_error_sums``).  For
+    exp-markov Q is tridiagonal in the sensors (``_markov_factor``); for any
+    other kernel it is diagonal in the eigenbasis, 1/lambda_k + 1/p, and the
+    per-sensor MSE is (V o V) s for the per-mode means s
+    (``CovariancePack.sensor_variances``).  V leaves each row sum
+    S = sum_i e_i^2 unchanged, and S scores J = N a0 + c S and J' = S/N.
+    This hybrid J leaves out the cross term of the sample error with the
+    off-sensor field (twice it is -13% of J for exp at N = 64 at the design
+    point, -1.2% at N = 512, under 3e-4 for sinc); only ``naive``, which
+    draws the field at every node and the noise from a second generator in
+    blocks of rows, measures the scheme's own J.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
@@ -261,52 +253,47 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         return (float(jmse_lower_bound(model, n_sensors, jp)),
                 float(jmse_upper_bound(model, n_sensors, jp)))
 
-    if model.kind == EXP_MARKOV and not naive:
-        # no N x N matrix is built, but N stays under the limit of every
-        # other path, so the same N is refused whatever the kernel
-        check_dense_size(n_sensors)
+    if not naive:
         a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
-        row_sum, per_sensor = _markov_error_sums(n_sensors, p, m, field_ss)
+        if model.kind == EXP_MARKOV:
+            # no N x N matrix is built, but N stays under the limit of every
+            # other path, so the same N is refused whatever the kernel
+            check_dense_size(n_sensors)
+            row_sum, per_sensor = _error_sums(*_markov_factor(n_sensors, p),
+                                              m, field_ss)
+        else:
+            cov = covariance_matrix(model, grid)
+            row_sum, per_mode = _error_sums(
+                np.sqrt(1.0 / cov.eigvals + 1.0 / p), np.zeros(n_sensors), m,
+                field_ss)
+            per_sensor = cov.sensor_variances(per_mode)
         return _report(DSC_SCHEME, n_sensors * a0 + c * row_sum,
                        row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
-    field_rng = _generator(field_ss)
-    cov = covariance_matrix(model, grid)
-    if naive:
-        nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
-        node_idx = nearest_sample_index(nodes, n_sensors)
-        rho_nodes = model(nodes - grid.positions[node_idx])
-        joint_pos = np.concatenate([grid.positions, nodes])
-        check_dense_size(joint_pos.size, "N (1 + grid_g)")
-        law = CovariancePack.from_matrix(
-            model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-        gain = cov.eigvals / (cov.eigvals + p)
-        noise_rng = _generator(noise_ss)
-    else:
-        a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
-        err_sd = np.sqrt(cov.eigvals * p / (cov.eigvals + p))
 
+    field_rng, noise_rng = _generator(field_ss), _generator(noise_ss)
+    cov = covariance_matrix(model, grid)
+    nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
+    node_idx = nearest_sample_index(nodes, n_sensors)
+    rho_nodes = model(nodes - grid.positions[node_idx])
+    joint_pos = np.concatenate([grid.positions, nodes])
+    check_dense_size(joint_pos.size, "N (1 + grid_g)")
+    law = CovariancePack.from_matrix(
+        model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
+    gain = cov.eigvals / (cov.eigvals + p)
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
         rows = hi - lo
-        if naive:
-            draw = sample_snapshots(law, rows, field_rng).data
-            # the estimate's error, e' = x'(1 - gain) - sqrt(p) gain z'
-            err_eig = draw[:, :n_sensors] @ cov.eigvecs
-            err_eig *= 1.0 - gain
-            err_eig -= np.sqrt(p) * gain * noise_rng.standard_normal((rows, n_sensors))
-        else:
-            err_eig = field_rng.standard_normal((rows, n_sensors))
-            err_eig *= err_sd
+        draw = sample_snapshots(law, rows, field_rng).data
+        # the estimate's error, e' = x'(1 - gain) - sqrt(p) gain z'
+        err_eig = draw[:, :n_sensors] @ cov.eigvecs
+        err_eig *= 1.0 - gain
+        err_eig -= np.sqrt(p) * gain * noise_rng.standard_normal((rows, n_sensors))
         err = cov.to_sensors(err_eig)
-        if naive:
-            recon_nodes = rho_nodes * (draw[:, :n_sensors] - err)[:, node_idx]
-            j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
+        recon_nodes = rho_nodes * (draw[:, :n_sensors] - err)[:, node_idx]
+        j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
         err2 = np.square(err)
-        row_sum = err2.sum(axis=1)
-        if not naive:
-            j_snap[lo:hi] = n_sensors * a0 + c * row_sum
-        jprime_snap[lo:hi] = row_sum / n_sensors
+        jprime_snap[lo:hi] = err2.sum(axis=1) / n_sensors
         # row by row: numpy sums down a single column pairwise, so a
         # column sum would round by the block size
         for row in err2:

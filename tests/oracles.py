@@ -189,17 +189,28 @@ def dsc_expected_jmse(model, n_sensors, per_sample_mse, grid_g=8):
     return float(np.mean(1.0 - r2 + r2 * np.asarray(per_sample_mse)[idx]))
 
 
+def chunked_gaussians(n, m, seed, chunk=None):
+    """The N x m Gaussians simulate_dsc's recurrence draws for ``seed``:
+    coordinate-major from the field child, or with ``chunk`` the snapshots
+    [c chunk, (c+1) chunk) from their own stream instead, chunk 0 from the
+    field child and chunk c >= 1 from the field child's (c-1)-th spawned
+    child."""
+    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    chunk = chunk or m
+    starts = range(0, m, chunk)
+    streams = [field_ss] + field_ss.spawn(len(starts) - 1)
+    return np.hstack([_generator(ss).standard_normal((n, min(chunk, m - lo)))
+                      for ss, lo in zip(streams, starts)])
+
+
 def markov_dsc_errors(n, p, m, seed, chunk=None):
     """simulate_dsc's exp-markov sensor errors as an m x N array, densely.
 
     Q = inv(Sigma) + I/p from the dense inverse of a^|i-j|, a = e^(-1/N);
     its upper-triangular factor Q = U U^T is the Cholesky factor of Q with
     rows and columns reversed, reversed back (unique with a positive
-    diagonal, so it is the library's bidiagonal U).  The field child of
-    ``seed`` is drawn sensor-major as one N x m array g, and U^T e = g is
-    solved for e.  With ``chunk``, the snapshots [c chunk, (c+1) chunk) are
-    drawn sensor-major from their own stream instead: chunk 0 from the field
-    child, chunk c >= 1 from the field child's (c-1)-th spawned child.
+    diagonal, so it is the library's bidiagonal U).  U^T e = g is solved for
+    e, g the ``chunked_gaussians`` of ``seed``.
     """
     from scipy.linalg import solve_triangular
 
@@ -207,12 +218,7 @@ def markov_dsc_errors(n, p, m, seed, chunk=None):
     sigma = np.exp(-np.abs(lags[:, None] - lags[None, :]) / n)
     q = np.linalg.inv(sigma) + np.eye(n) / p
     u = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
-    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    chunk = chunk or m
-    starts = range(0, m, chunk)
-    streams = [field_ss] + field_ss.spawn(len(starts) - 1)
-    g = np.hstack([_generator(ss).standard_normal((n, min(chunk, m - lo)))
-                   for ss, lo in zip(streams, starts)])
+    g = chunked_gaussians(n, m, seed, chunk)
     return solve_triangular(u.T, g, lower=True).T
 
 

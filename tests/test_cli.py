@@ -577,22 +577,24 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_rerun_across_markov_chunks_is_byte_identical(self, capsys):
-        # three exp-markov chunks, the last a single snapshot, drawn on
-        # worker threads in whatever order they are scheduled
-        m = 2 * sim_mod._MARKOV_CHUNK + 1
-        args = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "12",
+    @pytest.mark.parametrize("model", ["exp", "sinc"])
+    def test_rerun_across_markov_chunks_is_byte_identical(self, model, capsys):
+        # three chunks, the last a single snapshot, drawn on worker threads
+        # in whatever order they are scheduled
+        m = 2 * sim_mod._CHUNK + 1
+        args = ["simulate", "--scheme", "dsc", "--model", model, "--n", "12",
                 "--m", str(m), "--seed", "77"]
         outs = [run_cli(args, capsys) for _ in range(2)]
         assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_rerun_across_blocks_is_byte_identical(self, capsys, tmp_path):
-        # m = 5000 spans many of simulate_dsc's eigenbasis blocks, which
-        # sinc runs (exp-markov draws by its recurrence, not in blocks)
+        # m = 5000 spans many of simulate_dsc's blocks of rows, which only
+        # --naive runs (the fast path draws by its recurrence, in chunks)
         assert 5000 > 4 * sim_mod._BLOCK_ROWS
         log = tmp_path / "runs.csv"
         args = ["simulate", "--scheme", "dsc", "--model", "sinc", "--n", "64",
-                "--m", "5000", "--seed", "77", "--csv-log", str(log)]
+                "--m", "5000", "--seed", "77", "--naive", "--csv-log",
+                str(log)]
         outs = []
         for _ in range(2):
             code, out = run_cli(args, capsys)

@@ -203,6 +203,19 @@ class TestReflectionSplit:
         np.testing.assert_allclose(cov.to_sensors(coef), coef @ vecs.T,
                                    rtol=0, atol=1e-12 * n)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("name", ["exp", "sinc", "table"])
+    def test_sensor_variances_match_dense(self, name, n):
+        # (V o V) s from the two half-size blocks, and from a from_matrix
+        # pack's one V, against the unfolded V of each
+        split = df.covariance_matrix(_split_models()[name],
+                                     df.sensor_positions(n))
+        s = np.random.default_rng(n).random(n)
+        for cov in (split, df.CovariancePack.from_matrix(split.sigma_x)):
+            np.testing.assert_allclose(cov.sensor_variances(s),
+                                       (cov.eigvecs ** 2) @ s,
+                                       rtol=0, atol=1e-12)
+
     def test_pack_retains_less_than_one_matrix(self, exp_model):
         # the two blocks hold ceil(N/2)^2 + floor(N/2)^2 = N^2 / 2 floats and
         # sigma_x is a view of 2N - 1; an unfolded N x N eigvecs, a cached

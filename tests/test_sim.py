@@ -10,14 +10,13 @@ import pytest
 
 import densefield as df
 from densefield import sim
-from densefield.field import _generator
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN, append_report_csv
 
-from oracles import (active_sensors_at, brute_force_mmse, dsc_cross_term,
-                     dsc_expected_jmse, integrated_mse, interpolate,
-                     interpolation_only_jmse, markov_dsc_errors,
+from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
+                     dsc_cross_term, dsc_expected_jmse, integrated_mse,
+                     interpolate, interpolation_only_jmse, markov_dsc_errors,
                      quantizer_from_json, quantizer_to_json, report_to_json)
 
 
@@ -110,9 +109,10 @@ class TestSimulateDsc:
     @pytest.mark.parametrize("rows", [7, 64])
     def test_one_sensor_report_does_not_depend_on_block_size(
             self, sinc_model, monkeypatch, rows):
-        # numpy sums a one-column array down its rows pairwise, so the
+        # numpy sums a one-column array down its rows pairwise, so naive's
         # per-sensor total must be carried row by row here too
-        run = lambda: df.simulate_dsc(sinc_model, 1, 0.7, m=301, seed=13)
+        run = lambda: df.simulate_dsc(sinc_model, 1, 0.7, m=301, seed=13,
+                                      naive=True)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
         whole = run()
         monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
@@ -138,12 +138,12 @@ class TestSimulateDsc:
         assert got.verdict == whole.verdict
 
     def test_peak_memory_does_not_grow_with_m(self, sinc_model):
-        # The eigenbasis block loop keeps a few _BLOCK_ROWS x N arrays
-        # (128 KB each at N = 256) beside the pack's two half-size blocks and
-        # the split's half-size matrices (128 KB each), 1.9 MiB in all
-        # whatever m.  Holding the m x N draws, observations and estimates at
-        # once, as a run over all snapshots does, needs five or more 41 MB
-        # arrays; one quarter of one is the bound.
+        # The recurrence keeps the m-long row sum (160 KB at m = 20,000) and
+        # two chunk-long vectors per chunk (80 KB each) beside the pack's two
+        # half-size blocks and the split's half-size matrices (128 KB each
+        # at N = 256), 1.6 MiB in all.  Holding the m x N draws, observations
+        # and estimates at once, as a run over all snapshots does, needs five
+        # or more 41 MB arrays; one quarter of one is the bound.
         n, m = 256, 20_000
         tracemalloc.start()
         try:
@@ -155,8 +155,8 @@ class TestSimulateDsc:
 
     def test_peak_memory_holds_no_filter_or_factor(self, sinc_model):
         # At N = 1024 an N x N float64 matrix is 8 MiB.  The split's two
-        # half-size matrices, their eigh workspace and eigenvectors and a few
-        # _BLOCK_ROWS x N block arrays stay under 4.5 of them (8.1 MiB
+        # half-size matrices, their eigh workspace and eigenvectors and the
+        # recurrence's snapshot vectors stay under 4.5 of them (8.1 MiB
         # measured); an N x N MMSE filter or field factor held beside the
         # eigenvectors goes over.
         n = 1024
@@ -169,10 +169,10 @@ class TestSimulateDsc:
         assert peak < 4.5 * n * n * 8
 
     def test_peak_memory_is_the_eigenvector_blocks(self, sinc_model):
-        # the eigenbasis path's two blocks (N^2 / 2 floats, 4 MiB at
-        # N = 1024) and a few _BLOCK_ROWS x N arrays (0.5 MiB each at 64
-        # rows): 8.1 MiB measured.  An unfolded N x N eigvecs (8 MiB) beside
-        # them goes over.  exp-markov keeps no blocks; its bound is
+        # the eigenbasis pack's two blocks (N^2 / 2 floats, 4 MiB at
+        # N = 1024) and the split's eigh workspace: 8.1 MiB measured.  An
+        # unfolded N x N eigvecs (8 MiB) beside them goes over.  exp-markov
+        # keeps no blocks; its bound is
         # test_markov_peak_memory_is_a_few_snapshot_vectors
         n = 1024
         tracemalloc.start()
@@ -281,13 +281,33 @@ class TestSimulateDsc:
     def test_markov_chunk_streams_calibrated_to_closed_form(self, exp_model,
                                                             monkeypatch):
         # 20 chunks of 100 snapshots, 19 of them from spawned children
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         self.assert_calibrated_to_trace(exp_model, 64, 0.5, 2000)
 
-    def test_eigenbasis_blocks_calibrated_to_closed_form(self, sinc_model):
-        # m = 2000 runs 32 blocks of rows from one generator
-        assert 2000 > 30 * sim._BLOCK_ROWS
+    def test_eigenbasis_blocks_calibrated_to_closed_form(self, sinc_model,
+                                                         monkeypatch):
+        # 20 chunks of 100 snapshots, 19 of them from spawned children
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         self.assert_calibrated_to_trace(sinc_model, 64, 0.5, 2000)
+
+    @pytest.mark.parametrize("model", [
+        df.make_correlation("sinc"),
+        # a triangle kernel, positive definite by Polya's criterion
+        df.make_correlation("custom-table", [0.0, 1.0, 0.6, 0.0, 1.0, 0.0])],
+        ids=["sinc", "table"])
+    def test_per_sensor_mse_calibrated_to_closed_form(self, model):
+        # sensor i's (V o V) s against its MMSE: s_k is the mean of m squared
+        # N(0, v_k) draws, v_k = lambda_k p/(lambda_k + p), so the estimate
+        # has variance sum_k V_ik^4 2 v_k^2 / m
+        n, p, m, seeds = 16, 0.5, 2000, range(24)
+        cov = df.covariance_matrix(model, df.sensor_positions(n))
+        mmse = df.mmse_error(df.TestChannel(p=p, cov=cov)).per_sample_mse
+        v = cov.eigvals * p / (cov.eigvals + p)
+        se = np.sqrt((cov.eigvecs ** 4) @ (2 * v ** 2) / m)
+        z = np.array([(df.simulate_dsc(model, n, p, m=m, seed=s).per_sensor_mse
+                       - mmse) / se for s in seeds])
+        assert abs(z.mean()) <= 4 / np.sqrt(len(seeds))
+        assert np.max(np.abs(z)) <= 5
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_field_errors_do_not_depend_on_eigenbasis(self, sinc_model,
@@ -386,7 +406,7 @@ class TestSimulateDsc:
                                                         monkeypatch, n):
         # three chunks of at most 100 snapshots, the last one short, each
         # drawn sensor-major from its own stream
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         p, m, seed = 0.7, 207, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         err = markov_dsc_errors(n, p, m, seed, chunk=100)
@@ -398,12 +418,13 @@ class TestSimulateDsc:
         np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
                                    rtol=0, atol=1e-12)
 
-    def test_markov_draws_one_generator_per_chunk(self, exp_model,
-                                                  monkeypatch, counters):
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
+    def test_markov_draws_one_generator_per_chunk(self, kind, monkeypatch,
+                                                  counters):
         # three chunks, each drawing its own rows x N Gaussians
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         n = 9
-        df.simulate_dsc(exp_model, n, 0.5, m=207, seed=3)
+        df.simulate_dsc(df.make_correlation(kind), n, 0.5, m=207, seed=3)
         assert sorted(g.drawn for g in counters) == [7 * n, 100 * n, 100 * n]
 
     @pytest.fixture
@@ -422,12 +443,13 @@ class TestSimulateDsc:
                             types.SimpleNamespace(Thread=RecordingThread))
         return made
 
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
     def test_markov_report_does_not_depend_on_worker_count(
-            self, exp_model, monkeypatch, worker_threads):
+            self, kind, monkeypatch, worker_threads):
         # 11 chunks, the last of three snapshots, on 1, 2 and 5 workers,
         # switching threads every microsecond so that a write lost between
         # chunks would show
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -437,8 +459,8 @@ class TestSimulateDsc:
                                     lambda pid, cpus=cpus: set(range(cpus)),
                                     raising=False)
                 worker_threads.clear()
-                reports.append(df.simulate_dsc(exp_model, 16, 0.5, m=1003,
-                                               seed=8))
+                reports.append(df.simulate_dsc(df.make_correlation(kind), 16,
+                                               0.5, m=1003, seed=8))
                 assert len(worker_threads) == cpus - 1
         finally:
             sys.setswitchinterval(interval)
@@ -451,12 +473,12 @@ class TestSimulateDsc:
         # them; three CPUs and 1,000 chunks: three workers
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: range(10**6), raising=False)
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         df.simulate_dsc(exp_model, 4, 0.5, m=207, seed=1)
         assert len(worker_threads) == 2
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: range(3), raising=False)
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 10)
+        monkeypatch.setattr(sim, "_CHUNK", 10)
         worker_threads.clear()
         df.simulate_dsc(exp_model, 1, 0.5, m=10_000, seed=1)
         assert len(worker_threads) == 2
@@ -487,7 +509,7 @@ class TestSimulateDsc:
         monkeypatch.setattr(sim, "_generator", failing_generator)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(sim, "_MARKOV_CHUNK", 100)
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             df.simulate_dsc(exp_model, 5, 0.5, m=207, seed=2)
         assert len(raised_on) == 1
@@ -707,13 +729,14 @@ class TestSimulateP2p:
         assert rep.j_mse == ref.j_mse
 
 
-def dsc_fast_path_errors(cov, p, m, seed):
-    """simulate_dsc's sensor errors: one N(0, lambda p/(lambda + p)) draw per
-    mode from the field child of ``seed``, rotated to the sensors."""
-    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-    gauss = _generator(field_ss).standard_normal((m, cov.n))
-    err = (gauss * np.sqrt(cov.eigvals * p / (cov.eigvals + p))) @ cov.eigvecs.T
-    return df.FieldSnapshots(data=err, seed=seed, m=m)
+def dsc_fast_path_errors(cov, p, m, seed, chunk=None):
+    """simulate_dsc's sensor errors and per-mode mean squares: each mode's
+    error g / sqrt(1/lambda + 1/p), g the ``chunked_gaussians`` of ``seed``,
+    rotated to the sensors with the unfolded V."""
+    u = np.sqrt(1.0 / cov.eigvals + 1.0 / p)
+    err_eig = chunked_gaussians(cov.n, m, seed, chunk).T / u
+    return (df.FieldSnapshots(data=err_eig @ cov.eigvecs.T, seed=seed, m=m),
+            (err_eig ** 2).mean(axis=0))
 
 
 class TestIntegratedMse:
@@ -757,7 +780,7 @@ class TestIntegratedMse:
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(sinc_model, grid)
-        err = dsc_fast_path_errors(cov, p, m, seed)
+        err, _ = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
                              model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
@@ -768,26 +791,30 @@ class TestIntegratedMse:
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(sinc_model, grid)
-        err = dsc_fast_path_errors(cov, p, m, seed)
+        err, _ = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
                              model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
-    def test_matches_simulate_dsc_fast_path_across_blocks(self, sinc_model):
-        # as above with m spanning several blocks and a short last one, so a
-        # slip at a block boundary shows
+    def test_matches_simulate_dsc_fast_path_across_blocks(self, sinc_model,
+                                                          monkeypatch):
+        # as above with m spanning several chunks and a short last one, so a
+        # slip at a chunk boundary shows; the per-sensor MSE is the per-mode
+        # mean squares weighted by V o V
+        monkeypatch.setattr(sim, "_CHUNK", 100)
         n, p, seed = 6, 0.7, 13
-        m = 3 * sim._BLOCK_ROWS + 45
+        m = 3 * sim._CHUNK + 45
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         grid = df.sensor_positions(n)
         cov = df.covariance_matrix(sinc_model, grid)
-        err = dsc_fast_path_errors(cov, p, m, seed)
+        err, per_mode = dsc_fast_path_errors(cov, p, m, seed, chunk=100)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
                              model=sinc_model, grid=grid)
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
         err2 = err.data ** 2
         assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
-        np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
+        np.testing.assert_allclose(rep.per_sensor_mse,
+                                   (cov.eigvecs ** 2) @ per_mode,
                                    rtol=0, atol=1e-12)
 
 
