@@ -270,11 +270,11 @@ class CovariancePack(Spectrum):
         return np.concatenate([top, top[:k][::-1]])
 
     @classmethod
-    def from_matrix(cls, sigma, clamp_floor=CLAMP_FLOOR):
+    def from_matrix(cls, sigma):
         sigma = np.asarray(sigma, dtype=float)
         raw, vecs = np.linalg.eigh(sigma)
         raw = raw[::-1]
-        return cls.from_raw(raw, raw.size, clamp_floor, "dense", sigma_x=sigma,
+        return cls.from_raw(raw, raw.size, CLAMP_FLOOR, "dense", sigma_x=sigma,
                             eigvals_raw=raw, blocks=(vecs[:, ::-1],))
 
 
@@ -334,7 +334,7 @@ def _split_eigpairs(row):
     return raw[order], (top_sym, top_skew), parity
 
 
-def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
+def covariance_matrix(model, grid):
     """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
 
     Every kernel takes its eigenpairs from the two half-size problems of the
@@ -352,7 +352,7 @@ def covariance_matrix(model, grid, clamp_floor=CLAMP_FLOOR):
     # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
     sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    return CovariancePack.from_raw(raw, n, clamp_floor, "dense", sigma_x=sigma,
+    return CovariancePack.from_raw(raw, n, CLAMP_FLOOR, "dense", sigma_x=sigma,
                                    eigvals_raw=raw, blocks=blocks, parity=parity)
 
 

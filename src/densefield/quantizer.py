@@ -23,6 +23,7 @@ from .field import _freeze
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
+_K_LIMIT = 100_000
 
 
 def _norm_pdf(x):
@@ -219,45 +220,26 @@ def p2p_rate_for_K(model, d_net, k_intervals):
     return float(-(k_intervals / 2.0) * math.log(budget))
 
 
-def p2p_min_feasible_k(model, d_net, k_limit=100_000):
-    """Smallest K whose sub-interval width leaves a positive sample budget."""
-    for k in range(1, k_limit + 1):
+def p2p_min_feasible_k(model, d_net):
+    """Smallest K <= _K_LIMIT whose sub-interval width leaves a positive
+    sample budget."""
+    for k in range(1, _K_LIMIT + 1):
         if d_net - (1.0 - model(1.0 / k) ** 2) > 0:
             return k
-    raise InfeasibleConfigError(f"no feasible K up to {k_limit} for d_net={d_net}")
+    raise InfeasibleConfigError(f"no feasible K up to {_K_LIMIT} for d_net={d_net}")
 
 
-def p2p_rate_scan(model, d_net, k_min, k_max, rate_cap=1e6, n_sensors=None):
-    """Rates for every K in [k_min, k_max]: list of (K, rate, feasible, capped).
-
-    With ``n_sensors`` only the divisors of N are scanned.  Rates above
-    ``rate_cap`` (the near-boundary blow-up as D_K -> 0) are clamped at the
-    cap and flagged rather than propagated as overflow.
-    """
-    out = []
-    for k in range(k_min, k_max + 1):
-        if n_sensors and n_sensors % k:
-            continue
-        try:
-            rate = p2p_rate_for_K(model, d_net, k)
-        except InfeasibleConfigError:
-            out.append((k, float("nan"), False, False))
-            continue
-        if not math.isfinite(rate) or rate > rate_cap:
-            out.append((k, float(rate_cap), True, True))
-        else:
-            out.append((k, rate, True, False))
-    return out
-
-
-def optimize_K(model, d_net, k_max=None, rate_cap=1e6, n_sensors=None):
-    """Exhaustive minimization of the p2p sum rate over feasible K.
+def optimize_K(model, d_net, k_max=None, n_sensors=None):
+    """Minimize the p2p sum rate over feasible K in one array pass.
 
     The objective grows roughly linearly in K once the budget saturates, so
-    the default scan window [K_min_feasible, 10 K_min_feasible] brackets the
-    minimizer without assuming unimodality.  Ties break toward smaller K.
-    With ``n_sensors`` the scan keeps only the divisors of N up to N, the
-    counts a TDMA schedule over N sensors can use.
+    the default window [K_min_feasible, 10 K_min_feasible] brackets the
+    minimizer without assuming unimodality.  The budgets D_K and rates
+    -(K/2) ln D_K of every K in the window are computed at once, and the
+    first minimum breaks ties toward smaller K.  With ``n_sensors`` the
+    window keeps only the divisors of N up to N, the counts a TDMA schedule
+    over N sensors can use.  The rate returned is ``p2p_rate_for_K``'s at
+    K*, so it does not depend on the array pass's rounding.
     """
     k_min = p2p_min_feasible_k(model, d_net)
     if k_max is None:
@@ -266,17 +248,19 @@ def optimize_K(model, d_net, k_max=None, rate_cap=1e6, n_sensors=None):
         raise InfeasibleConfigError(
             f"no feasible K <= {k_max}: need at least K = {k_min}"
         )
-    best_k, best_rate = None, math.inf
-    for k, rate, feasible, _ in p2p_rate_scan(model, d_net, k_min, k_max, rate_cap,
-                                              n_sensors):
-        if feasible and rate < best_rate:
-            best_k, best_rate = k, rate
-    if best_k is None:  # only the divisor filter can skip the feasible k_min
+    ks = np.arange(k_min, k_max + 1)
+    if n_sensors:
+        ks = ks[n_sensors % ks == 0]
+    budget = d_net - (1.0 - model(1.0 / ks) ** 2)
+    feasible = (budget > 0.0) & (budget <= 1.0)
+    if not feasible.any():  # only the divisor filter can drop the feasible k_min
         raise InfeasibleConfigError(
             f"no feasible sub-interval count in [{k_min}, {k_max}] divides "
             f"N={n_sensors} for d_net={d_net}"
         )
-    return best_k, best_rate
+    ks = ks[feasible]
+    best_k = int(ks[np.argmin(-(ks / 2.0) * np.log(budget[feasible]))])
+    return best_k, p2p_rate_for_K(model, d_net, best_k)
 
 
 @dataclass(frozen=True)

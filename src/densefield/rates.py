@@ -17,6 +17,8 @@ from .estimation import avg_mmse_from_eigvals
 from .field import spectrum
 
 _THETA_GRID = 4096
+_PMAX_REL_TOL = 1e-6
+_N_LIMIT = 10 ** 7
 
 
 def jmse_upper_bound(model, n_sensors, jprime):
@@ -81,27 +83,26 @@ def reverse_distortion_bound(d_net, n_sensors, model):
     return float((2 * a + 2 * np.sqrt(a * (a + d_net)) + d_net) / r2)
 
 
-def smallest_feasible_n(model, d_net, n_max=10 ** 7):
-    """Smallest N with 1 - rho^2(1/(2N)) < d_net, by doubling scan + backtrack."""
+def smallest_feasible_n(model, d_net):
+    """Smallest N <= _N_LIMIT with 1 - rho^2(1/(2N)) < d_net, by doubling
+    scan + backtrack."""
     n = 1
-    while n <= n_max:
+    while n <= _N_LIMIT:
         if 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
             cand = np.arange(max(n // 2, 1), n + 1)
             ok = 1.0 - model(1.0 / (2 * cand)) ** 2 < d_net
             return int(cand[np.argmax(ok)])
         n *= 2
-    raise InfeasibleConfigError(f"no feasible N up to {n_max} for d_net={d_net}")
+    raise InfeasibleConfigError(f"no feasible N up to {_N_LIMIT} for d_net={d_net}")
 
 
-def find_pmax(cov, target_mse, rel_tol=1e-6):
+def find_pmax(cov, target_mse):
     """Largest test-channel noise variance whose MMSE stays within target_mse.
 
     The average MMSE is increasing in p, so bracket by doubling from p=1 and
     bisect; the returned p satisfies avg_mse(p) <= target_mse and
-    avg_mse(p (1 + rel_tol)) > target_mse.
+    avg_mse(p (1 + _PMAX_REL_TOL)) > target_mse.
     """
-    if not 0 < rel_tol <= 1e-3:
-        raise ValueError("rel_tol must lie in (0, 1e-3]")
     if target_mse >= 1.0:
         raise InfeasibleConfigError(
             "target at or above the field variance: p_max is unbounded"
@@ -121,7 +122,7 @@ def find_pmax(cov, target_mse, rel_tol=1e-6):
         if hi > 1e300:  # pragma: no cover - unreachable for target < 1
             raise InfeasibleConfigError("bracketing diverged")
         mse_hi = avg_mmse_from_eigvals(lam, hi)
-    while hi - lo > rel_tol * max(lo, np.finfo(float).tiny):
+    while hi - lo > _PMAX_REL_TOL * max(lo, np.finfo(float).tiny):
         assert mse_lo <= target_mse < mse_hi
         mid = 0.5 * (lo + hi)
         mse_mid = avg_mmse_from_eigvals(lam, mid)

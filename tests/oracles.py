@@ -9,7 +9,8 @@ scipy's DPSS windows against the dense sinc matrix and Slepian's
 tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
 every N instead of the vectorised backtrack, a scalar walk of find_theta's
 grid instead of one array, a linear scan over every codebook size instead of
-doubling and bisection, a direct node-by-node quadrature of the dsc
+doubling and bisection, one scalar p2p rate per sub-interval count instead
+of optimize_K's one array pass, a direct node-by-node quadrature of the dsc
 field error's closed-form mean instead of the simulator's cell weights, and
 a dense inverse, Cholesky factor and triangular solve for the exp-markov
 dsc errors instead of the bidiagonal recurrence along the sensors.
@@ -21,11 +22,13 @@ activation maps and the interpolation-only integrated MSE.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from densefield.errors import InfeasibleConfigError
 from densefield.field import (CLAMP_FLOOR, CorrelationModel, _generator,
                               nearest_sample_index)
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
@@ -347,6 +350,23 @@ def min_levels_scan(target, max_levels):
         if lloyd_max(levels).distortion <= target:
             return levels
     return None
+
+
+def optimize_k_scan(model, d_net, k_min, k_max, n_sensors=None):
+    """(K*, rate) over [k_min, k_max] by one scalar ``p2p_rate_for_K`` call
+    per K (only the divisors of ``n_sensors`` when given), keeping the first
+    strict minimum; None when no K there is feasible."""
+    best_k, best_rate = None, math.inf
+    for k in range(k_min, k_max + 1):
+        if n_sensors and n_sensors % k:
+            continue
+        try:
+            rate = p2p_rate_for_K(model, d_net, k)
+        except InfeasibleConfigError:
+            continue
+        if rate < best_rate:
+            best_k, best_rate = k, rate
+    return None if best_k is None else (best_k, best_rate)
 
 
 # helpers that only tests read

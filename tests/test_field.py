@@ -166,10 +166,6 @@ class TestCovariance:
         cov = df.covariance_matrix(exp_model, df.sensor_positions(12))
         assert np.all(np.diff(cov.eigvals) <= 0)
 
-    def test_clamp_floor_precondition(self, exp_model):
-        with pytest.raises(ValueError):
-            df.covariance_matrix(exp_model, df.sensor_positions(2), clamp_floor=1e-3)
-
 
 def _split_models():
     # a triangle kernel is convex and decreasing on [0, inf), so positive

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,11 +12,10 @@ from scipy.stats import norm
 
 import densefield as df
 from densefield.quantizer import (_norm_cdf, _norm_ppf, min_levels_for_distortion,
-                                  p2p_distortion_budget, p2p_min_feasible_k,
-                                  p2p_rate_scan)
+                                  p2p_distortion_budget, p2p_min_feasible_k)
 from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
-                     min_levels_scan, p2p_per_sensor_rate, quantizer_from_json,
-                     quantizer_to_json)
+                     min_levels_scan, optimize_k_scan, p2p_per_sensor_rate,
+                     quantizer_from_json, quantizer_to_json)
 
 PANTER_DITE = math.pi * math.sqrt(3) / 2
 
@@ -257,13 +257,6 @@ class TestP2pRate:
         assert p2p_min_feasible_k(exp_model, 0.1) == 19
         assert p2p_min_feasible_k(exp_model, 0.9) == 1  # 1 - e^-2 < 0.9
 
-    def test_near_boundary_scan_caps_instead_of_overflowing(self, exp_model):
-        rows = p2p_rate_scan(exp_model, 0.1, 19, 25, rate_cap=50.0)
-        by_k = {k: (rate, feas, capped) for k, rate, feas, capped in rows}
-        assert by_k[19] == (50.0, True, True)  # 88.75 nats clamped
-        assert by_k[24][2] is False
-        assert all(feas for _, feas, _ in by_k.values())
-
 
 class TestOptimizeK:
     def test_sinc_optimum(self, sinc_model):
@@ -283,6 +276,36 @@ class TestOptimizeK:
     def test_window_below_feasibility_rejected(self, exp_model):
         with pytest.raises(df.InfeasibleConfigError):
             df.optimize_K(exp_model, 0.1, k_max=10)
+
+    def test_no_divisor_of_n_in_window_rejected(self, exp_model):
+        # K_min = 19 and none of 19..22 divides 23
+        with pytest.raises(df.InfeasibleConfigError, match="divides N=23"):
+            df.optimize_K(exp_model, 0.1, k_max=22, n_sensors=23)
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
+    def test_matches_scalar_scan(self, kind):
+        # the array pass picks the scalar scan's K* and returns its rate bits;
+        # the appended d_net puts exp-markov's K* at 2, where numpy's array
+        # log of D_2 is one ulp off math.log's (seen on an AVX-512 build)
+        model = (df.make_correlation("custom-table", [0.0, 1.0, 1.0, 0.0])
+                 if kind == "table" else df.make_correlation(kind))
+        checked = 0
+        for d_net in np.append(np.geomspace(0.005, 0.95, 40), 0.9376135423518246):
+            k_min = p2p_min_feasible_k(model, d_net)
+            for k_max, n in itertools.product((None, k_min, 3 * k_min),
+                                              (None, 23, 360, 480)):
+                window = k_max or n or 10 * k_min
+                want = (optimize_k_scan(model, d_net, k_min, window, n)
+                        if window >= k_min else None)
+                if want is None:
+                    match = "divides N" if window >= k_min else "need at least"
+                    with pytest.raises(df.InfeasibleConfigError, match=match):
+                        df.optimize_K(model, d_net, k_max, n)
+                    continue
+                got = df.optimize_K(model, d_net, k_max, n)
+                assert got == want, (d_net, k_max, n)
+                checked += 1
+        assert checked > 100
 
 
 class TestTdmaSchedule:

@@ -105,7 +105,7 @@ class TestFindPmax:
     def test_bracket_postcondition(self, exp_model):
         cov = df.covariance_matrix(exp_model, df.sensor_positions(32))
         target = 0.07
-        p = df.find_pmax(cov, target, rel_tol=1e-6)
+        p = df.find_pmax(cov, target)
         assert avg_mmse_from_eigvals(cov.eigvals, p) <= target
         assert avg_mmse_from_eigvals(cov.eigvals, p * (1 + 1e-6)) > target
 
@@ -123,11 +123,6 @@ class TestFindPmax:
         cov = df.covariance_matrix(exp_model, df.sensor_positions(4))
         with pytest.raises(df.InfeasibleConfigError):
             df.find_pmax(cov, 1e-11)
-
-    def test_rel_tol_domain(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(4))
-        with pytest.raises(ValueError):
-            df.find_pmax(cov, 0.5, rel_tol=0.1)
 
 
 class TestDscSumRate:

@@ -94,18 +94,6 @@ class TestSimulateDsc:
         rep = df.simulate_dsc(sinc_model, 8, 0.8, m=3000, seed=4, naive=True)
         assert rep.verdict == WITHIN
 
-    @pytest.mark.parametrize("rows", [1, 7, 13, 64, 300, 301, 602])
-    def test_report_does_not_depend_on_block_size(self, sinc_model, monkeypatch,
-                                                  rows):
-        # 301 rows as one block against 1 (no block is a single row, so 2),
-        # 7 (43 full blocks), 13 and 64 (a short last block), m - 1 (a lone
-        # last row), m and 2m
-        run = lambda: df.simulate_dsc(sinc_model, 6, 0.7, m=301, seed=13)
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", 301)
-        whole = run()
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
-        assert_reports_equal(run(), whole)
-
     @pytest.mark.parametrize("rows", [7, 64])
     def test_one_sensor_report_does_not_depend_on_block_size(
             self, sinc_model, monkeypatch, rows):
