@@ -18,7 +18,7 @@ from .quantizer import (ScalarQuantizer, TdmaSchedule, lloyd_max, optimize_K,
                         p2p_rate_for_K, quantize, scalar_delta, tdma_schedule)
 from .rates import (RateReport, WaterfillSolution, centralized_rate,
                     dsc_operating_point, dsc_sum_rate, find_pmax, find_theta,
-                    rate_curve, rate_curve_csv, rate_loss_bound,
+                    rate_curve, rate_loss_bound,
                     reverse_distortion_bound, target_distortion_dsc)
 from .sim import SimulationReport, simulate_dsc, simulate_p2p
 
@@ -33,7 +33,7 @@ __all__ = [
     "covariance_matrix", "spectrum", "sample_snapshots", "mmse_estimate",
     "mmse_error", "target_distortion_dsc", "reverse_distortion_bound", "find_pmax",
     "dsc_operating_point", "dsc_sum_rate", "centralized_rate", "find_theta",
-    "rate_loss_bound", "rate_curve", "rate_curve_csv", "lloyd_max", "quantize",
+    "rate_loss_bound", "rate_curve", "lloyd_max", "quantize",
     "p2p_rate_for_K", "optimize_K", "tdma_schedule", "scalar_delta",
     "simulate_dsc", "simulate_p2p",
 ]

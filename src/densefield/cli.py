@@ -1,6 +1,9 @@
 """Command-line surface: emits the rate curves, p2p optimum and simulation
 reports as CSV/JSON for plotting and scripted verification.
 
+The library returns numbers in nats; every output byte is decided here, by
+one table writer, one CSV cell format (``--csv-log`` rows too) and ``--units``.
+
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
 (a model spec that names no model, a table that cannot be read, a negative
@@ -14,6 +17,7 @@ positive semidefinite included) or an iterative solve that did not converge
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -27,7 +31,8 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BOUND_VIOLATION = 4
 
-PMAX_CSV_COLUMNS = ("N", "p_max", "p_max_over_n", "feasible")
+# a rate in nats times this is in --units
+_PER_NAT = {"nats": 1.0, "bits": 1.0 / math.log(2.0)}
 
 
 @dataclass(frozen=True)
@@ -69,70 +74,85 @@ def _resolve_model(spec):
 def _config_dict(cfg):
     # the sink path is where the bytes go, not part of what they are;
     # leaving it out keeps reruns byte-identical wherever they write
-    obj = asdict(cfg)
-    obj.pop("out")
-    return obj
-
-
-def _csv_payload(cfg, csv_text):
-    return f"# config: {json.dumps(_config_dict(cfg), sort_keys=True)}\n{csv_text}"
+    return {k: v for k, v in asdict(cfg).items() if k != "out"}
 
 
 def _json_payload(cfg, body):
-    body = dict(body)
-    body["config"] = _config_dict(cfg)
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return json.dumps({**body, "config": _config_dict(cfg)}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def _cell(value):
+    """One CSV cell: None is nan, a bool true/false, a float its shortest
+    round-trip form."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _table(cfg, rows, header=None):
+    """The rows as {"rows": ...} JSON, or as CSV under the config line with
+    ``header`` (key -> column name; every key by default) naming the columns.
+    NaN marks a value an infeasible N does not have: JSON null, CSV nan."""
+    rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in row.items()} for row in rows]
+    if cfg.format == "json":
+        return _json_payload(cfg, {"rows": rows})
+    header = header or {k: k for k in rows[0]}
+    lines = [",".join(header.values())]
+    lines += [",".join(_cell(row[k]) for k in header) for row in rows]
+    config = json.dumps(_config_dict(cfg), sort_keys=True)
+    return f"# config: {config}\n" + "\n".join(lines) + "\n"
 
 
 def cmd_pmax_curve(cfg, model):
     """One row per N: the largest admissible test-channel noise and its slope."""
-    rows = [",".join(PMAX_CSV_COLUMNS)]
-    json_rows = []
+    rows = []
     for n in cfg.n_list:
         try:
-            _, _, p_max = rates.dsc_operating_point(model, cfg.d_net, n)
-            rows.append(f"{n},{rates.fmt_float(p_max)},{rates.fmt_float(p_max / n)},true")
-            json_rows.append({"N": n, "p_max": p_max, "p_max_over_n": p_max / n,
-                              "feasible": True})
+            p_max = rates.dsc_operating_point(model, cfg.d_net, n)[2]
         except InfeasibleConfigError:
-            rows.append(f"{n},nan,nan,false")
-            json_rows.append({"N": n, "p_max": None, "p_max_over_n": None,
-                              "feasible": False})
-    if cfg.format == "json":
-        return _json_payload(cfg, {"rows": json_rows}), EXIT_OK
-    return _csv_payload(cfg, "\n".join(rows) + "\n"), EXIT_OK
+            p_max = math.nan
+        rows.append({"N": n, "p_max": p_max, "p_max_over_n": p_max / n,
+                     "feasible": not math.isnan(p_max)})
+    return _table(cfg, rows), EXIT_OK
 
 
 def cmd_rates(cfg, model):
     """Distributed vs centralized rate curve, one row per N."""
-    reports = rates.rate_curve(model, cfg.d_net, cfg.n_list)
-    if cfg.format == "json":
-        scale = rates.unit_scale(cfg.units)
-        rows = [{
-            "N": r.N, "d_prime": r.d_prime, "d_double_prime": r.d_double_prime,
-            "p_max": r.p_max, "dsc_rate": r.dsc_sum_rate_nats * scale,
-            "centralized_rate": r.centralized_rate_nats * scale,
-            "loss_bound": r.rate_loss_bound_nats * scale,
-            "theta": r.theta, "units": cfg.units, "feasible": r.feasible,
-        } for r in reports]
-        # an infeasible N has no operating point: null, as pmax-curve writes it
-        rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
-                 for k, v in row.items()} for row in rows]
-        return _json_payload(cfg, {"rows": rows}), EXIT_OK
-    return _csv_payload(cfg, rates.rate_curve_csv(reports, cfg.units)), EXIT_OK
+    scale = _PER_NAT[cfg.units]
+    rows = [{
+        "N": r.N, "d_prime": r.d_prime, "d_double_prime": r.d_double_prime,
+        "p_max": r.p_max, "dsc_rate": r.dsc_sum_rate_nats * scale,
+        "centralized_rate": r.centralized_rate_nats * scale,
+        "loss_bound": r.rate_loss_bound_nats * scale,
+        "theta": r.theta, "units": cfg.units, "feasible": r.feasible,
+    } for r in rates.rate_curve(model, cfg.d_net, cfg.n_list)]
+    header = {k: f"{k}_{cfg.units}" if k.endswith(("rate", "bound")) else k
+              for k in rows[0] if k not in ("theta", "units")}
+    return _table(cfg, rows, header), EXIT_OK
+
+
+def _p2p_design(cfg, model, k):
+    """(sample budget, levels, codebook) at K sub-intervals: ``--levels`` or
+    the fewest levels whose Lloyd-Max design meets the budget."""
+    budget = qz.p2p_distortion_budget(model, cfg.d_net, k)
+    levels = cfg.levels or qz.min_levels_for_distortion(budget)
+    return budget, levels, qz.lloyd_max(levels)
 
 
 def cmd_p2p(cfg, model):
     """Optimal sub-interval count, its sum rate and a codebook meeting it."""
-    k_max = cfg.k_max or None
-    k_star, rate_nats = qz.optimize_K(model, cfg.d_net, k_max)
-    budget = qz.p2p_distortion_budget(model, cfg.d_net, k_star)
-    levels = cfg.levels or qz.min_levels_for_distortion(budget)
-    quant = qz.lloyd_max(levels)
-    scale = rates.unit_scale(cfg.units)
+    k_star, rate_nats = qz.optimize_K(model, cfg.d_net, cfg.k_max or None)
+    budget, levels, quant = _p2p_design(cfg, model, k_star)
+    rate = rate_nats * _PER_NAT[cfg.units]
     body = {
         "K_star": k_star,
-        "sum_rate": rate_nats * scale,
+        "sum_rate": rate,
         "units": cfg.units,
         "sample_budget": budget,
         "quantizer": {
@@ -149,8 +169,18 @@ def cmd_p2p(cfg, model):
                 f"K*={k_star} does not divide N={cfg.n}; schedule needs K | N"
             )
         else:
-            body["per_sensor_rate"] = rate_nats * scale / cfg.n
+            body["per_sensor_rate"] = rate / cfg.n
     return _json_payload(cfg, body), EXIT_OK
+
+
+def _report_body(report):
+    """A simulation report as plain Python: the body of its JSON form."""
+    return {**asdict(report), "per_sensor_mse": report.per_sensor_mse.tolist()}
+
+
+_CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
+                    "j_mse", "j_prime_mse", "bound_low", "bound_high",
+                    "stderr_jmse", "stderr_jprime", "verdict")
 
 
 def cmd_simulate(cfg, model):
@@ -162,19 +192,21 @@ def cmd_simulate(cfg, model):
         resolved = {"p": p}
     else:
         k = cfg.k or qz.optimize_K(model, cfg.d_net, n_sensors=cfg.n)[0]
-        budget = qz.p2p_distortion_budget(model, cfg.d_net, k)
-        levels = cfg.levels or qz.min_levels_for_distortion(budget)
-        quant = qz.lloyd_max(levels)
+        budget, levels, quant = _p2p_design(cfg, model, k)
         report = sim.simulate_p2p(model, cfg.n, k, quant, m_prime=cfg.m_prime,
                                   grid_g=cfg.grid_g, seed=cfg.seed)
         resolved = {"k": k, "levels": levels, "sample_budget": budget,
                     "designed_distortion": quant.distortion}
+    body = _report_body(report)
     if cfg.csv_log:
-        sim.append_report_csv(report, cfg.csv_log)
-    payload = sim.report_to_dict(report)
-    payload["resolved"] = resolved
+        new = not os.path.exists(cfg.csv_log)
+        with open(cfg.csv_log, "a", encoding="utf-8") as fh:
+            if new:
+                fh.write(",".join(_CSV_LOG_COLUMNS) + "\n")
+            fh.write(",".join(_cell(body[c]) for c in _CSV_LOG_COLUMNS) + "\n")
+    body["resolved"] = resolved
     code = EXIT_OK if report.verdict == sim.WITHIN else EXIT_BOUND_VIOLATION
-    return _json_payload(cfg, payload), code
+    return _json_payload(cfg, body), code
 
 
 _TABLE = ("pmax-curve", "rates")

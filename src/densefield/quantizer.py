@@ -24,6 +24,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 _K_LIMIT = 100_000
+# Lloyd-Max residual tolerance and Newton step limit; largest codebook size
+_LLOYD_TOL = 1e-11
+_LLOYD_MAX_ITER = 100
+_MAX_LEVELS = 1 << 16
 
 
 def _norm_pdf(x):
@@ -83,10 +87,6 @@ class ScalarQuantizer:
         for name in ("boundaries", "points"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
-    @property
-    def rate_bits(self):
-        return math.log2(self.levels)
-
 
 def _distortion(boundaries, points):
     prob, m1, m2 = _cell_stats(boundaries)
@@ -108,7 +108,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
 
 
 @lru_cache(maxsize=256)
-def lloyd_max(levels, tol=1e-11, max_iter=100):
+def lloyd_max(levels):
     """Design the L-level minimum-MSE scalar quantizer for N(0, 1).
 
     Starting from the equal-probability quantile codebook, Newton's method
@@ -116,8 +116,8 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
     the boundaries b at the midpoints of y.  The Jacobian is tridiagonal:
     J[i, i+1] = (b_i - y_i) pdf(b_i) / 2, J[i, i-1] = (y_i - b_{i-1})
     pdf(b_{i-1}) / 2 and J[i, i] = J[i, i+1] + J[i, i-1] - prob_i.  The
-    design returns only once max |m1/prob - y| < ``tol``, and raises
-    ``ConvergenceError`` with that residual after ``max_iter`` steps.
+    design returns only once max |m1/prob - y| < ``_LLOYD_TOL``, and raises
+    ``ConvergenceError`` with that residual after ``_LLOYD_MAX_ITER`` steps.
     Designs are cached: the level search, the delta and the final codebook
     share one design.
     """
@@ -127,11 +127,11 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
         return ScalarQuantizer(levels=1, boundaries=np.empty(0),
                                points=np.zeros(1), distortion=1.0)
     points = _norm_ppf((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         boundaries = 0.5 * (points[:-1] + points[1:])
         prob, m1, _ = _cell_stats(boundaries)
         resid = float(np.max(np.abs(m1 / prob - points)))
-        if resid < tol:
+        if resid < _LLOYD_TOL:
             return ScalarQuantizer(levels=int(levels), boundaries=boundaries,
                                    points=points,
                                    distortion=_distortion(boundaries, points))
@@ -144,8 +144,8 @@ def lloyd_max(levels, tol=1e-11, max_iter=100):
         points = points - _solve_tridiagonal(lower, diag, upper,
                                              m1 - points * prob)
     raise ConvergenceError(
-        f"L={levels} Lloyd-Max design did not reach tol={tol} in {max_iter} "
-        f"Newton steps (residual {resid:.3g})",
+        f"L={levels} Lloyd-Max design did not reach tol={_LLOYD_TOL} in "
+        f"{_LLOYD_MAX_ITER} Newton steps (residual {resid:.3g})",
         residual=resid,
     )
 
@@ -168,8 +168,9 @@ def scalar_delta(levels):
     return math.log2(levels) - 0.5 * math.log2(1.0 / d)
 
 
-def min_levels_for_distortion(target, max_levels=1 << 16):
-    """Smallest codebook size whose designed distortion is <= target.
+def min_levels_for_distortion(target):
+    """Smallest codebook size up to ``_MAX_LEVELS`` whose designed distortion
+    is <= target.
 
     The designed distortion falls strictly with L, so L is found by doubling
     to a bracket (lo, hi] with D(lo) > target >= D(hi), then bisection: about
@@ -179,10 +180,10 @@ def min_levels_for_distortion(target, max_levels=1 << 16):
         raise InfeasibleConfigError("no finite codebook reaches distortion <= 0")
     lo, hi = 0, 1
     while lloyd_max(hi).distortion > target:
-        if hi == max_levels:
+        if hi == _MAX_LEVELS:
             raise InfeasibleConfigError(
-                f"no codebook up to {max_levels} levels reaches {target}")
-        lo, hi = hi, min(2 * hi, max_levels)
+                f"no codebook up to {_MAX_LEVELS} levels reaches {target}")
+        lo, hi = hi, min(2 * hi, _MAX_LEVELS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if lloyd_max(mid).distortion <= target:
@@ -241,6 +242,8 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
     over N sensors can use.  The rate returned is ``p2p_rate_for_K``'s at
     K*, so it does not depend on the array pass's rounding.
     """
+    if not 0 < d_net < 1:
+        raise ValueError("d_net must lie in (0, 1)")
     k_min = p2p_min_feasible_k(model, d_net)
     if k_max is None:
         k_max = n_sensors or 10 * k_min

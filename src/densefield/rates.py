@@ -4,10 +4,10 @@ Covers the sensor-sample distortion targets implied by a field target, the
 largest admissible test-channel noise (p_max), the distributed sum rate, the
 centralized reverse-water-filling reference, and the constant bound on the
 rate loss of distributed versus centralized coding.
-All rates are in nats per snapshot.
+All rates are in nats per snapshot; other units and every output format are
+the CLI's.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,34 +292,3 @@ def rate_curve(model, d_net, n_list):
                 infeasible_reason=str(exc)))
     return reports
 
-
-RATE_CSV_COLUMNS = ("N", "d_prime", "d_double_prime", "p_max", "dsc_rate_nats",
-                    "centralized_rate_nats", "loss_bound_nats", "feasible")
-
-
-def fmt_float(x):
-    """Shortest round-trip decimal form; the stable cell format for CSV output."""
-    return repr(float(x))
-
-
-def unit_scale(units):
-    """Factor taking a rate in nats to ``units`` ("nats" or "bits")."""
-    return 1.0 if units == "nats" else 1.0 / np.log(2.0)
-
-
-def rate_curve_csv(reports, units="nats"):
-    """Serialize rate reports to CSV; bit units rename the rate columns."""
-    scale = unit_scale(units)
-    cols = list(RATE_CSV_COLUMNS)
-    if units == "bits":
-        cols = [c.replace("_nats", "_bits") for c in cols]
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    for r in reports:
-        row = [str(r.N), fmt_float(r.d_prime), fmt_float(r.d_double_prime),
-               fmt_float(r.p_max), fmt_float(r.dsc_sum_rate_nats * scale),
-               fmt_float(r.centralized_rate_nats * scale),
-               fmt_float(r.rate_loss_bound_nats * scale),
-               "true" if r.feasible else "false"]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()

@@ -12,12 +12,13 @@ in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
 ``naive`` and ``simulate_p2p`` run in blocks of rows.  Every reduction runs
 in an order that neither the block size nor the thread schedule changes, so
 a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
-product differently with the block height.
+product differently with the block height.  A report is a plain dataclass;
+the CLI writes its JSON body and its CSV log row.
 """
 
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -354,24 +355,3 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     return _report(P2P_SCHEME, j_snap, jprime_snap, per_sensor, grid_g, seed,
                    lambda jp: (0.0, float(interp + jp)))
 
-
-def report_to_dict(report):
-    """Plain-Python form of a report, the body of its JSON form."""
-    obj = asdict(report)
-    obj["per_sensor_mse"] = report.per_sensor_mse.tolist()
-    return obj
-
-
-_CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
-                    "j_mse", "j_prime_mse", "bound_low", "bound_high",
-                    "stderr_jmse", "stderr_jprime", "verdict")
-
-
-def append_report_csv(report, path):
-    """Append a one-line summary of the report to a CSV log (header if new)."""
-    new = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8") as fh:
-        if new:
-            fh.write(",".join(_CSV_LOG_COLUMNS) + "\n")
-        # str of a float is its shortest round-trip form, as repr
-        fh.write(",".join(str(getattr(report, c)) for c in _CSV_LOG_COLUMNS) + "\n")

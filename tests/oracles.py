@@ -32,7 +32,7 @@ from densefield.errors import InfeasibleConfigError
 from densefield.field import (CLAMP_FLOOR, CorrelationModel, _generator,
                               nearest_sample_index)
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
-from densefield.sim import report_to_dict
+from densefield.cli import _report_body
 
 
 def brute_force_mmse(sigma, p):
@@ -472,7 +472,7 @@ def active_sensors_at(schedule, time):
 
 def report_to_json(report, config=None):
     """Stable JSON form of a report; optionally embeds the resolved config."""
-    obj = report_to_dict(report)
+    obj = _report_body(report)
     if config is not None:
         obj["config"] = config
     return json.dumps(obj, indent=2, sort_keys=True)

@@ -96,6 +96,21 @@ class TestRates:
                             "centralized_rate_nats,loss_bound_nats,feasible")
         assert len(lines) == 4
 
+    def test_csv_schema_and_units(self, capsys):
+        _, text = run_cli(["rates", "--model", "exp", "--n", "8,32"], capsys)
+        lines = text.strip().split("\n")[1:]
+        assert lines[0] == ("N,d_prime,d_double_prime,p_max,dsc_rate_nats,"
+                            "centralized_rate_nats,loss_bound_nats,feasible")
+        assert lines[1].endswith(",false") and "nan" in lines[1]
+        assert lines[2].endswith(",true")
+        _, bits = run_cli(["rates", "--model", "exp", "--n", "8,32", "--units", "bits"],
+                          capsys)
+        bits = bits.strip().split("\n")[1:]
+        assert "dsc_rate_bits" in bits[0]
+        nats_rate = float(lines[2].split(",")[4])
+        bits_rate = float(bits[2].split(",")[4])
+        assert bits_rate == pytest.approx(nats_rate / np.log(2), rel=1e-12)
+
     def test_centralized_below_distributed_every_row(self, capsys):
         code, out = run_cli(["rates", "--model", "sinc", "--n", "50,150,300"], capsys)
         for line in out.strip().split("\n")[2:]:
@@ -139,6 +154,33 @@ class TestSharedChain:
             _, out = run_cli(["simulate", "--scheme", "dsc", *common, "--m", "50"],
                              capsys)
             assert json.loads(out)["resolved"]["p"] == from_pmax
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("command", ["pmax-curve", "rates"])
+def test_csv_cells_match_json_values(command, units, capsys):
+    # one row writer: nan is null, true/false the bool, and a float cell
+    # parses to the JSON value's double
+    args = [command, "--model", "exp", "--n", "2,64", "--units", units]
+    _, text = run_cli(args, capsys)
+    _, body = run_cli([*args, "--format", "json"], capsys)
+    header, *lines = text.strip().split("\n")[1:]
+    rows = json.loads(body)["rows"]
+    assert len(lines) == len(rows) == 2
+    # the JSON key of each column: rates' rate columns carry the unit
+    keys = [c.removesuffix(f"_{units}") for c in header.split(",")]
+    assert set(keys) == set(rows[0]) - {"theta", "units"}
+    for line, row in zip(lines, rows):
+        for cell, key in zip(line.split(","), keys, strict=True):
+            value = row[key]
+            if value is None:
+                assert cell == "nan"
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, float):
+                assert float(cell).hex() == value.hex()
+            else:
+                assert cell == str(value)
 
 
 @pytest.mark.parametrize("command", ["pmax-curve", "rates"])
@@ -314,7 +356,7 @@ class TestP2p:
         assert exc.value.code == 2
 
     def test_design_nonconvergence_exits_3(self, capsys, monkeypatch):
-        def no_convergence(levels, tol=1e-11, max_iter=100):
+        def no_convergence(levels):
             raise ConvergenceError("design stalled", residual=1e-3)
 
         monkeypatch.setattr("densefield.quantizer.lloyd_max", no_convergence)
@@ -391,6 +433,7 @@ class TestSimulate:
                      "--p", "0.5", "--m", "100", "--csv-log", str(log)], capsys)
         lines = log.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[1] == lines[2]
+        assert lines[0].startswith("scheme,")
 
     def test_p2p_non_psd_at_n_exits_3(self, capsys, tmp_path):
         # exp(-tau) on a 1/480 lag grid but rho(1/480) = 0.5: the 24 active

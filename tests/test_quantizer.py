@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import densefield as df
+from densefield import quantizer
 from densefield.quantizer import (_norm_cdf, _norm_ppf, min_levels_for_distortion,
                                   p2p_distortion_budget, p2p_min_feasible_k)
 from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
@@ -64,7 +66,6 @@ class TestLloydMax:
         assert q.points.tolist() == [0.0]
         assert q.boundaries.size == 0
         assert q.distortion == 1.0
-        assert q.rate_bits == 0.0
 
     def test_two_levels_closed_form(self):
         q = df.lloyd_max(2)
@@ -98,9 +99,17 @@ class TestLloydMax:
         assert q.distortion == pytest.approx(1 - np.sum(prob * q.points ** 2),
                                              abs=1e-10)
 
-    def test_nonconvergence_reports_residual(self):
-        with pytest.raises(df.ConvergenceError):
-            df.lloyd_max(32, tol=1e-14, max_iter=3)
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_LLOYD_TOL", 1e-14)
+        monkeypatch.setattr(quantizer, "_LLOYD_MAX_ITER", 3)
+        # a design cached under the real constants would return at once, and
+        # one made under these must not outlive the test
+        df.lloyd_max.cache_clear()
+        try:
+            with pytest.raises(df.ConvergenceError):
+                df.lloyd_max(32)
+        finally:
+            df.lloyd_max.cache_clear()
 
     def test_invalid_levels(self):
         with pytest.raises(ValueError):
@@ -277,6 +286,13 @@ class TestOptimizeK:
         with pytest.raises(df.InfeasibleConfigError):
             df.optimize_K(exp_model, 0.1, k_max=10)
 
+    @pytest.mark.parametrize("d_net", [-0.1, 0.0, 1.0, 1.05, 1.9])
+    def test_dnet_outside_unit_interval_rejected(self, exp_model, d_net):
+        # 1.9 once raised a divisor-filter error with no n_sensors given, and
+        # 1.0 and 1.05 returned a K* for a target a zero rate already meets
+        with pytest.raises(ValueError, match=r"d_net must lie in \(0, 1\)"):
+            df.optimize_K(exp_model, d_net)
+
     def test_no_divisor_of_n_in_window_rejected(self, exp_model):
         # K_min = 19 and none of 19..22 divides 23
         with pytest.raises(df.InfeasibleConfigError, match="divides N=23"):
@@ -370,18 +386,29 @@ def test_min_levels_for_distortion_1e4():
 
 
 @pytest.mark.parametrize("max_levels", [50, 64])
-def test_min_levels_matches_linear_scan(max_levels):
+def test_min_levels_matches_linear_scan(max_levels, monkeypatch):
     # targets at, just above and just below each D(L); below D(max_levels)
     # no codebook qualifies and both refuse
+    monkeypatch.setattr(quantizer, "_MAX_LEVELS", max_levels)
     for levels in range(1, 65):
         d = df.lloyd_max(levels).distortion
         for target in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)):
             want = min_levels_scan(target, max_levels)
             if want is None:
                 with pytest.raises(df.InfeasibleConfigError):
-                    min_levels_for_distortion(target, max_levels)
+                    min_levels_for_distortion(target)
             else:
-                assert min_levels_for_distortion(target, max_levels) == want
+                assert min_levels_for_distortion(target) == want
+
+
+def test_min_levels_refuses_beyond_the_largest_codebook(monkeypatch):
+    monkeypatch.setattr(quantizer, "_MAX_LEVELS", 8)
+    target = df.lloyd_max(8).distortion
+    assert min_levels_for_distortion(target) == 8
+    below = float(np.nextafter(target, -np.inf))
+    with pytest.raises(df.InfeasibleConfigError,
+                       match=re.escape(f"no codebook up to 8 levels reaches {below}")):
+        min_levels_for_distortion(below)
 
 
 def test_min_levels_designs_logarithmically_many():

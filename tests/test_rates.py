@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 import densefield as df
 from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
-from densefield.rates import (RATE_CSV_COLUMNS, jmse_lower_bound, jmse_upper_bound,
-                              rate_curve_csv, smallest_feasible_n)
+from densefield.rates import jmse_lower_bound, jmse_upper_bound, smallest_feasible_n
 
 from oracles import (ddprime_root, dprime_root, find_theta_loop, logdet_rate,
                      prop1_sum_rate_bound, smallest_feasible_n_scan, theta_root,
@@ -350,19 +349,6 @@ class TestRateCurve:
     def test_empty_n_list_rejected(self, exp_model):
         with pytest.raises(ValueError):
             df.rate_curve(exp_model, 0.1, [])
-
-    def test_csv_schema_and_units(self, exp_model):
-        reports = df.rate_curve(exp_model, 0.1, [8, 32])
-        text = rate_curve_csv(reports)
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(RATE_CSV_COLUMNS)
-        assert lines[1].endswith(",false") and "nan" in lines[1]
-        assert lines[2].endswith(",true")
-        bits = rate_curve_csv(reports, units="bits")
-        assert "dsc_rate_bits" in bits.split("\n")[0]
-        nats_rate = float(lines[2].split(",")[4])
-        bits_rate = float(bits.strip().split("\n")[2].split(",")[4])
-        assert bits_rate == pytest.approx(nats_rate / np.log(2), rel=1e-12)
 
 
 def test_bound_helpers_are_inverse_of_targets(exp_model):

@@ -12,7 +12,7 @@ import densefield as df
 from densefield import sim
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
-from densefield.sim import WITHIN, append_report_csv
+from densefield.sim import WITHIN
 
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      dsc_cross_term, dsc_expected_jmse, integrated_mse,
@@ -813,13 +813,3 @@ class TestReportSerialization:
         text2 = report_to_json(rep, config={"n": 4})
         assert text1 == text2
         assert '"config"' in text1 and '"verdict"' in text1
-
-    def test_csv_log_appends(self, exp_model, tmp_path):
-        rep = df.simulate_dsc(exp_model, 4, 0.5, m=50, seed=2)
-        path = tmp_path / "log.csv"
-        append_report_csv(rep, path)
-        append_report_csv(rep, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].startswith("scheme,")
-        assert lines[1] == lines[2]
