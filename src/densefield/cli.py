@@ -7,8 +7,9 @@ one table writer, one CSV cell format (``--csv-log`` rows too) and ``--units``.
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
 (a model spec that names no model, a table that cannot be read, a negative
-count or seed, a float flag that is NaN or infinite and ``--format csv`` for
-the JSON-only p2p and simulate included),
+count or seed, a float flag that is NaN or infinite, ``--format csv`` for
+the JSON-only p2p and simulate, and an ``--out`` or ``--csv-log`` path that is
+a directory, lies in a missing directory or cannot be written included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or an iterative solve that did not converge
 (the Lloyd-Max design or the sinc spectrum), 4 bound violation in simulate.
@@ -21,8 +22,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
-from . import quantizer as qz
-from . import rates, sim
+# every command needs these two; each handler imports the layers it runs
+# itself, so a process loads (and compiles) no layer its command never enters
 from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
 from .field import EXP_MARKOV, SINC, load_correlation_table, make_correlation
 
@@ -111,6 +112,7 @@ def _table(cfg, rows, header=None):
 
 def cmd_pmax_curve(cfg, model):
     """One row per N: the largest admissible test-channel noise and its slope."""
+    from . import rates
     rows = []
     for n in cfg.n_list:
         try:
@@ -124,6 +126,7 @@ def cmd_pmax_curve(cfg, model):
 
 def cmd_rates(cfg, model):
     """Distributed vs centralized rate curve, one row per N."""
+    from . import rates
     scale = _PER_NAT[cfg.units]
     rows = [{
         "N": r.N, "d_prime": r.d_prime, "d_double_prime": r.d_double_prime,
@@ -140,6 +143,7 @@ def cmd_rates(cfg, model):
 def _p2p_design(cfg, model, k):
     """(sample budget, levels, codebook) at K sub-intervals: ``--levels`` or
     the fewest levels whose Lloyd-Max design meets the budget."""
+    from . import quantizer as qz
     budget = qz.p2p_distortion_budget(model, cfg.d_net, k)
     levels = cfg.levels or qz.min_levels_for_distortion(budget)
     return budget, levels, qz.lloyd_max(levels)
@@ -147,6 +151,7 @@ def _p2p_design(cfg, model, k):
 
 def cmd_p2p(cfg, model):
     """Optimal sub-interval count, its sum rate and a codebook meeting it."""
+    from . import quantizer as qz
     k_star, rate_nats = qz.optimize_K(model, cfg.d_net, cfg.k_max or None)
     budget, levels, quant = _p2p_design(cfg, model, k_star)
     rate = rate_nats * _PER_NAT[cfg.units]
@@ -185,6 +190,7 @@ _CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
 
 def cmd_simulate(cfg, model):
     """Run one seeded simulation and report the bound verdict."""
+    from . import quantizer as qz, rates, sim
     if cfg.scheme == "dsc":
         p = cfg.p or rates.dsc_operating_point(model, cfg.d_net, cfg.n)[2]
         report = sim.simulate_dsc(model, cfg.n, p, m=cfg.m, grid_g=cfg.grid_g,
@@ -314,6 +320,13 @@ def _config_from_args(args, parser):
         parser.error("--m and --m-prime must be >= 1")
     if cfg.grid_g < 2:
         parser.error("--grid-g must be >= 2")
+    # refused here, not when written, so a bad sink costs no run and no file
+    for name in ("out", "csv_log"):
+        path = getattr(cfg, name)
+        if path and os.path.isdir(path):
+            parser.error(f"{_OPTION[name]}: {path!r} is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            parser.error(f"{_OPTION[name]}: the directory of {path!r} does not exist")
     try:
         model = _resolve_model(cfg.model)
     except (OSError, ValueError) as exc:
@@ -335,16 +348,20 @@ def main(argv=None):
     cfg, model = _config_from_args(args, parser)
     try:
         text, code = _COMMANDS[cfg.command](cfg, model)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (InfeasibleConfigError, ConditioningError) as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    except OSError as exc:
+        # the commands touch no file but the --out and --csv-log sinks
+        print(f"cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not cfg.out:
         sys.stdout.write(text)
     return code
 

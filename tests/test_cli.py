@@ -420,7 +420,7 @@ class TestSimulate:
             rep = real(*args, **kwargs)
             return dataclasses.replace(rep, verdict="violated-high")
 
-        monkeypatch.setattr(cli.sim, "simulate_dsc", broken)
+        monkeypatch.setattr(sim_mod, "simulate_dsc", broken)
         code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
                              "--n", "8", "--p", "0.5", "--m", "50"], capsys)
         assert code == 4
@@ -543,6 +543,54 @@ def test_non_finite_float_flag_is_usage_error(value, capsys):
 def test_csv_format_for_json_command_is_usage_error(args, capsys):
     err = _usage_error([*args, "--format", "csv"], capsys)
     assert err.endswith(f"--format csv: {args[0]} writes JSON only")
+
+
+SINKS = [
+    (["p2p", "--model", "exp"], "--out"),
+    (["rates", "--model", "exp", "--n", "16"], "--out"),
+    ([*SIM_DSC, "--m", "50"], "--csv-log"),
+]
+
+
+def _no_work(*args):
+    raise AssertionError("the command ran")
+
+
+@pytest.mark.parametrize("args,flag", SINKS)
+def test_sink_in_missing_directory_is_refused_before_work(args, flag, capsys,
+                                                         tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, args[0], _no_work)
+    path = tmp_path / "missing" / "sink.txt"
+    err = _usage_error([*args, flag, str(path)], capsys)
+    assert err.endswith(f"{flag}: the directory of {str(path)!r} does not exist")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("args,flag", SINKS)
+def test_sink_that_is_a_directory_is_refused_before_work(args, flag, capsys,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, args[0], _no_work)
+    err = _usage_error([*args, flag, str(tmp_path)], capsys)
+    assert err.endswith(f"{flag}: {str(tmp_path)!r} is a directory")
+
+
+def test_refused_csv_log_leaves_out_file_untouched(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+    _usage_error([*SIM_DSC, "--m", "50", "--out", str(out),
+                  "--csv-log", str(tmp_path / "missing" / "log.csv")], capsys)
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args,flag", SINKS)
+def test_sink_write_error_is_one_line_and_exit_2(args, flag, capsys):
+    # /dev/full opens, then fails every write with ENOSPC
+    code = cli.main([*args, flag, "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("cannot write: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def _subparsers():
