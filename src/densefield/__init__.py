@@ -21,7 +21,7 @@ _EXPORTS = {
     "field": ("CorrelationModel", "CovariancePack", "FieldSnapshots", "SensorGrid",
               "Spectrum", "make_correlation", "load_correlation_table",
               "sensor_positions", "covariance_matrix", "spectrum", "sample_snapshots"),
-    "estimation": ("MmseResult", "TestChannel", "mmse_estimate", "mmse_error"),
+    "estimation": ("TestChannel", "mmse_estimate", "mmse_error"),
     "rates": ("RateReport", "WaterfillSolution", "target_distortion_dsc",
               "reverse_distortion_bound", "find_pmax", "dsc_operating_point",
               "dsc_sum_rate", "centralized_rate", "find_theta", "rate_loss_bound",

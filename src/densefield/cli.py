@@ -2,14 +2,15 @@
 reports as CSV/JSON for plotting and scripted verification.
 
 The library returns numbers in nats; every output byte is decided here, by
-one table writer, one CSV cell format (``--csv-log`` rows too) and ``--units``.
+one table writer, one CSV cell format (``--csv-log`` rows too) and ``--units``
+(rates and p2p only; p2p and simulate write JSON and take no ``--format``).
 
 Every command is reproducible from (argv, seed) alone and embeds its fully
 resolved configuration in the output.  Exit codes: 0 success, 2 usage error
 (a model spec that names no model, a table that cannot be read, a negative
-count or seed, a float flag that is NaN or infinite, ``--format csv`` for
-the JSON-only p2p and simulate, and an ``--out`` or ``--csv-log`` path that is
-a directory, lies in a missing directory or cannot be written included),
+count or seed, a float flag that is NaN or infinite, a simulate flag its
+``--scheme`` never reads, and an ``--out`` or ``--csv-log`` path that is a
+directory, lies in a missing directory or cannot be written included),
 3 infeasible configuration (a correlation table whose covariance is not
 positive semidefinite included) or an iterative solve that did not converge
 (the Lloyd-Max design or the sinc spectrum), 4 bound violation in simulate.
@@ -226,9 +227,9 @@ _FLAGS = (
     ("--dnet", "d_net", _ALL,
      dict(type=float, metavar="DNET", help="field distortion target in (0, 1)")),
     ("--seed", "seed", _ALL, dict(type=int)),
-    ("--units", "units", _ALL, dict(choices=("nats", "bits"))),
+    ("--units", "units", ("rates", "p2p"), dict(choices=("nats", "bits"))),
     ("--out", "out", _ALL, dict(help="output path (default stdout)")),
-    ("--format", "format", _ALL, dict(choices=("csv", "json"))),
+    ("--format", "format", _TABLE, dict(choices=("csv", "json"))),
     # both append (option, text) to n_list, which _parse_n_list reads once
     # argparse is done, so its errors keep their own text
     ("--n", "n_list", _TABLE, dict(action="append", type=lambda text: ("--n", text),
@@ -253,6 +254,9 @@ _FLAGS = (
      dict(help="append a one-line summary to this CSV file")),
 )
 _OPTION = {dest: option for option, dest, _, _ in _FLAGS}
+
+# the simulate flags each scheme never reads: given, they are refused
+_FOREIGN = {"dsc": ("k", "levels", "m_prime"), "p2p": ("p", "m", "naive")}
 
 
 def build_parser():
@@ -304,14 +308,17 @@ def _config_from_args(args, parser):
             parser.error(f"{_OPTION[name]} must be finite")
     if not 0.0 < cfg.d_net < 1.0:
         parser.error("--dnet must lie in (0, 1)")
-    if cfg.format == "csv" and cfg.command not in _TABLE:
-        parser.error(f"--format csv: {cfg.command} writes JSON only")
     if cfg.command in _TABLE:
         cfg = replace(cfg, n_list=_parse_n_list(cfg.n_list, parser))
         if any(n < 1 for n in cfg.n_list):
             parser.error("sensor counts must be >= 1")
-    if cfg.command == "simulate" and cfg.n < 1:
-        parser.error("--n must be >= 1")
+    if cfg.command == "simulate":
+        if cfg.n < 1:
+            parser.error("--n must be >= 1")
+        # vars(args) holds only the flags given, so a default is never refused
+        for name in _FOREIGN[cfg.scheme]:
+            if name in vars(args):
+                parser.error(f"{_OPTION[name]} is not read by --scheme {cfg.scheme}")
     # 0 selects the default; a negative count, seed or noise variance means nothing
     for name in ("seed", "k_max", "n", "k", "p", "levels"):
         if getattr(cfg, name) < 0:

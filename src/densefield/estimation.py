@@ -4,11 +4,12 @@ The channel observes U = X + Z with Z ~ N(0, p I) independent of X.  The
 optimal estimate of X from U is linear and diagonal in the covariance's
 eigenbasis: mode k of U is scaled by lambda_k/(lambda_k+p), so mode k of the
 error is N(0, lambda_k p/(lambda_k+p)), which ``sim.simulate_dsc`` draws
-directly; ``mmse_estimate`` forms the N x N filter V diag(lambda/(lambda+p))
-V^T for each call.  Both the estimate and its exact
-error are evaluated on the covariance pack's cached eigendecomposition (shift
-of the eigenvalues by p) rather than by forming an explicit inverse, which
-stays stable for near-singular band-limited covariances across p sweeps.
+directly.  ``mmse_estimate`` forms the N x N filter V diag(lambda/(lambda+p))
+V^T for each call, ``mmse_error`` gives each sensor's exact error and
+``avg_mmse_from_eigvals`` their mean from the eigenvalues alone.  All three
+work on the covariance pack's cached eigendecomposition (a shift of the
+eigenvalues by p) rather than an explicit inverse, which stays stable for
+near-singular band-limited covariances across p sweeps.
 """
 
 from dataclasses import dataclass
@@ -31,12 +32,6 @@ class TestChannel:
             raise ValueError("noise variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MmseResult:
-    per_sample_mse: np.ndarray
-    avg_mse: float
-
-
 def mmse_estimate(ch, u):
     """Best linear estimate of X given u = x + z.
 
@@ -57,7 +52,8 @@ def mmse_estimate(ch, u):
 
 
 def mmse_error(ch):
-    """Exact per-sensor and average MSE of the optimal linear estimate.
+    """Exact per-sensor MSE of the optimal linear estimate, one per sensor;
+    its mean is ``avg_mmse_from_eigvals``.
 
     The error covariance is Sigma - Sigma (Sigma + pI)^-1 Sigma, whose
     eigenbasis form has mode errors lambda*p/(lambda+p); the diagonal is
@@ -65,8 +61,7 @@ def mmse_error(ch):
     """
     cov, p = ch.cov, ch.p
     mode_mse = cov.eigvals * p / (cov.eigvals + p) if p > 0 else np.zeros(cov.n)
-    per_sample = cov.sensor_variances(mode_mse)
-    return MmseResult(per_sample_mse=per_sample, avg_mse=float(np.mean(per_sample)))
+    return cov.sensor_variances(mode_mse)
 
 
 def avg_mmse_from_eigvals(eigvals, p):

@@ -41,7 +41,6 @@ class CorrelationModel:
     """
 
     kind: str
-    params: tuple = ()
     theta_mono: float = 1.0
     table_tau: np.ndarray = dc_field(default=None, repr=False)
     table_rho: np.ndarray = dc_field(default=None, repr=False)
@@ -72,8 +71,8 @@ def _table_theta_mono(tau, rho):
 
 
 def _validate_table(tau, rho):
-    if tau.ndim != 1 or rho.ndim != 1 or tau.size != rho.size or tau.size < 2:
-        raise ValueError("correlation table needs two equal-length columns")
+    if tau.size < 2:
+        raise ValueError("correlation table needs at least two rows")
     if tau[0] != 0.0:
         raise ValueError("correlation table must start at tau = 0")
     if np.any(np.diff(tau) <= 0):
@@ -90,8 +89,8 @@ def _validate_table(tau, rho):
 def make_correlation(kind, params=()):
     """Build a CorrelationModel.
 
-    ``params`` is empty for the built-in kinds; for ``custom-table`` it is the
-    interleaved flat list [tau0, rho0, tau1, rho1, ...] or an (M, 2) array.
+    ``params`` is empty for the built-in kinds; for ``custom-table`` it is an
+    (M, 2) array of (tau, rho) rows, and any other shape is refused.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown correlation kind {kind!r}; expected one of {_KINDS}")
@@ -102,10 +101,8 @@ def make_correlation(kind, params=()):
         # whole unit interval is a monotone neighbourhood
         return CorrelationModel(kind=kind, theta_mono=1.0)
     arr = np.asarray(params, dtype=float)
-    if arr.ndim == 1:
-        if arr.size % 2:
-            raise ValueError("flat table must interleave (tau, rho) pairs")
-        arr = arr.reshape(-1, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("correlation table needs exactly two columns (tau, rho)")
     tau, rho = _freeze(arr[:, 0]), _freeze(arr[:, 1])
     _validate_table(tau, rho)
     return CorrelationModel(kind=CUSTOM_TABLE, theta_mono=_table_theta_mono(tau, rho),
@@ -114,10 +111,11 @@ def make_correlation(kind, params=()):
 
 def load_correlation_table(path):
     """Load a custom-table model from a two-column CSV of (tau, rho) rows."""
-    data = np.loadtxt(path, delimiter=",", dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected exactly two columns (tau, rho)")
-    return make_correlation(CUSTOM_TABLE, data)
+    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        return make_correlation(CUSTOM_TABLE, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def check_dense_size(n, what="N"):
 class Spectrum:
     """Eigenvalues of a sensor covariance, clamped and sorted descending.
 
-    ``eigvals`` are clamped below at ``clamp_floor``; ``n_clamped`` counts
+    ``eigvals`` are clamped below at ``CLAMP_FLOOR``; ``n_clamped`` counts
     the modes the clamp raised, ``raw_min``/``raw_max`` are the unclamped
     extremes (for ``slepian``, of the modes it computed) and ``backend``
     names what computed them: ``kms`` (the exp-markov secular equation) or
@@ -170,7 +168,6 @@ class Spectrum:
     """
 
     eigvals: np.ndarray
-    clamp_floor: float
     n_clamped: int
     raw_min: float
     raw_max: float
@@ -184,11 +181,9 @@ class Spectrum:
         return self.eigvals.size
 
     @classmethod
-    def from_raw(cls, raw, n, clamp_floor, backend, **extra):
+    def from_raw(cls, raw, n, backend, **extra):
         """Clamp the ``raw.size`` leading raw eigenvalues (descending) of an
         n x n covariance; the modes after them must lie below the floor."""
-        if not 0.0 <= clamp_floor <= 1e-6:
-            raise ValueError("clamp_floor must lie in [0, 1e-6]")
         # rounding leaves rank-deficient PSD spectra slightly negative (sinc:
         # -1e-12 against 1604 at N = 2048); anything further below is refused
         if raw[-1] < -1e-8 * max(raw[0], 1.0):
@@ -196,11 +191,10 @@ class Spectrum:
                 f"covariance is not positive semidefinite: smallest eigenvalue "
                 f"{raw[-1]:.6g} against largest {raw[0]:.6g}"
             )
-        eigvals = np.full(n, float(clamp_floor))
-        eigvals[:raw.size] = np.maximum(raw, clamp_floor)
-        n_clamped = n - raw.size + np.count_nonzero(raw < clamp_floor)
-        return cls(eigvals=eigvals, clamp_floor=float(clamp_floor),
-                   n_clamped=int(n_clamped), raw_min=float(raw[-1]),
+        eigvals = np.full(n, CLAMP_FLOOR)
+        eigvals[:raw.size] = np.maximum(raw, CLAMP_FLOOR)
+        n_clamped = n - raw.size + np.count_nonzero(raw < CLAMP_FLOOR)
+        return cls(eigvals=eigvals, n_clamped=int(n_clamped), raw_min=float(raw[-1]),
                    raw_max=float(raw[0]), backend=backend, **extra)
 
 
@@ -274,7 +268,7 @@ class CovariancePack(Spectrum):
         sigma = np.asarray(sigma, dtype=float)
         raw, vecs = np.linalg.eigh(sigma)
         raw = raw[::-1]
-        return cls.from_raw(raw, raw.size, CLAMP_FLOOR, "dense", sigma_x=sigma,
+        return cls.from_raw(raw, raw.size, "dense", sigma_x=sigma,
                             eigvals_raw=raw, blocks=(vecs[:, ::-1],))
 
 
@@ -352,7 +346,7 @@ def covariance_matrix(model, grid):
     # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
     sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    return CovariancePack.from_raw(raw, n, CLAMP_FLOOR, "dense", sigma_x=sigma,
+    return CovariancePack.from_raw(raw, n, "dense", sigma_x=sigma,
                                    eigvals_raw=raw, blocks=blocks, parity=parity)
 
 
@@ -483,7 +477,7 @@ def spectrum(model, n_sensors):
         halves = _reflection_split(_first_row(model, n))
         raw = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))[::-1]
         backend = "dense"
-    return Spectrum.from_raw(raw, n, CLAMP_FLOOR, backend)
+    return Spectrum.from_raw(raw, n, backend)
 
 
 @dataclass(frozen=True)
@@ -491,8 +485,6 @@ class FieldSnapshots:
     """m independent rows, each a draw of the field at the N sensor positions."""
 
     data: np.ndarray
-    seed: int
-    m: int
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data))
@@ -527,8 +519,7 @@ def sample_snapshots(cov, m, seed):
     gauss *= np.sqrt(cov.eigvals)
     data = cov.to_sensors(gauss)
     data.flags.writeable = False  # fresh, so FieldSnapshots keeps it uncopied
-    seed_val = seed if isinstance(seed, int) else -1
-    return FieldSnapshots(data=data, seed=seed_val, m=int(m))
+    return FieldSnapshots(data)
 
 
 def nearest_sample_index(s, n_sensors):

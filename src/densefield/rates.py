@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleConfigError
 from .estimation import avg_mmse_from_eigvals
-from .field import spectrum
+from .field import CLAMP_FLOOR, spectrum
 
 _THETA_GRID = 4096
 _PMAX_REL_TOL = 1e-6
@@ -107,10 +107,9 @@ def find_pmax(cov, target_mse):
         raise InfeasibleConfigError(
             "target at or above the field variance: p_max is unbounded"
         )
-    eps = max(cov.clamp_floor, 10 * np.finfo(float).tiny)
-    if target_mse <= eps:
+    if target_mse <= CLAMP_FLOOR:
         raise InfeasibleConfigError(
-            f"target {target_mse} at or below the clamp epsilon {eps}"
+            f"target {target_mse} at or below the clamp floor {CLAMP_FLOOR}"
         )
     lam = cov.eigvals
     # the average MMSE at each end is carried, one evaluation per step

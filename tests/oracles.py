@@ -241,8 +241,8 @@ def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):
     idx = np.minimum((nodes * n).astype(int), n - 1)
     rho_n = model(nodes - grid.positions[idx])
     r2 = rho_n ** 2
-    js = np.empty(truth.m)
-    for i in range(truth.m):
+    js = np.empty(truth.data.shape[0])
+    for i in range(truth.data.shape[0]):
         rec = np.asarray(recon_fn(i, nodes), dtype=float)
         if grid_truth is None:
             vals = (1.0 - r2) + (rho_n * truth.data[i, idx] - rec) ** 2

@@ -160,8 +160,11 @@ class TestSharedChain:
 @pytest.mark.parametrize("command", ["pmax-curve", "rates"])
 def test_csv_cells_match_json_values(command, units, capsys):
     # one row writer: nan is null, true/false the bool, and a float cell
-    # parses to the JSON value's double
-    args = [command, "--model", "exp", "--n", "2,64", "--units", units]
+    # parses to the JSON value's double; pmax-curve prints no rate, so it
+    # takes no --units
+    args = [command, "--model", "exp", "--n", "2,64"]
+    if command == "rates":
+        args += ["--units", units]
     _, text = run_cli(args, capsys)
     _, body = run_cli([*args, "--format", "json"], capsys)
     header, *lines = text.strip().split("\n")[1:]
@@ -509,6 +512,13 @@ class TestModelSpec:
         err = _usage_error(["rates", "--model", f"table:{path}", "--n", "16"], capsys)
         assert "two columns" in err
 
+    def test_three_column_table_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        tau = np.linspace(0.0, 1.0, 11)
+        np.savetxt(path, np.column_stack([tau, np.exp(-tau), tau]), delimiter=",")
+        err = _usage_error(["rates", "--model", f"table:{path}", "--n", "16"], capsys)
+        assert "three.csv" in err and "two columns" in err
+
     def test_unknown_model_is_usage_error(self, capsys):
         err = _usage_error(["simulate", "--scheme", "dsc", "--model", "foo",
                             "--n", "16"], capsys)
@@ -541,8 +551,24 @@ def test_non_finite_float_flag_is_usage_error(value, capsys):
 
 @pytest.mark.parametrize("args", [["p2p", "--model", "exp"], SIM_P2P, SIM_DSC])
 def test_csv_format_for_json_command_is_usage_error(args, capsys):
+    # p2p and simulate write JSON only, so they take no --format at all
     err = _usage_error([*args, "--format", "csv"], capsys)
-    assert err.endswith(f"--format csv: {args[0]} writes JSON only")
+    assert err.endswith("unrecognized arguments: --format csv")
+
+
+@pytest.mark.parametrize("args,flag", [
+    (SIM_DSC, ["--k", "4"]),
+    (SIM_DSC, ["--levels", "9"]),
+    (SIM_DSC, ["--m-prime", "3"]),
+    (SIM_P2P, ["--p", "0.5"]),
+    (SIM_P2P, ["--m", "100"]),
+    (SIM_P2P, ["--naive"]),
+])
+def test_flag_the_scheme_never_reads_is_usage_error(args, flag, capsys, monkeypatch):
+    # refused, not echoed in the config as if it had shaped the run
+    monkeypatch.setitem(cli._COMMANDS, "simulate", _no_work)
+    err = _usage_error([*args, *flag], capsys)
+    assert err.endswith(f"{flag[0]} is not read by --scheme {args[2]}")
 
 
 SINKS = [
@@ -598,8 +624,16 @@ def _subparsers():
 
 
 class TestParserContract:
-    COMMON_USAGE = ("[-h] --model MODEL [--dnet DNET] [--seed SEED] "
-                    "[--units {nats,bits}] [--out OUT] [--format {csv,json}]")
+    # --units only where a rate is printed, --format only where CSV is one
+    COMMON_USAGE = {
+        "pmax-curve": "[-h] --model MODEL [--dnet DNET] [--seed SEED] [--out OUT] "
+                      "[--format {csv,json}]",
+        "rates": "[-h] --model MODEL [--dnet DNET] [--seed SEED] [--units {nats,bits}] "
+                 "[--out OUT] [--format {csv,json}]",
+        "p2p": "[-h] --model MODEL [--dnet DNET] [--seed SEED] [--units {nats,bits}] "
+               "[--out OUT]",
+        "simulate": "[-h] --model MODEL [--dnet DNET] [--seed SEED] [--out OUT]",
+    }
     USAGE = {
         "pmax-curve": "[--n N] [--n-range N_RANGE]",
         "rates": "[--n N] [--n-range N_RANGE]",
@@ -608,9 +642,15 @@ class TestParserContract:
                      "[--m M] [--m-prime M_PRIME] [--grid-g GRID_G] [--naive] "
                      "[--csv-log CSV_LOG]"),
     }
-    COMMON_HELP = ["show this help message and exit", "sinc | exp | table:<csv path>",
-                   "field distortion target in (0, 1)", None, None,
-                   "output path (default stdout)", None]
+    _HEAD_HELP = ["show this help message and exit", "sinc | exp | table:<csv path>",
+                  "field distortion target in (0, 1)", None]
+    _OUT_HELP = "output path (default stdout)"
+    COMMON_HELP = {
+        "pmax-curve": [*_HEAD_HELP, _OUT_HELP, None],
+        "rates": [*_HEAD_HELP, None, _OUT_HELP, None],
+        "p2p": [*_HEAD_HELP, None, _OUT_HELP],
+        "simulate": [*_HEAD_HELP, _OUT_HELP],
+    }
     LEVELS_HELP = "codebook size (default: smallest meeting the budget)"
     # rates' --n and --n-range and simulate's --levels are the same flags as
     # pmax-curve's and p2p's, declared once, so they show the same help
@@ -647,9 +687,10 @@ class TestParserContract:
         assert list(subs) == list(self.USAGE)
         for name, p in subs.items():
             usage = " ".join(p.format_usage().split())
-            assert usage == (f"usage: densefield {name} {self.COMMON_USAGE} "
+            assert usage == (f"usage: densefield {name} {self.COMMON_USAGE[name]} "
                              f"{self.USAGE[name]}")
-            assert [a.help for a in p._actions] == self.COMMON_HELP + self.HELP[name]
+            assert [a.help for a in p._actions] == (self.COMMON_HELP[name]
+                                                    + self.HELP[name])
 
 
 class TestDeterminism:

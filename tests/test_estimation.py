@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import densefield as df
+from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
 
 from oracles import averaging_estimator_mse_bound, brute_force_mmse
@@ -71,24 +72,24 @@ class TestMmseError:
     def test_perfect_observation(self, exp_model):
         cov = df.covariance_matrix(exp_model, df.sensor_positions(4))
         res = df.mmse_error(df.TestChannel(p=0.0, cov=cov))
-        assert res.avg_mse <= 1e-8
+        assert res.mean() <= 1e-8
 
     def test_white_source_closed_form(self):
         res = df.mmse_error(df.TestChannel(p=3.0, cov=diagonal_pack(5)))
-        assert np.allclose(res.per_sample_mse, 0.75, atol=1e-14)
+        assert np.allclose(res, 0.75, atol=1e-14)
 
     def test_exp_two_sensor_frozen_oracle_value(self, exp_model):
         # brute-force normal equations on the 2x2 with off-diagonal e^-0.5
         cov = df.covariance_matrix(exp_model, df.sensor_positions(2))
         res = df.mmse_error(df.TestChannel(p=1.0, cov=cov))
-        assert res.avg_mse == pytest.approx(0.4493574848063286, abs=1e-12)
+        assert res.mean() == pytest.approx(0.4493574848063286, abs=1e-12)
         oracle = brute_force_mmse(cov.sigma_x, 1.0)
-        assert np.allclose(res.per_sample_mse, oracle, atol=1e-12)
+        assert np.allclose(res, oracle, atol=1e-12)
 
     def test_monotone_in_noise(self, exp_model, sinc_model):
         for model in (exp_model, sinc_model):
             cov = df.covariance_matrix(model, df.sensor_positions(24))
-            values = [df.mmse_error(df.TestChannel(p=p, cov=cov)).avg_mse
+            values = [df.mmse_error(df.TestChannel(p=p, cov=cov)).mean()
                       for p in (0.01, 0.1, 0.5, 1.0, 5.0, 50.0)]
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-12)
@@ -96,15 +97,16 @@ class TestMmseError:
     def test_saturates_at_unit_variance(self, exp_model):
         cov = df.covariance_matrix(exp_model, df.sensor_positions(8))
         res = df.mmse_error(df.TestChannel(p=1e12, cov=cov))
-        assert res.avg_mse <= 1.0 + 1e-9
-        assert res.avg_mse > 0.999
+        assert res.mean() <= 1.0 + 1e-9
+        assert res.mean() > 0.999
 
     def test_entries_in_unit_interval_and_mean_consistent(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, df.sensor_positions(32))
         res = df.mmse_error(df.TestChannel(p=0.8, cov=cov))
-        assert np.all(res.per_sample_mse >= 0.0)
-        assert np.all(res.per_sample_mse <= 1.0 + 1e-9)
-        assert res.avg_mse == pytest.approx(res.per_sample_mse.mean(), abs=1e-15)
+        assert np.all(res >= 0.0)
+        assert np.all(res <= 1.0 + 1e-9)
+        assert res.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, 0.8),
+                                           abs=1e-15)
 
     def test_matches_brute_force_for_small_n(self, exp_model, sinc_model):
         rng = np.random.default_rng(17)
@@ -115,7 +117,26 @@ class TestMmseError:
             cov = df.covariance_matrix(model, df.sensor_positions(n))
             res = df.mmse_error(df.TestChannel(p=p, cov=cov))
             oracle = brute_force_mmse(cov.sigma_x, p)
-            assert np.max(np.abs(res.per_sample_mse - oracle)) < 1e-10
+            assert np.max(np.abs(res - oracle)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.5, 10.0])
+@pytest.mark.parametrize("n", [7, 64])
+@pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
+def test_mean_error_is_the_eigenvalue_average(kind, n, p):
+    # sum_i (V o V)_ik = 1 for every mode k, so the sensors' mean MSE is the
+    # modes' mean: the O(N) average needs no eigenvectors
+    if kind == "table":
+        tau = np.linspace(0.0, 1.0, 101)
+        model = df.make_correlation("custom-table",
+                                    np.column_stack([tau, np.maximum(0.0, 1.0 - tau / 0.6)]))
+    else:
+        model = df.make_correlation(kind)
+    cov = df.covariance_matrix(model, df.sensor_positions(n))
+    per_sensor = df.mmse_error(df.TestChannel(p=p, cov=cov))
+    assert per_sensor.shape == (n,)
+    assert per_sensor.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, p),
+                                              rel=1e-13)
 
 
 class TestAveragingEstimatorBound:
@@ -141,7 +162,7 @@ class TestAveragingEstimatorBound:
             cov = df.covariance_matrix(model, df.sensor_positions(n))
             res = df.mmse_error(df.TestChannel(p=p, cov=cov))
             bound = averaging_estimator_mse_bound(model, n, theta, p)
-            assert bound >= np.max(res.per_sample_mse) - 1e-12
+            assert bound >= np.max(res) - 1e-12
 
     def test_small_window_rejected(self, exp_model):
         with pytest.raises(ValueError):

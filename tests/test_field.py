@@ -70,8 +70,16 @@ class TestMakeCorrelation:
             model(1.5)
 
     def test_flat_param_list(self):
-        model = df.make_correlation("custom-table", [0.0, 1.0, 1.0, 0.2])
+        model = df.make_correlation("custom-table", [[0.0, 1.0], [1.0, 0.2]])
         assert model(0.5) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("table", [
+        [0.0, 1.0, 1.0, 0.2],                     # flat, not (tau, rho) rows
+        [[0.0, 1.0, 7.0], [1.0, 0.2, 7.0]],       # a third column
+    ], ids=["flat", "three-columns"])
+    def test_table_needs_two_columns(self, table):
+        with pytest.raises(ValueError, match="exactly two columns"):
+            df.make_correlation("custom-table", table)
 
     def test_csv_loader(self, tmp_path):
         tau = np.linspace(0.0, 1.0, 201)
@@ -160,7 +168,7 @@ class TestCovariance:
         recon = (cov.eigvecs * cov.eigvals_raw) @ cov.eigvecs.T
         assert np.max(np.abs(recon - cov.sigma_x)) <= 1e-8
         assert cov.n_clamped > 0  # band-limited kernel is rank deficient
-        assert np.all(cov.eigvals >= cov.clamp_floor)
+        assert np.all(cov.eigvals >= CLAMP_FLOOR)
 
     def test_eigvals_descending(self, exp_model):
         cov = df.covariance_matrix(exp_model, df.sensor_positions(12))
@@ -262,7 +270,7 @@ class TestKmsPrecision:
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)
-    return Spectrum.from_raw(np.linalg.eigvalsh(sigma)[::-1], n, 1e-10, "dense")
+    return Spectrum.from_raw(np.linalg.eigvalsh(sigma)[::-1], n, "dense")
 
 
 class TestSpectrumBackends:
@@ -305,7 +313,7 @@ class TestSpectrumBackends:
     @pytest.mark.parametrize("n", [1, 23, 24, 25, 2048, 8192, 65536])
     def test_slepian_matches_tridiagonal_oracle(self, sinc_model, n):
         spec = df.spectrum(sinc_model, n)
-        ref = Spectrum.from_raw(slepian_tridiagonal_eigvals(n), n, CLAMP_FLOOR, "oracle")
+        ref = Spectrum.from_raw(slepian_tridiagonal_eigvals(n), n, "oracle")
         # both routes are exact up to roundoff on lambda_max ~ 0.6 N, whose ulp
         # is about 1e-16 N: 1e-12 N allows some 10,000 ulps (the largest gap
         # seen over N = 1..399 and 12 larger N up to 65,536 is 2.3e-15 N)
@@ -381,7 +389,7 @@ class TestSampling:
         model = df.make_correlation(kind)
         cov = df.covariance_matrix(model, df.sensor_positions(8))
         snaps = df.sample_snapshots(cov, 100_000, seed=99)
-        emp = snaps.data.T @ snaps.data / snaps.m
+        emp = snaps.data.T @ snaps.data / snaps.data.shape[0]
         assert np.max(np.abs(emp - cov.sigma_x)) < 0.05
 
 

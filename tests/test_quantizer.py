@@ -303,7 +303,7 @@ class TestOptimizeK:
         # the array pass picks the scalar scan's K* and returns its rate bits;
         # the appended d_net puts exp-markov's K* at 2, where numpy's array
         # log of D_2 is one ulp off math.log's (seen on an AVX-512 build)
-        model = (df.make_correlation("custom-table", [0.0, 1.0, 1.0, 0.0])
+        model = (df.make_correlation("custom-table", [[0.0, 1.0], [1.0, 0.0]])
                  if kind == "table" else df.make_correlation(kind))
         checked = 0
         for d_net in np.append(np.geomspace(0.005, 0.95, 40), 0.9376135423518246):

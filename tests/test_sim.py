@@ -54,7 +54,7 @@ class TestSimulateDsc:
         cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
         p = df.find_pmax(cov, d_prime)
         rep = df.simulate_dsc(exp_model, n, p, m=20_000, seed=101)
-        analytic = df.mmse_error(df.TestChannel(p=p, cov=cov)).avg_mse
+        analytic = df.mmse_error(df.TestChannel(p=p, cov=cov)).mean()
         assert abs(rep.j_prime_mse - analytic) <= 3 * rep.stderr_jprime
         assert rep.j_mse <= 0.1 + 3 * rep.stderr_jmse
         assert rep.verdict == WITHIN
@@ -243,7 +243,7 @@ class TestSimulateDsc:
         # (noise x 1.05 gives z near 25 with verdict "within").
         n, p, m, seeds = 64, 0.5, 2000, range(24)
         cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
-        diag = df.mmse_error(df.TestChannel(p=p, cov=cov)).per_sample_mse
+        diag = df.mmse_error(df.TestChannel(p=p, cov=cov))
         expected = dsc_expected_jmse(exp_model, n, diag)
         z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
                       for rep in (df.simulate_dsc(exp_model, n, p, m=m, seed=s)
@@ -281,7 +281,7 @@ class TestSimulateDsc:
     @pytest.mark.parametrize("model", [
         df.make_correlation("sinc"),
         # a triangle kernel, positive definite by Polya's criterion
-        df.make_correlation("custom-table", [0.0, 1.0, 0.6, 0.0, 1.0, 0.0])],
+        df.make_correlation("custom-table", [[0.0, 1.0], [0.6, 0.0], [1.0, 0.0]])],
         ids=["sinc", "table"])
     def test_per_sensor_mse_calibrated_to_closed_form(self, model):
         # sensor i's (V o V) s against its MMSE: s_k is the mean of m squared
@@ -289,7 +289,7 @@ class TestSimulateDsc:
         # has variance sum_k V_ik^4 2 v_k^2 / m
         n, p, m, seeds = 16, 0.5, 2000, range(24)
         cov = df.covariance_matrix(model, df.sensor_positions(n))
-        mmse = df.mmse_error(df.TestChannel(p=p, cov=cov)).per_sample_mse
+        mmse = df.mmse_error(df.TestChannel(p=p, cov=cov))
         v = cov.eigvals * p / (cov.eigvals + p)
         se = np.sqrt((cov.eigvecs ** 4) @ (2 * v ** 2) / m)
         z = np.array([(df.simulate_dsc(model, n, p, m=m, seed=s).per_sensor_mse
@@ -342,7 +342,7 @@ class TestSimulateDsc:
         p, m, seed = 0.7, 301, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         err = markov_dsc_errors(n, p, m, seed)
-        got = integrated_mse(df.FieldSnapshots(data=err, seed=seed, m=m),
+        got = integrated_mse(df.FieldSnapshots(err),
                              lambda i, nodes: np.zeros_like(nodes), 8,
                              model=exp_model, grid=df.sensor_positions(n))
         assert rep.j_mse == pytest.approx(got, abs=1e-12)
@@ -398,7 +398,7 @@ class TestSimulateDsc:
         p, m, seed = 0.7, 207, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         err = markov_dsc_errors(n, p, m, seed, chunk=100)
-        got = integrated_mse(df.FieldSnapshots(data=err, seed=seed, m=m),
+        got = integrated_mse(df.FieldSnapshots(err),
                              lambda i, nodes: np.zeros_like(nodes), 8,
                              model=exp_model, grid=df.sensor_positions(n))
         assert rep.j_mse == pytest.approx(got, abs=1e-12)
@@ -723,7 +723,7 @@ def dsc_fast_path_errors(cov, p, m, seed, chunk=None):
     rotated to the sensors with the unfolded V."""
     u = np.sqrt(1.0 / cov.eigvals + 1.0 / p)
     err_eig = chunked_gaussians(cov.n, m, seed, chunk).T / u
-    return (df.FieldSnapshots(data=err_eig @ cov.eigvecs.T, seed=seed, m=m),
+    return (df.FieldSnapshots(err_eig @ cov.eigvecs.T),
             (err_eig ** 2).mean(axis=0))
 
 
@@ -742,7 +742,7 @@ class TestIntegratedMse:
 
     def test_zero_field_zero_reconstruction_direct_mode(self, exp_model):
         grid = df.sensor_positions(4)
-        truth = df.FieldSnapshots(data=np.zeros((3, 4)), seed=0, m=3)
+        truth = df.FieldSnapshots(np.zeros((3, 4)))
         grid_truth = np.zeros((3, 4 * 8))
         got = integrated_mse(truth, lambda i, nodes: np.zeros_like(nodes), 8,
                              model=exp_model, grid=grid, grid_truth=grid_truth)
