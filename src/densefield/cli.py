@@ -260,6 +260,8 @@ _FOREIGN = {"dsc": ("k", "levels", "m_prime"), "p2p": ("p", "m", "naive")}
 
 
 def build_parser():
+    """The top-level parser and each command's subparser, whose ``error``
+    prints that command's usage."""
     parser = argparse.ArgumentParser(
         prog="densefield",
         description="Rates, distortion targets and Monte Carlo checks for "
@@ -276,7 +278,7 @@ def build_parser():
             subs[name].add_argument(option, dest=dest, **kwargs)
     for name, p in subs.items():
         p.set_defaults(format="csv" if name in _TABLE else "json")
-    return parser
+    return parser, subs
 
 
 def _parse_n_list(pairs, parser):
@@ -300,7 +302,8 @@ def _parse_n_list(pairs, parser):
 
 
 def _config_from_args(args, parser):
-    """Check the parsed flags; none is altered and RunConfig fills the rest."""
+    """Check the parsed flags; none is altered and RunConfig fills the rest.
+    A refusal is ``parser.error``, so pass the command's subparser."""
     cfg = RunConfig(**vars(args))
     # NaN passes every range check and would reach the JSON output as NaN
     for name, value in vars(cfg).items():
@@ -350,9 +353,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, subs = build_parser()
     args = parser.parse_args(argv)
-    cfg, model = _config_from_args(args, parser)
+    cfg, model = _config_from_args(args, subs[args.command])
     try:
         text, code = _COMMANDS[cfg.command](cfg, model)
         if cfg.out:

@@ -1,5 +1,8 @@
 """Stationary Gaussian field model, sensor geometry and snapshot sampling.
 
+Sensors sit at N regular points of [0, 1], so every function here takes the
+count N, and positions and snapshots are plain read-only float arrays.
+
 The field lives on [0, 1], has zero mean, unit variance and an autocorrelation
 function rho(tau) that is symmetric, equals 1 at 0 and is non-increasing on a
 neighbourhood of 0 of radius ``theta_mono``.  All objects here are immutable
@@ -118,22 +121,20 @@ def load_correlation_table(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SensorGrid:
-    """Regular sensor placement: sensor k (1-based) sits at (2k-1)/(2N)."""
-
-    n_sensors: int
-    positions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", _freeze(self.positions))
+def _sensor_count(n_sensors):
+    if n_sensors < 1:
+        raise ValueError("need at least one sensor")
+    return int(n_sensors)
 
 
 def sensor_positions(n_sensors):
-    if n_sensors < 1:
-        raise ValueError("need at least one sensor")
-    k = np.arange(1, n_sensors + 1)
-    return SensorGrid(n_sensors=int(n_sensors), positions=(2 * k - 1) / (2 * n_sensors))
+    """Read-only positions of N regular sensors: sensor k (1-based) sits at
+    (2k-1)/(2N)."""
+    n = _sensor_count(n_sensors)
+    k = np.arange(1, n + 1)
+    positions = (2 * k - 1) / (2 * n)
+    positions.flags.writeable = False
+    return positions
 
 
 CLAMP_FLOOR = 1e-10
@@ -328,8 +329,9 @@ def _split_eigpairs(row):
     return raw[order], (top_sym, top_skew), parity
 
 
-def covariance_matrix(model, grid):
-    """N x N Toeplitz covariance rho(|s_i - s_j|) with its eigendecomposition.
+def covariance_matrix(model, n_sensors):
+    """N x N Toeplitz covariance rho(|s_i - s_j|) of the N regular sensors,
+    with its eigendecomposition.
 
     Every kernel takes its eigenpairs from the two half-size problems of the
     reflection split (``_split_eigpairs``, one ``eigh`` each, backend
@@ -338,7 +340,7 @@ def covariance_matrix(model, grid):
     clamp floor keeps the decomposition usable for sampling and
     log-determinant work, and ``n_clamped`` reports how often it engaged.
     """
-    n = grid.n_sensors
+    n = _sensor_count(n_sensors)
     row = _first_row(model, n)
     raw, blocks, parity = _split_eigpairs(row)
     for block in blocks:
@@ -466,9 +468,7 @@ def spectrum(model, n_sensors):
     the two halves of ``_reflection_split`` (``dense``), which keeps the
     positive-semidefinite refusal.
     """
-    n = int(n_sensors)
-    if n < 1:
-        raise ValueError("need at least one sensor")
+    n = _sensor_count(n_sensors)
     if model.kind == EXP_MARKOV:
         raw, backend = _kms_eigvals(n), "kms"
     elif model.kind == SINC:
@@ -478,16 +478,6 @@ def spectrum(model, n_sensors):
         raw = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))[::-1]
         backend = "dense"
     return Spectrum.from_raw(raw, n, backend)
-
-
-@dataclass(frozen=True)
-class FieldSnapshots:
-    """m independent rows, each a draw of the field at the N sensor positions."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data))
 
 
 def _generator(seed_source):
@@ -506,7 +496,8 @@ def _generator(seed_source):
 
 
 def sample_snapshots(cov, m, seed):
-    """Draw m i.i.d. N(0, Sigma_clamped) rows, bit-reproducible for a seed.
+    """Draw m i.i.d. N(0, Sigma_clamped) rows, bit-reproducible for a seed,
+    as a fresh read-only (m, N) array: row i is snapshot i at the sensors.
 
     ``seed`` is an int, a ``SeedSequence`` or a ``Generator``; a numpy
     generator fills rows in order, so draws of m1 then m2 rows from one
@@ -518,8 +509,8 @@ def sample_snapshots(cov, m, seed):
     gauss = rng.standard_normal((int(m), cov.n))
     gauss *= np.sqrt(cov.eigvals)
     data = cov.to_sensors(gauss)
-    data.flags.writeable = False  # fresh, so FieldSnapshots keeps it uncopied
-    return FieldSnapshots(data)
+    data.flags.writeable = False
+    return data
 
 
 def nearest_sample_index(s, n_sensors):

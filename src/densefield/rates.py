@@ -157,12 +157,12 @@ def dsc_sum_rate(cov, p):
 
 @dataclass(frozen=True)
 class WaterfillSolution:
-    """Reverse water-filling allocation for a Gaussian vector source."""
+    """Reverse water-filling allocation for a Gaussian vector source: the
+    water level, the rate of each mode and their total."""
 
     theta_level: float
     per_mode_rate: np.ndarray
     total_rate_nats: float
-    distortion_achieved: float
 
 
 def centralized_rate(cov, avg_distortion):
@@ -170,18 +170,18 @@ def centralized_rate(cov, avg_distortion):
 
     Modes above the water level are coded down to it, modes below are sent as
     zero; the level is the exact piecewise-linear solution of
-    sum_i min(lambda_i, level) = N * D.
+    sum_i min(lambda_i, level) = N * D, so the allocation meets D exactly
+    unless D is at or above the mean eigenvalue, where the rate is zero.
     """
     if avg_distortion <= 0:
         raise ValueError("distortion budget must be positive")
     lam = cov.eigvals
     n = lam.size
     target = n * avg_distortion
-    total = float(lam.sum())
-    if target >= total:
+    if target >= lam.sum():
         level = max(float(lam[0]), avg_distortion)
         return WaterfillSolution(theta_level=level, per_mode_rate=np.zeros(n),
-                                 total_rate_nats=0.0, distortion_achieved=total / n)
+                                 total_rate_nats=0.0)
     asc = np.sort(lam)
     prefix = np.concatenate([[0.0], np.cumsum(asc)])
     # cand[k] is the level if exactly the k smallest modes lie below it; the
@@ -193,10 +193,8 @@ def centralized_rate(cov, avg_distortion):
         raise RuntimeError("water level bracketing failed")
     level = cand[np.argmax(holds)]
     rates = np.where(lam > level, 0.5 * np.log(lam / level), 0.0)
-    achieved = float(np.minimum(lam, level).sum()) / n
     return WaterfillSolution(theta_level=float(level), per_mode_rate=rates,
-                             total_rate_nats=float(rates.sum()),
-                             distortion_achieved=achieved)
+                             total_rate_nats=float(rates.sum()))
 
 
 def find_theta(model, target_mse):
@@ -244,10 +242,10 @@ def rate_loss_bound(d_net, eps, theta):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-N record of the distortion targets, p_max and the three rates."""
+    """Per-N record of the distortion targets, p_max and the three rates;
+    an infeasible N has ``feasible`` False and NaN targets, p_max and rates."""
 
     N: int
-    d_net: float
     d_prime: float
     d_double_prime: float
     p_max: float
@@ -256,7 +254,6 @@ class RateReport:
     rate_loss_bound_nats: float
     theta: float
     feasible: bool
-    infeasible_reason: str = ""
 
 
 def rate_curve(model, d_net, n_list):
@@ -278,16 +275,15 @@ def rate_curve(model, d_net, n_list):
             d_prime, spec, p_max = dsc_operating_point(model, d_net, n)
             d_dprime = reverse_distortion_bound(d_net, n, model)
             reports.append(RateReport(
-                N=int(n), d_net=d_net, d_prime=d_prime, d_double_prime=d_dprime,
+                N=int(n), d_prime=d_prime, d_double_prime=d_dprime,
                 p_max=p_max, dsc_sum_rate_nats=dsc_sum_rate(spec, p_max),
                 centralized_rate_nats=centralized_rate(spec, d_dprime).total_rate_nats,
                 rate_loss_bound_nats=loss_bound, theta=theta, feasible=True))
-        except InfeasibleConfigError as exc:
+        except InfeasibleConfigError:
             reports.append(RateReport(
-                N=int(n), d_net=d_net, d_prime=float("nan"),
+                N=int(n), d_prime=float("nan"),
                 d_double_prime=float("nan"), p_max=float("nan"),
                 dsc_sum_rate_nats=float("nan"), centralized_rate_nats=float("nan"),
-                rate_loss_bound_nats=loss_bound, theta=theta, feasible=False,
-                infeasible_reason=str(exc)))
+                rate_loss_bound_nats=loss_bound, theta=theta, feasible=False))
     return reports
 

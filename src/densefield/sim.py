@@ -247,7 +247,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
     _check_inputs(n_sensors, m, grid_g)
-    grid = sensor_positions(n_sensors)
+    positions = sensor_positions(n_sensors)
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
 
     def bounds(jp):
@@ -255,7 +255,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
                 float(jmse_upper_bound(model, n_sensors, jp)))
 
     if not naive:
-        a0, c = _cell_quadrature(model, grid.positions[0], n_sensors, grid_g)
+        a0, c = _cell_quadrature(model, positions[0], n_sensors, grid_g)
         if model.kind == EXP_MARKOV:
             # no N x N matrix is built, but N stays under the limit of every
             # other path, so the same N is refused whatever the kernel
@@ -263,7 +263,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
             row_sum, per_sensor = _error_sums(*_markov_factor(n_sensors, p),
                                               m, field_ss)
         else:
-            cov = covariance_matrix(model, grid)
+            cov = covariance_matrix(model, n_sensors)
             row_sum, per_mode = _error_sums(
                 np.sqrt(1.0 / cov.eigvals + 1.0 / p), np.zeros(n_sensors), m,
                 field_ss)
@@ -272,11 +272,11 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
                        row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
 
     field_rng, noise_rng = _generator(field_ss), _generator(noise_ss)
-    cov = covariance_matrix(model, grid)
+    cov = covariance_matrix(model, n_sensors)
     nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
     node_idx = nearest_sample_index(nodes, n_sensors)
-    rho_nodes = model(nodes - grid.positions[node_idx])
-    joint_pos = np.concatenate([grid.positions, nodes])
+    rho_nodes = model(nodes - positions[node_idx])
+    joint_pos = np.concatenate([positions, nodes])
     check_dense_size(joint_pos.size, "N (1 + grid_g)")
     law = CovariancePack.from_matrix(
         model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
@@ -285,7 +285,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     err_sum = np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
         rows = hi - lo
-        draw = sample_snapshots(law, rows, field_rng).data
+        draw = sample_snapshots(law, rows, field_rng)
         # the estimate's error, e' = x'(1 - gain) - sqrt(p) gain z'
         err_eig = draw[:, :n_sensors] @ cov.eigvecs
         err_eig *= 1.0 - gain
@@ -334,11 +334,11 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
     field_rng = _generator(np.random.SeedSequence(seed).spawn(2)[0])
-    cov = covariance_matrix(model, sensor_positions(k_intervals))
+    cov = covariance_matrix(model, k_intervals)
     j_snap, jprime_snap = np.empty(schedule.n_steps), np.empty(schedule.n_steps)
     err_sum = np.zeros((frame, k_intervals))
     for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES):
-        active = sample_snapshots(cov, (hi - lo) * frame, field_rng).data
+        active = sample_snapshots(cov, (hi - lo) * frame, field_rng)
         if quantizer is None:
             err2 = np.zeros_like(active)
         else:

@@ -158,22 +158,22 @@ def lloyd_fixed_point(levels, tol=1e-11, max_iter=500_000):
     raise RuntimeError(f"fixed point did not reach tol={tol} in {max_iter} steps")
 
 
-def dsc_cross_term(model, grid, cov, p, grid_g=8):
+def dsc_cross_term(model, positions, cov, p, grid_g=8):
     """Analytic integral of E[E_S E_Q] for the distributed scheme.
 
     E_S is the conditional-mean residual against the nearest sample, E_Q the
     interpolated reconstruction error; their product has a closed second-moment
     form through the estimator matrix A = Sigma (Sigma + pI)^-1.
     """
-    n = grid.n_sensors
+    n = positions.size
     sigma = cov.sigma_x
     a_mat = sigma @ np.linalg.inv(sigma + p * np.eye(n))
     nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
     idx = np.minimum((nodes * n).astype(int), n - 1)
     total = 0.0
     for s, k in zip(nodes, idx):
-        rho_s = model(s - grid.positions[k])
-        c_s = model(np.abs(s - grid.positions))
+        rho_s = model(s - positions[k])
+        c_s = model(np.abs(s - positions))
         cross = rho_s * (rho_s - a_mat[k] @ c_s - rho_s * (1.0 - (a_mat @ sigma)[k, k]))
         total += cross
     return total / nodes.size
@@ -225,9 +225,10 @@ def markov_dsc_errors(n, p, m, seed, chunk=None):
     return solve_triangular(u.T, g, lower=True).T
 
 
-def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):
+def integrated_mse(truth, recon_fn, grid_g, *, model, positions, grid_truth=None):
     """Average integrated squared reconstruction error over [0, 1].
 
+    ``truth`` holds the m snapshots at the sensor ``positions`` as rows, and
     ``recon_fn(i, nodes)`` returns the reconstruction for snapshot i at the
     quadrature nodes.  By default the estimate is hybrid: the field between
     nodes is represented by its conditional law given the nearest sample, so
@@ -236,16 +237,16 @@ def integrated_mse(truth, recon_fn, grid_g, *, model, grid, grid_truth=None):
     matrix of field values at the nodes) switches to direct quadrature against
     those values.
     """
-    n = grid.n_sensors
+    n = positions.size
     nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
     idx = np.minimum((nodes * n).astype(int), n - 1)
-    rho_n = model(nodes - grid.positions[idx])
+    rho_n = model(nodes - positions[idx])
     r2 = rho_n ** 2
-    js = np.empty(truth.data.shape[0])
-    for i in range(truth.data.shape[0]):
+    js = np.empty(truth.shape[0])
+    for i in range(truth.shape[0]):
         rec = np.asarray(recon_fn(i, nodes), dtype=float)
         if grid_truth is None:
-            vals = (1.0 - r2) + (rho_n * truth.data[i, idx] - rec) ** 2
+            vals = (1.0 - r2) + (rho_n * truth[i, idx] - rec) ** 2
         else:
             vals = (np.asarray(grid_truth[i], dtype=float) - rec) ** 2
         js[i] = vals.mean()
@@ -384,7 +385,7 @@ def nearest_sample_location(s, n_sensors):
     return loc
 
 
-def interpolate(model, recon_at_sensors, grid, s):
+def interpolate(model, recon_at_sensors, positions, s):
     """Field reconstruction away from the sensors.
 
     Scales the reconstructed nearest sample by the correlation at the offset:
@@ -392,12 +393,12 @@ def interpolate(model, recon_at_sensors, grid, s):
     position this returns the reconstruction unchanged since rho(0) = 1.
     """
     recon = np.asarray(recon_at_sensors, dtype=float)
-    if recon.shape[-1] != grid.n_sensors:
+    if recon.shape[-1] != positions.size:
         raise ValueError(
-            f"reconstruction has {recon.shape[-1]} entries for {grid.n_sensors} sensors"
+            f"reconstruction has {recon.shape[-1]} entries for {positions.size} sensors"
         )
-    idx = nearest_sample_index(s, grid.n_sensors)
-    scale = model(np.asarray(s, dtype=float) - grid.positions[idx])
+    idx = nearest_sample_index(s, positions.size)
+    scale = model(np.asarray(s, dtype=float) - positions[idx])
     out = scale * recon[..., idx]
     if np.ndim(s) == 0 and recon.ndim == 1:
         return float(out)

@@ -122,7 +122,7 @@ class TestCriterion5OracleEquivalence:
             kind = "exp-markov" if rng.integers(2) else "sinc"
             n = int(rng.integers(1, 7))
             p = float(10 ** rng.uniform(-2, 1))
-            cov = df.covariance_matrix(model_of(kind), df.sensor_positions(n))
+            cov = df.covariance_matrix(model_of(kind), n)
             res = df.mmse_error(df.TestChannel(p=p, cov=cov))
             worst = max(worst, float(np.max(np.abs(
                 res - brute_force_mmse(cov.sigma_x, p)))))
@@ -135,7 +135,7 @@ class TestCriterion5OracleEquivalence:
             kind = "exp-markov" if rng.integers(2) else "sinc"
             n = int(rng.integers(2, 49))
             d = float(rng.uniform(0.02, 0.95))
-            cov = df.covariance_matrix(model_of(kind), df.sensor_positions(n))
+            cov = df.covariance_matrix(model_of(kind), n)
             sol = df.centralized_rate(cov, d)
             lam = cov.eigvals
             active = sol.per_mode_rate > 0

@@ -494,10 +494,13 @@ def _usage_error(args, capsys):
         cli.main(args)
     err = capsys.readouterr().err.splitlines()
     assert exc.value.code == 2
-    # argparse's usage line, then one error line
-    assert len(err) == 2 and err[0].startswith("usage: ")
-    assert err[1].startswith("densefield: error: ")
-    return err[1]
+    # argparse's usage (a command's wraps over several lines), then one
+    # error line from the parser that printed it
+    prog = err[0].split(" [")[0].removeprefix("usage: ")
+    assert err[0].startswith("usage: densefield")
+    assert all(line.startswith(" ") for line in err[1:-1])
+    assert err[-1].startswith(f"{prog}: error: ")
+    return err[-1]
 
 
 class TestModelSpec:
@@ -547,6 +550,22 @@ def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
 def test_non_finite_float_flag_is_usage_error(value, capsys):
     err = _usage_error([*SIM_DSC, f"--p={value}", "--m", "200"], capsys)
     assert err.endswith("--p must be finite")
+
+
+@pytest.mark.parametrize("args", [
+    [*SIM_DSC, "--k", "4"],
+    ["rates", "--model", "exp", "--n", "16", "--seed", "-1"],
+    ["pmax-curve", "--model", "exp", "--n-range", "10-20"],
+])
+def test_refusal_prints_the_refused_commands_usage(args, capsys):
+    # a flag refused after parsing is the command's error, as argparse's own
+    # refusals of that command's flags are
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    assert err[0].startswith(f"usage: densefield {args[0]} ")
+    assert err[-1].startswith(f"densefield {args[0]}: error: ")
 
 
 @pytest.mark.parametrize("args", [["p2p", "--model", "exp"], SIM_P2P, SIM_DSC])
@@ -620,7 +639,7 @@ def test_sink_write_error_is_one_line_and_exit_2(args, flag, capsys):
 
 
 def _subparsers():
-    return cli.build_parser()._subparsers._group_actions[0].choices
+    return cli.build_parser()[1]
 
 
 class TestParserContract:
@@ -672,8 +691,8 @@ class TestParserContract:
          dict(scheme="dsc", n=16, format="json")),
     ])
     def test_required_flags_only_give_runconfig_defaults(self, argv, given):
-        parser = cli.build_parser()
-        cfg, _ = cli._config_from_args(parser.parse_args(argv), parser)
+        parser, subs = cli.build_parser()
+        cfg, _ = cli._config_from_args(parser.parse_args(argv), subs[argv[0]])
         assert cfg == cli.RunConfig(command=argv[0], model="exp", **given)
 
     def test_every_dest_is_a_runconfig_field(self):

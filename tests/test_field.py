@@ -100,35 +100,38 @@ class TestMakeCorrelation:
 
 class TestSensorGrid:
     def test_single_sensor_midpoint(self):
-        assert df.sensor_positions(1).positions.tolist() == [0.5]
+        assert df.sensor_positions(1).tolist() == [0.5]
 
     def test_two_sensors(self):
-        assert df.sensor_positions(2).positions.tolist() == [0.25, 0.75]
+        assert df.sensor_positions(2).tolist() == [0.25, 0.75]
 
     def test_four_sensors(self):
-        assert df.sensor_positions(4).positions.tolist() == [0.125, 0.375, 0.625, 0.875]
+        assert df.sensor_positions(4).tolist() == [0.125, 0.375, 0.625, 0.875]
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            df.sensor_positions(0)
+    def test_zero_rejected(self, exp_model):
+        for build in (df.sensor_positions,
+                      lambda n: df.covariance_matrix(exp_model, n),
+                      lambda n: df.spectrum(exp_model, n)):
+            with pytest.raises(ValueError, match="need at least one sensor"):
+                build(0)
 
 
 class TestCovariance:
     def test_exp_two_sensor_entries(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(2))
+        cov = df.covariance_matrix(exp_model, 2)
         assert cov.sigma_x[0, 1] == pytest.approx(0.6065306597126334, abs=1e-15)
         assert cov.sigma_x[0, 0] == 1.0
 
     def test_single_sensor_unit(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(1))
+        cov = df.covariance_matrix(exp_model, 1)
         assert cov.sigma_x.tolist() == [[1.0]]
 
     def test_sinc_three_sensor_far_entry(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, df.sensor_positions(3))
+        cov = df.covariance_matrix(sinc_model, 3)
         assert cov.sigma_x[0, 2] == pytest.approx(0.4134966715663441, abs=1e-15)
 
     def test_exact_symmetry_and_bounded_offdiag(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, df.sensor_positions(17))
+        cov = df.covariance_matrix(sinc_model, 17)
         assert np.max(np.abs(cov.sigma_x - cov.sigma_x.T)) == 0.0
         off = cov.sigma_x - np.diag(np.diag(cov.sigma_x))
         assert np.max(np.abs(off)) <= 1.0
@@ -139,7 +142,7 @@ class TestCovariance:
         box = df.make_correlation("custom-table",
                                   np.column_stack([tau, (tau < 0.3).astype(float)]))
         with pytest.raises(df.ConditioningError, match="positive semidefinite"):
-            df.covariance_matrix(box, df.sensor_positions(64))
+            df.covariance_matrix(box, 64)
         with pytest.raises(df.ConditioningError, match="positive semidefinite"):
             df.spectrum(box, 64)
 
@@ -149,8 +152,7 @@ class TestCovariance:
         tau = np.linspace(0.0, 1.0, 101)
         table = df.make_correlation("custom-table",
                                     np.column_stack([tau, np.exp(-tau)]))
-        builds = (lambda: df.covariance_matrix(exp_model,
-                                               df.sensor_positions(n_max + 1)),
+        builds = (lambda: df.covariance_matrix(exp_model, n_max + 1),
                   lambda: df.spectrum(table, n_max + 1))
         for build in builds:
             tracemalloc.start()
@@ -164,14 +166,14 @@ class TestCovariance:
             assert peak < 2**20
 
     def test_eigendecomposition_reconstructs(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, df.sensor_positions(64))
+        cov = df.covariance_matrix(sinc_model, 64)
         recon = (cov.eigvecs * cov.eigvals_raw) @ cov.eigvecs.T
         assert np.max(np.abs(recon - cov.sigma_x)) <= 1e-8
         assert cov.n_clamped > 0  # band-limited kernel is rank deficient
         assert np.all(cov.eigvals >= CLAMP_FLOOR)
 
     def test_eigvals_descending(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(12))
+        cov = df.covariance_matrix(exp_model, 12)
         assert np.all(np.diff(cov.eigvals) <= 0)
 
 
@@ -193,7 +195,7 @@ class TestReflectionSplit:
     @pytest.mark.parametrize("name", ["exp", "sinc", "table"])
     def test_matches_full_eigendecomposition(self, name, n):
         model = _split_models()[name]
-        cov = df.covariance_matrix(model, df.sensor_positions(n))
+        cov = df.covariance_matrix(model, n)
         assert cov.backend == "dense"
         full = np.linalg.eigvalsh(cov.sigma_x)[::-1]
         np.testing.assert_allclose(cov.eigvals_raw, full, rtol=0, atol=1e-12 * n)
@@ -212,8 +214,7 @@ class TestReflectionSplit:
     def test_sensor_variances_match_dense(self, name, n):
         # (V o V) s from the two half-size blocks, and from a from_matrix
         # pack's one V, against the unfolded V of each
-        split = df.covariance_matrix(_split_models()[name],
-                                     df.sensor_positions(n))
+        split = df.covariance_matrix(_split_models()[name], n)
         s = np.random.default_rng(n).random(n)
         for cov in (split, df.CovariancePack.from_matrix(split.sigma_x)):
             np.testing.assert_allclose(cov.sensor_variances(s),
@@ -228,7 +229,7 @@ class TestReflectionSplit:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
+            cov = df.covariance_matrix(exp_model, n)
             cov.to_sensors(np.ones((2, n)))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -253,7 +254,7 @@ class TestKmsPrecision:
         # one sensor's inverse is [1], not the corner value 1/(1 - a^2)
         diag, off = field_mod._kms_precision(n)
         prec = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-        sigma = df.covariance_matrix(exp_model, df.sensor_positions(n)).sigma_x
+        sigma = df.covariance_matrix(exp_model, n).sigma_x
         np.testing.assert_allclose(prec @ sigma, np.eye(n), rtol=0,
                                    atol=1e-12 * n)
 
@@ -341,7 +342,7 @@ class TestSpectrumBackends:
         tau = np.linspace(0.0, 1.0, 201)
         model = df.make_correlation("custom-table", np.column_stack([tau, np.exp(-tau)]))
         spec = df.spectrum(model, 50)
-        cov = df.covariance_matrix(model, df.sensor_positions(50))
+        cov = df.covariance_matrix(model, 50)
         assert spec.backend == "dense" and spec.n_clamped == cov.n_clamped == 0
         np.testing.assert_allclose(spec.eigvals, cov.eigvals, rtol=1e-12)
         assert (spec.raw_min, spec.raw_max) == pytest.approx(
@@ -352,23 +353,23 @@ class TestSpectrumBackends:
 
 class TestSampling:
     def test_zero_snapshots_rejected(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(2))
+        cov = df.covariance_matrix(exp_model, 2)
         with pytest.raises(ValueError):
             df.sample_snapshots(cov, 0, 1)
 
     def test_unit_variance_band(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(1))
+        cov = df.covariance_matrix(exp_model, 1)
         snaps = df.sample_snapshots(cov, 100_000, seed=2024)
-        var = snaps.data[:, 0].var()
+        var = snaps[:, 0].var()
         assert 0.985 <= var <= 1.015  # 3 sigma band for 1e5 draws
 
     def test_bit_identical_for_same_seed(self, exp_model):
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(5))
+        cov = df.covariance_matrix(exp_model, 5)
         a = df.sample_snapshots(cov, 64, seed=7)
         b = df.sample_snapshots(cov, 64, seed=7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = df.sample_snapshots(cov, 64, seed=8)
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("pack, n", [("split", 64), ("split", 65),
                                          ("matrix", 65)])
@@ -376,20 +377,20 @@ class TestSampling:
         # g sqrt(Lambda) V^T through to_sensors against g (V sqrt(Lambda))^T
         # with the unfolded V: the same draw up to rounding (entries are
         # O(1) sums of N products, so 1e-13 is a few hundred ulps)
-        cov = df.covariance_matrix(sinc_model, df.sensor_positions(n))
+        cov = df.covariance_matrix(sinc_model, n)
         if pack == "matrix":
             cov = df.CovariancePack.from_matrix(cov.sigma_x)
         rng = field_mod._generator(np.random.SeedSequence(5))
         want = rng.standard_normal((300, n)) @ (cov.eigvecs * np.sqrt(cov.eigvals)).T
-        got = df.sample_snapshots(cov, 300, seed=5).data
+        got = df.sample_snapshots(cov, 300, seed=5)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
     def test_empirical_covariance_matches(self, kind):
         model = df.make_correlation(kind)
-        cov = df.covariance_matrix(model, df.sensor_positions(8))
+        cov = df.covariance_matrix(model, 8)
         snaps = df.sample_snapshots(cov, 100_000, seed=99)
-        emp = snaps.data.T @ snaps.data / snaps.data.shape[0]
+        emp = snaps.T @ snaps / snaps.shape[0]
         assert np.max(np.abs(emp - cov.sigma_x)) < 0.05
 
 
@@ -432,20 +433,18 @@ class TestNearestSample:
 
 class TestInterpolate:
     def test_identity_at_sensor_positions(self, exp_model):
-        grid = df.sensor_positions(6)
+        positions = df.sensor_positions(6)
         recon = np.arange(6, dtype=float)
-        for k, pos in enumerate(grid.positions):
-            assert interpolate(exp_model, recon, grid, pos) == recon[k]
+        for k, pos in enumerate(positions):
+            assert interpolate(exp_model, recon, positions, pos) == recon[k]
 
     def test_exp_single_sensor_value(self, exp_model):
-        grid = df.sensor_positions(1)
-        got = interpolate(exp_model, [2.0], grid, 0.6)
+        got = interpolate(exp_model, [2.0], df.sensor_positions(1), 0.6)
         assert got == pytest.approx(2 * np.exp(-0.1), abs=1e-14)
 
     def test_zero_reconstruction_stays_zero(self, sinc_model):
-        grid = df.sensor_positions(4)
         s = np.linspace(0, 1, 101)
-        out = interpolate(sinc_model, np.zeros(4), grid, s)
+        out = interpolate(sinc_model, np.zeros(4), df.sensor_positions(4), s)
         assert np.all(out == 0.0)
 
     def test_length_mismatch_rejected(self, exp_model):
@@ -454,10 +453,14 @@ class TestInterpolate:
 
 
 def test_snapshots_are_read_only(exp_model):
-    cov = df.covariance_matrix(exp_model, df.sensor_positions(3))
+    cov = df.covariance_matrix(exp_model, 3)
     snaps = df.sample_snapshots(cov, 4, seed=1)
+    positions = df.sensor_positions(3)
+    assert snaps.dtype == positions.dtype == float and snaps.shape == (4, 3)
     with pytest.raises(ValueError):
-        snaps.data[0, 0] = 5.0
+        snaps[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        positions[0] = 0.0
     with pytest.raises(ValueError):
         cov.sigma_x[0, 0] = 2.0
 
@@ -486,7 +489,7 @@ def test_covariance_blocks_reach_the_pack_uncopied(name, monkeypatch):
         return out
 
     monkeypatch.setattr(field_mod, "_freeze", recording_freeze)
-    cov = df.covariance_matrix(_split_models()[name], df.sensor_positions(25))
+    cov = df.covariance_matrix(_split_models()[name], 25)
     assert copied == []
     assert all(b.flags.c_contiguous and not b.flags.writeable
                for b in cov.blocks)

@@ -426,6 +426,6 @@ def test_p2p_costs_more_than_distributed_coding(kind):
     model = df.make_correlation(kind)
     _, p2p_rate = df.optimize_K(model, 0.1)
     n = 256
-    cov = df.covariance_matrix(model, df.sensor_positions(n))
+    cov = df.covariance_matrix(model, n)
     p_max = df.find_pmax(cov, df.target_distortion_dsc(0.1, n, model))
     assert p2p_rate > df.dsc_sum_rate(cov, p_max)

@@ -51,7 +51,7 @@ class TestSimulateDsc:
         # p tuned so the sensor-sample MSE sits exactly at the design target
         n = 64
         d_prime = df.target_distortion_dsc(0.1, n, exp_model)
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
+        cov = df.covariance_matrix(exp_model, n)
         p = df.find_pmax(cov, d_prime)
         rep = df.simulate_dsc(exp_model, n, p, m=20_000, seed=101)
         analytic = df.mmse_error(df.TestChannel(p=p, cov=cov)).mean()
@@ -218,8 +218,8 @@ class TestSimulateDsc:
     def test_fast_path_never_unfolds_eigvecs(self, sinc_model, monkeypatch):
         packs = []
 
-        def keep_pack(model, grid):
-            packs.append(df.covariance_matrix(model, grid))
+        def keep_pack(model, n):
+            packs.append(df.covariance_matrix(model, n))
             return packs[-1]
 
         monkeypatch.setattr(sim, "covariance_matrix", keep_pack)
@@ -242,7 +242,7 @@ class TestSimulateDsc:
         # The distortion sandwich alone misses a mis-scaled noise stream
         # (noise x 1.05 gives z near 25 with verdict "within").
         n, p, m, seeds = 64, 0.5, 2000, range(24)
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(n))
+        cov = df.covariance_matrix(exp_model, n)
         diag = df.mmse_error(df.TestChannel(p=p, cov=cov))
         expected = dsc_expected_jmse(exp_model, n, diag)
         z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
@@ -288,7 +288,7 @@ class TestSimulateDsc:
         # N(0, v_k) draws, v_k = lambda_k p/(lambda_k + p), so the estimate
         # has variance sum_k V_ik^4 2 v_k^2 / m
         n, p, m, seeds = 16, 0.5, 2000, range(24)
-        cov = df.covariance_matrix(model, df.sensor_positions(n))
+        cov = df.covariance_matrix(model, n)
         mmse = df.mmse_error(df.TestChannel(p=p, cov=cov))
         v = cov.eigvals * p / (cov.eigvals + p)
         se = np.sqrt((cov.eigvecs ** 4) @ (2 * v ** 2) / m)
@@ -304,8 +304,8 @@ class TestSimulateDsc:
         # pack and one full eigh of the same matrix, whose eigenvectors may
         # differ in sign, give the same errors up to rounding
         split = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
-        full_pack = lambda model, grid: df.CovariancePack.from_matrix(
-            df.covariance_matrix(model, grid).sigma_x)
+        full_pack = lambda model, n: df.CovariancePack.from_matrix(
+            df.covariance_matrix(model, n).sigma_x)
         monkeypatch.setattr(sim, "covariance_matrix", full_pack)
         full = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
         assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
@@ -326,7 +326,7 @@ class TestSimulateDsc:
         assert shapes and max(max(s) for s in shapes) <= 512
         for model in (sinc_model, exp_model):
             shapes.clear()
-            df.covariance_matrix(model, df.sensor_positions(1024))
+            df.covariance_matrix(model, 1024)
             assert shapes == [(512, 512), (512, 512)], model.kind
         # p2p's pack is the K-sensor grid's, and exp-markov's N-sensor
         # spectrum is the KMS secular equation's
@@ -342,9 +342,8 @@ class TestSimulateDsc:
         p, m, seed = 0.7, 301, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         err = markov_dsc_errors(n, p, m, seed)
-        got = integrated_mse(df.FieldSnapshots(err),
-                             lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=df.sensor_positions(n))
+        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, positions=df.sensor_positions(n))
         assert rep.j_mse == pytest.approx(got, abs=1e-12)
         assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
         np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
@@ -357,7 +356,7 @@ class TestSimulateDsc:
         # the corner value 1/(1 - a^2) in place of [1] reads 0.386 for 0.412
         p, m = 0.7, 100_000
         rep = df.simulate_dsc(exp_model, n, p, m=m, seed=29)
-        sigma = df.covariance_matrix(exp_model, df.sensor_positions(n)).sigma_x
+        sigma = df.covariance_matrix(exp_model, n).sigma_x
         mmse = brute_force_mmse(np.array(sigma), p)
         assert np.all(np.abs(rep.per_sensor_mse - mmse)
                       <= 4 * np.sqrt(2 / m) * mmse)
@@ -398,9 +397,8 @@ class TestSimulateDsc:
         p, m, seed = 0.7, 207, 13
         rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
         err = markov_dsc_errors(n, p, m, seed, chunk=100)
-        got = integrated_mse(df.FieldSnapshots(err),
-                             lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=df.sensor_positions(n))
+        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
+                             model=exp_model, positions=df.sensor_positions(n))
         assert rep.j_mse == pytest.approx(got, abs=1e-12)
         assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
         np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
@@ -542,9 +540,8 @@ class TestCrossTermDecomposition:
 
     @pytest.mark.parametrize("n,p", [(8, 0.5), (16, 1.0)])
     def test_dsc_independent_error_formula_fails(self, exp_model, n, p):
-        grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(exp_model, grid)
-        cross = dsc_cross_term(exp_model, grid, cov, p, grid_g=8)
+        cov = df.covariance_matrix(exp_model, n)
+        cross = dsc_cross_term(exp_model, df.sensor_positions(n), cov, p, grid_g=8)
         hybrid = df.simulate_dsc(exp_model, n, p, m=20_000, seed=31)
         naive = df.simulate_dsc(exp_model, n, p, m=20_000, seed=32, naive=True)
         margin = 3 * (hybrid.stderr_jmse + naive.stderr_jmse)
@@ -561,14 +558,14 @@ class TestCrossTermDecomposition:
         hybrid = df.simulate_p2p(exp_model, n, k, quant, m_prime=m_prime,
                                  grid_g=grid_g, seed=seed)
 
-        grid = df.sensor_positions(n)
+        positions = df.sensor_positions(n)
         nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
-        joint_pos = np.concatenate([grid.positions, nodes])
+        joint_pos = np.concatenate([positions, nodes])
         joint_cov = df.CovariancePack.from_matrix(
             exp_model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
         m = m_prime * (n // k)
         frame = n // k
-        draws = df.sample_snapshots(joint_cov, m, seed=555).data
+        draws = df.sample_snapshots(joint_cov, m, seed=555)
         x_sens, x_nodes = draws[:, :n], draws[:, n:]
         sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
         js = np.empty(m)
@@ -576,7 +573,7 @@ class TestCrossTermDecomposition:
             j0 = i % frame
             active = j0 + frame * np.arange(k)
             _, rep = df.quantize(quant, x_sens[i, active])
-            r_pos = grid.positions[active][sub_of_node]
+            r_pos = positions[active][sub_of_node]
             recon = exp_model(nodes - r_pos) * rep[sub_of_node]
             js[i] = np.mean((x_nodes[i] - recon) ** 2)
         direct = js.mean()
@@ -686,9 +683,9 @@ class TestSimulateP2p:
                               grid_g=grid_g, seed=seed)
         schedule = df.tdma_schedule(n, k, m_prime)
         field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        cov = df.covariance_matrix(exp_model, df.sensor_positions(k))
-        draws = df.sample_snapshots(cov, schedule.n_steps, field_ss).data
-        positions = df.sensor_positions(n).positions
+        cov = df.covariance_matrix(exp_model, k)
+        draws = df.sample_snapshots(cov, schedule.n_steps, field_ss)
+        positions = df.sensor_positions(n)
         nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
         sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
         js = np.empty(schedule.n_steps)
@@ -723,41 +720,41 @@ def dsc_fast_path_errors(cov, p, m, seed, chunk=None):
     rotated to the sensors with the unfolded V."""
     u = np.sqrt(1.0 / cov.eigvals + 1.0 / p)
     err_eig = chunked_gaussians(cov.n, m, seed, chunk).T / u
-    return (df.FieldSnapshots(err_eig @ cov.eigvecs.T),
-            (err_eig ** 2).mean(axis=0))
+    return err_eig @ cov.eigvecs.T, (err_eig ** 2).mean(axis=0)
 
 
 class TestIntegratedMse:
     def test_perfect_reconstruction_single_sensor_closed_form(self, exp_model):
         # integral of 1 - e^(-2|s - 1/2|) over [0, 1] equals e^-1
-        grid = df.sensor_positions(1)
-        cov = df.covariance_matrix(exp_model, grid)
-        truth = df.sample_snapshots(cov, 50, seed=6)
+        positions = df.sensor_positions(1)
+        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 1), 50, seed=6)
 
         def recon(i, nodes):
-            return interpolate(exp_model, truth.data[i], grid, nodes)
+            return interpolate(exp_model, truth[i], positions, nodes)
 
-        got = integrated_mse(truth, recon, 4096, model=exp_model, grid=grid)
+        got = integrated_mse(truth, recon, 4096, model=exp_model,
+                             positions=positions)
         assert got == pytest.approx(np.exp(-1.0), abs=1e-5)
 
     def test_zero_field_zero_reconstruction_direct_mode(self, exp_model):
-        grid = df.sensor_positions(4)
-        truth = df.FieldSnapshots(np.zeros((3, 4)))
+        truth = np.zeros((3, 4))
         grid_truth = np.zeros((3, 4 * 8))
         got = integrated_mse(truth, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, grid=grid, grid_truth=grid_truth)
+                             model=exp_model, positions=df.sensor_positions(4),
+                             grid_truth=grid_truth)
         assert got == 0.0
 
     def test_quadrature_converges_under_grid_doubling(self, exp_model):
-        grid = df.sensor_positions(16)
-        cov = df.covariance_matrix(exp_model, grid)
-        truth = df.sample_snapshots(cov, 20, seed=8)
+        positions = df.sensor_positions(16)
+        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 16), 20, seed=8)
 
         def recon(i, nodes):
-            return interpolate(exp_model, 0.9 * truth.data[i], grid, nodes)
+            return interpolate(exp_model, 0.9 * truth[i], positions, nodes)
 
-        coarse = integrated_mse(truth, recon, 8, model=exp_model, grid=grid)
-        fine = integrated_mse(truth, recon, 16, model=exp_model, grid=grid)
+        coarse = integrated_mse(truth, recon, 8, model=exp_model,
+                                positions=positions)
+        fine = integrated_mse(truth, recon, 16, model=exp_model,
+                              positions=positions)
         assert abs(fine - coarse) / coarse < 0.005
 
     def test_matches_simulate_dsc_fast_path(self, sinc_model):
@@ -766,22 +763,20 @@ class TestIntegratedMse:
         # truth with a zero reconstruction
         n, p, m, seed = 6, 0.7, 300, 13
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
-        grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(sinc_model, grid)
+        cov = df.covariance_matrix(sinc_model, n)
         err, _ = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=sinc_model, grid=grid)
+                             model=sinc_model, positions=df.sensor_positions(n))
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
     def test_matches_simulate_dsc_fast_path_odd_n(self, sinc_model):
         # as above with odd N, so the middle row of the unfold is scored
         n, p, m, seed = 7, 0.7, 300, 13
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
-        grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(sinc_model, grid)
+        cov = df.covariance_matrix(sinc_model, n)
         err, _ = dsc_fast_path_errors(cov, p, m, seed)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=sinc_model, grid=grid)
+                             model=sinc_model, positions=df.sensor_positions(n))
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
 
     def test_matches_simulate_dsc_fast_path_across_blocks(self, sinc_model,
@@ -793,13 +788,12 @@ class TestIntegratedMse:
         n, p, seed = 6, 0.7, 13
         m = 3 * sim._CHUNK + 45
         rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
-        grid = df.sensor_positions(n)
-        cov = df.covariance_matrix(sinc_model, grid)
+        cov = df.covariance_matrix(sinc_model, n)
         err, per_mode = dsc_fast_path_errors(cov, p, m, seed, chunk=100)
         got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=sinc_model, grid=grid)
+                             model=sinc_model, positions=df.sensor_positions(n))
         assert got == pytest.approx(rep.j_mse, abs=1e-12)
-        err2 = err.data ** 2
+        err2 = err ** 2
         assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
         np.testing.assert_allclose(rep.per_sensor_mse,
                                    (cov.eigvecs ** 2) @ per_mode,
