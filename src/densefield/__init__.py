@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # layer module -> the public names the package exports from it
 _EXPORTS = {
     "errors": ("ConditioningError", "ConvergenceError", "InfeasibleConfigError"),
-    "field": ("CorrelationModel", "CovariancePack", "Spectrum", "make_correlation",
-              "load_correlation_table", "sensor_positions", "covariance_matrix",
+    "correlation": ("CorrelationModel", "make_correlation", "load_correlation_table"),
+    "field": ("CovariancePack", "Spectrum", "sensor_positions", "covariance_matrix",
               "spectrum", "sample_snapshots"),
     "estimation": ("TestChannel", "mmse_estimate", "mmse_error"),
     "rates": ("RateReport", "WaterfillSolution", "target_distortion_dsc",

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, replace
 
 # every command needs these two; each handler imports the layers it runs
 # itself, so a process loads (and compiles) no layer its command never enters
+from .correlation import EXP_MARKOV, SINC, load_correlation_table, make_correlation
 from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
-from .field import EXP_MARKOV, SINC, load_correlation_table, make_correlation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -354,7 +354,9 @@ _COMMANDS = {
 
 def main(argv=None):
     parser, subs = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # refused by the chosen command, which prints its own usage
+        subs[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     cfg, model = _config_from_args(args, subs[args.command])
     try:
         text, code = _COMMANDS[cfg.command](cfg, model)

@@ -1,124 +1,20 @@
-"""Stationary Gaussian field model, sensor geometry and snapshot sampling.
+"""Sensor geometry, covariance spectra and snapshot sampling of the field
+whose autocorrelation a ``correlation.CorrelationModel`` gives.
 
 Sensors sit at N regular points of [0, 1], so every function here takes the
-count N, and positions and snapshots are plain read-only float arrays.
-
-The field lives on [0, 1], has zero mean, unit variance and an autocorrelation
-function rho(tau) that is symmetric, equals 1 at 0 and is non-increasing on a
-neighbourhood of 0 of radius ``theta_mono``.  All objects here are immutable
-after construction and safe to share between threads; snapshot generation is
-deterministic given the seed regardless of any internal parallelism.
+count N, and positions and snapshots are plain read-only float arrays.  All
+objects here are immutable after construction and safe to share between
+threads; snapshot generation is deterministic given the seed regardless of
+any internal parallelism.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .correlation import EXP_MARKOV, SINC, _freeze
 from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
-
-SINC = "sinc"
-EXP_MARKOV = "exp-markov"
-CUSTOM_TABLE = "custom-table"
-
-_KINDS = (SINC, EXP_MARKOV, CUSTOM_TABLE)
-
-
-def _freeze(arr):
-    """A read-only float array of ``arr``'s values: a read-only float array
-    as it is, anything else copied, so the caller's array stays writeable."""
-    if isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable:
-        return arr
-    out = np.array(arr, dtype=float, order="C")
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class CorrelationModel:
-    """Autocorrelation function rho(tau) with its monotone-neighbourhood radius.
-
-    ``theta_mono`` is a radius such that rho is non-increasing on
-    (0, theta_mono].  Evaluation accepts scalars or arrays and uses |tau|,
-    so rho(-tau) = rho(tau) by construction.
-    """
-
-    kind: str
-    theta_mono: float = 1.0
-    table_tau: np.ndarray = dc_field(default=None, repr=False)
-    table_rho: np.ndarray = dc_field(default=None, repr=False)
-
-    def __call__(self, tau):
-        t = np.abs(np.asarray(tau, dtype=float))
-        if self.kind == SINC:
-            out = np.sinc(t)
-        elif self.kind == EXP_MARKOV:
-            out = np.exp(-t)
-        else:
-            if np.any(t > self.table_tau[-1] + 1e-12):
-                raise ValueError(
-                    f"custom table covers lags up to {self.table_tau[-1]}, "
-                    f"requested {float(np.max(t))}"
-                )
-            out = np.interp(t, self.table_tau, self.table_rho)
-        if np.ndim(tau) == 0:
-            return float(out)
-        return out
-
-
-def _table_theta_mono(tau, rho):
-    inc = np.nonzero(np.diff(rho) > 0)[0]
-    if inc.size == 0:
-        return float(min(tau[-1], 1.0))
-    return float(min(tau[inc[0]], 1.0))
-
-
-def _validate_table(tau, rho):
-    if tau.size < 2:
-        raise ValueError("correlation table needs at least two rows")
-    if tau[0] != 0.0:
-        raise ValueError("correlation table must start at tau = 0")
-    if np.any(np.diff(tau) <= 0):
-        raise ValueError("correlation table lags must be strictly increasing")
-    if rho[0] != 1.0:
-        raise ValueError("correlation table must have rho(0) = 1")
-    if np.any(np.abs(rho) > 1.0):
-        raise ValueError("correlation table values must lie in [-1, 1]")
-    if tau[-1] < 1.0 - 1e-12:
-        # rho is evaluated on all of [0, 1]; tables must cover that range
-        raise ValueError("correlation table must cover lags up to 1")
-
-
-def make_correlation(kind, params=()):
-    """Build a CorrelationModel.
-
-    ``params`` is empty for the built-in kinds; for ``custom-table`` it is an
-    (M, 2) array of (tau, rho) rows, and any other shape is refused.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown correlation kind {kind!r}; expected one of {_KINDS}")
-    if kind in (SINC, EXP_MARKOV):
-        if len(params):
-            raise ValueError(f"{kind} takes no parameters")
-        # both decrease on (0, 1] (sinc's first minimum is at 1.43), so the
-        # whole unit interval is a monotone neighbourhood
-        return CorrelationModel(kind=kind, theta_mono=1.0)
-    arr = np.asarray(params, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("correlation table needs exactly two columns (tau, rho)")
-    tau, rho = _freeze(arr[:, 0]), _freeze(arr[:, 1])
-    _validate_table(tau, rho)
-    return CorrelationModel(kind=CUSTOM_TABLE, theta_mono=_table_theta_mono(tau, rho),
-                            table_tau=tau, table_rho=rho)
-
-
-def load_correlation_table(path):
-    """Load a custom-table model from a two-column CSV of (tau, rho) rows."""
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    try:
-        return make_correlation(CUSTOM_TABLE, data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sensor_count(n_sensors):

@@ -8,21 +8,21 @@ the points, by Newton's method: the Jacobian is tridiagonal in closed form,
 so each step costs O(L), and about a dozen steps reach the tolerance.  The
 point-to-point scheme splits [0, 1] into K sub-intervals, activates one
 sensor per sub-interval per time step in a round-robin frame, and codes each
-active sample on its own.
+active sample on its own.  The design and the K scan run on Python floats
+with ``math`` and ``statistics``; only ``quantize`` and a codebook's arrays
+import numpy.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from statistics import NormalDist
 
-import numpy as np
-
+from .correlation import _freeze
 from .errors import ConvergenceError, InfeasibleConfigError
-from .field import _freeze
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 _K_LIMIT = 100_000
 # Lloyd-Max residual tolerance and Newton step limit; largest codebook size
 _LLOYD_TOL = 1e-11
@@ -31,80 +31,64 @@ _MAX_LEVELS = 1 << 16
 
 
 def _norm_pdf(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def _norm_cdf(x):
-    """Standard normal CDF 0.5 erfc(-x / sqrt 2) of an array; 0 and 1 at -inf
-    and +inf exactly."""
-    return 0.5 * _ERFC(-x / _SQRT_2).astype(float)
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2), exactly 0 and 1 at -/+inf."""
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
-def _norm_ppf(p):
-    """Standard normal quantile of each probability in an array."""
-    from statistics import NormalDist  # kept off the CLI import path
-
-    inv_cdf = NormalDist().inv_cdf
-    return np.array([inv_cdf(v) for v in p.tolist()])
-
-
-def _edge_term(edges):
-    # x * pdf(x) with the correct 0 limit at +-inf
-    out = np.zeros_like(edges)
-    finite = np.isfinite(edges)
-    out[finite] = edges[finite] * _norm_pdf(edges[finite])
-    return out
+_norm_ppf = NormalDist().inv_cdf   # standard normal quantile of a probability
 
 
 def _cell_stats(boundaries):
-    """Probability, mean and second moment of N(0,1) on each cell.
+    """Probability, mean and second moment of N(0,1) on each cell, as lists.
 
     Cells above 0 take their probability as a difference of survival
     functions: a difference of CDFs there cancels to a few ulps of 1, which
     would floor the design residual near 1e-9 for L of several hundred.
     """
-    edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
-    cdf = _norm_cdf(edges)
-    sf = _norm_cdf(-edges)
-    pdf = np.where(np.isfinite(edges), _norm_pdf(edges), 0.0)
-    xpdf = _edge_term(edges)
-    prob = np.where(edges[:-1] >= 0.0, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
-    m1 = pdf[:-1] - pdf[1:]
-    m2 = prob - (xpdf[1:] - xpdf[:-1])
+    edges = [-math.inf, *boundaries, math.inf]
+    prob = [_norm_cdf(-lo) - _norm_cdf(-hi) if lo >= 0.0
+            else _norm_cdf(hi) - _norm_cdf(lo) for lo, hi in zip(edges, edges[1:])]
+    pdf = [_norm_pdf(e) for e in edges]
+    # x * pdf(x) with the correct 0 limit at +-inf
+    xpdf = [0.0, *(b * d for b, d in zip(boundaries, pdf[1:])), 0.0]
+    m1 = [lo - hi for lo, hi in zip(pdf, pdf[1:])]
+    m2 = [p - (hi - lo) for p, lo, hi in zip(prob, xpdf, xpdf[1:])]
     return prob, m1, m2
 
 
-@dataclass(frozen=True)
 class ScalarQuantizer:
-    """Lloyd-Max codebook for the unit Gaussian source."""
+    """Lloyd-Max codebook for the unit Gaussian source, immutable.  Its
+    ``boundaries`` and ``points`` are read-only float arrays of the values
+    given, built on first read: reading only ``levels`` and ``distortion``
+    loads no numpy."""
 
-    levels: int
-    boundaries: np.ndarray
-    points: np.ndarray
-    distortion: float
+    def __init__(self, levels, boundaries, points, distortion):
+        vars(self).update(levels=levels, distortion=distortion,
+                          _values=(tuple(boundaries), tuple(points)))
 
-    def __post_init__(self):
-        for name in ("boundaries", "points"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScalarQuantizer is immutable; cannot set {name!r}")
 
-
-def _distortion(boundaries, points):
-    prob, m1, m2 = _cell_stats(boundaries)
-    return float(np.sum(m2 - 2.0 * points * m1 + points ** 2 * prob))
+    boundaries = cached_property(lambda self: _freeze(self._values[0]))
+    points = cached_property(lambda self: _freeze(self._values[1]))
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
     """Solve the system with sub-, main and super-diagonals ``lower``,
     ``diag`` and ``upper`` by the Thomas sweep, in O(n) time and memory."""
-    sub, sup, den, x = (a.tolist() for a in (lower, upper, diag, rhs))
+    den, x = list(diag), list(rhs)
     for i in range(1, len(x)):
-        w = sub[i - 1] / den[i - 1]
-        den[i] -= w * sup[i - 1]
+        w = lower[i - 1] / den[i - 1]
+        den[i] -= w * upper[i - 1]
         x[i] -= w * x[i - 1]
     x[-1] /= den[-1]
     for i in range(len(x) - 2, -1, -1):
-        x[i] = (x[i] - sup[i] * x[i + 1]) / den[i]
-    return np.array(x)
+        x[i] = (x[i] - upper[i] * x[i + 1]) / den[i]
+    return x
 
 
 @lru_cache(maxsize=256)
@@ -124,25 +108,24 @@ def lloyd_max(levels):
     if levels < 1:
         raise ValueError("need at least one level")
     if levels == 1:
-        return ScalarQuantizer(levels=1, boundaries=np.empty(0),
-                               points=np.zeros(1), distortion=1.0)
-    points = _norm_ppf((2.0 * np.arange(levels) + 1.0) / (2.0 * levels))
+        return ScalarQuantizer(levels=1, boundaries=(), points=(0.0,), distortion=1.0)
+    points = [_norm_ppf((2.0 * i + 1.0) / (2.0 * levels)) for i in range(levels)]
     for _ in range(_LLOYD_MAX_ITER):
-        boundaries = 0.5 * (points[:-1] + points[1:])
-        prob, m1, _ = _cell_stats(boundaries)
-        resid = float(np.max(np.abs(m1 / prob - points)))
+        boundaries = [0.5 * (a + b) for a, b in zip(points, points[1:])]
+        prob, m1, m2 = _cell_stats(boundaries)
+        resid = max(abs(c / p - y) for c, p, y in zip(m1, prob, points))
         if resid < _LLOYD_TOL:
+            distortion = math.fsum(s - 2.0 * y * c + y * y * p
+                                   for s, y, c, p in zip(m2, points, m1, prob))
             return ScalarQuantizer(levels=int(levels), boundaries=boundaries,
-                                   points=points,
-                                   distortion=_distortion(boundaries, points))
-        pdf = _norm_pdf(boundaries)
-        upper = 0.5 * (boundaries - points[:-1]) * pdf
-        lower = 0.5 * (points[1:] - boundaries) * pdf
-        diag = -prob
-        diag[:-1] += upper
-        diag[1:] += lower
-        points = points - _solve_tridiagonal(lower, diag, upper,
-                                             m1 - points * prob)
+                                   points=points, distortion=distortion)
+        pdf = [_norm_pdf(b) for b in boundaries]
+        upper = [0.5 * (b - y) * d for b, y, d in zip(boundaries, points, pdf)]
+        lower = [0.5 * (y - b) * d for b, y, d in zip(boundaries, points[1:], pdf)]
+        diag = [-p + u + w for p, u, w in zip(prob, [*upper, 0.0], [0.0, *lower])]
+        step = _solve_tridiagonal(lower, diag, upper,
+                                  [c - y * p for c, y, p in zip(m1, points, prob)])
+        points = [y - d for y, d in zip(points, step)]
     raise ConvergenceError(
         f"L={levels} Lloyd-Max design did not reach tol={_LLOYD_TOL} in "
         f"{_LLOYD_MAX_ITER} Newton steps (residual {resid:.3g})",
@@ -152,6 +135,7 @@ def lloyd_max(levels):
 
 def quantize(q, x):
     """Cell index and reproduction point for x; boundary ties go up."""
+    import numpy as np
     idx = np.searchsorted(q.boundaries, x, side="right")
     rep = q.points[idx]
     if np.ndim(x) == 0:
@@ -193,18 +177,21 @@ def min_levels_for_distortion(target):
     return hi
 
 
+def _slack(model, d_net, k_intervals):
+    # d_net - (1 - rho^2(1/K)), rho at a float lag: no numpy for a built-in kernel
+    return d_net - (1.0 - model(1.0 / k_intervals) ** 2)
+
+
 def p2p_distortion_budget(model, d_net, k_intervals):
     """Per-sample coding budget D_K = d_net - (1 - rho^2(1/K)).
 
     What is left of the field budget once the worst-case estimation error
     across a sub-interval of width 1/K is paid.
     """
-    slack = d_net - (1.0 - model(1.0 / k_intervals) ** 2)
+    slack = _slack(model, d_net, k_intervals)
     if slack <= 0:
-        raise InfeasibleConfigError(
-            f"K={k_intervals}: interval width 1/K leaves no sample budget "
-            f"under d_net={d_net}"
-        )
+        raise InfeasibleConfigError(f"K={k_intervals}: interval width 1/K leaves "
+                                    f"no sample budget under d_net={d_net}")
     if slack > 1.0:
         raise InfeasibleConfigError(f"K={k_intervals}: budget {slack:.6g} exceeds 1")
     return float(slack)
@@ -225,22 +212,21 @@ def p2p_min_feasible_k(model, d_net):
     """Smallest K <= _K_LIMIT whose sub-interval width leaves a positive
     sample budget."""
     for k in range(1, _K_LIMIT + 1):
-        if d_net - (1.0 - model(1.0 / k) ** 2) > 0:
+        if _slack(model, d_net, k) > 0:
             return k
     raise InfeasibleConfigError(f"no feasible K up to {_K_LIMIT} for d_net={d_net}")
 
 
 def optimize_K(model, d_net, k_max=None, n_sensors=None):
-    """Minimize the p2p sum rate over feasible K in one array pass.
+    """Minimize the p2p sum rate over feasible K by a scalar scan.
 
     The objective grows roughly linearly in K once the budget saturates, so
     the default window [K_min_feasible, 10 K_min_feasible] brackets the
-    minimizer without assuming unimodality.  The budgets D_K and rates
-    -(K/2) ln D_K of every K in the window are computed at once, and the
-    first minimum breaks ties toward smaller K.  With ``n_sensors`` the
+    minimizer without assuming unimodality.  Each K in the window with a
+    budget D_K in (0, 1] is scored by -(K/2) ln D_K on Python floats, and
+    the first minimum breaks ties toward smaller K.  With ``n_sensors`` the
     window keeps only the divisors of N up to N, the counts a TDMA schedule
-    over N sensors can use.  The rate returned is ``p2p_rate_for_K``'s at
-    K*, so it does not depend on the array pass's rounding.
+    over N sensors can use.  The rate returned is ``p2p_rate_for_K``'s at K*.
     """
     if not 0 < d_net < 1:
         raise ValueError("d_net must lie in (0, 1)")
@@ -248,21 +234,17 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
     if k_max is None:
         k_max = n_sensors or 10 * k_min
     if k_max < k_min:
-        raise InfeasibleConfigError(
-            f"no feasible K <= {k_max}: need at least K = {k_min}"
-        )
-    ks = np.arange(k_min, k_max + 1)
-    if n_sensors:
-        ks = ks[n_sensors % ks == 0]
-    budget = d_net - (1.0 - model(1.0 / ks) ** 2)
-    feasible = (budget > 0.0) & (budget <= 1.0)
-    if not feasible.any():  # only the divisor filter can drop the feasible k_min
+        raise InfeasibleConfigError(f"no feasible K <= {k_max}: need at least "
+                                    f"K = {k_min}")
+    rates = {k: -(k / 2.0) * math.log(slack) for k in range(k_min, k_max + 1)
+             if not (n_sensors and n_sensors % k)
+             and 0.0 < (slack := _slack(model, d_net, k)) <= 1.0}
+    if not rates:  # only the divisor filter can drop the feasible k_min
         raise InfeasibleConfigError(
             f"no feasible sub-interval count in [{k_min}, {k_max}] divides "
             f"N={n_sensors} for d_net={d_net}"
         )
-    ks = ks[feasible]
-    best_k = int(ks[np.argmin(-(ks / 2.0) * np.log(budget[feasible]))])
+    best_k = min(rates, key=rates.get)
     return best_k, p2p_rate_for_K(model, d_net, best_k)
 
 

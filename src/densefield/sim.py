@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import EXP_MARKOV
 from .errors import InfeasibleConfigError
-from .field import (DENSE_BUDGET_BYTES, EXP_MARKOV, CovariancePack,
-                    _generator, _kms_precision, check_dense_size,
-                    covariance_matrix, nearest_sample_index, sample_snapshots,
-                    sensor_positions, spectrum)
+from .field import (DENSE_BUDGET_BYTES, CovariancePack, _generator,
+                    _kms_precision, check_dense_size, covariance_matrix,
+                    nearest_sample_index, sample_snapshots, sensor_positions,
+                    spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 

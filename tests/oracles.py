@@ -28,9 +28,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from densefield.correlation import CorrelationModel
 from densefield.errors import InfeasibleConfigError
-from densefield.field import (CLAMP_FLOOR, CorrelationModel, _generator,
-                              nearest_sample_index)
+from densefield.field import CLAMP_FLOOR, _generator, nearest_sample_index
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.cli import _report_body
 

@@ -267,7 +267,8 @@ def _child_env(timeout):
 @pytest.mark.parametrize("given, seen", [(None, "20"), ("7", "7")])
 def test_blas_thread_timeout_is_set_before_numpy_loads(given, seen):
     # OpenBLAS reads the variable only when its library loads, so record it at
-    # the first lookup of numpy; a value the user set is kept
+    # the first lookup of numpy, which `rates` makes (`import densefield.cli`
+    # alone loads no numpy); a value the user set is kept
     code = ("import os, sys\n"
             "class Probe:\n"
             "    seen = []\n"
@@ -276,6 +277,8 @@ def test_blas_thread_timeout_is_set_before_numpy_loads(given, seen):
             "            self.seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
             "sys.meta_path.insert(0, Probe())\n"
             "import densefield.cli\n"
+            "densefield.cli.main(['rates', '--model', 'exp', '--n', '16',\n"
+            "                     '--out', os.devnull])\n"
             "print(Probe.seen)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env(given), check=True)
@@ -316,6 +319,19 @@ def test_bench_per_layer_metrics_name_public_functions():
                 or getattr(fn, "__module__", None) != mod.__name__):
             missing.append(metric["name"])
     assert missing == []
+
+
+@pytest.mark.parametrize("model, dnet", [("exp", "0.1"), ("sinc", "0.02")])
+def test_simulate_p2p_runs_the_p2p_design(model, dnet, capsys):
+    # K* = 24 and 15 divide N = 480, so both commands choose the same K
+    _, out = run_cli(["p2p", "--model", model, "--dnet", dnet], capsys)
+    _, sim_out = run_cli(["simulate", "--scheme", "p2p", "--model", model,
+                          "--dnet", dnet, "--n", "480", "--m-prime", "20"], capsys)
+    p2p, resolved = json.loads(out), json.loads(sim_out)["resolved"]
+    assert (resolved["k"], resolved["levels"]) == (p2p["K_star"],
+                                                   p2p["quantizer"]["levels"])
+    assert resolved["sample_budget"] == p2p["sample_budget"]
+    assert resolved["designed_distortion"] == p2p["quantizer"]["distortion"]
 
 
 class TestP2p:
@@ -556,10 +572,12 @@ def test_non_finite_float_flag_is_usage_error(value, capsys):
     [*SIM_DSC, "--k", "4"],
     ["rates", "--model", "exp", "--n", "16", "--seed", "-1"],
     ["pmax-curve", "--model", "exp", "--n-range", "10-20"],
+    ["p2p", "--model", "exp", "--format", "csv"],
+    ["rates", "--model", "exp", "--n", "16", "--k", "3"],
 ])
 def test_refusal_prints_the_refused_commands_usage(args, capsys):
-    # a flag refused after parsing is the command's error, as argparse's own
-    # refusals of that command's flags are
+    # a flag refused after parsing, or one the command does not take, is the
+    # command's error, as argparse's own refusals of that command's flags are
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
     err = capsys.readouterr().err.splitlines()

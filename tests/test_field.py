@@ -98,6 +98,35 @@ class TestMakeCorrelation:
             assert model(0.0) == 1.0
 
 
+# every lag the p2p scan and the regular grids evaluate: 1/K for K up to the
+# scan's limit, the half-spacings 1/(2N) and 0
+BRANCH_LAGS = np.concatenate([1.0 / np.arange(1, 100_001),
+                              1.0 / (2.0 * np.arange(1, 4097)), [0.0]])
+
+
+class TestRhoBranches:
+    """A float lag of a built-in kind takes ``math``, an array numpy."""
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
+    def test_scalar_branch_matches_array_branch(self, kind):
+        model = df.make_correlation(kind)
+        array = model(BRANCH_LAGS)
+        scalar = np.array([model(t) for t in BRANCH_LAGS.tolist()])
+        if kind == "sinc":   # the same operations: identical bits
+            assert np.array_equal(scalar.view(np.int64), array.view(np.int64))
+        else:                # math.exp against numpy's: within one ulp
+            assert np.all(np.abs(scalar - array) <= np.spacing(array))
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
+    def test_rho_is_one_at_zero_and_even(self, kind):
+        model = df.make_correlation(kind)
+        assert [model(0.0), model(-0.0), model(0)] == [1.0, 1.0, 1.0]
+        assert model(np.zeros(2)).tolist() == [1.0, 1.0]
+        lags = BRANCH_LAGS.tolist()
+        assert [model(-t) for t in lags] == [model(t) for t in lags]
+        assert np.array_equal(model(-BRANCH_LAGS), model(BRANCH_LAGS))
+
+
 class TestSensorGrid:
     def test_single_sensor_midpoint(self):
         assert df.sensor_positions(1).tolist() == [0.5]

@@ -28,26 +28,44 @@ def test_import_loads_no_layer_and_no_numpy():
     assert _loaded_after("import densefield") == set()
 
 
+# what every CLI process loads: numpy is left to the layers that need arrays
+CLI_LOADS = {"densefield.cli", "densefield.correlation", "densefield.errors"}
+P2P_LOADS = CLI_LOADS | {"densefield.quantizer"}
+RATES_LOADS = CLI_LOADS | {"numpy", "densefield.estimation", "densefield.field",
+                           "densefield.rates"}
+
+
+def _cli_run(args):
+    return ("import os, densefield.cli\n"
+            f"assert densefield.cli.main({args!r} + ['--out', os.devnull]) == 0")
+
+
 @pytest.mark.parametrize("read", ["lloyd_max", "quantizer"])
 def test_reading_a_name_loads_its_layer_only(read):
-    # quantizer needs field (and so numpy) and errors, and nothing else
+    # the quantizer runs on the standard library: no field and no numpy
     assert _loaded_after(f"import densefield; densefield.{read}") == {
-        "numpy", "densefield.errors", "densefield.field", "densefield.quantizer"}
+        "densefield.errors", "densefield.correlation", "densefield.quantizer"}
 
 
-@pytest.mark.parametrize("args, absent", [
-    (["p2p", "--model", "exp", "--dnet", "0.1"],
-     {"densefield.sim", "densefield.rates", "densefield.estimation"}),
-    (["rates", "--model", "exp", "--n", "64,256"],
-     {"densefield.sim", "densefield.quantizer"}),
-    (["pmax-curve", "--model", "sinc", "--n", "64"],
-     {"densefield.sim", "densefield.quantizer"}),
-], ids=["p2p", "rates", "pmax-curve"])
-def test_each_command_loads_only_its_layers(args, absent):
-    code = ("import os, densefield.cli\n"
-            f"assert densefield.cli.main({args!r} + ['--out', os.devnull]) == 0")
-    loaded = _loaded_after(code)
-    assert "densefield.field" in loaded and not loaded & absent
+def test_cli_import_loads_no_numpy():
+    assert _loaded_after("import densefield.cli") == CLI_LOADS
+
+
+@pytest.mark.parametrize("args, loads", [
+    (["p2p", "--model", "exp", "--dnet", "0.02"], P2P_LOADS),
+    (["p2p", "--model", "sinc", "--dnet", "0.02", "--n", "480"], P2P_LOADS),
+    (["rates", "--model", "exp", "--n", "64,256"], RATES_LOADS),
+    (["pmax-curve", "--model", "sinc", "--n", "64"], RATES_LOADS),
+], ids=["p2p", "p2p-sinc", "rates", "pmax-curve"])
+def test_each_command_loads_only_its_layers(args, loads):
+    assert _loaded_after(_cli_run(args)) == loads
+
+
+def test_p2p_with_a_table_loads_numpy_for_the_table_only(tmp_path):
+    path = tmp_path / "rho.csv"
+    path.write_text("0,1\n0.5,0.6\n1,0.2\n")
+    args = ["p2p", "--model", f"table:{path}", "--dnet", "0.2"]
+    assert _loaded_after(_cli_run(args)) == P2P_LOADS | {"numpy"}
 
 
 def test_dir_covers_all():

@@ -13,7 +13,8 @@ from scipy.stats import norm
 
 import densefield as df
 from densefield import quantizer
-from densefield.quantizer import (_norm_cdf, _norm_ppf, min_levels_for_distortion,
+from densefield.quantizer import (_norm_cdf, _norm_pdf, _norm_ppf,
+                                  min_levels_for_distortion,
                                   p2p_distortion_budget, p2p_min_feasible_k)
 from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
                      min_levels_scan, optimize_k_scan, p2p_per_sensor_rate,
@@ -148,23 +149,28 @@ class TestLloydMax:
         assert df.lloyd_max(32768).levels == 32768
 
 
+def _mapped(fn, x):
+    """The scalar helper ``fn`` at each value of the array x, as an array."""
+    return np.array([fn(v) for v in x.tolist()])
+
+
 class TestNormalFunctions:
     @pytest.mark.parametrize("limit,bound", [(8.0, 5e-14), (37.0, 1e-12)])
     def test_cdf_and_survival_match_scipy(self, limit, bound):
         # the survival function, cdf(-x), gives the probability of cells above 0
         x = np.linspace(-limit, limit, 100_001)
-        assert np.max(np.abs(_norm_cdf(x) / ndtr(x) - 1.0)) <= bound
-        assert np.max(np.abs(_norm_cdf(-x) / norm.sf(x) - 1.0)) <= bound
+        assert np.max(np.abs(_mapped(_norm_cdf, x) / ndtr(x) - 1.0)) <= bound
+        assert np.max(np.abs(_mapped(_norm_cdf, -x) / norm.sf(x) - 1.0)) <= bound
 
     def test_infinite_edges_exact(self):
-        edges = np.array([-np.inf, np.inf])
-        assert _norm_cdf(edges).tolist() == [0.0, 1.0]
-        assert _norm_cdf(-edges).tolist() == [1.0, 0.0]
+        assert [_norm_cdf(-math.inf), _norm_cdf(math.inf)] == [0.0, 1.0]
+        assert [_norm_cdf(math.inf), _norm_cdf(-math.inf)] == [1.0, 0.0]
+        assert [_norm_pdf(-math.inf), _norm_pdf(math.inf)] == [0.0, 0.0]
 
     @pytest.mark.parametrize("levels", [2, 3, 64, 1000, 32768])
     def test_quantile_matches_scipy_on_design_grid(self, levels):
         p = (2.0 * np.arange(levels) + 1.0) / (2.0 * levels)
-        assert np.max(np.abs(_norm_ppf(p) - ndtri(p))) <= 4e-15
+        assert np.max(np.abs(_mapped(_norm_ppf, p) - ndtri(p))) <= 4e-15
 
 
 class TestLloydMaxProperties:
@@ -300,9 +306,9 @@ class TestOptimizeK:
 
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
     def test_matches_scalar_scan(self, kind):
-        # the array pass picks the scalar scan's K* and returns its rate bits;
-        # the appended d_net puts exp-markov's K* at 2, where numpy's array
-        # log of D_2 is one ulp off math.log's (seen on an AVX-512 build)
+        # the scan picks the oracle's K* and returns its rate bits; the
+        # appended d_net puts exp-markov's K* at 2, where a log of D_2 taken
+        # by numpy over an array was one ulp off math.log's (AVX-512 build)
         model = (df.make_correlation("custom-table", [[0.0, 1.0], [1.0, 0.0]])
                  if kind == "table" else df.make_correlation(kind))
         checked = 0
