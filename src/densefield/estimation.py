@@ -12,34 +12,20 @@ eigenvalues by p) rather than an explicit inverse, which stays stable for
 near-singular band-limited covariances across p sweeps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConditioningError
-from .field import CovariancePack
 
 
-@dataclass(frozen=True)
-class TestChannel:
-    """Additive white Gaussian test channel with per-entry noise variance p."""
-
-    p: float
-    cov: CovariancePack
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("noise variance must be nonnegative")
-
-
-def mmse_estimate(ch, u):
-    """Best linear estimate of X given u = x + z.
+def mmse_estimate(cov, p, u):
+    """Best linear estimate of X given u = x + z, z ~ N(0, p I).
 
     Accepts a length-N vector or an (m, N) batch of observations.  With p = 0
     the channel is noiseless and the estimate is u itself, which is only
     meaningful if the covariance did not need clamping.
     """
-    cov, p = ch.cov, ch.p
+    if p < 0:
+        raise ValueError("noise variance must be nonnegative")
     if p == 0.0 and cov.n_clamped:
         raise ConditioningError(
             f"p = 0 with {cov.n_clamped} clamped eigenvalue(s): "
@@ -51,15 +37,16 @@ def mmse_estimate(ch, u):
     return u @ ((cov.eigvecs * (cov.eigvals / (cov.eigvals + p))) @ cov.eigvecs.T)
 
 
-def mmse_error(ch):
-    """Exact per-sensor MSE of the optimal linear estimate, one per sensor;
-    its mean is ``avg_mmse_from_eigvals``.
+def mmse_error(cov, p):
+    """Exact per-sensor MSE of the optimal linear estimate at noise variance
+    p, one per sensor; its mean is ``avg_mmse_from_eigvals``.
 
     The error covariance is Sigma - Sigma (Sigma + pI)^-1 Sigma, whose
     eigenbasis form has mode errors lambda*p/(lambda+p); the diagonal is
     recovered by ``CovariancePack.sensor_variances``.
     """
-    cov, p = ch.cov, ch.p
+    if p < 0:
+        raise ValueError("noise variance must be nonnegative")
     mode_mse = cov.eigvals * p / (cov.eigvals + p) if p > 0 else np.zeros(cov.n)
     return cov.sensor_variances(mode_mse)
 

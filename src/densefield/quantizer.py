@@ -14,7 +14,6 @@ import numpy.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from statistics import NormalDist
 
@@ -248,28 +247,17 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
     return best_k, p2p_rate_for_K(model, d_net, best_k)
 
 
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Round-robin activation: one active sensor per sub-interval per step.
-
-    Sensors and times are 1-based.  Sensor (N/K) l + j (the j-th sensor of
-    sub-interval l) is active at times {j, j + N/K, ..., j + (m'-1) N/K}.
-    """
-
-    N: int
-    K: int
-    m_prime: int
-
-    @property
-    def n_steps(self):
-        return self.m_prime * self.N // self.K
-
-
 def tdma_schedule(n_sensors, k_intervals, m_prime):
+    """Time steps of m' frames of the round-robin activation: m' N / K.
+
+    One sensor per sub-interval is active per step.  Sensors and times are
+    1-based: sensor (N/K) l + j (the j-th sensor of sub-interval l) is active
+    at times {j, j + N/K, ..., j + (m'-1) N/K}.
+    """
     if k_intervals < 1 or n_sensors % k_intervals:
         raise InfeasibleConfigError(
             f"K={k_intervals} must divide the sensor count N={n_sensors}"
         )
     if m_prime < 1:
         raise ValueError("need at least one frame")
-    return TdmaSchedule(N=int(n_sensors), K=int(k_intervals), m_prime=int(m_prime))
+    return m_prime * n_sensors // k_intervals

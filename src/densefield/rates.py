@@ -16,7 +16,6 @@ from .errors import InfeasibleConfigError
 from .estimation import avg_mmse_from_eigvals
 from .field import CLAMP_FLOOR, spectrum
 
-_THETA_GRID = 4096
 _PMAX_REL_TOL = 1e-6
 _N_LIMIT = 10 ** 7
 
@@ -201,36 +200,26 @@ def find_theta(model, target_mse):
     """Largest theta <= theta_mono with rho(theta) > 0 and
     1 - rho^2(theta)/(1 + theta) <= target_mse.
 
-    Grid scan up to the first failing point, then bisection refinement; a
-    feasible theta always exists since the left side vanishes as theta -> 0.
+    The condition holds as theta -> 0 and, since rho is non-increasing on
+    (0, theta_mono], fails for good once it fails there; so one bisection of
+    (0, theta_mono] down to adjacent doubles finds the largest theta.
     """
     if not 0 < target_mse < 1:
         raise ValueError("target must lie in (0, 1)")
 
     def ok(t):
         r = model(t)
-        return (r > 0) & (1.0 - r * r / (1.0 + t) <= target_mse)
+        return r > 0 and 1.0 - r * r / (1.0 + t) <= target_mse
 
-    hi = model.theta_mono
-    if ok(hi):
-        return float(hi)
-    grid = np.linspace(0.0, hi, _THETA_GRID + 1)[1:]
-    # the last grid point is hi, which fails, so argmin finds a failure
-    first_bad = int(np.argmin(ok(grid)))
-    if first_bad:
-        good = grid[first_bad - 1]
-        bad = min(good + hi / _THETA_GRID, hi)
-    else:
-        good = bad = grid[0]
-        while not ok(good):
-            good /= 2.0
-    for _ in range(100):
-        mid = 0.5 * (good + bad)
+    good, bad = 0.0, model.theta_mono
+    if ok(bad):
+        return bad
+    while (mid := 0.5 * (good + bad)) not in (good, bad):
         if ok(mid):
             good = mid
         else:
             bad = mid
-    return float(good)
+    return good
 
 
 def rate_loss_bound(d_net, eps, theta):

@@ -326,8 +326,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     from one generator kept across blocks, so only the per-step J and J' grow
     with m'.
     """
-    schedule = tdma_schedule(n_sensors, k_intervals, m_prime)
-    _check_inputs(n_sensors, schedule.n_steps, grid_g)
+    n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
+    _check_inputs(n_sensors, n_steps, grid_g)
     frame = n_sensors // k_intervals
     a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
                                        frame * grid_g) for j in range(frame)]).T
@@ -336,7 +336,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     spectrum(model, n_sensors)
     field_rng = _generator(np.random.SeedSequence(seed).spawn(2)[0])
     cov = covariance_matrix(model, k_intervals)
-    j_snap, jprime_snap = np.empty(schedule.n_steps), np.empty(schedule.n_steps)
+    j_snap, jprime_snap = np.empty(n_steps), np.empty(n_steps)
     err_sum = np.zeros((frame, k_intervals))
     for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES):
         active = sample_snapshots(cov, (hi - lo) * frame, field_rng)

@@ -7,10 +7,10 @@ Lloyd iteration instead of error-function moments, the centroid/midpoint
 fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix and Slepian's
 tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
-every N instead of the vectorised backtrack, a scalar walk of find_theta's
-grid instead of one array, a linear scan over every codebook size instead of
-doubling and bisection, one scalar p2p rate per sub-interval count instead
-of optimize_K's one array pass, a direct node-by-node quadrature of the dsc
+every N instead of the vectorised backtrack, a grid walk and a bisection of
+its first failing cell instead of find_theta's one bisection, a linear scan
+over every codebook size instead of doubling and bisection, one scalar p2p
+rate per sub-interval count instead of optimize_K's one array pass, a direct node-by-node quadrature of the dsc
 field error's closed-form mean instead of the simulator's cell weights, and
 a dense inverse, Cholesky factor and triangular solve for the exp-markov
 dsc errors instead of the bidiagonal recurrence along the sensors.
@@ -301,10 +301,12 @@ def slepian_tridiagonal_eigvals(n):
 
 
 def find_theta_loop(model, target_mse, grid_points=4096):
-    """find_theta with its grid scanned one scalar model() call at a time.
+    """find_theta by an independent search: a grid scanned one scalar
+    model() call at a time.
 
-    Walks the grid up to the first failing point, then bisects 100 times, as
-    the library does; the library evaluates the grid in one array instead.
+    Walks the grid up to the first failing point (halving below the first
+    grid point when that one already fails), then bisects that cell 100
+    times; the library bisects all of (0, theta_mono] instead.
     """
     def ok(t):
         r = model(t)
@@ -457,18 +459,19 @@ def p2p_per_sensor_rate(model, d_net, k_intervals, n_sensors):
     return p2p_rate_for_K(model, d_net, k_intervals) / n_sensors
 
 
-def active_times(schedule):
-    """Map from each 1-based sensor to its tuple of active time steps."""
-    frame = schedule.N // schedule.K
-    return {frame * l + j: tuple(range(j, j + schedule.m_prime * frame, frame))
-            for l in range(schedule.K) for j in range(1, frame + 1)}
+def active_times(n_sensors, k_intervals, m_prime):
+    """Map from each 1-based sensor to its tuple of active time steps over m'
+    round-robin frames of N sensors in K sub-intervals."""
+    frame = n_sensors // k_intervals
+    return {frame * l + j: tuple(range(j, j + m_prime * frame, frame))
+            for l in range(k_intervals) for j in range(1, frame + 1)}
 
 
-def active_sensors_at(schedule, time):
+def active_sensors_at(n_sensors, k_intervals, time):
     """1-based sensors active at a 1-based time step, one per sub-interval."""
-    frame = schedule.N // schedule.K
+    frame = n_sensors // k_intervals
     j = (time - 1) % frame + 1
-    return [frame * l + j for l in range(schedule.K)]
+    return [frame * l + j for l in range(k_intervals)]
 
 
 def report_to_json(report, config=None):

@@ -123,7 +123,7 @@ class TestCriterion5OracleEquivalence:
             n = int(rng.integers(1, 7))
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model_of(kind), n)
-            res = df.mmse_error(df.TestChannel(p=p, cov=cov))
+            res = df.mmse_error(cov, p)
             worst = max(worst, float(np.max(np.abs(
                 res - brute_force_mmse(cov.sigma_x, p)))))
         check("5a mmse oracle", worst < 1e-10, f"max |diff| = {worst:.2e} over 50 configs")

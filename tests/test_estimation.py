@@ -25,63 +25,62 @@ def diagonal_pack(n):
 class TestMmseEstimate:
     def test_noiseless_channel_returns_observation(self, exp_model):
         cov = df.covariance_matrix(exp_model, 4)
-        ch = df.TestChannel(p=0.0, cov=cov)
         u = np.array([0.3, -1.2, 0.7, 2.0])
-        assert np.allclose(df.mmse_estimate(ch, u), u, atol=1e-12)
+        assert np.allclose(df.mmse_estimate(cov, 0.0, u), u, atol=1e-12)
 
     def test_noiseless_with_clamped_spectrum_is_conditioning_error(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, 64)
         assert cov.n_clamped > 0
         with pytest.raises(df.ConditioningError):
-            df.mmse_estimate(df.TestChannel(p=0.0, cov=cov), np.zeros(64))
+            df.mmse_estimate(cov, 0.0, np.zeros(64))
 
     def test_white_source_halves_observation(self):
-        ch = df.TestChannel(p=1.0, cov=diagonal_pack(4))
+        cov = diagonal_pack(4)
         u = np.array([2.0, -4.0, 0.5, 1.0])
-        assert np.allclose(df.mmse_estimate(ch, u), u / 2, atol=1e-14)
+        assert np.allclose(df.mmse_estimate(cov, 1.0, u), u / 2, atol=1e-14)
 
     def test_zero_observation_maps_to_zero(self, exp_model):
         cov = df.covariance_matrix(exp_model, 5)
-        got = df.mmse_estimate(df.TestChannel(p=0.7, cov=cov), np.zeros(5))
+        got = df.mmse_estimate(cov, 0.7, np.zeros(5))
         assert np.all(got == 0.0)
 
     def test_linear_in_observation(self, exp_model):
         cov = df.covariance_matrix(exp_model, 6)
-        ch = df.TestChannel(p=0.4, cov=cov)
         rng = np.random.default_rng(3)
         u, v = rng.standard_normal(6), rng.standard_normal(6)
-        lhs = df.mmse_estimate(ch, 2.0 * u - 3.0 * v)
-        rhs = 2.0 * df.mmse_estimate(ch, u) - 3.0 * df.mmse_estimate(ch, v)
+        lhs = df.mmse_estimate(cov, 0.4, 2.0 * u - 3.0 * v)
+        rhs = 2.0 * df.mmse_estimate(cov, 0.4, u) - 3.0 * df.mmse_estimate(cov, 0.4, v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_batch_shape(self, exp_model):
         cov = df.covariance_matrix(exp_model, 3)
-        ch = df.TestChannel(p=0.5, cov=cov)
         batch = np.random.default_rng(0).standard_normal((10, 3))
-        out = df.mmse_estimate(ch, batch)
+        out = df.mmse_estimate(cov, 0.5, batch)
         assert out.shape == (10, 3)
-        assert np.allclose(out[2], df.mmse_estimate(ch, batch[2]), atol=1e-14)
+        assert np.allclose(out[2], df.mmse_estimate(cov, 0.5, batch[2]), atol=1e-14)
 
     def test_negative_noise_rejected(self, exp_model):
         cov = df.covariance_matrix(exp_model, 2)
         with pytest.raises(ValueError):
-            df.TestChannel(p=-1.0, cov=cov)
+            df.mmse_estimate(cov, -1.0, np.zeros(2))
+        with pytest.raises(ValueError):
+            df.mmse_error(cov, -1.0)
 
 
 class TestMmseError:
     def test_perfect_observation(self, exp_model):
         cov = df.covariance_matrix(exp_model, 4)
-        res = df.mmse_error(df.TestChannel(p=0.0, cov=cov))
+        res = df.mmse_error(cov, 0.0)
         assert res.mean() <= 1e-8
 
     def test_white_source_closed_form(self):
-        res = df.mmse_error(df.TestChannel(p=3.0, cov=diagonal_pack(5)))
+        res = df.mmse_error(diagonal_pack(5), 3.0)
         assert np.allclose(res, 0.75, atol=1e-14)
 
     def test_exp_two_sensor_frozen_oracle_value(self, exp_model):
         # brute-force normal equations on the 2x2 with off-diagonal e^-0.5
         cov = df.covariance_matrix(exp_model, 2)
-        res = df.mmse_error(df.TestChannel(p=1.0, cov=cov))
+        res = df.mmse_error(cov, 1.0)
         assert res.mean() == pytest.approx(0.4493574848063286, abs=1e-12)
         oracle = brute_force_mmse(cov.sigma_x, 1.0)
         assert np.allclose(res, oracle, atol=1e-12)
@@ -89,20 +88,20 @@ class TestMmseError:
     def test_monotone_in_noise(self, exp_model, sinc_model):
         for model in (exp_model, sinc_model):
             cov = df.covariance_matrix(model, 24)
-            values = [df.mmse_error(df.TestChannel(p=p, cov=cov)).mean()
+            values = [df.mmse_error(cov, p).mean()
                       for p in (0.01, 0.1, 0.5, 1.0, 5.0, 50.0)]
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-12)
 
     def test_saturates_at_unit_variance(self, exp_model):
         cov = df.covariance_matrix(exp_model, 8)
-        res = df.mmse_error(df.TestChannel(p=1e12, cov=cov))
+        res = df.mmse_error(cov, 1e12)
         assert res.mean() <= 1.0 + 1e-9
         assert res.mean() > 0.999
 
     def test_entries_in_unit_interval_and_mean_consistent(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, 32)
-        res = df.mmse_error(df.TestChannel(p=0.8, cov=cov))
+        res = df.mmse_error(cov, 0.8)
         assert np.all(res >= 0.0)
         assert np.all(res <= 1.0 + 1e-9)
         assert res.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, 0.8),
@@ -115,7 +114,7 @@ class TestMmseError:
             n = int(rng.integers(1, 7))
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, n)
-            res = df.mmse_error(df.TestChannel(p=p, cov=cov))
+            res = df.mmse_error(cov, p)
             oracle = brute_force_mmse(cov.sigma_x, p)
             assert np.max(np.abs(res - oracle)) < 1e-10
 
@@ -133,7 +132,7 @@ def test_mean_error_is_the_eigenvalue_average(kind, n, p):
     else:
         model = df.make_correlation(kind)
     cov = df.covariance_matrix(model, n)
-    per_sensor = df.mmse_error(df.TestChannel(p=p, cov=cov))
+    per_sensor = df.mmse_error(cov, p)
     assert per_sensor.shape == (n,)
     assert per_sensor.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, p),
                                               rel=1e-13)
@@ -160,7 +159,7 @@ class TestAveragingEstimatorBound:
                 continue
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, n)
-            res = df.mmse_error(df.TestChannel(p=p, cov=cov))
+            res = df.mmse_error(cov, p)
             bound = averaging_estimator_mse_bound(model, n, theta, p)
             assert bound >= np.max(res) - 1e-12
 

@@ -2,6 +2,9 @@
 and the PEP 562 attribute contract of ``densefield`` itself."""
 
 import ast
+import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +14,8 @@ import pytest
 import densefield
 
 SRC = os.path.dirname(os.path.dirname(densefield.__file__))
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
 
 
 def _loaded_after(code):
@@ -83,3 +88,21 @@ def test_unknown_attribute_names_the_package():
     with pytest.raises(AttributeError, match="module 'densefield' has no "
                                              "attribute 'no_such_name'"):
         densefield.no_such_name
+
+
+def _per_layer_spans():
+    """The <layer>.<fn> of every three-part per-layer metric name."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    return sorted({name.rsplit(".", 1)[0] for name in names if name.count(".") == 2})
+
+
+@pytest.mark.parametrize("span", _per_layer_spans())
+def test_benchmark_span_names_a_public_function(span):
+    # the bench times a layer's public functions, the callables that module
+    # defines itself (classes excluded); a metric naming anything else has no span
+    layer, fn = span.split(".")
+    mod = importlib.import_module(f"densefield.{layer}")
+    obj = getattr(mod, fn, None)
+    assert not fn.startswith("_") and callable(obj) and not inspect.isclass(obj)
+    assert obj.__module__ == mod.__name__

@@ -332,31 +332,43 @@ class TestOptimizeK:
 
 class TestTdmaSchedule:
     def test_four_sensor_example(self):
-        sched = df.tdma_schedule(4, 2, 2)
-        assert active_times(sched) == {1: (1, 3), 2: (2, 4), 3: (1, 3), 4: (2, 4)}
+        assert df.tdma_schedule(4, 2, 2) == 4
+        assert active_times(4, 2, 2) == {1: (1, 3), 2: (2, 4), 3: (1, 3), 4: (2, 4)}
 
     def test_all_active_when_k_equals_n(self):
-        sched = df.tdma_schedule(3, 3, 4)
-        for sensor, times in active_times(sched).items():
+        assert df.tdma_schedule(3, 3, 4) == 4
+        for sensor, times in active_times(3, 3, 4).items():
             assert times == (1, 2, 3, 4)
 
     def test_exactly_k_active_per_step(self):
-        sched = df.tdma_schedule(12, 4, 3)
-        for t in range(1, sched.n_steps + 1):
-            active = [s for s, times in active_times(sched).items() if t in times]
+        n_steps = df.tdma_schedule(12, 4, 3)
+        assert n_steps == 9
+        for t in range(1, n_steps + 1):
+            active = [s for s, times in active_times(12, 4, 3).items() if t in times]
             assert len(active) == 4
-            assert sorted(active) == sorted(active_sensors_at(sched, t))
+            assert sorted(active) == sorted(active_sensors_at(12, 4, t))
             # one per sub-interval
             subs = {(s - 1) // (12 // 4) for s in active}
             assert len(subs) == 4
 
     def test_total_active_slots(self):
-        sched = df.tdma_schedule(8, 2, 5)
-        assert sum(len(t) for t in active_times(sched).values()) == 8 * 5
+        # K active sensors in each of the m' N / K steps
+        slots = sum(len(t) for t in active_times(8, 2, 5).values())
+        assert slots == 2 * df.tdma_schedule(8, 2, 5) == 8 * 5
 
     def test_k_must_divide_n(self):
         with pytest.raises(df.InfeasibleConfigError):
             df.tdma_schedule(10, 4, 1)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_refused(self, k):
+        with pytest.raises(df.InfeasibleConfigError):
+            df.tdma_schedule(12, k, 1)
+
+    @pytest.mark.parametrize("m_prime", [0, -1])
+    def test_needs_a_frame(self, m_prime):
+        with pytest.raises(ValueError):
+            df.tdma_schedule(12, 4, m_prime)
 
 
 class TestScalarDelta:

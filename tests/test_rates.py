@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,26 @@ class TestFindTheta:
     def test_target_domain(self, exp_model):
         with pytest.raises(ValueError):
             df.find_theta(exp_model, 0.0)
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
+    def test_theta_is_the_largest_double_meeting_the_condition(self, kind):
+        # at 1e-4 theta lies below 1/4096, the first point of the oracle's grid
+        if kind == "table":
+            tau = np.linspace(0.0, 1.0, 11)
+            model = df.make_correlation("custom-table",
+                                        np.column_stack([tau, 1 - 1.5 * tau]))
+        else:
+            model = df.make_correlation(kind)
+
+        def ok(t):
+            r = model(t)
+            return r > 0 and 1.0 - r * r / (1.0 + t) <= target
+
+        for target in (1e-4, 1e-3, 0.02, 0.1, 0.5):
+            theta = df.find_theta(model, target)
+            assert 0 < theta < model.theta_mono
+            assert ok(theta)
+            assert not ok(math.nextafter(theta, math.inf))
 
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "table"])
     def test_matches_scalar_grid_walk(self, kind):

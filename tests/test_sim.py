@@ -54,7 +54,7 @@ class TestSimulateDsc:
         cov = df.covariance_matrix(exp_model, n)
         p = df.find_pmax(cov, d_prime)
         rep = df.simulate_dsc(exp_model, n, p, m=20_000, seed=101)
-        analytic = df.mmse_error(df.TestChannel(p=p, cov=cov)).mean()
+        analytic = df.mmse_error(cov, p).mean()
         assert abs(rep.j_prime_mse - analytic) <= 3 * rep.stderr_jprime
         assert rep.j_mse <= 0.1 + 3 * rep.stderr_jmse
         assert rep.verdict == WITHIN
@@ -243,7 +243,7 @@ class TestSimulateDsc:
         # (noise x 1.05 gives z near 25 with verdict "within").
         n, p, m, seeds = 64, 0.5, 2000, range(24)
         cov = df.covariance_matrix(exp_model, n)
-        diag = df.mmse_error(df.TestChannel(p=p, cov=cov))
+        diag = df.mmse_error(cov, p)
         expected = dsc_expected_jmse(exp_model, n, diag)
         z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
                       for rep in (df.simulate_dsc(exp_model, n, p, m=m, seed=s)
@@ -289,7 +289,7 @@ class TestSimulateDsc:
         # has variance sum_k V_ik^4 2 v_k^2 / m
         n, p, m, seeds = 16, 0.5, 2000, range(24)
         cov = df.covariance_matrix(model, n)
-        mmse = df.mmse_error(df.TestChannel(p=p, cov=cov))
+        mmse = df.mmse_error(cov, p)
         v = cov.eigvals * p / (cov.eigvals + p)
         se = np.sqrt((cov.eigvecs ** 4) @ (2 * v ** 2) / m)
         z = np.array([(df.simulate_dsc(model, n, p, m=m, seed=s).per_sensor_mse
@@ -681,19 +681,19 @@ class TestSimulateP2p:
         quant = df.lloyd_max(4)
         rep = df.simulate_p2p(exp_model, n, k, quant, m_prime=m_prime,
                               grid_g=grid_g, seed=seed)
-        schedule = df.tdma_schedule(n, k, m_prime)
+        n_steps = df.tdma_schedule(n, k, m_prime)
         field_ss, _ = np.random.SeedSequence(seed).spawn(2)
         cov = df.covariance_matrix(exp_model, k)
-        draws = df.sample_snapshots(cov, schedule.n_steps, field_ss)
+        draws = df.sample_snapshots(cov, n_steps, field_ss)
         positions = df.sensor_positions(n)
         nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
         sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
-        js = np.empty(schedule.n_steps)
-        jps = np.empty(schedule.n_steps)
+        js = np.empty(n_steps)
+        jps = np.empty(n_steps)
         err_sum = np.zeros(n)
         hits = np.zeros(n)
-        for i in range(schedule.n_steps):
-            active = np.asarray(active_sensors_at(schedule, i + 1)) - 1
+        for i in range(n_steps):
+            active = np.asarray(active_sensors_at(n, k, i + 1)) - 1
             _, rep_i = df.quantize(quant, draws[i])
             e2 = (draws[i] - rep_i) ** 2
             r2 = exp_model(nodes - positions[active][sub_of_node]) ** 2
