@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 
 # every command needs these two; each handler imports the layers it runs
 # itself, so a process loads (and compiles) no layer its command never enters
@@ -37,29 +37,18 @@ EXIT_BOUND_VIOLATION = 4
 _PER_NAT = {"nats": 1.0, "bits": 1.0 / math.log(2.0)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every CLI setting and its default; the parser declares flags only."""
+# every CLI setting but the command and model, and its default
+_DEFAULTS = dict(d_net=0.1, n_list=(), n=0, k=0, k_max=0, p=0.0, levels=0,
+                 m=20_000, m_prime=2000, grid_g=8, seed=0, units="nats", out="",
+                 format="", csv_log="", scheme="", naive=False)
 
-    command: str
-    model: str
-    d_net: float = 0.1
-    n_list: tuple = ()
-    n: int = 0
-    k: int = 0
-    k_max: int = 0
-    p: float = 0.0
-    levels: int = 0
-    m: int = 20_000
-    m_prime: int = 2000
-    grid_g: int = 8
-    seed: int = 0
-    units: str = "nats"
-    out: str = ""
-    format: str = ""
-    csv_log: str = ""
-    scheme: str = ""
-    naive: bool = False
+
+class RunConfig(namedtuple("RunConfig", ("command", "model", *_DEFAULTS),
+                           defaults=_DEFAULTS.values())):
+    """Every CLI setting and its default, immutable; the parser declares
+    flags only."""
+
+    __slots__ = ()
 
 
 def _resolve_model(spec):
@@ -76,7 +65,7 @@ def _resolve_model(spec):
 def _config_dict(cfg):
     # the sink path is where the bytes go, not part of what they are;
     # leaving it out keeps reruns byte-identical wherever they write
-    return {k: v for k, v in asdict(cfg).items() if k != "out"}
+    return {k: v for k, v in cfg._asdict().items() if k != "out"}
 
 
 def _json_payload(cfg, body):
@@ -181,7 +170,7 @@ def cmd_p2p(cfg, model):
 
 def _report_body(report):
     """A simulation report as plain Python: the body of its JSON form."""
-    return {**asdict(report), "per_sensor_mse": report.per_sensor_mse.tolist()}
+    return {**vars(report), "per_sensor_mse": report.per_sensor_mse.tolist()}
 
 
 _CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
@@ -306,13 +295,13 @@ def _config_from_args(args, parser):
     A refusal is ``parser.error``, so pass the command's subparser."""
     cfg = RunConfig(**vars(args))
     # NaN passes every range check and would reach the JSON output as NaN
-    for name, value in vars(cfg).items():
+    for name, value in cfg._asdict().items():
         if isinstance(value, float) and not math.isfinite(value):
             parser.error(f"{_OPTION[name]} must be finite")
     if not 0.0 < cfg.d_net < 1.0:
         parser.error("--dnet must lie in (0, 1)")
     if cfg.command in _TABLE:
-        cfg = replace(cfg, n_list=_parse_n_list(cfg.n_list, parser))
+        cfg = cfg._replace(n_list=_parse_n_list(cfg.n_list, parser))
         if any(n < 1 for n in cfg.n_list):
             parser.error("sensor counts must be >= 1")
     if cfg.command == "simulate":

@@ -7,7 +7,7 @@ import numpy, so rho at float lags of a built-in kernel never loads it.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 SINC = "sinc"
 EXP_MARKOV = "exp-markov"
@@ -27,21 +27,20 @@ def _freeze(arr):
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationModel:
+class CorrelationModel(namedtuple("CorrelationModel",
+                                  "kind theta_mono table_tau table_rho",
+                                  defaults=(1.0, None, None))):
     """Autocorrelation function rho(tau) with its monotone-neighbourhood radius.
 
     ``theta_mono`` is a radius such that rho is non-increasing on
     (0, theta_mono].  Evaluation accepts scalars or arrays and uses |tau|,
     so rho(-tau) = rho(tau) by construction.  A float lag of a built-in kind
     takes ``math``: ``math.exp`` may differ from ``np.exp`` by one ulp, and
-    sinc repeats ``np.sinc``'s operations (t = 1e-20 at 0).
+    sinc repeats ``np.sinc``'s operations (t = 1e-20 at 0).  A table model
+    holds its read-only (tau, rho) arrays in ``table_tau`` and ``table_rho``.
     """
 
-    kind: str
-    theta_mono: float = 1.0
-    table_tau: "np.ndarray" = dc_field(default=None, repr=False)
-    table_rho: "np.ndarray" = dc_field(default=None, repr=False)
+    __slots__ = ()
 
     def __call__(self, tau):
         if self.kind != CUSTOM_TABLE and isinstance(tau, (int, float)):

@@ -9,13 +9,12 @@ so each step costs O(L), and about a dozen steps reach the tolerance.  The
 point-to-point scheme splits [0, 1] into K sub-intervals, activates one
 sensor per sub-interval per time step in a round-robin frame, and codes each
 active sample on its own.  The design and the K scan run on Python floats
-with ``math`` and ``statistics``; only ``quantize`` and a codebook's arrays
-import numpy.
+with ``math`` and the C quantile behind ``statistics.NormalDist``; only
+``quantize`` and a codebook's arrays import numpy.
 """
 
 import math
 from functools import cached_property, lru_cache
-from statistics import NormalDist
 
 from .correlation import _freeze
 from .errors import ConvergenceError, InfeasibleConfigError
@@ -38,7 +37,14 @@ def _norm_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT_2)
 
 
-_norm_ppf = NormalDist().inv_cdf   # standard normal quantile of a probability
+try:  # the C call behind statistics.NormalDist().inv_cdf on CPython >= 3.10
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without it: NormalDist itself
+    from statistics import NormalDist
+    _norm_ppf = NormalDist().inv_cdf
+else:
+    def _norm_ppf(p):
+        return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def _cell_stats(boundaries):

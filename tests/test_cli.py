@@ -714,10 +714,16 @@ class TestParserContract:
         assert cfg == cli.RunConfig(command=argv[0], model="exp", **given)
 
     def test_every_dest_is_a_runconfig_field(self):
-        names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        names = set(cli.RunConfig._fields)
         dests = {a.dest for p in _subparsers().values() for a in p._actions
                  if a.dest != "help"}
         assert dests <= names and "command" in names
+
+    def test_runconfig_is_immutable(self):
+        cfg = cli.RunConfig(command="p2p", model="exp")
+        with pytest.raises(AttributeError):
+            cfg.d_net = 0.5
+        assert cfg.d_net == 0.1
 
     def test_options_and_help_texts(self):
         subs = _subparsers()

@@ -42,6 +42,15 @@ class TestMakeCorrelation:
         assert sinc_model.theta_mono == 1.0
         assert exp_model.theta_mono == 1.0
 
+    def test_model_is_immutable(self, exp_model):
+        with pytest.raises(AttributeError):
+            exp_model.theta_mono = 0.5
+        assert exp_model.theta_mono == 1.0
+
+    def test_models_compare_by_value(self):
+        assert df.make_correlation("exp-markov") == df.make_correlation("exp-markov")
+        assert df.make_correlation("exp-markov") != df.make_correlation("sinc")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             df.make_correlation("gauss")

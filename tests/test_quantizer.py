@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import statistics
 import warnings
 
 import numpy as np
@@ -171,6 +172,15 @@ class TestNormalFunctions:
     def test_quantile_matches_scipy_on_design_grid(self, levels):
         p = (2.0 * np.arange(levels) + 1.0) / (2.0 * levels)
         assert np.max(np.abs(_mapped(_norm_ppf, p) - ndtri(p))) <= 4e-15
+
+    def test_quantile_is_statistics_normaldist_bit_for_bit(self):
+        # every starting probability (2i+1)/(2L) of a design up to L = 1,024
+        # and at the largest L, and both tails of the open unit interval
+        inv_cdf = statistics.NormalDist().inv_cdf
+        probs = {(2.0 * i + 1.0) / (2.0 * levels)
+                 for levels in (*range(1, 1025), 1 << 16) for i in range(levels)}
+        probs |= {1e-300, 1.0 - 2.0 ** -53}
+        assert [p for p in probs if _norm_ppf(p) != inv_cdf(p)] == []
 
 
 class TestLloydMaxProperties:

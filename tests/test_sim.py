@@ -404,6 +404,24 @@ class TestSimulateDsc:
         np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
                                    rtol=0, atol=1e-12)
 
+    def test_uncoupled_error_sums_are_the_direct_draw(self, monkeypatch):
+        # with every w_i = 0 the recurrence is e_i = g_i / u_i: three chunks
+        # of the same streams, scaled and summed in the library's order,
+        # give the same bits
+        monkeypatch.setattr(sim, "_CHUNK", 100)
+        n, m, seed = 5, 207, 11
+        u = np.linspace(0.5, 2.5, n)
+        field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+        row_sum, per_coord = sim._error_sums(u, np.zeros(n), m, field_ss)
+        e2 = (chunked_gaussians(n, m, seed, chunk=100) / u[:, None]) ** 2
+        rows, sums = np.zeros(m), np.zeros(n)
+        for i in range(n):
+            rows += e2[i]
+        for lo in range(0, m, 100):
+            sums += [e2[i, lo:lo + 100].sum() for i in range(n)]
+        assert np.array_equal(row_sum, rows)
+        assert np.array_equal(per_coord, sums / m)
+
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
     def test_markov_draws_one_generator_per_chunk(self, kind, monkeypatch,
                                                   counters):
