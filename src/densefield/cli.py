@@ -170,7 +170,7 @@ def cmd_p2p(cfg, model):
 
 def _report_body(report):
     """A simulation report as plain Python: the body of its JSON form."""
-    return {**vars(report), "per_sensor_mse": report.per_sensor_mse.tolist()}
+    return {**report._asdict(), "per_sensor_mse": report.per_sensor_mse.tolist()}
 
 
 _CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",

@@ -87,6 +87,9 @@ def make_correlation(kind, params=()):
     tau, rho = _freeze(arr[:, 0]), _freeze(arr[:, 1])
     if tau.size < 2:
         raise ValueError("correlation table needs at least two rows")
+    if not np.all(np.isfinite(arr)):
+        # every comparison with NaN is false, so no check below would see it
+        raise ValueError("correlation table values must be finite")
     if tau[0] != 0.0:
         raise ValueError("correlation table must start at tau = 0")
     if np.any(np.diff(tau) <= 0):

@@ -8,7 +8,7 @@ threads; snapshot generation is deterministic given the seed regardless of
 any internal parallelism.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -50,77 +50,59 @@ def check_dense_size(n, what="N"):
             f"{DENSE_BUDGET_BYTES >> 20} MiB")
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "eigvals n_clamped raw_min raw_max backend")):
     """Eigenvalues of a sensor covariance, clamped and sorted descending.
 
-    ``eigvals`` are clamped below at ``CLAMP_FLOOR``; ``n_clamped`` counts
-    the modes the clamp raised, ``raw_min``/``raw_max`` are the unclamped
-    extremes (for ``slepian``, of the modes it computed) and ``backend``
-    names what computed them: ``kms`` (the exp-markov secular equation) or
-    ``slepian`` (sinc subspace iteration) from ``spectrum``, ``dense``
-    (LAPACK) for a custom table and every pack.  p_max, the distributed sum
-    rate and water-filling read nothing else, so they never need
-    eigenvectors.
+    ``eigvals`` are read-only and clamped below at ``CLAMP_FLOOR``;
+    ``n_clamped`` counts the modes the clamp raised, ``raw_min``/``raw_max``
+    are the unclamped extremes (for ``slepian``, of the modes it computed)
+    and ``backend`` names what computed them: ``kms`` (the exp-markov
+    secular equation) or ``slepian`` (sinc subspace iteration) from
+    ``spectrum``, ``dense`` (LAPACK) for a custom table and every pack.
+    p_max, the distributed sum rate and water-filling read nothing else, so
+    they never need eigenvectors.
     """
 
-    eigvals: np.ndarray
-    n_clamped: int
-    raw_min: float
-    raw_max: float
-    backend: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigvals", _freeze(self.eigvals))
-
-    @property
-    def n(self):
-        return self.eigvals.size
-
-    @classmethod
-    def from_raw(cls, raw, n, backend, **extra):
-        """Clamp the ``raw.size`` leading raw eigenvalues (descending) of an
-        n x n covariance; the modes after them must lie below the floor."""
-        # rounding leaves rank-deficient PSD spectra slightly negative (sinc:
-        # -1e-12 against 1604 at N = 2048); anything further below is refused
-        if raw[-1] < -1e-8 * max(raw[0], 1.0):
-            raise ConditioningError(
-                f"covariance is not positive semidefinite: smallest eigenvalue "
-                f"{raw[-1]:.6g} against largest {raw[0]:.6g}"
-            )
-        eigvals = np.full(n, CLAMP_FLOOR)
-        eigvals[:raw.size] = np.maximum(raw, CLAMP_FLOOR)
-        n_clamped = n - raw.size + np.count_nonzero(raw < CLAMP_FLOOR)
-        return cls(eigvals=eigvals, n_clamped=int(n_clamped), raw_min=float(raw[-1]),
-                   raw_max=float(raw[0]), backend=backend, **extra)
+    __slots__ = ()
+    n = property(lambda self: self.eigvals.size)
 
 
-@dataclass(frozen=True)
-class CovariancePack(Spectrum):
+def _clamped(raw, n):
+    """(eigvals, n_clamped, raw_min, raw_max) of an n x n covariance from
+    its ``raw.size`` leading raw eigenvalues (descending), the clamped
+    eigvals read-only; the modes after them must lie below the floor."""
+    # rounding leaves rank-deficient PSD spectra slightly negative (sinc:
+    # -1e-12 against 1604 at N = 2048); anything further below is refused
+    if raw[-1] < -1e-8 * max(raw[0], 1.0):
+        raise ConditioningError(
+            f"covariance is not positive semidefinite: smallest eigenvalue "
+            f"{raw[-1]:.6g} against largest {raw[0]:.6g}"
+        )
+    eigvals = np.full(n, CLAMP_FLOOR)
+    eigvals[:raw.size] = np.maximum(raw, CLAMP_FLOOR)
+    eigvals.flags.writeable = False
+    n_clamped = n - raw.size + np.count_nonzero(raw < CLAMP_FLOOR)
+    return eigvals, int(n_clamped), float(raw[-1]), float(raw[0])
+
+
+class CovariancePack(namedtuple("CovariancePack", Spectrum._fields
+                                + ("sigma_x", "eigvals_raw", "blocks", "parity"))):
     """Sensor-sample covariance with its clamped spectrum and eigenvectors.
 
-    ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
-    MMSE solves, mutual information and water-filling all run on the clamped
-    spectrum, so every consumer sees one consistent field law.  ``blocks``
-    holds the eigenvectors as built: from ``covariance_matrix`` (the
-    reflection split, for every kernel) the top ceil(N/2) rows of the
-    unit-norm symmetric modes and the top floor(N/2) rows of the skew ones,
-    with ``parity`` +1 or -1 per mode (its bottom rows are its top rows
-    reversed times parity); from ``from_matrix`` the one N x N V, with
-    ``parity`` None.  Read-only float blocks are kept as they are, anything
-    else is copied.
+    The first fields are a ``Spectrum``'s.  ``eigvals_raw`` keeps the
+    unclamped spectrum for diagnostics.  Sampling, MMSE solves, mutual
+    information and water-filling all run on the clamped spectrum, so every
+    consumer sees one consistent field law.  ``blocks`` holds the
+    eigenvectors as built: from ``covariance_matrix`` (the reflection split,
+    for every kernel) the top ceil(N/2) rows of the unit-norm symmetric
+    modes and the top floor(N/2) rows of the skew ones, with ``parity`` +1
+    or -1 per mode (its bottom rows are its top rows reversed times parity);
+    from ``from_matrix`` the one N x N V, with ``parity`` None.  Every array
+    is read-only: ``covariance_matrix`` marks its own fresh arrays in place,
+    and ``from_matrix`` copies a writeable matrix it is given.
     """
 
-    sigma_x: np.ndarray
-    eigvals_raw: np.ndarray
-    blocks: tuple
-    parity: np.ndarray = None
-
-    def __post_init__(self):
-        for name in ("sigma_x", "eigvals", "eigvals_raw", "parity"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "blocks", tuple(map(_freeze, self.blocks)))
+    n = Spectrum.n
 
     @cached_property
     def eigvecs(self):
@@ -162,11 +144,11 @@ class CovariancePack(Spectrum):
 
     @classmethod
     def from_matrix(cls, sigma):
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _freeze(sigma)
         raw, vecs = np.linalg.eigh(sigma)
-        raw = raw[::-1]
-        return cls.from_raw(raw, raw.size, "dense", sigma_x=sigma,
-                            eigvals_raw=raw, blocks=(vecs[:, ::-1],))
+        raw = _freeze(raw[::-1])
+        return cls(*_clamped(raw, raw.size), "dense", sigma, raw,
+                   (_freeze(vecs[:, ::-1]),), None)
 
 
 def _first_row(model, n):
@@ -239,13 +221,12 @@ def covariance_matrix(model, n_sensors):
     n = _sensor_count(n_sensors)
     row = _first_row(model, n)
     raw, blocks, parity = _split_eigpairs(row)
-    for block in blocks:
-        block.flags.writeable = False
+    for arr in (raw, parity, *blocks):
+        arr.flags.writeable = False
     # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
     mirrored = np.concatenate([row[:0:-1], row])
     sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    return CovariancePack.from_raw(raw, n, "dense", sigma_x=sigma,
-                                   eigvals_raw=raw, blocks=blocks, parity=parity)
+    return CovariancePack(*_clamped(raw, n), "dense", sigma, raw, blocks, parity)
 
 
 def _kms_eigvals(n):
@@ -373,7 +354,7 @@ def spectrum(model, n_sensors):
         halves = _reflection_split(_first_row(model, n))
         raw = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))[::-1]
         backend = "dense"
-    return Spectrum.from_raw(raw, n, backend)
+    return Spectrum(*_clamped(raw, n), backend)
 
 
 def _generator(seed_source):

@@ -22,10 +22,11 @@ from .errors import ConvergenceError, InfeasibleConfigError
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _K_LIMIT = 100_000
-# Lloyd-Max residual tolerance and Newton step limit; largest codebook size
+# Lloyd-Max residual tolerance and Newton step limit; largest codebook size,
+# under the ~60,000 levels from which the design misses the tolerance
 _LLOYD_TOL = 1e-11
 _LLOYD_MAX_ITER = 100
-_MAX_LEVELS = 1 << 16
+_MAX_LEVELS = 1 << 15
 
 
 def _norm_pdf(x):
@@ -108,10 +109,13 @@ def lloyd_max(levels):
     design returns only once max |m1/prob - y| < ``_LLOYD_TOL``, and raises
     ``ConvergenceError`` with that residual after ``_LLOYD_MAX_ITER`` steps.
     Designs are cached: the level search, the delta and the final codebook
-    share one design.
+    share one design.  More than ``_MAX_LEVELS`` levels are refused.
     """
     if levels < 1:
         raise ValueError("need at least one level")
+    if levels > _MAX_LEVELS:
+        raise InfeasibleConfigError(
+            f"L={levels} exceeds the largest codebook of {_MAX_LEVELS} levels")
     if levels == 1:
         return ScalarQuantizer(levels=1, boundaries=(), points=(0.0,), distortion=1.0)
     points = [_norm_ppf((2.0 * i + 1.0) / (2.0 * levels)) for i in range(levels)]

@@ -8,7 +8,7 @@ All rates are in nats per snapshot; other units and every output format are
 the CLI's.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -154,14 +154,12 @@ def dsc_sum_rate(cov, p):
     return float(0.5 * np.sum(np.log1p(cov.eigvals / p)))
 
 
-@dataclass(frozen=True)
-class WaterfillSolution:
+class WaterfillSolution(namedtuple("WaterfillSolution",
+                                   "theta_level per_mode_rate total_rate_nats")):
     """Reverse water-filling allocation for a Gaussian vector source: the
     water level, the rate of each mode and their total."""
 
-    theta_level: float
-    per_mode_rate: np.ndarray
-    total_rate_nats: float
+    __slots__ = ()
 
 
 def centralized_rate(cov, avg_distortion):
@@ -229,20 +227,13 @@ def rate_loss_bound(d_net, eps, theta):
     return (d_net + eps) / (2.0 * theta * theta)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(namedtuple("RateReport", "N d_prime d_double_prime p_max "
+                            "dsc_sum_rate_nats centralized_rate_nats "
+                            "rate_loss_bound_nats theta feasible")):
     """Per-N record of the distortion targets, p_max and the three rates;
     an infeasible N has ``feasible`` False and NaN targets, p_max and rates."""
 
-    N: int
-    d_prime: float
-    d_double_prime: float
-    p_max: float
-    dsc_sum_rate_nats: float
-    centralized_rate_nats: float
-    rate_loss_bound_nats: float
-    theta: float
-    feasible: bool
+    __slots__ = ()
 
 
 def rate_curve(model, d_net, n_list):

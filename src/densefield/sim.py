@@ -12,13 +12,13 @@ in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
 ``naive`` and ``simulate_p2p`` run in blocks of rows.  Every reduction runs
 in an order that neither the block size nor the thread schedule changes, so
 a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
-product differently with the block height.  A report is a plain dataclass;
+product differently with the block height.  A report is a plain namedtuple;
 the CLI writes its JSON body and its CSV log row.
 """
 
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -56,20 +56,10 @@ _CHUNK = 10_000
 _P2P_BLOCK_FRAMES = 16
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    scheme: str
-    j_mse: float
-    j_prime_mse: float
-    per_sensor_mse: np.ndarray
-    n_snapshots: int
-    grid_points_per_gap: int
-    seed: int
-    bound_low: float
-    bound_high: float
-    verdict: str
-    stderr_jmse: float
-    stderr_jprime: float
+class SimulationReport(namedtuple("SimulationReport", (
+        "scheme j_mse j_prime_mse per_sensor_mse n_snapshots grid_points_per_gap "
+        "seed bound_low bound_high verdict stderr_jmse stderr_jprime"))):
+    __slots__ = ()
 
 
 def _cell_quadrature(model, position, n_cells, grid_g):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import json
@@ -374,6 +373,17 @@ class TestP2p:
             cli.main(["p2p", "--model", "sinc", "--dnet", "1.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, err", [
+        (["--model", "exp", "--levels", "70000"],
+         "L=70000 exceeds the largest codebook of 32768 levels"),
+        (["--model", "sinc", "--dnet", "1e-9"], "no codebook up to 32768 levels reaches"),
+    ], ids=["levels", "search"])
+    def test_codebook_over_the_level_cap_exits_3(self, args, err, capsys):
+        code = cli.main(["p2p", *args])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"infeasible configuration: {err}")
+
     def test_design_nonconvergence_exits_3(self, capsys, monkeypatch):
         def no_convergence(levels):
             raise ConvergenceError("design stalled", residual=1e-3)
@@ -437,13 +447,19 @@ class TestSimulate:
 
         def broken(*args, **kwargs):
             rep = real(*args, **kwargs)
-            return dataclasses.replace(rep, verdict="violated-high")
+            return rep._replace(verdict="violated-high")
 
         monkeypatch.setattr(sim_mod, "simulate_dsc", broken)
         code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
                              "--n", "8", "--p", "0.5", "--m", "50"], capsys)
         assert code == 4
         assert json.loads(out)["verdict"] == "violated-high"
+
+    def test_report_body_has_the_report_fields(self):
+        # the key set bench/check.py compares against its reference
+        model = densefield.make_correlation("exp-markov")
+        rep = sim_mod.simulate_dsc(model, 8, 0.5, m=50)
+        assert set(cli._report_body(rep)) == set(sim_mod.SimulationReport._fields)
 
     def test_csv_log(self, capsys, tmp_path):
         log = tmp_path / "runs.csv"
@@ -537,6 +553,17 @@ class TestModelSpec:
         np.savetxt(path, np.column_stack([tau, np.exp(-tau), tau]), delimiter=",")
         err = _usage_error(["rates", "--model", f"table:{path}", "--n", "16"], capsys)
         assert "three.csv" in err and "two columns" in err
+
+    @pytest.mark.parametrize("command", [
+        ["rates", "--n", "64"],
+        ["simulate", "--scheme", "dsc", "--n", "64", "--m", "10"],
+        ["p2p"],
+    ], ids=["rates", "dsc", "p2p"])
+    def test_nan_table_is_usage_error(self, command, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0,1\n0.5,nan\n1,0.2\n")
+        err = _usage_error([*command, "--model", f"table:{path}"], capsys)
+        assert err.endswith(f"--model: {path}: correlation table values must be finite")
 
     def test_unknown_model_is_usage_error(self, capsys):
         err = _usage_error(["simulate", "--scheme", "dsc", "--model", "foo",

@@ -7,7 +7,7 @@ import pytest
 import densefield as df
 import densefield.field as field_mod
 from densefield.field import (CLAMP_FLOOR, DENSE_BUDGET_BYTES, Spectrum,
-                              check_dense_size, nearest_sample_index)
+                              _clamped, check_dense_size, nearest_sample_index)
 
 from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_location,
                      slepian_tridiagonal_eigvals)
@@ -68,6 +68,15 @@ class TestMakeCorrelation:
             df.make_correlation("custom-table", [[0.0, 1.0], [0.0, 0.5], [1.0, 0.1]])
         with pytest.raises(ValueError):  # does not cover lag 1
             df.make_correlation("custom-table", [[0.0, 1.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("table", [
+        [[0.0, 1.0], [np.nan, 0.5], [1.0, 0.2]],
+        [[0.0, 1.0], [0.5, np.nan], [1.0, 0.2]],
+        [[0.0, 1.0], [0.5, 0.5], [np.inf, 0.2]],
+    ], ids=["nan-lag", "nan-value", "inf-lag"])
+    def test_table_needs_finite_entries(self, table):
+        with pytest.raises(ValueError, match="correlation table values must be finite"):
+            df.make_correlation("custom-table", table)
 
     def test_table_interpolation_and_mono_radius(self):
         model = df.make_correlation(
@@ -309,7 +318,7 @@ class TestKmsPrecision:
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)
-    return Spectrum.from_raw(np.linalg.eigvalsh(sigma)[::-1], n, "dense")
+    return Spectrum(*_clamped(np.linalg.eigvalsh(sigma)[::-1], n), "dense")
 
 
 class TestSpectrumBackends:
@@ -352,7 +361,7 @@ class TestSpectrumBackends:
     @pytest.mark.parametrize("n", [1, 23, 24, 25, 2048, 8192, 65536])
     def test_slepian_matches_tridiagonal_oracle(self, sinc_model, n):
         spec = df.spectrum(sinc_model, n)
-        ref = Spectrum.from_raw(slepian_tridiagonal_eigvals(n), n, "oracle")
+        ref = Spectrum(*_clamped(slepian_tridiagonal_eigvals(n), n), "oracle")
         # both routes are exact up to roundoff on lambda_max ~ 0.6 N, whose ulp
         # is about 1e-16 N: 1e-12 N allows some 10,000 ulps (the largest gap
         # seen over N = 1..399 and 12 larger N up to 65,536 is 2.3e-15 N)
@@ -501,6 +510,15 @@ def test_snapshots_are_read_only(exp_model):
         positions[0] = 0.0
     with pytest.raises(ValueError):
         cov.sigma_x[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("name", ["exp", "sinc", "table"])
+def test_spectrum_and_pack_arrays_are_read_only(name):
+    model = _split_models()[name]
+    cov = df.covariance_matrix(model, 25)
+    arrays = (df.spectrum(model, 25).eigvals, cov.eigvals, cov.eigvals_raw,
+              cov.parity, *cov.blocks)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_freezing_copies_the_callers_array_only_if_writeable():

@@ -41,8 +41,10 @@ CLI_LOADS = {"densefield.cli", "densefield.correlation", "densefield.errors"}
 P2P_LOADS = CLI_LOADS | {"densefield.quantizer"}
 RATES_LOADS = CLI_LOADS | {"numpy", "densefield.estimation", "densefield.field",
                            "densefield.rates"}
+SIM_LOADS = RATES_LOADS | {"densefield.quantizer", "densefield.sim"}
 # the stdlib modules behind dataclasses and statistics.NormalDist: a process
-# without numpy loads none of them
+# without numpy loads none of them, and no process loads dataclasses (numpy
+# itself imports inspect)
 HEAVY = ("dataclasses", "inspect", "statistics")
 
 
@@ -67,9 +69,12 @@ def test_cli_import_loads_no_numpy():
     (["p2p", "--model", "sinc", "--dnet", "0.02", "--n", "480"], P2P_LOADS),
     (["rates", "--model", "exp", "--n", "64,256"], RATES_LOADS),
     (["pmax-curve", "--model", "sinc", "--n", "64"], RATES_LOADS),
-], ids=["p2p", "p2p-sinc", "rates", "pmax-curve"])
+    (["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64", "--p", "0.5"],
+     SIM_LOADS),
+    (["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"], SIM_LOADS),
+], ids=["p2p", "p2p-sinc", "rates", "pmax-curve", "simulate-dsc", "simulate-p2p"])
 def test_each_command_loads_only_its_layers(args, loads):
-    heavy = () if "numpy" in loads else HEAVY
+    heavy = ("dataclasses",) if "numpy" in loads else HEAVY
     assert _loaded_after(_cli_run(args), heavy) == loads
 
 
@@ -78,6 +83,21 @@ def test_p2p_with_a_table_loads_numpy_for_the_table_only(tmp_path):
     path.write_text("0,1\n0.5,0.6\n1,0.2\n")
     args = ["p2p", "--model", f"table:{path}", "--dnet", "0.2"]
     assert _loaded_after(_cli_run(args)) == P2P_LOADS | {"numpy"}
+
+
+def test_record_fields_cannot_be_assigned():
+    model = densefield.make_correlation("sinc")
+    spec = densefield.spectrum(model, 8)
+    records = {"Spectrum": spec,
+               "CovariancePack": densefield.covariance_matrix(model, 8),
+               "WaterfillSolution": densefield.centralized_rate(spec, 0.1),
+               "RateReport": densefield.rate_curve(model, 0.1, [8])[0],
+               "SimulationReport": densefield.simulate_dsc(model, 8, 0.5, m=20)}
+    for name, record in records.items():
+        assert type(record).__name__ == name and record._fields
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
 
 
 def test_dir_covers_all():

@@ -116,6 +116,9 @@ class TestLloydMax:
     def test_invalid_levels(self):
         with pytest.raises(ValueError):
             df.lloyd_max(0)
+        with pytest.raises(df.InfeasibleConfigError,
+                           match="L=32769 exceeds the largest codebook of 32768"):
+            df.lloyd_max(quantizer._MAX_LEVELS + 1)
 
     @pytest.mark.parametrize("levels", range(2, 65))
     def test_newton_matches_fixed_point_oracle(self, levels):
@@ -417,9 +420,10 @@ def test_min_levels_for_distortion_1e4():
 def test_min_levels_matches_linear_scan(max_levels, monkeypatch):
     # targets at, just above and just below each D(L); below D(max_levels)
     # no codebook qualifies and both refuse
+    # designed before the cap is lowered: lloyd_max refuses L over it
+    dists = [df.lloyd_max(levels).distortion for levels in range(1, 65)]
     monkeypatch.setattr(quantizer, "_MAX_LEVELS", max_levels)
-    for levels in range(1, 65):
-        d = df.lloyd_max(levels).distortion
+    for d in dists:
         for target in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)):
             want = min_levels_scan(target, max_levels)
             if want is None:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import sys
 import threading
@@ -21,12 +20,12 @@ from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
 
 
 def assert_reports_equal(a, b):
-    for field_ in dataclasses.fields(a):
-        va, vb = getattr(a, field_.name), getattr(b, field_.name)
+    for name in a._fields:
+        va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, np.ndarray):
-            assert np.array_equal(va, vb), field_.name
+            assert np.array_equal(va, vb), name
         else:
-            assert va == vb, field_.name
+            assert va == vb, name
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +76,8 @@ class TestSimulateDsc:
     def test_reports_are_deterministic(self, exp_model):
         a = df.simulate_dsc(exp_model, 12, 0.5, m=500, seed=9)
         b = df.simulate_dsc(exp_model, 12, 0.5, m=500, seed=9)
-        for field_ in dataclasses.fields(a):
-            va, vb = getattr(a, field_.name), getattr(b, field_.name)
+        for name in a._fields:
+            va, vb = getattr(a, name), getattr(b, name)
             if isinstance(va, np.ndarray):
                 assert np.array_equal(va, vb)
             else:
