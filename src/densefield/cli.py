@@ -311,6 +311,8 @@ def _config_from_args(args, parser):
         for name in _FOREIGN[cfg.scheme]:
             if name in vars(args):
                 parser.error(f"{_OPTION[name]} is not read by --scheme {cfg.scheme}")
+        if cfg.scheme == "dsc" and cfg.p > 0 and "d_net" in vars(args):
+            parser.error("with a nonzero --p, --dnet is not read by --scheme dsc")
     # 0 selects the default; a negative count, seed or noise variance means nothing
     for name in ("seed", "k_max", "n", "k", "p", "levels"):
         if getattr(cfg, name) < 0:

@@ -4,8 +4,8 @@ whose autocorrelation a ``correlation.CorrelationModel`` gives.
 Sensors sit at N regular points of [0, 1], so every function here takes the
 count N, and positions and snapshots are plain read-only float arrays.  All
 objects here are immutable after construction and safe to share between
-threads; snapshot generation is deterministic given the seed regardless of
-any internal parallelism.
+threads; snapshot generation is deterministic given the generator's state
+regardless of any internal parallelism.
 """
 
 from collections import namedtuple
@@ -357,43 +357,25 @@ def spectrum(model, n_sensors):
     return Spectrum(*_clamped(raw, n), backend)
 
 
-def _generator(seed_source):
+def _generator(ss):
     # SFC64, numpy's fastest bit generator (12.1 ns per Gaussian in bulk,
     # Philox 16.7 ns; 2 vCPUs).  Independent streams are SeedSequence
     # children of one root seed, not counter positions, so none depends on
     # an evaluation schedule.
-    # A Generator is used as it is, so successive calls continue its stream.
-    if isinstance(seed_source, np.random.Generator):
-        return seed_source
-    if isinstance(seed_source, np.random.SeedSequence):
-        ss = seed_source
-    else:
-        ss = np.random.SeedSequence(int(seed_source))
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def sample_snapshots(cov, m, seed):
-    """Draw m i.i.d. N(0, Sigma_clamped) rows, bit-reproducible for a seed,
-    as a fresh read-only (m, N) array: row i is snapshot i at the sensors.
+def sample_snapshots(cov, m, rng):
+    """Draw m i.i.d. N(0, Sigma_clamped) rows from the Generator ``rng`` as a
+    fresh read-only (m, N) array: row i is snapshot i at the sensors.
 
-    ``seed`` is an int, a ``SeedSequence`` or a ``Generator``; a numpy
-    generator fills rows in order, so draws of m1 then m2 rows from one
+    The generator fills rows in order, so draws of m1 then m2 rows from one
     generator are the Gaussians of a single (m1 + m2)-row draw.
     """
     if m < 1:
         raise ValueError("need at least one snapshot")
-    rng = _generator(seed)
     gauss = rng.standard_normal((int(m), cov.n))
     gauss *= np.sqrt(cov.eigvals)
     data = cov.to_sensors(gauss)
     data.flags.writeable = False
     return data
-
-
-def nearest_sample_index(s, n_sensors):
-    """0-based index of the sensor whose cell [k/N, (k+1)/N) contains s."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("positions must lie in [0, 1]")
-    idx = np.minimum(np.floor(s * n_sensors).astype(int), n_sensors - 1)
-    return idx

@@ -143,13 +143,10 @@ def lloyd_max(levels):
 
 
 def quantize(q, x):
-    """Cell index and reproduction point for x; boundary ties go up."""
+    """Cell index and reproduction point for x, as numpy values; ties go up."""
     import numpy as np
     idx = np.searchsorted(q.boundaries, x, side="right")
-    rep = q.points[idx]
-    if np.ndim(x) == 0:
-        return int(idx), float(rep)
-    return idx, rep
+    return idx, q.points[idx]
 
 
 def scalar_delta(levels):

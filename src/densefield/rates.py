@@ -111,23 +111,17 @@ def find_pmax(cov, target_mse):
             f"target {target_mse} at or below the clamp floor {CLAMP_FLOOR}"
         )
     lam = cov.eigvals
-    # the average MMSE at each end is carried, one evaluation per step
     lo, hi = 0.0, 1.0
-    mse_lo, mse_hi = 0.0, avg_mmse_from_eigvals(lam, hi)
-    while mse_hi <= target_mse:
-        lo, mse_lo = hi, mse_hi
-        hi *= 2.0
+    while avg_mmse_from_eigvals(lam, hi) <= target_mse:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e300:  # pragma: no cover - unreachable for target < 1
             raise InfeasibleConfigError("bracketing diverged")
-        mse_hi = avg_mmse_from_eigvals(lam, hi)
     while hi - lo > _PMAX_REL_TOL * max(lo, np.finfo(float).tiny):
-        assert mse_lo <= target_mse < mse_hi
         mid = 0.5 * (lo + hi)
-        mse_mid = avg_mmse_from_eigvals(lam, mid)
-        if mse_mid <= target_mse:
-            lo, mse_lo = mid, mse_mid
+        if avg_mmse_from_eigvals(lam, mid) <= target_mse:
+            lo = mid
         else:
-            hi, mse_hi = mid, mse_mid
+            hi = mid
     return lo
 
 

@@ -26,8 +26,7 @@ from .correlation import EXP_MARKOV
 from .errors import InfeasibleConfigError
 from .field import (DENSE_BUDGET_BYTES, CovariancePack, _generator,
                     _kms_precision, check_dense_size, covariance_matrix,
-                    nearest_sample_index, sample_snapshots, sensor_positions,
-                    spectrum)
+                    sample_snapshots, sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -265,7 +264,8 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     field_rng, noise_rng = _generator(field_ss), _generator(noise_ss)
     cov = covariance_matrix(model, n_sensors)
     nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
-    node_idx = nearest_sample_index(nodes, n_sensors)
+    # floor(N s) for s = (i + 1/2)/(N g): (i + 1/2)/g is never near an integer
+    node_idx = np.arange(n_sensors * grid_g) // grid_g
     rho_nodes = model(nodes - positions[node_idx])
     joint_pos = np.concatenate([positions, nodes])
     check_dense_size(joint_pos.size, "N (1 + grid_g)")

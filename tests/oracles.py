@@ -16,9 +16,10 @@ a dense inverse, Cholesky factor and triangular solve for the exp-markov
 dsc errors instead of the bidiagonal recurrence along the sensors.
 
 The end of the file also holds helpers that only tests read, kept out of the
-library: the nearest-sample interpolation rule, the window-averaging and
-Prop. 1 bounds, codebook and report JSON, the per-sensor p2p rate, the TDMA
-activation maps and the interpolation-only integrated MSE.
+library: the snapshot stream of an integer seed, the nearest-sample index
+and interpolation rule, the window-averaging and Prop. 1 bounds, codebook
+and report JSON, the per-sensor p2p rate, the TDMA activation maps and the
+interpolation-only integrated MSE.
 """
 
 import json
@@ -30,7 +31,7 @@ from scipy.special import ndtr, ndtri
 
 from densefield.correlation import CorrelationModel
 from densefield.errors import InfeasibleConfigError
-from densefield.field import CLAMP_FLOOR, _generator, nearest_sample_index
+from densefield.field import CLAMP_FLOOR, _generator
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.cli import _report_body
 
@@ -373,6 +374,20 @@ def optimize_k_scan(model, d_net, k_min, k_max, n_sensors=None):
 
 
 # helpers that only tests read
+
+
+def seeded_generator(seed):
+    """The library's stream for an integer seed, for ``sample_snapshots``."""
+    return _generator(np.random.SeedSequence(seed))
+
+
+def nearest_sample_index(s, n_sensors):
+    """0-based index of the sensor whose cell [k/N, (k+1)/N) contains s."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0.0) or np.any(s > 1.0):
+        raise ValueError("positions must lie in [0, 1]")
+    idx = np.minimum(np.floor(s * n_sensors).astype(int), n_sensors - 1)
+    return idx
 
 
 def nearest_sample_location(s, n_sensors):

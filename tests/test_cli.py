@@ -624,6 +624,7 @@ def test_csv_format_for_json_command_is_usage_error(args, capsys):
     (SIM_DSC, ["--k", "4"]),
     (SIM_DSC, ["--levels", "9"]),
     (SIM_DSC, ["--m-prime", "3"]),
+    ([*SIM_DSC, "--p", "0.5"], ["--dnet", "0.3"]),
     (SIM_P2P, ["--p", "0.5"]),
     (SIM_P2P, ["--m", "100"]),
     (SIM_P2P, ["--naive"]),
@@ -633,6 +634,18 @@ def test_flag_the_scheme_never_reads_is_usage_error(args, flag, capsys, monkeypa
     monkeypatch.setitem(cli._COMMANDS, "simulate", _no_work)
     err = _usage_error([*args, *flag], capsys)
     assert err.endswith(f"{flag[0]} is not read by --scheme {args[2]}")
+
+
+@pytest.mark.parametrize("dnet", [0.1, 0.3])
+def test_dnet_sets_the_noise_when_p_is_zero(dnet, capsys):
+    # --p 0 selects p_max(N) at --dnet; a nonzero --p is taken as given and
+    # the bounds do not read d_net, so there --dnet is refused
+    args = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "16",
+            "--m", "50", "--p", "0", "--dnet", str(dnet)]
+    _, out = run_cli(args, capsys)
+    model = densefield.make_correlation("exp-markov")
+    p_max = densefield.dsc_operating_point(model, dnet, 16)[2]
+    assert json.loads(out)["resolved"]["p"] == p_max
 
 
 SINKS = [

@@ -7,9 +7,10 @@ import pytest
 import densefield as df
 import densefield.field as field_mod
 from densefield.field import (CLAMP_FLOOR, DENSE_BUDGET_BYTES, Spectrum,
-                              _clamped, check_dense_size, nearest_sample_index)
+                              _clamped, check_dense_size)
 
-from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_location,
+from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_index,
+                     nearest_sample_location, seeded_generator,
                      slepian_tridiagonal_eigvals)
 
 D_NET = 0.1
@@ -402,21 +403,31 @@ class TestSampling:
     def test_zero_snapshots_rejected(self, exp_model):
         cov = df.covariance_matrix(exp_model, 2)
         with pytest.raises(ValueError):
-            df.sample_snapshots(cov, 0, 1)
+            df.sample_snapshots(cov, 0, seeded_generator(1))
 
     def test_unit_variance_band(self, exp_model):
         cov = df.covariance_matrix(exp_model, 1)
-        snaps = df.sample_snapshots(cov, 100_000, seed=2024)
+        snaps = df.sample_snapshots(cov, 100_000, seeded_generator(2024))
         var = snaps[:, 0].var()
         assert 0.985 <= var <= 1.015  # 3 sigma band for 1e5 draws
 
     def test_bit_identical_for_same_seed(self, exp_model):
         cov = df.covariance_matrix(exp_model, 5)
-        a = df.sample_snapshots(cov, 64, seed=7)
-        b = df.sample_snapshots(cov, 64, seed=7)
+        a = df.sample_snapshots(cov, 64, seeded_generator(7))
+        b = df.sample_snapshots(cov, 64, seeded_generator(7))
         assert np.array_equal(a, b)
-        c = df.sample_snapshots(cov, 64, seed=8)
+        c = df.sample_snapshots(cov, 64, seeded_generator(8))
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (37, 263), (300, 5)])
+    def test_successive_draws_continue_one_stream(self, sinc_model, m1, m2):
+        # simulate_p2p draws its blocks of frames from one generator: m1 then
+        # m2 rows from it are the rows of one (m1 + m2)-row draw
+        cov = df.covariance_matrix(sinc_model, 33)
+        rng = seeded_generator(12)
+        parts = [df.sample_snapshots(cov, m, rng) for m in (m1, m2)]
+        whole = df.sample_snapshots(cov, m1 + m2, seeded_generator(12))
+        np.testing.assert_allclose(np.vstack(parts), whole, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("pack, n", [("split", 64), ("split", 65),
                                          ("matrix", 65)])
@@ -429,14 +440,14 @@ class TestSampling:
             cov = df.CovariancePack.from_matrix(cov.sigma_x)
         rng = field_mod._generator(np.random.SeedSequence(5))
         want = rng.standard_normal((300, n)) @ (cov.eigvecs * np.sqrt(cov.eigvals)).T
-        got = df.sample_snapshots(cov, 300, seed=5)
+        got = df.sample_snapshots(cov, 300, seeded_generator(5))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
     def test_empirical_covariance_matches(self, kind):
         model = df.make_correlation(kind)
         cov = df.covariance_matrix(model, 8)
-        snaps = df.sample_snapshots(cov, 100_000, seed=99)
+        snaps = df.sample_snapshots(cov, 100_000, seeded_generator(99))
         emp = snaps.T @ snaps / snaps.shape[0]
         assert np.max(np.abs(emp - cov.sigma_x)) < 0.05
 
@@ -501,7 +512,7 @@ class TestInterpolate:
 
 def test_snapshots_are_read_only(exp_model):
     cov = df.covariance_matrix(exp_model, 3)
-    snaps = df.sample_snapshots(cov, 4, seed=1)
+    snaps = df.sample_snapshots(cov, 4, seeded_generator(1))
     positions = df.sensor_positions(3)
     assert snaps.dtype == positions.dtype == float and snaps.shape == (4, 3)
     with pytest.raises(ValueError):

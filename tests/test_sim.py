@@ -16,7 +16,8 @@ from densefield.sim import WITHIN
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      dsc_cross_term, dsc_expected_jmse, integrated_mse,
                      interpolate, interpolation_only_jmse, markov_dsc_errors,
-                     quantizer_from_json, quantizer_to_json, report_to_json)
+                     nearest_sample_index, quantizer_from_json,
+                     quantizer_to_json, report_to_json, seeded_generator)
 
 
 def assert_reports_equal(a, b):
@@ -92,6 +93,15 @@ class TestSimulateDsc:
         # numerically singular; the clamped factorisation must still sample
         rep = df.simulate_dsc(sinc_model, 8, 0.8, m=3000, seed=4, naive=True)
         assert rep.verdict == WITHIN
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    def test_naive_node_cells_are_the_nearest_sample_cells(self, n):
+        # naive gives node i, at (i + 1/2)/(N g), to sensor i // g: floor(N s),
+        # since (i + 1/2)/g is never within 1/(2g) of an integer
+        for g in (2, 5, 8, 16):
+            nodes = (np.arange(n * g) + 0.5) / (n * g)
+            assert np.array_equal(nearest_sample_index(nodes, n),
+                                  np.arange(n * g) // g)
 
     @pytest.mark.parametrize("rows", [7, 64])
     def test_one_sensor_report_does_not_depend_on_block_size(
@@ -582,7 +592,7 @@ class TestCrossTermDecomposition:
             exp_model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
         m = m_prime * (n // k)
         frame = n // k
-        draws = df.sample_snapshots(joint_cov, m, seed=555)
+        draws = df.sample_snapshots(joint_cov, m, seeded_generator(555))
         x_sens, x_nodes = draws[:, :n], draws[:, n:]
         sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
         js = np.empty(m)
@@ -701,7 +711,7 @@ class TestSimulateP2p:
         n_steps = df.tdma_schedule(n, k, m_prime)
         field_ss, _ = np.random.SeedSequence(seed).spawn(2)
         cov = df.covariance_matrix(exp_model, k)
-        draws = df.sample_snapshots(cov, n_steps, field_ss)
+        draws = df.sample_snapshots(cov, n_steps, sim._generator(field_ss))
         positions = df.sensor_positions(n)
         nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
         sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
@@ -744,7 +754,8 @@ class TestIntegratedMse:
     def test_perfect_reconstruction_single_sensor_closed_form(self, exp_model):
         # integral of 1 - e^(-2|s - 1/2|) over [0, 1] equals e^-1
         positions = df.sensor_positions(1)
-        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 1), 50, seed=6)
+        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 1), 50,
+                                    seeded_generator(6))
 
         def recon(i, nodes):
             return interpolate(exp_model, truth[i], positions, nodes)
@@ -763,7 +774,8 @@ class TestIntegratedMse:
 
     def test_quadrature_converges_under_grid_doubling(self, exp_model):
         positions = df.sensor_positions(16)
-        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 16), 20, seed=8)
+        truth = df.sample_snapshots(df.covariance_matrix(exp_model, 16), 20,
+                                    seeded_generator(8))
 
         def recon(i, nodes):
             return interpolate(exp_model, 0.9 * truth[i], positions, nodes)
