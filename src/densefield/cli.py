@@ -132,9 +132,11 @@ def cmd_rates(cfg, model):
 
 def _p2p_design(cfg, model, k):
     """(sample budget, levels, codebook) at K sub-intervals: ``--levels`` or
-    the fewest levels whose Lloyd-Max design meets the budget."""
+    the fewest levels whose Lloyd-Max design meets the budget.  A simulate
+    run given both ``--k`` and ``--levels`` reads no d_net: its budget is None."""
     from . import quantizer as qz
-    budget = qz.p2p_distortion_budget(model, cfg.d_net, k)
+    budget = None if cfg.k and cfg.levels else qz.p2p_distortion_budget(
+        model, cfg.d_net, k)
     levels = cfg.levels or qz.min_levels_for_distortion(budget)
     return budget, levels, qz.lloyd_max(levels)
 
@@ -313,6 +315,8 @@ def _config_from_args(args, parser):
                 parser.error(f"{_OPTION[name]} is not read by --scheme {cfg.scheme}")
         if cfg.scheme == "dsc" and cfg.p > 0 and "d_net" in vars(args):
             parser.error("with a nonzero --p, --dnet is not read by --scheme dsc")
+        if cfg.scheme == "p2p" and cfg.k and cfg.levels and "d_net" in vars(args):
+            parser.error("with --k and --levels, --dnet is not read by --scheme p2p")
     # 0 selects the default; a negative count, seed or noise variance means nothing
     for name in ("seed", "k_max", "n", "k", "p", "levels"):
         if getattr(cfg, name) < 0:

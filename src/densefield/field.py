@@ -5,7 +5,8 @@ Sensors sit at N regular points of [0, 1], so every function here takes the
 count N, and positions and snapshots are plain read-only float arrays.  All
 objects here are immutable after construction and safe to share between
 threads; snapshot generation is deterministic given the generator's state
-regardless of any internal parallelism.
+regardless of any internal parallelism.  Every path, here and in ``sim``,
+checks its largest array with ``check_dense_size`` before building it.
 """
 
 from collections import namedtuple
@@ -35,19 +36,18 @@ def sensor_positions(n_sensors):
 
 CLAMP_FLOOR = 1e-10
 
-# largest N x N float64 matrix a dense path builds (512 MiB: N <= 8192); an
-# eigendecomposition holds several such arrays at once
+# largest float64 array any path builds (512 MiB: an N x N matrix up to
+# N = 8192); an eigendecomposition holds several such arrays at once
 DENSE_BUDGET_BYTES = 512 * 2**20
 
 
-def check_dense_size(n, what="N"):
-    """Refuse an n x n float64 matrix over ``DENSE_BUDGET_BYTES`` before it
-    is allocated."""
-    if 8 * n * n > DENSE_BUDGET_BYTES:
+def check_dense_size(count, what):
+    """The one size rule: refuse ``what``, a float64 array of ``count``
+    values, over ``DENSE_BUDGET_BYTES`` before it is allocated."""
+    if 8 * count > DENSE_BUDGET_BYTES:
         raise InfeasibleConfigError(
-            f"{what} = {n} needs a {n} x {n} float64 matrix of "
-            f"{8 * n * n / 2**30:.1f} GiB, over the dense budget of "
-            f"{DENSE_BUDGET_BYTES >> 20} MiB")
+            f"{what}: {count} float64 values ({8 * count / 2**30:.1f} GiB) "
+            f"exceed the dense budget of {DENSE_BUDGET_BYTES >> 20} MiB")
 
 
 class Spectrum(namedtuple("Spectrum", "eigvals n_clamped raw_min raw_max backend")):
@@ -153,8 +153,8 @@ class CovariancePack(namedtuple("CovariancePack", Spectrum._fields
 
 def _first_row(model, n):
     """rho at the lags 0, 1/N, ..., (N-1)/N of the regular N-sensor grid,
-    refused by the dense budget before anything is allocated."""
-    check_dense_size(n)
+    refused before anything is allocated if its N x N matrix would not fit."""
+    check_dense_size(n * n, f"the {n} x {n} covariance of N = {n} sensors")
     return model(np.arange(n) / n)
 
 
@@ -251,6 +251,7 @@ def _kms_eigvals(n):
         return np.signbit(f)
 
     cells = 4 * (n + 1)
+    check_dense_size(cells - 1, f"the KMS root grid of N = {n} sensors")
     grid = np.arange(1, cells) * (np.pi / cells)
     neg = negative(grid)
     j = np.nonzero(neg[:-1] != neg[1:])[0]
@@ -304,6 +305,9 @@ def _slepian_eigvals(n):
     raised.  k doubles from 24 until the last Ritz value lies a decade below
     the floor: the modes after it are smaller still and are clamped to it.
     """
+    k = min(24, n)
+    # checked at each k; the first check also covers the 2N-point embedding
+    check_dense_size(2 * n * k, f"the 2N x {k} FFT block of N = {n} sensors")
     i = np.arange(n)
     row = np.sinc(i / n)
     # spectrum of the 2N circulant whose leading N x N block is the Toeplitz
@@ -313,7 +317,6 @@ def _slepian_eigvals(n):
         return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * row_hat[:, None],
                             2 * n, axis=0)[:n]
 
-    k = min(24, n)
     while True:
         q = np.cos(np.outer(i + 0.5, np.arange(k)) * (np.pi / n))
         q /= np.linalg.norm(q, axis=0)
@@ -334,6 +337,7 @@ def _slepian_eigvals(n):
         if k == n or ritz[-1] < 0.1 * CLAMP_FLOOR:
             return ritz
         k = min(2 * k, n)
+        check_dense_size(2 * n * k, f"the 2N x {k} FFT block of N = {n} sensors")
 
 
 def spectrum(model, n_sensors):

@@ -12,8 +12,9 @@ in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
 ``naive`` and ``simulate_p2p`` run in blocks of rows.  Every reduction runs
 in an order that neither the block size nor the thread schedule changes, so
 a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
-product differently with the block height.  A report is a plain namedtuple;
-the CLI writes its JSON body and its CSV log row.
+product differently with the block height.  Every array that grows with the
+input is checked by ``field.check_dense_size`` before it is built.  A report
+is a plain namedtuple; the CLI writes its JSON body and its CSV log row.
 """
 
 import os
@@ -24,9 +25,9 @@ import numpy as np
 
 from .correlation import EXP_MARKOV
 from .errors import InfeasibleConfigError
-from .field import (DENSE_BUDGET_BYTES, CovariancePack, _generator,
-                    _kms_precision, check_dense_size, covariance_matrix,
-                    sample_snapshots, sensor_positions, spectrum)
+from .field import (CovariancePack, _generator, _kms_precision,
+                    check_dense_size, covariance_matrix, sample_snapshots,
+                    sensor_positions, spectrum)
 from .quantizer import quantize, tdma_schedule
 from .rates import jmse_lower_bound, jmse_upper_bound
 
@@ -66,25 +67,22 @@ def _cell_quadrature(model, position, n_cells, grid_g):
     midpoint rule on grid_g nodes reconstructed from the sample at
     ``position`` with error e, adds a0 + c e^2 to the integrated squared
     error, and so does each translate of it."""
+    check_dense_size(grid_g, f"a quadrature cell of {grid_g} nodes")
     nodes = (np.arange(grid_g) + 0.5) / (n_cells * grid_g)
     r2 = model(nodes - position) ** 2
     w = 1.0 / (n_cells * grid_g)
     return float(np.sum(1.0 - r2) * w), float(np.sum(r2 * w))
 
 
-def _check_inputs(n_sensors, n_snapshots, grid_g):
-    """Refuse a run whose report would be undefined, or whose N grid_g
-    quadrature nodes would not fit the dense budget, before allocating."""
+def _check_inputs(n_snapshots, grid_g):
+    """Refuse a run whose report would be undefined, or whose per-snapshot
+    sums would not fit the dense budget, before allocating."""
     if grid_g < 2:
         raise ValueError("need at least two quadrature points per gap")
-    if 8 * n_sensors * grid_g > DENSE_BUDGET_BYTES:
-        raise InfeasibleConfigError(
-            f"N = {n_sensors} with grid_g = {grid_g} needs "
-            f"{8 * n_sensors * grid_g / 2**30:.1f} GiB of float64 quadrature "
-            f"nodes, over the dense budget of {DENSE_BUDGET_BYTES >> 20} MiB")
     if n_snapshots < 2:
         raise InfeasibleConfigError(
             f"{n_snapshots} snapshot(s) give no standard error: need at least two")
+    check_dense_size(n_snapshots, f"the sums of {n_snapshots} snapshots")
 
 
 def _report(scheme, j_snap, jprime_snap, per_sensor, grid_g, seed, bounds):
@@ -236,8 +234,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
-    _check_inputs(n_sensors, m, grid_g)
-    positions = sensor_positions(n_sensors)
+    _check_inputs(m, grid_g)
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
 
     def bounds(jp):
@@ -245,11 +242,11 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
                 float(jmse_upper_bound(model, n_sensors, jp)))
 
     if not naive:
-        a0, c = _cell_quadrature(model, positions[0], n_sensors, grid_g)
+        check_dense_size(-(-m // _CHUNK) * n_sensors,
+                         f"the per-chunk sums of N = {n_sensors} sensors")
+        a0, c = _cell_quadrature(model, sensor_positions(n_sensors)[0],
+                                 n_sensors, grid_g)
         if model.kind == EXP_MARKOV:
-            # no N x N matrix is built, but N stays under the limit of every
-            # other path, so the same N is refused whatever the kernel
-            check_dense_size(n_sensors)
             row_sum, per_sensor = _error_sums(*_markov_factor(n_sensors, p),
                                               m, field_ss)
         else:
@@ -261,6 +258,9 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
         return _report(DSC_SCHEME, n_sensors * a0 + c * row_sum,
                        row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
 
+    joint = n_sensors * (1 + grid_g)
+    check_dense_size(joint**2, f"the joint law of N (1 + grid_g) = {joint} points")
+    positions = sensor_positions(n_sensors)
     field_rng, noise_rng = _generator(field_ss), _generator(noise_ss)
     cov = covariance_matrix(model, n_sensors)
     nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
@@ -268,7 +268,6 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     node_idx = np.arange(n_sensors * grid_g) // grid_g
     rho_nodes = model(nodes - positions[node_idx])
     joint_pos = np.concatenate([positions, nodes])
-    check_dense_size(joint_pos.size, "N (1 + grid_g)")
     law = CovariancePack.from_matrix(
         model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
     gain = cov.eigvals / (cov.eigvals + p)
@@ -317,7 +316,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     with m'.
     """
     n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
-    _check_inputs(n_sensors, n_steps, grid_g)
+    _check_inputs(n_steps, grid_g)
     frame = n_sensors // k_intervals
     a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
                                        frame * grid_g) for j in range(frame)]).T

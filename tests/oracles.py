@@ -2,9 +2,8 @@
 
 Everything here deliberately avoids the library's computational paths:
 normal-equation solves instead of eigen-filters, brentq roots instead of
-closed forms, water-level bisection instead of the prefix solve, Riemann-grid
-Lloyd iteration instead of error-function moments, the centroid/midpoint
-fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
+closed forms, water-level bisection instead of the prefix solve, the
+centroid/midpoint fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix and Slepian's
 tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
 every N instead of the vectorised backtrack, a grid walk and a bisection of
@@ -100,30 +99,6 @@ def theta_root(model, target):
     """Scalar root of 1 - rho(t)^2/(1+t) = target on (0, theta_mono]."""
     return brentq(lambda t: 1 - model(t) ** 2 / (1 + t) - target,
                   1e-12, model.theta_mono, xtol=1e-15, rtol=8.9e-16)
-
-
-def lloyd_grid(levels, half_width=10.0, n_points=400_001, tol=1e-12,
-               max_iter=20_000):
-    """Lloyd iteration on a dense Riemann discretisation of N(0, 1)."""
-    x = np.linspace(-half_width, half_width, n_points)
-    w = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi) * (x[1] - x[0])
-    cw = np.cumsum(w)
-    cw /= cw[-1]
-    pts = x[np.searchsorted(cw, (2 * np.arange(levels) + 1) / (2 * levels))]
-    for _ in range(max_iter):
-        b = 0.5 * (pts[:-1] + pts[1:])
-        idx = np.searchsorted(b, x, side="right")
-        num = np.bincount(idx, weights=w * x, minlength=levels)
-        den = np.bincount(idx, weights=w, minlength=levels)
-        new = num / den
-        if np.max(np.abs(new - pts)) < tol:
-            pts = new
-            break
-        pts = new
-    b = 0.5 * (pts[:-1] + pts[1:])
-    idx = np.searchsorted(b, x, side="right")
-    distortion = float(np.sum(w * (x - pts[idx]) ** 2))
-    return pts, b, distortion
 
 
 def lloyd_fixed_point(levels, tol=1e-11, max_iter=500_000):

@@ -504,7 +504,7 @@ class TestSimulate:
         # a 40000 x 40000 float64 covariance is 12 GiB: refused before any
         # of it is allocated
         start = time.perf_counter()
-        code = cli.main(["simulate", "--scheme", "dsc", "--model", "exp",
+        code = cli.main(["simulate", "--scheme", "dsc", "--model", "sinc",
                          "--n", "40000", "--p", "0.5", "--m", "2"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
@@ -512,6 +512,36 @@ class TestSimulate:
         assert captured.err.count("\n") == 1
         assert "N = 40000" in captured.err and "512 MiB" in captured.err
         assert elapsed < 1.0
+
+    def test_exp_dsc_runs_past_the_dense_limit(self, capsys):
+        # the exp recurrence builds no N x N matrix, so N = 9000 runs
+        code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
+                             "--n", "9000", "--p", "0.5", "--m", "200"], capsys)
+        assert code == 0 and json.loads(out)["verdict"] == "within"
+
+    @pytest.mark.parametrize("args", [
+        ["--scheme", "dsc", "--n", "8", "--p", "0.5", "--m", "10000000000"],
+        ["--scheme", "p2p", "--n", "480", "--m-prime", "1000000000"],
+    ], ids=["dsc", "p2p"])
+    def test_per_snapshot_sums_over_budget_exit_3(self, args, capsys):
+        # 10^10 row sums (dsc: m) and 2 10^10 (p2p: m' N / K) are 75 and
+        # 149 GiB: refused before they are allocated
+        code = cli.main(["simulate", "--model", "exp", *args])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("infeasible configuration: the sums of ")
+        assert captured.err.rstrip().endswith("512 MiB")
+
+    def test_p2p_with_k_and_levels_derives_no_budget(self, capsys):
+        # K = 4 leaves no sample budget at d_net = 0.1, but a run given K
+        # and the codebook reads neither, so it runs and reports none
+        code, out = run_cli(["simulate", "--scheme", "p2p", "--model", "exp",
+                             "--n", "48", "--k", "4", "--levels", "8",
+                             "--m-prime", "50"], capsys)
+        assert code == 0
+        assert json.loads(out)["resolved"] == {
+            "k": 4, "levels": 8, "sample_budget": None,
+            "designed_distortion": densefield.lloyd_max(8).distortion}
 
     def test_naive_flag_small_n(self, capsys):
         code, out = run_cli(["simulate", "--scheme", "dsc", "--model", "exp",
@@ -628,6 +658,7 @@ def test_csv_format_for_json_command_is_usage_error(args, capsys):
     (SIM_P2P, ["--p", "0.5"]),
     (SIM_P2P, ["--m", "100"]),
     (SIM_P2P, ["--naive"]),
+    ([*SIM_P2P, "--k", "4", "--levels", "8"], ["--dnet", "0.3"]),
 ])
 def test_flag_the_scheme_never_reads_is_usage_error(args, flag, capsys, monkeypatch):
     # refused, not echoed in the config as if it had shaped the run

@@ -196,7 +196,7 @@ class TestCovariance:
 
     def test_dense_budget_refused_before_allocation(self, exp_model):
         n_max = math.isqrt(DENSE_BUDGET_BYTES // 8)
-        check_dense_size(n_max)
+        check_dense_size(n_max * n_max, "N")
         tau = np.linspace(0.0, 1.0, 101)
         table = df.make_correlation("custom-table",
                                     np.column_stack([tau, np.exp(-tau)]))
@@ -323,6 +323,24 @@ def _dense_spectrum(model, n):
 
 
 class TestSpectrumBackends:
+    @pytest.mark.parametrize("kind,n,what", [
+        ("exp-markov", 20_000_000, "the KMS root grid"),
+        ("sinc", 2_000_000, "the 2N x 24 FFT block"),
+    ], ids=["kms", "slepian"])
+    def test_over_budget_refused_before_allocation(self, kind, n, what):
+        # kms: 4 (N + 1) - 1 root-grid points, 610 MiB; slepian: the first
+        # 2N x k inverse-FFT block, 732 MiB
+        model = df.make_correlation(kind)
+        tracemalloc.start()
+        try:
+            with pytest.raises(df.InfeasibleConfigError,
+                               match=f"{what} of N = {n} sensors: .* 512 MiB"):
+                df.spectrum(model, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("kind,backend", [("exp-markov", "kms"), ("sinc", "slepian")])
     def test_matches_dense_eigvalsh(self, kind, backend):
         model = df.make_correlation(kind)

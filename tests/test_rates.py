@@ -332,6 +332,11 @@ class TestRateCurve:
         assert not reports[0].feasible
         assert reports[1].feasible
 
+    def test_spectrum_over_budget_row_flagged(self, exp_model):
+        # N = 2 10^7 needs a 610 MiB KMS root grid, over the dense budget
+        reports = df.rate_curve(exp_model, 0.1, [20_000_000, 64])
+        assert [r.feasible for r in reports] == [False, True]
+
     def test_sinc_distributed_rate_flat(self, sinc_model):
         reports = df.rate_curve(sinc_model, 0.1, [50, 100, 200, 300, 400, 500])
         rates_ = [r.dsc_sum_rate_nats for r in reports]

@@ -529,9 +529,30 @@ class TestSimulateDsc:
         assert raised_on[0] is not threading.main_thread()
 
     def test_naive_joint_covariance_over_budget_refused(self, exp_model):
-        # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the budget
-        with pytest.raises(df.InfeasibleConfigError, match=r"N \(1 \+ grid_g\)"):
-            df.simulate_dsc(exp_model, 512, 0.5, m=2, grid_g=16, naive=True)
+        # N (1 + grid_g) = 512 * 17 = 8704 nodes exceed the 8192 of the
+        # budget: refused before the sensor pack or any node array is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(df.InfeasibleConfigError,
+                               match=r"N \(1 \+ grid_g\)"):
+                df.simulate_dsc(exp_model, 512, 0.5, m=2, grid_g=16, naive=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_exp_runs_past_the_dense_limit(self, exp_model):
+        # the recurrence builds no N x N matrix: at N = 65,536 it holds the
+        # O(N) factor and one chunk's N coordinate sums
+        report = df.simulate_dsc(exp_model, 65_536, 1086.9, m=20, seed=3)
+        assert report.n_snapshots == 20 and report.per_sensor_mse.size == 65_536
+        assert report.verdict == WITHIN
+
+    def test_fast_path_builds_one_cell_of_nodes(self, exp_model):
+        # N grid_g = 2^27 nodes would be 1 GiB, but the fast path builds only
+        # the grid_g = 2^17 nodes of one cell
+        report = df.simulate_dsc(exp_model, 1024, 0.5, m=2, grid_g=2**17)
+        assert report.grid_points_per_gap == 2**17
 
     def test_invalid_inputs(self, exp_model):
         with pytest.raises(ValueError):
@@ -543,17 +564,18 @@ class TestSimulateDsc:
 
 
 @pytest.mark.parametrize("run", [
-    lambda model: df.simulate_dsc(model, 1024, 0.5, m=2, grid_g=2**17),
+    lambda model: df.simulate_dsc(model, 4, 0.5, m=2, grid_g=2**27),
     lambda model: df.simulate_p2p(model, 1024, 32, None, m_prime=2,
-                                  grid_g=2**17),
+                                  grid_g=2**22),
 ], ids=["dsc", "p2p"])
 def test_quadrature_nodes_over_budget_refused(exp_model, run):
-    # N grid_g = 2^27 nodes make a 1 GiB float64 vector, over the 512 MiB
-    # dense budget: refused before any node is allocated
+    # one cell of 2^27 nodes (grid_g for dsc, (N/K) grid_g = 32 * 2^22 per
+    # TDMA phase for p2p) is a 1 GiB float64 vector, over the 512 MiB dense
+    # budget: refused before any node is allocated
     tracemalloc.start()
     try:
         with pytest.raises(df.InfeasibleConfigError,
-                           match=r"N = 1024 with grid_g = 131072 .* 512 MiB"):
+                           match=r"cell of 134217728 nodes: .* 512 MiB"):
             run(exp_model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
