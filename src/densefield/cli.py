@@ -197,9 +197,9 @@ def cmd_simulate(cfg, model):
                     "designed_distortion": quant.distortion}
     body = _report_body(report)
     if cfg.csv_log:
-        new = not os.path.exists(cfg.csv_log)
         with open(cfg.csv_log, "a", encoding="utf-8") as fh:
-            if new:
+            # opened at its end, so a new or empty log gets the header
+            if fh.tell() == 0:
                 fh.write(",".join(_CSV_LOG_COLUMNS) + "\n")
             fh.write(",".join(_cell(body[c]) for c in _CSV_LOG_COLUMNS) + "\n")
     body["resolved"] = resolved

@@ -237,8 +237,11 @@ def _kms_eigvals(n):
     of sin(N theta) [(1-a)^2 - 2(1+a^2) sin^2(theta/2)]
     + (1-a^2) cos(N theta) sin(theta).  1-a and 1-a^2 come from expm1; the
     textbook forms in cos(theta) cancel as a -> 1 (trace off by 1e-7 at
-    N = 65,536).  Each root is bracketed by a sign change on a grid of
-    4(N+1) cells and bisected, all at once, to adjacent doubles.
+    N = 65,536).  The equation is (1-a^2) (-1)^j sin(j pi / N) at j pi / N,
+    positive just above 0 and of sign (-1)^N just below pi: each cell
+    (j pi / N, (j+1) pi / N) holds one root, with the sign (-1)^j above its
+    left end.  All cells are bisected at once to adjacent doubles, never
+    evaluated at a cell end (near pi the value there is rounding noise).
     """
     a = np.exp(-1.0 / n)
     c1 = -np.expm1(-1.0 / n)      # 1 - a
@@ -250,15 +253,12 @@ def _kms_eigvals(n):
              + c2 * np.cos(n * t) * np.sin(t))
         return np.signbit(f)
 
-    cells = 4 * (n + 1)
-    check_dense_size(cells - 1, f"the KMS root grid of N = {n} sensors")
-    grid = np.arange(1, cells) * (np.pi / cells)
-    neg = negative(grid)
-    j = np.nonzero(neg[:-1] != neg[1:])[0]
-    if j.size != n:
-        raise ConvergenceError(
-            f"KMS secular equation: {j.size} sign changes for N = {n} roots")
-    lo, hi, neg_lo = grid[j], grid[j + 1], neg[j]
+    # the cell ends, a midpoint and one evaluation's temporaries peak at
+    # 7.25 N float64 values (tracemalloc, N = 2^16 and 2^20)
+    check_dense_size(8 * n, f"the KMS root grid of N = {n} sensors")
+    lo = np.arange(n) * (np.pi / n)
+    hi = np.arange(1, n + 1) * (np.pi / n)
+    neg_lo = np.arange(n) % 2 == 1
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):

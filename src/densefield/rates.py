@@ -52,12 +52,8 @@ def target_distortion_dsc(d_net, n_sensors, model):
             f"error alone is {a:.6g}; smallest feasible N is "
             f"{smallest_feasible_n(model, d_net)}"
         )
-    inner = d_net - a * a
-    root = np.sqrt(inner) - np.sqrt(r2 * a)
-    if root < 0:
-        raise InfeasibleConfigError(
-            f"N={n_sensors} infeasible for d_net={d_net} (negative target)"
-        )
+    # a < d_net gives d_net - a^2 >= a (1 - a) = r2 a, so the root is >= 0
+    root = np.sqrt(d_net - a * a) - np.sqrt(r2 * a)
     return float(root * root)
 
 
@@ -83,16 +79,19 @@ def reverse_distortion_bound(d_net, n_sensors, model):
 
 
 def smallest_feasible_n(model, d_net):
-    """Smallest N <= _N_LIMIT with 1 - rho^2(1/(2N)) < d_net, by doubling
-    scan + backtrack."""
-    n = 1
-    while n <= _N_LIMIT:
-        if 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
-            cand = np.arange(max(n // 2, 1), n + 1)
-            ok = 1.0 - model(1.0 / (2 * cand)) ** 2 < d_net
-            return int(cand[np.argmax(ok)])
-        n *= 2
-    raise InfeasibleConfigError(f"no feasible N up to {_N_LIMIT} for d_net={d_net}")
+    """Smallest N <= _N_LIMIT that ``target_distortion_dsc`` accepts,
+    1 - rho^2(1/(2N)) < d_net, by one bisection of [1, _N_LIMIT]: that
+    error falls as N grows while rho is non-increasing at the lag 1/(2N)."""
+    bad, good = 0, _N_LIMIT + 1   # good stays past the limit if none passes
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if 1.0 - model(1.0 / (2 * mid)) ** 2 < d_net:
+            good = mid
+        else:
+            bad = mid
+    if good > _N_LIMIT:
+        raise InfeasibleConfigError(f"no feasible N up to {_N_LIMIT} for d_net={d_net}")
+    return good
 
 
 def find_pmax(cov, target_mse):

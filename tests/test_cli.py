@@ -354,6 +354,13 @@ class TestP2p:
         obj = json.loads(out)
         assert obj["per_sensor_rate"] == pytest.approx(obj["sum_rate"] / 48, rel=1e-12)
 
+    def test_per_sensor_rate_null_when_k_star_does_not_divide_n(self, capsys):
+        code, out = run_cli(["p2p", "--model", "exp", "--n", "7"], capsys)
+        obj = json.loads(out)
+        assert code == 0 and obj["per_sensor_rate"] is None
+        assert obj["per_sensor_rate_note"] == (
+            "K*=24 does not divide N=7; schedule needs K | N")
+
     def test_custom_table_model(self, capsys, tmp_path):
         tau = np.linspace(0.0, 1.0, 2001)
         path = tmp_path / "exp_table.csv"
@@ -469,6 +476,15 @@ class TestSimulate:
         lines = log.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[1] == lines[2]
         assert lines[0].startswith("scheme,")
+
+    def test_csv_log_header_in_empty_file(self, capsys, tmp_path):
+        # a log made beforehand, say by mktemp, exists but holds nothing
+        log = tmp_path / "runs.csv"
+        log.touch()
+        run_cli(["simulate", "--scheme", "dsc", "--model", "exp", "--n", "8",
+                 "--p", "0.5", "--m", "100", "--csv-log", str(log)], capsys)
+        lines = log.read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("scheme,")
 
     def test_p2p_non_psd_at_n_exits_3(self, capsys, tmp_path):
         # exp(-tau) on a 1/480 lag grid but rho(1/480) = 0.5: the 24 active
@@ -617,6 +633,24 @@ SIM_DSC = ["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64"]
 ])
 def test_negative_numeric_flag_is_usage_error(args, flag, capsys):
     assert _usage_error([*args, flag, "-2"], capsys).endswith(f"{flag} must be >= 0")
+
+
+@pytest.mark.parametrize("args,err", [
+    (["rates", "--model", "exp", "--n-range", "20:10:1"],
+     "--n-range must satisfy LO <= HI and STEP >= 1"),
+    (["rates", "--model", "exp", "--n-range", "10:20:0"],
+     "--n-range must satisfy LO <= HI and STEP >= 1"),
+    (["rates", "--model", "exp", "--n", "8,x"],
+     "--n must be a comma-separated list of integers"),
+    (["rates", "--model", "exp", "--n", "0"], "sensor counts must be >= 1"),
+    (["simulate", "--scheme", "dsc", "--model", "exp", "--n", "0"], "--n must be >= 1"),
+    ([*SIM_DSC, "--m", "0"], "--m and --m-prime must be >= 1"),
+    ([*SIM_P2P, "--m-prime", "0"], "--m and --m-prime must be >= 1"),
+    ([*SIM_DSC, "--grid-g", "1"], "--grid-g must be >= 2"),
+], ids=["n-range-reversed", "n-range-step-0", "n-not-int", "rates-n-0",
+        "simulate-n-0", "m-0", "m-prime-0", "grid-g-1"])
+def test_count_out_of_range_is_usage_error(args, err, capsys):
+    assert _usage_error(args, capsys).endswith(err)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

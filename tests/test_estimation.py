@@ -59,6 +59,11 @@ class TestMmseEstimate:
         assert out.shape == (10, 3)
         assert np.allclose(out[2], df.mmse_estimate(cov, 0.5, batch[2]), atol=1e-14)
 
+    def test_observation_length_mismatch_rejected(self, exp_model):
+        cov = df.covariance_matrix(exp_model, 4)
+        with pytest.raises(ValueError, match="observation length 3 != 4"):
+            df.mmse_estimate(cov, 0.5, np.zeros(3))
+
     def test_negative_noise_rejected(self, exp_model):
         cov = df.covariance_matrix(exp_model, 2)
         with pytest.raises(ValueError):

@@ -70,6 +70,14 @@ class TestMakeCorrelation:
         with pytest.raises(ValueError):  # does not cover lag 1
             df.make_correlation("custom-table", [[0.0, 1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("table, err", [
+        ([[0.0, 1.0]], "needs at least two rows"),
+        ([[0.1, 1.0], [1.0, 0.5]], "must start at tau = 0"),
+    ], ids=["one-row", "no-zero-lag"])
+    def test_table_shape_refused(self, table, err):
+        with pytest.raises(ValueError, match=f"correlation table {err}"):
+            df.make_correlation("custom-table", table)
+
     @pytest.mark.parametrize("table", [
         [[0.0, 1.0], [np.nan, 0.5], [1.0, 0.2]],
         [[0.0, 1.0], [0.5, np.nan], [1.0, 0.2]],
@@ -328,7 +336,7 @@ class TestSpectrumBackends:
         ("sinc", 2_000_000, "the 2N x 24 FFT block"),
     ], ids=["kms", "slepian"])
     def test_over_budget_refused_before_allocation(self, kind, n, what):
-        # kms: 4 (N + 1) - 1 root-grid points, 610 MiB; slepian: the first
+        # kms: 8 N values for its N root brackets, 1.2 GiB; slepian: the first
         # 2N x k inverse-FFT block, 732 MiB
         model = df.make_correlation(kind)
         tracemalloc.start()
@@ -340,6 +348,24 @@ class TestSpectrumBackends:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_kms_peak_within_its_size_check(self, exp_model, monkeypatch):
+        # the size rule bounds the whole bisection, not one of its arrays
+        counts = []
+
+        def check(count, what):
+            counts.append(count)
+            check_dense_size(count, what)
+
+        monkeypatch.setattr(field_mod, "check_dense_size", check)
+        df.spectrum(exp_model, 64)
+        tracemalloc.start()
+        try:
+            df.spectrum(exp_model, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * counts[-1]
 
     @pytest.mark.parametrize("kind,backend", [("exp-markov", "kms"), ("sinc", "slepian")])
     def test_matches_dense_eigvalsh(self, kind, backend):

@@ -56,6 +56,14 @@ class TestTargetDistortion:
         assert smallest_feasible_n(sinc_model, 0.1) == 3
         assert smallest_feasible_n(exp_model, 1e-6) == 1_000_000
 
+    def test_smallest_feasible_n_past_two_to_the_23(self, exp_model):
+        # a doubling scan stops at 2^23 and never tests N in (2^23, 10^7]
+        for d_net, n in [(1.2e-7, 8_333_333), (1.111e-7, 9_000_900),
+                         (1.05e-7, 9_523_810)]:
+            assert smallest_feasible_n(exp_model, d_net) == n
+        with pytest.raises(df.InfeasibleConfigError, match="no feasible N up to 10000000"):
+            smallest_feasible_n(exp_model, 9.9e-8)
+
     @pytest.mark.parametrize("d_net", [0.5, 0.1, 0.02, 1e-3, 1e-4])
     def test_smallest_feasible_n_matches_scan(self, exp_model, sinc_model, d_net):
         for model in (exp_model, sinc_model):
@@ -96,6 +104,13 @@ class TestReverseDistortionBound:
         # rho^2(1/2N) < 1/2 for N = 1
         with pytest.raises(df.InfeasibleConfigError):
             df.reverse_distortion_bound(0.1, 1, exp_model)
+
+    def test_lag_beyond_monotone_radius_raises(self):
+        # rho rises after lag 0.1, and N = 2 puts 1/(2N) at 0.25
+        model = df.make_correlation("custom-table",
+                                    [[0.0, 1.0], [0.1, 0.5], [0.2, 0.6], [1.0, 0.0]])
+        with pytest.raises(df.InfeasibleConfigError, match="outside monotone radius 0.1"):
+            df.reverse_distortion_bound(0.1, 2, model)
 
 
 class TestFindPmax:
@@ -333,7 +348,7 @@ class TestRateCurve:
         assert reports[1].feasible
 
     def test_spectrum_over_budget_row_flagged(self, exp_model):
-        # N = 2 10^7 needs a 610 MiB KMS root grid, over the dense budget
+        # N = 2 10^7 needs 1.2 GiB for its KMS root brackets, over the dense budget
         reports = df.rate_curve(exp_model, 0.1, [20_000_000, 64])
         assert [r.feasible for r in reports] == [False, True]
 
