@@ -9,6 +9,8 @@ import numpy, so rho at float lags of a built-in kernel never loads it.
 import math
 from collections import namedtuple
 
+from .errors import InfeasibleConfigError
+
 SINC = "sinc"
 EXP_MARKOV = "exp-markov"
 CUSTOM_TABLE = "custom-table"
@@ -106,6 +108,37 @@ def make_correlation(kind, params=()):
     theta_mono = float(min(tau[inc[0]] if inc.size else tau[-1], 1.0))
     return CorrelationModel(kind=CUSTOM_TABLE, theta_mono=theta_mono,
                             table_tau=tau, table_rho=rho)
+
+
+def _interp_r2(model, lag):
+    """rho_+^2 = max(rho, 0)^2 at a lag inside the monotone radius (refused past
+    it): 1 - rho_+^2 is the largest interpolation error 1 - rho^2 up to the lag."""
+    if lag > model.theta_mono:
+        raise InfeasibleConfigError(
+            f"lag {lag:.6g} outside monotone radius {model.theta_mono:.6g}")
+    return max(model(lag), 0.0) ** 2
+
+
+def _bisect(ok, good, bad):
+    """Bisect from ``good`` (``ok`` holds) toward ``bad`` (it fails), on either
+    side, to the last good point: adjacent ints or doubles, no end evaluated."""
+    while (mid := (good + bad) // 2 if isinstance(good, int)
+           else 0.5 * (good + bad)) not in (good, bad):
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
+
+
+def _smallest_count(model, d_net, per_unit, limit, what):
+    """Smallest n <= ``limit`` whose lag 1/(per_unit n) is inside the radius with
+    1 - rho_+^2 < d_net: one bisection, as that error falls with n there."""
+    def ok(n):
+        lag = 1.0 / (per_unit * n)
+        return lag <= model.theta_mono and 1.0 - _interp_r2(model, lag) < d_net
+
+    n = _bisect(ok, limit + 1, 0)
+    if n > limit:  # the bisection stays past the limit if no n passes
+        raise InfeasibleConfigError(f"no feasible {what} up to {limit} for d_net={d_net}")
+    return n
 
 
 def load_correlation_table(path):

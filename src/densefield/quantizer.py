@@ -16,7 +16,7 @@ with ``math`` and the C quantile behind ``statistics.NormalDist``; only
 import math
 from functools import cached_property, lru_cache
 
-from .correlation import _freeze
+from .correlation import _bisect, _freeze, _smallest_count
 from .errors import ConvergenceError, InfeasibleConfigError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -163,8 +163,8 @@ def min_levels_for_distortion(target):
     is <= target.
 
     The designed distortion falls strictly with L, so L is found by doubling
-    to a bracket (lo, hi] with D(lo) > target >= D(hi), then bisection: about
-    2 log2(L) designs instead of L.
+    to a bracket (lo, hi] with D(lo) > target >= D(hi), then one ``_bisect``
+    of it: about 2 log2(L) designs instead of L.
     """
     if target <= 0:
         raise InfeasibleConfigError("no finite codebook reaches distortion <= 0")
@@ -174,13 +174,7 @@ def min_levels_for_distortion(target):
             raise InfeasibleConfigError(
                 f"no codebook up to {_MAX_LEVELS} levels reaches {target}")
         lo, hi = hi, min(2 * hi, _MAX_LEVELS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lloyd_max(mid).distortion <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda levels: lloyd_max(levels).distortion <= target, hi, lo)
 
 
 def _slack(model, d_net, k_intervals):
@@ -215,12 +209,8 @@ def p2p_rate_for_K(model, d_net, k_intervals):
 
 
 def p2p_min_feasible_k(model, d_net):
-    """Smallest K <= _K_LIMIT whose sub-interval width leaves a positive
-    sample budget."""
-    for k in range(1, _K_LIMIT + 1):
-        if _slack(model, d_net, k) > 0:
-            return k
-    raise InfeasibleConfigError(f"no feasible K up to {_K_LIMIT} for d_net={d_net}")
+    """Smallest K <= _K_LIMIT with a positive budget at lag 1/K (``_smallest_count``)."""
+    return _smallest_count(model, d_net, 1, _K_LIMIT, "K")
 
 
 def optimize_K(model, d_net, k_max=None, n_sensors=None):
@@ -228,11 +218,11 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
 
     The objective grows roughly linearly in K once the budget saturates, so
     the default window [K_min_feasible, 10 K_min_feasible] brackets the
-    minimizer without assuming unimodality.  Each K in the window with a
-    budget D_K in (0, 1] is scored by -(K/2) ln D_K on Python floats, and
-    the first minimum breaks ties toward smaller K.  With ``n_sensors`` the
-    window keeps only the divisors of N up to N, the counts a TDMA schedule
-    over N sensors can use.  The rate returned is ``p2p_rate_for_K``'s at K*.
+    minimizer without assuming unimodality.  Every K from K_min has a budget
+    D_K in (0, d_net), scored by -(K/2) ln D_K as ``p2p_rate_for_K`` does;
+    the first minimum, ties toward smaller K, is returned with its score.
+    With ``n_sensors`` the window keeps only the divisors of N up to N, the
+    counts a TDMA schedule over N sensors can use.
     """
     if not 0 < d_net < 1:
         raise ValueError("d_net must lie in (0, 1)")
@@ -242,16 +232,15 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
     if k_max < k_min:
         raise InfeasibleConfigError(f"no feasible K <= {k_max}: need at least "
                                     f"K = {k_min}")
-    rates = {k: -(k / 2.0) * math.log(slack) for k in range(k_min, k_max + 1)
-             if not (n_sensors and n_sensors % k)
-             and 0.0 < (slack := _slack(model, d_net, k)) <= 1.0}
+    rates = {k: -(k / 2.0) * math.log(_slack(model, d_net, k))
+             for k in range(k_min, k_max + 1) if not (n_sensors and n_sensors % k)}
     if not rates:  # only the divisor filter can drop the feasible k_min
         raise InfeasibleConfigError(
             f"no feasible sub-interval count in [{k_min}, {k_max}] divides "
             f"N={n_sensors} for d_net={d_net}"
         )
     best_k = min(rates, key=rates.get)
-    return best_k, p2p_rate_for_K(model, d_net, best_k)
+    return best_k, rates[best_k]
 
 
 def tdma_schedule(n_sensors, k_intervals, m_prime):

@@ -12,6 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .correlation import _bisect, _interp_r2, _smallest_count
 from .errors import InfeasibleConfigError
 from .estimation import avg_mmse_from_eigvals
 from .field import CLAMP_FLOOR, spectrum
@@ -41,10 +42,10 @@ def target_distortion_dsc(d_net, n_sensors, model):
     """Sensor-sample distortion D'(N) that guarantees field distortion d_net.
 
     Root of the upper bound at equality, solved in closed form (quadratic in
-    sqrt(J')).  Needs N large enough that the pure interpolation error
-    1 - rho^2(1/(2N)) stays below d_net; approaches d_net from below.
+    sqrt(J')).  Needs 1/(2N) inside the monotone radius with interpolation
+    error 1 - rho_+^2(1/(2N)) < d_net; approaches d_net from below.
     """
-    r2 = model(1.0 / (2 * n_sensors)) ** 2
+    r2 = _interp_r2(model, 1.0 / (2 * n_sensors))
     a = 1.0 - r2
     if a >= d_net:
         raise InfeasibleConfigError(
@@ -62,14 +63,9 @@ def reverse_distortion_bound(d_net, n_sensors, model):
 
     Any scheme meeting the field target must keep the sensor-sample MSE at or
     below this; decreases toward d_net as N grows.  Valid once 1/(2N) is
-    inside the monotone neighbourhood and rho^2(1/(2N)) >= 1/2.
+    inside the monotone radius and rho_+^2(1/(2N)) >= 1/2.
     """
-    tau = 1.0 / (2 * n_sensors)
-    if tau > model.theta_mono:
-        raise InfeasibleConfigError(
-            f"1/(2N) = {tau:.6g} outside monotone radius {model.theta_mono:.6g}"
-        )
-    r2 = model(tau) ** 2
+    r2 = _interp_r2(model, 1.0 / (2 * n_sensors))
     if r2 < 0.5:
         raise InfeasibleConfigError(
             f"rho^2(1/(2N)) = {r2:.6g} < 1/2: bound preconditions fail at N={n_sensors}"
@@ -79,19 +75,8 @@ def reverse_distortion_bound(d_net, n_sensors, model):
 
 
 def smallest_feasible_n(model, d_net):
-    """Smallest N <= _N_LIMIT that ``target_distortion_dsc`` accepts,
-    1 - rho^2(1/(2N)) < d_net, by one bisection of [1, _N_LIMIT]: that
-    error falls as N grows while rho is non-increasing at the lag 1/(2N)."""
-    bad, good = 0, _N_LIMIT + 1   # good stays past the limit if none passes
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if 1.0 - model(1.0 / (2 * mid)) ** 2 < d_net:
-            good = mid
-        else:
-            bad = mid
-    if good > _N_LIMIT:
-        raise InfeasibleConfigError(f"no feasible N up to {_N_LIMIT} for d_net={d_net}")
-    return good
+    """Smallest N <= _N_LIMIT that ``target_distortion_dsc`` accepts (lag 1/(2N))."""
+    return _smallest_count(model, d_net, 2, _N_LIMIT, "N")
 
 
 def find_pmax(cov, target_mse):
@@ -192,8 +177,8 @@ def find_theta(model, target_mse):
     1 - rho^2(theta)/(1 + theta) <= target_mse.
 
     The condition holds as theta -> 0 and, since rho is non-increasing on
-    (0, theta_mono], fails for good once it fails there; so one bisection of
-    (0, theta_mono] down to adjacent doubles finds the largest theta.
+    (0, theta_mono], fails for good once it fails there; so one ``_bisect``
+    of (0, theta_mono] down to adjacent doubles finds the largest theta.
     """
     if not 0 < target_mse < 1:
         raise ValueError("target must lie in (0, 1)")
@@ -202,15 +187,8 @@ def find_theta(model, target_mse):
         r = model(t)
         return r > 0 and 1.0 - r * r / (1.0 + t) <= target_mse
 
-    good, bad = 0.0, model.theta_mono
-    if ok(bad):
-        return bad
-    while (mid := 0.5 * (good + bad)) not in (good, bad):
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    hi = model.theta_mono
+    return hi if ok(hi) else _bisect(ok, 0.0, hi)
 
 
 def rate_loss_bound(d_net, eps, theta):

@@ -6,7 +6,7 @@ closed forms, water-level bisection instead of the prefix solve, the
 centroid/midpoint fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix and Slepian's
 tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
-every N instead of the vectorised backtrack, a grid walk and a bisection of
+every N and K instead of one bisection, a grid walk and a bisection of
 its first failing cell instead of find_theta's one bisection, a linear scan
 over every codebook size instead of doubling and bisection, one scalar p2p
 rate per sub-interval count instead of optimize_K's one array pass, a direct node-by-node quadrature of the dsc
@@ -320,6 +320,35 @@ def smallest_feasible_n_scan(model, d_net):
     while not 1.0 - model(1.0 / (2 * n)) ** 2 < d_net:
         n += 1
     return n
+
+
+def smallest_count_scan(model, d_net, per_unit):
+    """Smallest n whose lag 1/(per_unit n) lies inside the monotone radius
+    with rho > 0 and 1 - rho^2 < d_net, one scalar check per n upward (N at
+    per_unit 2, K at 1)."""
+    n = 1
+    while True:
+        lag = 1.0 / (per_unit * n)
+        if lag <= model.theta_mono:
+            r = model(lag)
+            if r > 0 and 1.0 - r ** 2 < d_net:
+                return n
+        n += 1
+
+
+def feasibility_tables():
+    """Correlation tables, keyed by name, whose rho rises or turns negative
+    within lags 1/K and 1/(2N) that the scheme rule 1 - rho^2 < d_net alone
+    would certify at d_net = 0.1: ``psd`` is exp(-tau/10) cos(20 tau) on
+    2,001 rows, ``bump`` rises to 0.99 at lag 1/6 and ``dip`` rises back to
+    1 at lag 1/2."""
+    tau = np.linspace(0.0, 1.0, 2001)
+    return {
+        "psd": np.column_stack([tau, np.exp(-tau / 10) * np.cos(20 * tau)]),
+        "bump": np.array([[0.0, 1.0], [0.125, 0.9], [1 / 6, 0.99], [0.25, 0.5],
+                          [0.5, 0.5], [1.0, 0.0]]),
+        "dip": np.array([[0.0, 1.0], [0.1, 0.5], [0.5, 1.0], [1.0, 0.0]]),
+    }
 
 
 def min_levels_scan(target, max_levels):

@@ -14,6 +14,7 @@ import densefield
 import densefield.cli as cli
 import densefield.sim as sim_mod
 from densefield import ConvergenceError
+from oracles import feasibility_tables
 
 
 def run_cli(args, capsys=None):
@@ -34,6 +35,14 @@ class TestPmaxCurve:
         n64 = lines[3].split(",")
         assert n64[0] == "64" and n64[3] == "true"
         assert float(n64[1]) > 0
+
+    def test_lag_past_the_monotone_radius_is_infeasible(self, psd_table, capsys):
+        # 1/(2N) = 1/6 lies past the radius 0.157 of rho = e^(-t/10) cos 20t;
+        # that row once read p_max 0.00343, where --naive measured J = 0.48
+        code, out = run_cli(["pmax-curve", "--model", psd_table, "--n", "3,32"], capsys)
+        rows = out.strip().split("\n")[2:]
+        assert code == 0 and rows[0] == "3,nan,nan,false"
+        assert rows[1].startswith("32,") and rows[1].endswith(",true")
 
     def test_ratio_column_consistency(self, capsys):
         code, out = run_cli(["pmax-curve", "--model", "sinc", "--n", "64,128"], capsys)
@@ -370,6 +379,13 @@ class TestP2p:
         assert obj["K_star"] == 24
         assert obj["sum_rate"] == pytest.approx(46.92, abs=0.05)
 
+    def test_table_with_negative_rho_inside_one_over_k(self, psd_table, capsys):
+        # rho(1/6) = -0.97 once passed as rho^2 > 0.9: K* = 6 at 10.32 nats
+        code, out = run_cli(["p2p", "--model", psd_table], capsys)
+        obj = json.loads(out)
+        assert code == 0 and obj["K_star"] == 80
+        assert obj["sum_rate"] == pytest.approx(132.48, abs=0.01)
+
     def test_units_bits(self, capsys):
         code, out = run_cli(["p2p", "--model", "sinc", "--units", "bits"], capsys)
         obj = json.loads(out)
@@ -400,6 +416,13 @@ class TestP2p:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "no convergence: design stalled\n"
+
+
+@pytest.fixture
+def psd_table(tmp_path):
+    path = tmp_path / "psd.csv"
+    np.savetxt(path, feasibility_tables()["psd"], delimiter=",")
+    return f"table:{path}"
 
 
 @pytest.fixture

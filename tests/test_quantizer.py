@@ -17,9 +17,9 @@ from densefield import quantizer
 from densefield.quantizer import (_norm_cdf, _norm_pdf, _norm_ppf,
                                   min_levels_for_distortion,
                                   p2p_distortion_budget, p2p_min_feasible_k)
-from oracles import (active_sensors_at, active_times, lloyd_fixed_point,
-                     min_levels_scan, optimize_k_scan, p2p_per_sensor_rate,
-                     quantizer_from_json, quantizer_to_json)
+from oracles import (active_sensors_at, active_times, feasibility_tables,
+                     lloyd_fixed_point, min_levels_scan, optimize_k_scan,
+                     p2p_per_sensor_rate, quantizer_from_json, quantizer_to_json)
 
 PANTER_DITE = math.pi * math.sqrt(3) / 2
 
@@ -284,6 +284,13 @@ class TestP2pRate:
         assert p2p_min_feasible_k(sinc_model, 0.1) == 6
         assert p2p_min_feasible_k(exp_model, 0.1) == 19
         assert p2p_min_feasible_k(exp_model, 0.9) == 1  # 1 - e^-2 < 0.9
+
+    @pytest.mark.parametrize("name, k_min", [("psd", 64), ("bump", 16), ("dip", 98)])
+    def test_min_feasible_k_inside_monotone_radius(self, name, k_min):
+        # rho^2(1/K) alone passed at K = 6, 6 and 2, lags where rho had
+        # turned negative (psd) or risen back (bump, dip) within the cell
+        model = df.make_correlation("custom-table", feasibility_tables()[name])
+        assert p2p_min_feasible_k(model, 0.1) == k_min
 
 
 class TestOptimizeK:

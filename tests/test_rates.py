@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densefield as df
+from densefield.correlation import _bisect
 from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
+from densefield.quantizer import p2p_min_feasible_k
 from densefield.rates import jmse_lower_bound, jmse_upper_bound, smallest_feasible_n
 
-from oracles import (ddprime_root, dprime_root, find_theta_loop, logdet_rate,
-                     prop1_sum_rate_bound, smallest_feasible_n_scan, theta_root,
-                     waterfill_bisect)
+from oracles import (ddprime_root, dprime_root, feasibility_tables, find_theta_loop,
+                     logdet_rate, prop1_sum_rate_bound, smallest_count_scan,
+                     smallest_feasible_n_scan, theta_root, waterfill_bisect)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,22 @@ class TestTargetDistortion:
     def test_smallest_feasible_n_matches_scan(self, exp_model, sinc_model, d_net):
         for model in (exp_model, sinc_model):
             assert smallest_feasible_n(model, d_net) == smallest_feasible_n_scan(model, d_net)
+        # N and K alike; the tables' rho rises or turns negative within the
+        # lags of the counts the rule 1 - rho^2 < d_net alone would accept
+        tables = [df.make_correlation("custom-table", t)
+                  for t in feasibility_tables().values()]
+        for model in (exp_model, sinc_model, *tables):
+            assert smallest_feasible_n(model, d_net) == smallest_count_scan(model, d_net, 2)
+            assert p2p_min_feasible_k(model, d_net) == smallest_count_scan(model, d_net, 1)
+
+    @pytest.mark.parametrize("name", ["psd", "bump"])
+    def test_lag_beyond_monotone_radius_refused(self, name):
+        # 1/(2N) = 1/6 lies past the radius, where rho^2 is back above 0.9:
+        # certifying N = 3 there ignores the cell's larger errors
+        model = df.make_correlation("custom-table", feasibility_tables()[name])
+        with pytest.raises(df.InfeasibleConfigError,
+                           match=f"lag 0.166667 outside monotone radius {model.theta_mono}"):
+            df.target_distortion_dsc(0.1, 3, model)
 
     def test_approaches_target_from_below_monotonically(self, exp_model):
         values = [df.target_distortion_dsc(0.1, n, exp_model)
@@ -237,6 +255,25 @@ class TestCentralizedRate:
         assert sol.theta_level == pytest.approx(level, rel=1e-9)
         assert np.minimum(lam, sol.theta_level).sum() == pytest.approx(lam.size * d,
                                                                        rel=1e-9)
+
+
+class TestBisect:
+    @pytest.mark.parametrize("good, bad, edge", [
+        (0, 100, 37), (100, 0, 37), (0, 1, 0), (0.0, 1.0, 0.3), (1.0, 0.0, 0.3),
+        (0.0, 1e-300, 3e-301)])
+    def test_stops_at_the_adjacent_point_evaluating_no_end(self, good, bad, edge):
+        # ok holds from good up to edge; ints end one apart, floats one ulp
+        seen = []
+
+        def ok(x):
+            seen.append(x)
+            return x <= edge if good < bad else x >= edge
+
+        got = _bisect(ok, good, bad)
+        assert good not in seen and bad not in seen
+        step = (math.nextafter(got, bad) if isinstance(got, float)
+                else got + (1 if good < bad else -1))
+        assert got == edge and not ok(step)
 
 
 class TestFindTheta:
