@@ -12,8 +12,8 @@ count or seed, a float flag that is NaN or infinite, a simulate flag its
 ``--scheme`` never reads, and an ``--out`` or ``--csv-log`` path that is a
 directory, lies in a missing directory or cannot be written included),
 3 infeasible configuration (a correlation table whose covariance is not
-positive semidefinite included) or an iterative solve that did not converge
-(the Lloyd-Max design or the sinc spectrum), 4 bound violation in simulate.
+positive semidefinite included) or a Lloyd-Max design that did not converge,
+4 bound violation in simulate.
 """
 
 import argparse

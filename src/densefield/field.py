@@ -9,13 +9,14 @@ regardless of any internal parallelism.  Every path, here and in ``sim``,
 checks its largest array with ``check_dense_size`` before building it.
 """
 
+import math
 from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
 from .correlation import EXP_MARKOV, SINC, _freeze
-from .errors import ConditioningError, ConvergenceError, InfeasibleConfigError
+from .errors import ConditioningError, InfeasibleConfigError
 
 
 def _sensor_count(n_sensors):
@@ -50,15 +51,21 @@ def check_dense_size(count, what):
             f"exceed the dense budget of {DENSE_BUDGET_BYTES >> 20} MiB")
 
 
+# float64 values per sensor that the kms and slepian spectra are checked for
+# (their tracemalloc peaks are in ``_kms_eigvals`` and ``_sinc_factor``)
+_KMS_PEAK, _SINC_PEAK = 8, 18
+
+
 class Spectrum(namedtuple("Spectrum", "eigvals n_clamped raw_min raw_max backend")):
     """Eigenvalues of a sensor covariance, clamped and sorted descending.
 
     ``eigvals`` are read-only and clamped below at ``CLAMP_FLOOR``;
     ``n_clamped`` counts the modes the clamp raised, ``raw_min``/``raw_max``
-    are the unclamped extremes (for ``slepian``, of the modes it computed)
-    and ``backend`` names what computed them: ``kms`` (the exp-markov
-    secular equation) or ``slepian`` (sinc subspace iteration) from
-    ``spectrum``, ``dense`` (LAPACK) for a custom table and every pack.
+    are the unclamped extremes (for ``slepian``, of the min(N, 16) modes
+    it computed) and ``backend`` names what computed them: ``kms`` (the
+    exp-markov secular equation) or ``slepian`` (the sinc Gram matrix of a
+    16-column Gauss-Legendre factor) from ``spectrum``, ``dense`` (LAPACK)
+    for a custom table and every pack.
     p_max, the distributed sum rate and water-filling read nothing else, so
     they never need eigenvectors.
     """
@@ -255,7 +262,7 @@ def _kms_eigvals(n):
 
     # the cell ends, a midpoint and one evaluation's temporaries peak at
     # 7.25 N float64 values (tracemalloc, N = 2^16 and 2^20)
-    check_dense_size(8 * n, f"the KMS root grid of N = {n} sensors")
+    check_dense_size(_KMS_PEAK * n, f"the KMS root grid of N = {n} sensors")
     lo = np.arange(n) * (np.pi / n)
     hi = np.arange(1, n + 1) * (np.pi / n)
     neg_lo = np.arange(n) % 2 == 1
@@ -285,80 +292,75 @@ def _kms_precision(n):
     return diag, -a / c2
 
 
-# subspace iteration stops once no Ritz value moves by more than _RITZ_RTOL
-# of the largest (at most 3 Toeplitz products at every N tried)
-_RITZ_RTOL = 1e-13
-_RITZ_MAX_ITER = 8
+# the 8 positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] and
+# their weights, correctly rounded (the rule is symmetric about 0)
+_GL_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+    0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+    0.062253523938647894, 0.027152459411754096])
 
 
-def _slepian_eigvals(n):
-    """Leading eigenvalues of the sinc covariance, descending.
+def _sinc_factor(n):
+    """The N x 16 factor B of the sinc covariance, Sigma = B B^T.
 
     sinc((i-j)/N) is N times the prolate matrix with W = 1/(2N) (Slepian
-    1978): 7 or 8 of its eigenvalues lie above the floor at any N and the
-    rest fall off faster than geometrically.  Block subspace iteration with
-    Rayleigh-Ritz (Halko, Martinsson and Tropp 2011) starts from k
-    orthonormal DCT-II columns cos(pi (i + 1/2) j / N), applies the matrix
-    by an FFT of its 2N circulant embedding and re-orthonormalises by QR; the
-    Ritz values are the eigenvalues of the symmetrised k x k Q^T Sigma Q.
-    They must settle within _RITZ_MAX_ITER products, or ConvergenceError is
-    raised.  k doubles from 24 until the last Ritz value lies a decade below
-    the floor: the modes after it are smaller still and are clamped to it.
+    1978), and sinc(x) is half the integral of cos(pi t x) over t in
+    [-1, 1].  The 16-point Gauss-Legendre rule is exact to rounding there
+    for |x| <= 1, which covers every lag (i - j)/N: pairing the nodes +t and
+    -t and splitting cos(pi t (i - j)/N) gives the columns sqrt(w)
+    cos(pi t i/N) and sqrt(w) sin(pi t i/N) over the 8 positive nodes (the
+    finite-N Nystrom rule of Bornemann 2010).  The columns are built as
+    contiguous rows; B is their transpose.
     """
-    k = min(24, n)
-    # checked at each k; the first check also covers the 2N-point embedding
-    check_dense_size(2 * n * k, f"the 2N x {k} FFT block of N = {n} sensors")
-    i = np.arange(n)
-    row = np.sinc(i / n)
-    # spectrum of the 2N circulant whose leading N x N block is the Toeplitz
-    row_hat = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]]))
-
-    def toeplitz_times(x):
-        return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * row_hat[:, None],
-                            2 * n, axis=0)[:n]
-
-    while True:
-        q = np.cos(np.outer(i + 0.5, np.arange(k)) * (np.pi / n))
-        q /= np.linalg.norm(q, axis=0)
-        ritz = np.full(k, np.inf)
-        for _ in range(_RITZ_MAX_ITER):
-            prod = toeplitz_times(q)
-            h = q.T @ prod
-            last, ritz = ritz, np.linalg.eigvalsh(0.5 * (h + h.T))[::-1]
-            change = float(np.max(np.abs(ritz - last)))
-            if change <= _RITZ_RTOL * ritz[0]:
-                break
-            q = np.linalg.qr(prod)[0]
-        else:
-            raise ConvergenceError(
-                f"sinc subspace iteration for N = {n}, k = {k}: Ritz values "
-                f"still moved by {change:.3g} after {_RITZ_MAX_ITER} products",
-                residual=change)
-        if k == n or ritz[-1] < 0.1 * CLAMP_FLOOR:
-            return ritz
-        k = min(2 * k, n)
-        check_dense_size(2 * n * k, f"the 2N x {k} FFT block of N = {n} sensors")
+    # the 16 N values of the factor and the N base angles peak at 17 N
+    # float64 values (tracemalloc, N = 2^16 and 2^20)
+    check_dense_size(_SINC_PEAK * n, f"the N x 16 sinc factor of N = {n} sensors")
+    rows = np.empty((16, n))
+    angle = rows[8:]
+    base = np.arange(n, dtype=float)
+    base *= np.pi / n
+    np.multiply.outer(_GL_NODES, base, out=angle)
+    np.cos(angle, out=rows[:8])
+    np.sin(angle, out=angle)
+    rows *= np.sqrt(np.concatenate([_GL_WEIGHTS, _GL_WEIGHTS]))[:, None]
+    return rows.T
 
 
 def spectrum(model, n_sensors):
     """Clamped eigenvalues of the N-sensor covariance, without eigenvectors.
 
-    exp-markov takes the closed KMS form (backend ``kms``) and sinc subspace
-    iteration on an FFT Toeplitz product (``slepian``), both without an
-    N x N matrix and with numpy alone; a custom table takes ``eigvalsh`` of
-    the two halves of ``_reflection_split`` (``dense``), which keeps the
-    positive-semidefinite refusal.
+    exp-markov takes the closed KMS form (backend ``kms``) and sinc
+    (``slepian``) the eigenvalues of the 16 x 16 B^T B of its
+    ``_sinc_factor`` B, both without an N x N matrix: those are the nonzero
+    eigenvalues of B B^T, and the other N - 16 modes are zero to rounding
+    and are clamped to the floor (7 or 8 lie above it at any N).  A custom
+    table takes ``eigvalsh`` of the two halves of ``_reflection_split``
+    (``dense``), which keeps the positive-semidefinite refusal.
     """
     n = _sensor_count(n_sensors)
     if model.kind == EXP_MARKOV:
         raw, backend = _kms_eigvals(n), "kms"
     elif model.kind == SINC:
-        raw, backend = _slepian_eigvals(n), "slepian"
+        b = _sinc_factor(n)
+        raw, backend = np.linalg.eigvalsh(b.T @ b)[::-1][:n], "slepian"
     else:
         halves = _reflection_split(_first_row(model, n))
         raw = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in halves]))[::-1]
         backend = "dense"
     return Spectrum(*_clamped(raw, n), backend)
+
+
+def _spectrum_cut(model):
+    """Largest N whose ``spectrum`` passes the size rule: _KMS_PEAK N values
+    for exp-markov, _SINC_PEAK N for sinc and the N x N covariance for a
+    table."""
+    values = DENSE_BUDGET_BYTES // 8
+    per_sensor = {EXP_MARKOV: _KMS_PEAK, SINC: _SINC_PEAK}.get(model.kind)
+    return values // per_sensor if per_sensor else math.isqrt(values)
 
 
 def _generator(ss):

@@ -15,7 +15,7 @@ import numpy as np
 from .correlation import _bisect, _interp_r2, _smallest_count
 from .errors import InfeasibleConfigError
 from .estimation import avg_mmse_from_eigvals
-from .field import CLAMP_FLOOR, spectrum
+from .field import CLAMP_FLOOR, DENSE_BUDGET_BYTES, _spectrum_cut, spectrum
 
 _PMAX_REL_TOL = 1e-6
 _N_LIMIT = 10 ** 7
@@ -43,15 +43,20 @@ def target_distortion_dsc(d_net, n_sensors, model):
 
     Root of the upper bound at equality, solved in closed form (quadratic in
     sqrt(J')).  Needs 1/(2N) inside the monotone radius with interpolation
-    error 1 - rho_+^2(1/(2N)) < d_net; approaches d_net from below.
+    error 1 - rho_+^2(1/(2N)) < d_net; approaches d_net from below.  The
+    refusal names the smallest N that passes, and the spectrum's size limit
+    when that N lies past it.
     """
     r2 = _interp_r2(model, 1.0 / (2 * n_sensors))
     a = 1.0 - r2
     if a >= d_net:
+        n_min, cut = smallest_feasible_n(model, d_net), _spectrum_cut(model)
+        over = "" if n_min <= cut else (
+            f", but the {model.kind} spectrum fits the dense budget of "
+            f"{DENSE_BUDGET_BYTES >> 20} MiB only up to N = {cut}")
         raise InfeasibleConfigError(
             f"N={n_sensors} cannot reach field distortion {d_net}: interpolation "
-            f"error alone is {a:.6g}; smallest feasible N is "
-            f"{smallest_feasible_n(model, d_net)}"
+            f"error alone is {a:.6g}; smallest feasible N is {n_min}{over}"
         )
     # a < d_net gives d_net - a^2 >= a (1 - a) = r2 a, so the root is >= 0
     root = np.sqrt(d_net - a * a) - np.sqrt(r2 * a)

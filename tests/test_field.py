@@ -324,6 +324,26 @@ class TestKmsPrecision:
         assert spec.raw_min >= math.tanh(0.5 / n) > 1e5 * CLAMP_FLOOR
 
 
+def _spectrum_peak(model, monkeypatch):
+    """The traced peak of ``spectrum(model, 2^16)`` over the bytes its one
+    size check admitted."""
+    counts = []
+
+    def check(count, what):
+        counts.append(count)
+        check_dense_size(count, what)
+
+    monkeypatch.setattr(field_mod, "check_dense_size", check)
+    df.spectrum(model, 64)
+    tracemalloc.start()
+    try:
+        df.spectrum(model, 2**16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * counts[-1])
+
+
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)
@@ -333,11 +353,11 @@ def _dense_spectrum(model, n):
 class TestSpectrumBackends:
     @pytest.mark.parametrize("kind,n,what", [
         ("exp-markov", 20_000_000, "the KMS root grid"),
-        ("sinc", 2_000_000, "the 2N x 24 FFT block"),
+        ("sinc", 4_000_000, "the N x 16 sinc factor"),
     ], ids=["kms", "slepian"])
     def test_over_budget_refused_before_allocation(self, kind, n, what):
-        # kms: 8 N values for its N root brackets, 1.2 GiB; slepian: the first
-        # 2N x k inverse-FFT block, 732 MiB
+        # kms: 8 N values for its N root brackets, 1.2 GiB; slepian: 18 N
+        # values for its factor and base angles, 549 MiB
         model = df.make_correlation(kind)
         tracemalloc.start()
         try:
@@ -351,21 +371,31 @@ class TestSpectrumBackends:
 
     def test_kms_peak_within_its_size_check(self, exp_model, monkeypatch):
         # the size rule bounds the whole bisection, not one of its arrays
+        assert _spectrum_peak(exp_model, monkeypatch) <= 1
+
+    def test_slepian_peak_within_its_size_check(self, sinc_model, monkeypatch):
+        # the factor, its base angles and the 16 x 16 Gram matrix
+        assert _spectrum_peak(sinc_model, monkeypatch) <= 1
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "custom-table"])
+    def test_spectrum_cut_is_the_size_rule(self, kind, monkeypatch):
+        # the largest N whose one size check passes; the probe raises in
+        # place of the check, so neither N builds an array
+        tau = np.linspace(0.0, 1.0, 201)
+        table = [np.column_stack([tau, np.exp(-tau)])] if kind == "custom-table" else []
+        model = df.make_correlation(kind, *table)
         counts = []
 
-        def check(count, what):
+        def probe(count, what):
             counts.append(count)
-            check_dense_size(count, what)
+            raise LookupError(what)
 
-        monkeypatch.setattr(field_mod, "check_dense_size", check)
-        df.spectrum(exp_model, 64)
-        tracemalloc.start()
-        try:
-            df.spectrum(exp_model, 2**16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * counts[-1]
+        monkeypatch.setattr(field_mod, "check_dense_size", probe)
+        cut = field_mod._spectrum_cut(model)
+        for n in (cut, cut + 1):
+            with pytest.raises(LookupError, match=f"N = {n} sensors"):
+                df.spectrum(model, n)
+        assert 8 * counts[0] <= DENSE_BUDGET_BYTES < 8 * counts[1]
 
     @pytest.mark.parametrize("kind,backend", [("exp-markov", "kms"), ("sinc", "slepian")])
     def test_matches_dense_eigvalsh(self, kind, backend):
@@ -413,22 +443,24 @@ class TestSpectrumBackends:
         np.testing.assert_allclose(spec.eigvals, ref.eigvals, rtol=0, atol=1e-12 * n)
         assert spec.n_clamped == ref.n_clamped
 
-    def test_k_doubles_up_to_n(self, monkeypatch):
-        # no Ritz value lies a decade below a floor of -1, so k doubles
-        # 24 -> 48 -> 96 -> N = 100, where the Ritz values are the spectrum
-        monkeypatch.setattr(field_mod, "CLAMP_FLOOR", -1.0)
-        lags = np.arange(100)
-        dense = np.linalg.eigvalsh(np.sinc(np.subtract.outer(lags, lags) / 100))[::-1]
-        np.testing.assert_allclose(field_mod._slepian_eigvals(100), dense,
-                                   rtol=0, atol=1e-12 * 100)
+    def test_gauss_legendre_rule(self):
+        # the 16-point rule: exact for t^(2j), j <= 15, on [-1, 1], and
+        # numpy's own nodes and weights to rounding
+        t, w = field_mod._GL_NODES, field_mod._GL_WEIGHTS
+        for j in range(16):
+            assert 2 * np.sum(w * t ** (2 * j)) == pytest.approx(2 / (2 * j + 1),
+                                                               rel=1e-15, abs=0)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(t, nodes[8:], rtol=1e-15)
+        np.testing.assert_allclose(w, weights[8:], rtol=1e-14)
 
-    @pytest.mark.parametrize("cap", [1, 2])
-    def test_unsettled_ritz_values_raise(self, sinc_model, monkeypatch, cap):
-        # sinc needs 3 Toeplitz products at N = 2048; fewer cannot settle
-        monkeypatch.setattr(field_mod, "_RITZ_MAX_ITER", cap)
-        with pytest.raises(df.ConvergenceError, match="N = 2048, k = 24") as info:
-            df.spectrum(sinc_model, 2048)
-        assert info.value.residual > 0
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_sinc_factor_reproduces_the_covariance(self, n):
+        b = field_mod._sinc_factor(n)
+        assert b.shape == (n, 16)
+        lags = np.arange(n)
+        np.testing.assert_allclose(b @ b.T, np.sinc(np.subtract.outer(lags, lags) / n),
+                                   rtol=0, atol=1e-14)
 
     def test_table_takes_dense_eigvalsh(self):
         tau = np.linspace(0.0, 1.0, 201)

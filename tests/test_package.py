@@ -68,13 +68,16 @@ def test_cli_import_loads_no_numpy():
     (["p2p", "--model", "exp", "--dnet", "0.02"], P2P_LOADS),
     (["p2p", "--model", "sinc", "--dnet", "0.02", "--n", "480"], P2P_LOADS),
     (["rates", "--model", "exp", "--n", "64,256"], RATES_LOADS),
+    (["rates", "--model", "sinc", "--n", "64,2048"], RATES_LOADS),
     (["pmax-curve", "--model", "sinc", "--n", "64"], RATES_LOADS),
     (["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64", "--p", "0.5"],
      SIM_LOADS),
     (["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"], SIM_LOADS),
-], ids=["p2p", "p2p-sinc", "rates", "pmax-curve", "simulate-dsc", "simulate-p2p"])
+], ids=["p2p", "p2p-sinc", "rates", "rates-sinc", "pmax-curve", "simulate-dsc",
+        "simulate-p2p"])
 def test_each_command_loads_only_its_layers(args, loads):
-    heavy = ("dataclasses",) if "numpy" in loads else HEAVY
+    # numpy loads numpy.fft lazily, and no layer takes an FFT
+    heavy = ("dataclasses", "numpy.fft") if "numpy" in loads else HEAVY
     assert _loaded_after(_cli_run(args), heavy) == loads
 
 

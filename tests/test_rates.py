@@ -53,6 +53,22 @@ class TestTargetDistortion:
         with pytest.raises(df.InfeasibleConfigError, match="smallest feasible N is 10"):
             df.target_distortion_dsc(0.1, 9, exp_model)
 
+    @pytest.mark.parametrize("kind, d_net, n_min, cut", [
+        ("exp-markov", 1.05e-7, 9_523_810, 8_388_608),
+        ("sinc", 5e-14, 4_051_328, 3_728_270),
+    ])
+    def test_refusal_names_the_spectrum_size_limit(self, kind, d_net, n_min, cut):
+        # the smallest feasible N lies past the N whose spectrum fits the
+        # budget, and the spectrum itself refuses the next N
+        model = df.make_correlation(kind)
+        with pytest.raises(df.InfeasibleConfigError,
+                           match=f"smallest feasible N is {n_min}, but the {kind} "
+                                 f"spectrum fits the dense budget of 512 MiB only "
+                                 f"up to N = {cut}$"):
+            df.target_distortion_dsc(d_net, 64, model)
+        with pytest.raises(df.InfeasibleConfigError, match=f"N = {cut + 1} sensors"):
+            df.spectrum(model, cut + 1)
+
     def test_smallest_feasible_n(self, exp_model, sinc_model):
         assert smallest_feasible_n(exp_model, 0.1) == 10
         assert smallest_feasible_n(sinc_model, 0.1) == 3
