@@ -19,13 +19,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConditioningError", "ConvergenceError", "InfeasibleConfigError"),
     "correlation": ("CorrelationModel", "make_correlation", "load_correlation_table"),
-    "field": ("CovariancePack", "Spectrum", "sensor_positions", "covariance_matrix",
-              "spectrum", "sample_snapshots"),
+    "field": ("CovariancePack", "sensor_positions", "covariance_matrix",
+              "sample_snapshots"),
     "estimation": ("mmse_estimate", "mmse_error"),
-    "rates": ("RateReport", "WaterfillSolution", "target_distortion_dsc",
-              "reverse_distortion_bound", "find_pmax", "dsc_operating_point",
-              "dsc_sum_rate", "centralized_rate", "find_theta", "rate_loss_bound",
-              "rate_curve"),
+    "rates": ("Spectrum", "spectrum", "RateReport", "WaterfillSolution",
+              "target_distortion_dsc", "reverse_distortion_bound", "find_pmax",
+              "dsc_operating_point", "dsc_sum_rate", "centralized_rate",
+              "find_theta", "rate_loss_bound", "rate_curve"),
     "quantizer": ("ScalarQuantizer", "lloyd_max", "quantize",
                   "p2p_rate_for_K", "optimize_K", "tdma_schedule", "scalar_delta"),
     "sim": ("SimulationReport", "simulate_dsc", "simulate_p2p"),

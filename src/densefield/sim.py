@@ -27,9 +27,9 @@ from .correlation import EXP_MARKOV
 from .errors import InfeasibleConfigError
 from .field import (CovariancePack, _generator, _kms_precision,
                     check_dense_size, covariance_matrix, sample_snapshots,
-                    sensor_positions, spectrum)
+                    sensor_positions)
 from .quantizer import quantize, tdma_schedule
-from .rates import jmse_lower_bound, jmse_upper_bound
+from .rates import jmse_lower_bound, jmse_upper_bound, spectrum
 
 DSC_SCHEME = "dsc-test-channel"
 P2P_SCHEME = "p2p-lloyd"

@@ -5,7 +5,9 @@ normal-equation solves instead of eigen-filters, brentq roots instead of
 closed forms, water-level bisection instead of the prefix solve, the
 centroid/midpoint fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
 scipy's DPSS windows against the dense sinc matrix and Slepian's
-tridiagonal eigenvectors instead of subspace iteration, a scalar scan over
+tridiagonal eigenvectors, and the N x 16 Gauss-Legendre factor itself,
+instead of the closed-form 16 x 16 Gram matrix and its Jacobi sweeps, every
+KMS root at once instead of one cell per mode read, a scalar scan over
 every N and K instead of one bisection, a grid walk and a bisection of
 its first failing cell instead of find_theta's one bisection, a linear scan
 over every codebook size instead of doubling and bisection, one scalar p2p
@@ -30,8 +32,9 @@ from scipy.special import ndtr, ndtri
 
 from densefield.correlation import CorrelationModel
 from densefield.errors import InfeasibleConfigError
-from densefield.field import CLAMP_FLOOR, _generator
+from densefield.field import _generator
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
+from densefield.rates import _GL_NODES, _GL_WEIGHTS, CLAMP_FLOOR
 from densefield.cli import _report_body
 
 
@@ -274,6 +277,50 @@ def slepian_tridiagonal_eigvals(n):
         if k == n or quotients[-1] < 0.1 * CLAMP_FLOOR:
             return quotients
         k = min(2 * k, n)
+
+
+def kms_eigvals(n):
+    """Descending eigenvalues of the exp-markov covariance a^|i-j|, a = e^(-1/N),
+    from the roots of the secular equation of ``rates._kms_mode``, all N
+    cells bisected at once as arrays to adjacent doubles."""
+    a = np.exp(-1.0 / n)
+    c1 = -np.expm1(-1.0 / n)      # 1 - a
+    c2 = -np.expm1(-2.0 / n)      # 1 - a^2
+
+    def negative(t):
+        s2 = np.sin(0.5 * t) ** 2
+        f = (np.sin(n * t) * (c1 * c1 - 2.0 * (1.0 + a * a) * s2)
+             + c2 * np.cos(n * t) * np.sin(t))
+        return np.signbit(f)
+
+    lo = np.arange(n) * (np.pi / n)
+    hi = np.arange(1, n + 1) * (np.pi / n)
+    neg_lo = np.arange(n) % 2 == 1
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        left = negative(mid) == neg_lo
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    theta = 0.5 * (lo + hi)
+    return c2 / (c1 * c1 + 4.0 * a * np.sin(0.5 * theta) ** 2)
+
+
+def sinc_factor(n):
+    """The N x 16 factor B of the sinc covariance, Sigma = B B^T: the columns
+    sqrt(w) cos(pi t c/N) and sqrt(w) sin(pi t c/N) over the 8 positive
+    nodes t of the 16-point Gauss-Legendre rule, at the centred sensor index
+    c = i - (N-1)/2, so B^T B is ``rates._slepian_gram``'s two blocks."""
+    t, w = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
+    angle = np.multiply.outer((np.arange(n) - 0.5 * (n - 1)) * (np.pi / n), t)
+    return np.hstack([np.cos(angle), np.sin(angle)]) * np.sqrt(np.concatenate([w, w]))
+
+
+def descending_eigvals(spec):
+    """Every clamped eigenvalue of a ``rates.Spectrum``, descending, as one
+    array: its ``modes`` pairs with each multiplicity expanded."""
+    return np.array([lam for lam, count in spec.modes() for _ in range(count)])
 
 
 def find_theta_loop(model, target_mse, grid_points=4096):

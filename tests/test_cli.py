@@ -241,7 +241,8 @@ def test_p2p_commands_load_no_scipy():
 
 
 def test_every_sinc_subcommand_loads_no_scipy():
-    # the sinc spectrum is numpy subspace iteration, so no command loads scipy
+    # the sinc spectrum is the Gram matrix of a Gauss-Legendre factor, and
+    # simulate's eigenvectors are numpy's, so no command loads scipy
     src = os.path.dirname(os.path.dirname(cli.__file__))
     commands = [
         ["rates", "--model", "sinc", "--n", "64,2048"],
@@ -275,7 +276,7 @@ def _child_env(timeout):
 @pytest.mark.parametrize("given, seen", [(None, "20"), ("7", "7")])
 def test_blas_thread_timeout_is_set_before_numpy_loads(given, seen):
     # OpenBLAS reads the variable only when its library loads, so record it at
-    # the first lookup of numpy, which `rates` makes (`import densefield.cli`
+    # the first lookup of numpy, which `simulate` makes (`import densefield.cli`
     # alone loads no numpy); a value the user set is kept
     code = ("import os, sys\n"
             "class Probe:\n"
@@ -285,7 +286,8 @@ def test_blas_thread_timeout_is_set_before_numpy_loads(given, seen):
             "            self.seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
             "sys.meta_path.insert(0, Probe())\n"
             "import densefield.cli\n"
-            "densefield.cli.main(['rates', '--model', 'exp', '--n', '16',\n"
+            "densefield.cli.main(['simulate', '--scheme', 'dsc', '--model', 'exp',\n"
+            "                     '--n', '16', '--p', '0.5', '--m', '10',\n"
             "                     '--out', os.devnull])\n"
             "print(Probe.seen)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

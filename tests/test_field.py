@@ -6,12 +6,13 @@ import pytest
 
 import densefield as df
 import densefield.field as field_mod
-from densefield.field import (CLAMP_FLOOR, DENSE_BUDGET_BYTES, Spectrum,
-                              _clamped, check_dense_size)
+import densefield.rates as rates_mod
+from densefield.field import DENSE_BUDGET_BYTES, _clamped, check_dense_size
+from densefield.rates import CLAMP_FLOOR, Spectrum
 
-from oracles import (dpss_sinc_eigpairs, interpolate, nearest_sample_index,
-                     nearest_sample_location, seeded_generator,
-                     slepian_tridiagonal_eigvals)
+from oracles import (descending_eigvals, dpss_sinc_eigpairs, interpolate,
+                     kms_eigvals, nearest_sample_index, nearest_sample_location,
+                     seeded_generator, sinc_factor, slepian_tridiagonal_eigvals)
 
 D_NET = 0.1
 STRUCTURED_N = (*range(1, 257), 1000, 2047, 2048)
@@ -297,7 +298,7 @@ class TestReflectionSplit:
         model = _split_models()["table"]
         spec, dense = df.spectrum(model, n), _dense_spectrum(model, n)
         assert spec.backend == "dense" and spec.n_clamped == dense.n_clamped
-        np.testing.assert_allclose(spec.eigvals, dense.eigvals, rtol=0,
+        np.testing.assert_allclose(descending_eigvals(spec), dense.top, rtol=0,
                                    atol=1e-12 * n)
 
 
@@ -323,67 +324,30 @@ class TestKmsPrecision:
         assert spec.n_clamped == 0
         assert spec.raw_min >= math.tanh(0.5 / n) > 1e5 * CLAMP_FLOOR
 
-
-def _spectrum_peak(model, monkeypatch):
-    """The traced peak of ``spectrum(model, 2^16)`` over the bytes its one
-    size check admitted."""
-    counts = []
-
-    def check(count, what):
-        counts.append(count)
-        check_dense_size(count, what)
-
-    monkeypatch.setattr(field_mod, "check_dense_size", check)
-    df.spectrum(model, 64)
-    tracemalloc.start()
-    try:
-        df.spectrum(model, 2**16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * counts[-1])
+    def test_spectrum_below_the_floor_refused(self, exp_model):
+        # the closed-form sums cover the raw spectrum, so an N whose smallest
+        # eigenvalue, about 1/(2N), falls below the floor is refused
+        assert df.spectrum(exp_model, 4 * 10**9).raw_min >= CLAMP_FLOOR
+        with pytest.raises(df.InfeasibleConfigError,
+                           match="N = 6000000000 sensors reaches below the clamp floor"):
+            df.spectrum(exp_model, 6 * 10**9)
 
 
 def _dense_spectrum(model, n):
     lags = np.arange(n)
     sigma = model(np.abs(lags[:, None] - lags[None, :]) / n)
-    return Spectrum(*_clamped(np.linalg.eigvalsh(sigma)[::-1], n), "dense")
+    return Spectrum(n, *_clamped(np.linalg.eigvalsh(sigma)[::-1], n), "dense")
 
 
 class TestSpectrumBackends:
-    @pytest.mark.parametrize("kind,n,what", [
-        ("exp-markov", 20_000_000, "the KMS root grid"),
-        ("sinc", 4_000_000, "the N x 16 sinc factor"),
-    ], ids=["kms", "slepian"])
-    def test_over_budget_refused_before_allocation(self, kind, n, what):
-        # kms: 8 N values for its N root brackets, 1.2 GiB; slepian: 18 N
-        # values for its factor and base angles, 549 MiB
-        model = df.make_correlation(kind)
-        tracemalloc.start()
-        try:
-            with pytest.raises(df.InfeasibleConfigError,
-                               match=f"{what} of N = {n} sensors: .* 512 MiB"):
-                df.spectrum(model, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_kms_peak_within_its_size_check(self, exp_model, monkeypatch):
-        # the size rule bounds the whole bisection, not one of its arrays
-        assert _spectrum_peak(exp_model, monkeypatch) <= 1
-
-    def test_slepian_peak_within_its_size_check(self, sinc_model, monkeypatch):
-        # the factor, its base angles and the 16 x 16 Gram matrix
-        assert _spectrum_peak(sinc_model, monkeypatch) <= 1
-
-    @pytest.mark.parametrize("kind", ["exp-markov", "sinc", "custom-table"])
+    @pytest.mark.parametrize("kind", ["custom-table"])
     def test_spectrum_cut_is_the_size_rule(self, kind, monkeypatch):
         # the largest N whose one size check passes; the probe raises in
-        # place of the check, so neither N builds an array
+        # place of the check, so neither N builds an array.  Only a table's
+        # spectrum has a size limit: the built-in kernels build nothing of
+        # size N (test_rates.py::test_built_in_rate_curve_peak_is_under_a_mebibyte)
         tau = np.linspace(0.0, 1.0, 201)
-        table = [np.column_stack([tau, np.exp(-tau)])] if kind == "custom-table" else []
-        model = df.make_correlation(kind, *table)
+        model = df.make_correlation(kind, np.column_stack([tau, np.exp(-tau)]))
         counts = []
 
         def probe(count, what):
@@ -391,7 +355,7 @@ class TestSpectrumBackends:
             raise LookupError(what)
 
         monkeypatch.setattr(field_mod, "check_dense_size", probe)
-        cut = field_mod._spectrum_cut(model)
+        cut = field_mod._TABLE_N_MAX
         for n in (cut, cut + 1):
             with pytest.raises(LookupError, match=f"N = {n} sensors"):
                 df.spectrum(model, n)
@@ -405,8 +369,8 @@ class TestSpectrumBackends:
             assert fast.backend == backend and fast.n == n
             # the absolute term covers the dense path's own rounding near the
             # floor (sinc eigenvalues near 1e-10 move by 2e-6 relative there)
-            gap = np.abs(fast.eigvals - dense.eigvals)
-            assert np.all(gap <= np.maximum(1e-9 * dense.eigvals, 1e-12 * n)), n
+            gap = np.abs(descending_eigvals(fast) - dense.top)
+            assert np.all(gap <= np.maximum(1e-9 * dense.top, 1e-12 * n)), n
             try:
                 d_prime = df.target_distortion_dsc(D_NET, n, model)
                 d_dprime = df.reverse_distortion_bound(D_NET, n, model)
@@ -422,31 +386,32 @@ class TestSpectrumBackends:
     def test_exp_trace_at_65536(self, exp_model):
         spec = df.spectrum(exp_model, 65536)
         assert spec.n_clamped == 0
-        assert spec.eigvals.sum() == pytest.approx(65536, rel=1e-9)
+        assert descending_eigvals(spec).sum() == pytest.approx(65536, rel=1e-9)
 
     @pytest.mark.parametrize("n", [8, 64, 300, 2048])
     def test_slepian_matches_dpss(self, sinc_model, n):
         lam, resid = dpss_sinc_eigpairs(n, 8)
         assert np.all(resid <= 1e-10 * lam[0])
         spec = df.spectrum(sinc_model, n)
-        np.testing.assert_allclose(spec.eigvals[:8], np.maximum(lam, 1e-10),
-                                   rtol=1e-9, atol=1e-12 * n)
+        np.testing.assert_allclose(descending_eigvals(spec)[:8],
+                                   np.maximum(lam, 1e-10), rtol=1e-9, atol=1e-12 * n)
         assert spec.n_clamped == n - np.count_nonzero(lam >= 1e-10)
 
     @pytest.mark.parametrize("n", [1, 23, 24, 25, 2048, 8192, 65536])
     def test_slepian_matches_tridiagonal_oracle(self, sinc_model, n):
         spec = df.spectrum(sinc_model, n)
-        ref = Spectrum(*_clamped(slepian_tridiagonal_eigvals(n), n), "oracle")
+        ref = Spectrum(n, *_clamped(slepian_tridiagonal_eigvals(n), n), "oracle")
         # both routes are exact up to roundoff on lambda_max ~ 0.6 N, whose ulp
         # is about 1e-16 N: 1e-12 N allows some 10,000 ulps (the largest gap
         # seen over N = 1..399 and 12 larger N up to 65,536 is 2.3e-15 N)
-        np.testing.assert_allclose(spec.eigvals, ref.eigvals, rtol=0, atol=1e-12 * n)
+        np.testing.assert_allclose(descending_eigvals(spec), ref.top, rtol=0,
+                                   atol=1e-12 * n)
         assert spec.n_clamped == ref.n_clamped
 
     def test_gauss_legendre_rule(self):
         # the 16-point rule: exact for t^(2j), j <= 15, on [-1, 1], and
         # numpy's own nodes and weights to rounding
-        t, w = field_mod._GL_NODES, field_mod._GL_WEIGHTS
+        t, w = np.array(rates_mod._GL_NODES), np.array(rates_mod._GL_WEIGHTS)
         for j in range(16):
             assert 2 * np.sum(w * t ** (2 * j)) == pytest.approx(2 / (2 * j + 1),
                                                                rel=1e-15, abs=0)
@@ -456,7 +421,7 @@ class TestSpectrumBackends:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
     def test_sinc_factor_reproduces_the_covariance(self, n):
-        b = field_mod._sinc_factor(n)
+        b = sinc_factor(n)
         assert b.shape == (n, 16)
         lags = np.arange(n)
         np.testing.assert_allclose(b @ b.T, np.sinc(np.subtract.outer(lags, lags) / n),
@@ -468,11 +433,37 @@ class TestSpectrumBackends:
         spec = df.spectrum(model, 50)
         cov = df.covariance_matrix(model, 50)
         assert spec.backend == "dense" and spec.n_clamped == cov.n_clamped == 0
-        np.testing.assert_allclose(spec.eigvals, cov.eigvals, rtol=1e-12)
+        np.testing.assert_allclose(descending_eigvals(spec), cov.eigvals, rtol=1e-12)
         assert (spec.raw_min, spec.raw_max) == pytest.approx(
             (cov.eigvals_raw[-1], cov.eigvals_raw[0]), rel=1e-12)
         with pytest.raises(ValueError):
-            spec.eigvals[0] = 2.0
+            spec.top[0] = 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 1024, 65536])
+    def test_kms_sums_match_the_oracle_eigenvalues(self, n):
+        # the closed-form S1 and S2 against an fsum over every root of the
+        # secular equation, from 1e-3 to 1e9 in p
+        lam = kms_eigvals(n).tolist()
+        for p in (1e-3, 0.05, 1.1, 12, 1e3, 1e6, 1e9):
+            s1, s2 = rates_mod._kms_sums(n, p)
+            assert s1 == pytest.approx(math.fsum(x * p / (x + p) for x in lam),
+                                       rel=1e-13, abs=0), p
+            assert s2 == pytest.approx(0.5 * math.fsum(math.log1p(x / p) for x in lam),
+                                       rel=1e-13, abs=0), p
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 1000, 65536])
+    def test_slepian_gram_is_the_factors(self, n):
+        # the Dirichlet-kernel blocks against B^T B of the centred factor,
+        # and their Jacobi eigenvalues against LAPACK's
+        cos_block, sin_block = (np.array(b) for b in rates_mod._slepian_gram(n))
+        b = sinc_factor(n)
+        gram = np.zeros((16, 16))
+        gram[:8, :8], gram[8:, 8:] = cos_block, sin_block
+        np.testing.assert_allclose(gram, b.T @ b, rtol=0, atol=1e-13 * n)
+        for block in (cos_block, sin_block):
+            jacobi = sorted(rates_mod._jacobi_eigvals(block.tolist()))
+            np.testing.assert_allclose(jacobi, np.linalg.eigvalsh(block), rtol=0,
+                                       atol=1e-13 * n)
 
 
 class TestSampling:
@@ -603,8 +594,9 @@ def test_snapshots_are_read_only(exp_model):
 def test_spectrum_and_pack_arrays_are_read_only(name):
     model = _split_models()[name]
     cov = df.covariance_matrix(model, 25)
-    arrays = (df.spectrum(model, 25).eigvals, cov.eigvals, cov.eigvals_raw,
-              cov.parity, *cov.blocks)
+    top = df.spectrum(model, 25).top    # a tuple for the built-in kernels
+    arrays = (cov.eigvals, cov.eigvals_raw, cov.parity, *cov.blocks)
+    assert isinstance(top, tuple) or not top.flags.writeable
     assert not any(a.flags.writeable for a in arrays)
 
 

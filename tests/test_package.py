@@ -39,9 +39,12 @@ def test_import_loads_no_layer_and_no_numpy():
 # what every CLI process loads: numpy is left to the layers that need arrays
 CLI_LOADS = {"densefield.cli", "densefield.correlation", "densefield.errors"}
 P2P_LOADS = CLI_LOADS | {"densefield.quantizer"}
-RATES_LOADS = CLI_LOADS | {"numpy", "densefield.estimation", "densefield.field",
-                           "densefield.rates"}
-SIM_LOADS = RATES_LOADS | {"densefield.quantizer", "densefield.sim"}
+# the built-in kernels' spectra and rates run on the standard library
+RATES_LOADS = CLI_LOADS | {"densefield.rates"}
+# a table's spectrum is LAPACK's, and its average MMSE is estimation's
+DENSE_LOADS = {"numpy", "densefield.field", "densefield.estimation"}
+SIM_LOADS = RATES_LOADS | {"numpy", "densefield.field", "densefield.quantizer",
+                           "densefield.sim"}
 # the stdlib modules behind dataclasses and statistics.NormalDist: a process
 # without numpy loads none of them, and no process loads dataclasses (numpy
 # itself imports inspect)
@@ -70,11 +73,12 @@ def test_cli_import_loads_no_numpy():
     (["rates", "--model", "exp", "--n", "64,256"], RATES_LOADS),
     (["rates", "--model", "sinc", "--n", "64,2048"], RATES_LOADS),
     (["pmax-curve", "--model", "sinc", "--n", "64"], RATES_LOADS),
+    (["pmax-curve", "--model", "exp", "--n", "64,1000000"], RATES_LOADS),
     (["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64", "--p", "0.5"],
      SIM_LOADS),
     (["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"], SIM_LOADS),
-], ids=["p2p", "p2p-sinc", "rates", "rates-sinc", "pmax-curve", "simulate-dsc",
-        "simulate-p2p"])
+], ids=["p2p", "p2p-sinc", "rates", "rates-sinc", "pmax-curve", "pmax-curve-exp",
+        "simulate-dsc", "simulate-p2p"])
 def test_each_command_loads_only_its_layers(args, loads):
     # numpy loads numpy.fft lazily, and no layer takes an FFT
     heavy = ("dataclasses", "numpy.fft") if "numpy" in loads else HEAVY
@@ -86,6 +90,13 @@ def test_p2p_with_a_table_loads_numpy_for_the_table_only(tmp_path):
     path.write_text("0,1\n0.5,0.6\n1,0.2\n")
     args = ["p2p", "--model", f"table:{path}", "--dnet", "0.2"]
     assert _loaded_after(_cli_run(args)) == P2P_LOADS | {"numpy"}
+
+
+def test_rates_with_a_table_loads_numpy_for_the_table_only(tmp_path):
+    path = tmp_path / "rho.csv"
+    path.write_text("0,1\n0.5,0.6\n1,0.2\n")
+    args = ["rates", "--model", f"table:{path}", "--dnet", "0.5", "--n", "8,64"]
+    assert _loaded_after(_cli_run(args)) == RATES_LOADS | DENSE_LOADS
 
 
 def test_record_fields_cannot_be_assigned():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,20 +55,30 @@ class TestTargetDistortion:
             df.target_distortion_dsc(0.1, 9, exp_model)
 
     @pytest.mark.parametrize("kind, d_net, n_min, cut", [
-        ("exp-markov", 1.05e-7, 9_523_810, 8_388_608),
-        ("sinc", 5e-14, 4_051_328, 3_728_270),
+        ("exp-markov", 1.05e-7, 9_523_810, None),
+        ("sinc", 5e-14, 4_051_328, None),
+        ("custom-table", 1e-4, 9975, 8192),
     ])
     def test_refusal_names_the_spectrum_size_limit(self, kind, d_net, n_min, cut):
-        # the smallest feasible N lies past the N whose spectrum fits the
-        # budget, and the spectrum itself refuses the next N
-        model = df.make_correlation(kind)
+        # a table's spectrum is its N x N covariance, which the budget caps
+        # at N = 8192, and the spectrum itself refuses the next N; the
+        # built-in kernels build nothing of size N, so their refusal names
+        # the smallest feasible N alone and their spectrum at that N builds
+        if kind == "custom-table":
+            tau = np.linspace(0.0, 1.0, 201)
+            model = df.make_correlation(kind, np.column_stack([tau, np.exp(-tau)]))
+        else:
+            model = df.make_correlation(kind)
+        limit = "" if cut is None else (
+            f", but the {kind} spectrum fits the dense budget of 512 MiB only up to N = {cut}")
         with pytest.raises(df.InfeasibleConfigError,
-                           match=f"smallest feasible N is {n_min}, but the {kind} "
-                                 f"spectrum fits the dense budget of 512 MiB only "
-                                 f"up to N = {cut}$"):
+                           match=f"smallest feasible N is {n_min}{limit}$"):
             df.target_distortion_dsc(d_net, 64, model)
-        with pytest.raises(df.InfeasibleConfigError, match=f"N = {cut + 1} sensors"):
-            df.spectrum(model, cut + 1)
+        if cut is None:
+            assert df.spectrum(model, n_min).n == n_min
+        else:
+            with pytest.raises(df.InfeasibleConfigError, match=f"N = {cut + 1} sensors"):
+                df.spectrum(model, cut + 1)
 
     def test_smallest_feasible_n(self, exp_model, sinc_model):
         assert smallest_feasible_n(exp_model, 0.1) == 10
@@ -214,7 +225,7 @@ class TestCentralizedRate:
         cov = df.covariance_matrix(exp_model, 6)
         sol = df.centralized_rate(cov, 1.0)
         assert sol.total_rate_nats == 0.0
-        assert np.all(sol.per_mode_rate == 0.0)
+        assert sol.per_mode_rate == ()
 
     def test_white_source_equal_allocation(self):
         cov = CovariancePack.from_matrix(np.eye(4))
@@ -250,7 +261,7 @@ class TestCentralizedRate:
         cov = df.covariance_matrix(exp_model, 25)
         sol = df.centralized_rate(cov, 0.15)
         lam = cov.eigvals
-        active = sol.per_mode_rate > 0
+        active = np.arange(lam.size) < len(sol.per_mode_rate)
         assert np.all(lam[active] > sol.theta_level - 1e-9)
         assert np.all(lam[~active] <= sol.theta_level + 1e-9)
 
@@ -400,10 +411,28 @@ class TestRateCurve:
         assert not reports[0].feasible
         assert reports[1].feasible
 
-    def test_spectrum_over_budget_row_flagged(self, exp_model):
-        # N = 2 10^7 needs 1.2 GiB for its KMS root brackets, over the dense budget
-        reports = df.rate_curve(exp_model, 0.1, [20_000_000, 64])
+    def test_spectrum_over_budget_row_flagged(self):
+        # a table's spectrum at N = 8193 needs its 537 MB covariance, over
+        # the dense budget
+        tau = np.linspace(0.0, 1.0, 201)
+        table = df.make_correlation("custom-table", np.column_stack([tau, np.exp(-tau)]))
+        reports = df.rate_curve(table, 0.1, [8193, 64])
         assert [r.feasible for r in reports] == [False, True]
+
+    @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
+    def test_built_in_rate_curve_peak_is_under_a_mebibyte(self, kind):
+        # the built-in kernels have no size cut: their spectra build nothing
+        # of size N, so N = 10^7 gives a feasible row within 1 MiB
+        model = df.make_correlation(kind)
+        df.rate_curve(model, 0.1, [64])
+        tracemalloc.start()
+        try:
+            reports = df.rate_curve(model, 0.1, [2**20, 10**7])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.feasible for r in reports] == [True, True]
+        assert peak < 2**20
 
     def test_sinc_distributed_rate_flat(self, sinc_model):
         reports = df.rate_curve(sinc_model, 0.1, [50, 100, 200, 300, 400, 500])

@@ -14,9 +14,9 @@ from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN
 
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
-                     dsc_cross_term, dsc_expected_jmse, integrated_mse,
-                     interpolate, interpolation_only_jmse, markov_dsc_errors,
-                     nearest_sample_index, quantizer_from_json,
+                     descending_eigvals, dsc_cross_term, dsc_expected_jmse,
+                     integrated_mse, interpolate, interpolation_only_jmse,
+                     markov_dsc_errors, nearest_sample_index, quantizer_from_json,
                      quantizer_to_json, report_to_json, seeded_generator)
 
 
@@ -265,7 +265,7 @@ class TestSimulateDsc:
         # every cell adds a0 + c e_i^2, so E[J] = N a0 + c tr(Sigma_e), the
         # trace being sum lambda p/(lambda + p); equal cells let the oracle
         # take the trace spread evenly over the sensors
-        lam = df.spectrum(model, n).eigvals
+        lam = descending_eigvals(df.spectrum(model, n))
         trace = float(np.sum(lam * p / (lam + p)))
         expected = dsc_expected_jmse(model, n, np.full(n, trace / n))
         seeds = range(24)
