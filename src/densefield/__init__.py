@@ -21,7 +21,7 @@ _EXPORTS = {
     "correlation": ("CorrelationModel", "make_correlation", "load_correlation_table"),
     "field": ("CovariancePack", "sensor_positions", "covariance_matrix",
               "sample_snapshots"),
-    "estimation": ("mmse_estimate", "mmse_error"),
+    "estimation": ("mmse_estimate",),
     "rates": ("Spectrum", "spectrum", "RateReport", "WaterfillSolution",
               "target_distortion_dsc", "reverse_distortion_bound", "find_pmax",
               "dsc_operating_point", "dsc_sum_rate", "centralized_rate",

@@ -5,11 +5,11 @@ optimal estimate of X from U is linear and diagonal in the covariance's
 eigenbasis: mode k of U is scaled by lambda_k/(lambda_k+p), so mode k of the
 error is N(0, lambda_k p/(lambda_k+p)), which ``sim.simulate_dsc`` draws
 directly.  ``mmse_estimate`` forms the N x N filter V diag(lambda/(lambda+p))
-V^T for each call, ``mmse_error`` gives each sensor's exact error and
-``avg_mmse_from_eigvals`` their mean from the eigenvalues alone.  All three
-work on the covariance pack's cached eigendecomposition (a shift of the
-eigenvalues by p) rather than an explicit inverse, which stays stable for
-near-singular band-limited covariances across p sweeps.
+V^T for each call, and ``avg_mmse_from_eigvals`` gives the mean error over
+the sensors from the eigenvalues alone.  Both work on the covariance pack's
+cached eigendecomposition (a shift of the eigenvalues by p) rather than an
+explicit inverse, which stays stable for near-singular band-limited
+covariances across p sweeps.
 """
 
 import numpy as np
@@ -35,20 +35,6 @@ def mmse_estimate(cov, p, u):
     if u.shape[-1] != cov.n:
         raise ValueError(f"observation length {u.shape[-1]} != {cov.n}")
     return u @ ((cov.eigvecs * (cov.eigvals / (cov.eigvals + p))) @ cov.eigvecs.T)
-
-
-def mmse_error(cov, p):
-    """Exact per-sensor MSE of the optimal linear estimate at noise variance
-    p, one per sensor; its mean is ``avg_mmse_from_eigvals``.
-
-    The error covariance is Sigma - Sigma (Sigma + pI)^-1 Sigma, whose
-    eigenbasis form has mode errors lambda*p/(lambda+p); the diagonal is
-    recovered by ``CovariancePack.sensor_variances``.
-    """
-    if p < 0:
-        raise ValueError("noise variance must be nonnegative")
-    mode_mse = cov.eigvals * p / (cov.eigvals + p) if p > 0 else np.zeros(cov.n)
-    return cov.sensor_variances(mode_mse)
 
 
 def avg_mmse_from_eigvals(eigvals, p):

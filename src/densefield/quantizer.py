@@ -16,7 +16,7 @@ with ``math`` and the C quantile behind ``statistics.NormalDist``; only
 import math
 from functools import cached_property, lru_cache
 
-from .correlation import _bisect, _freeze, _smallest_count
+from .correlation import _bisect, _freeze, _interp_r2, _smallest_count
 from .errors import ConvergenceError, InfeasibleConfigError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -177,24 +177,20 @@ def min_levels_for_distortion(target):
     return _bisect(lambda levels: lloyd_max(levels).distortion <= target, hi, lo)
 
 
-def _slack(model, d_net, k_intervals):
-    # d_net - (1 - rho^2(1/K)), rho at a float lag: no numpy for a built-in kernel
-    return d_net - (1.0 - model(1.0 / k_intervals) ** 2)
-
-
 def p2p_distortion_budget(model, d_net, k_intervals):
-    """Per-sample coding budget D_K = d_net - (1 - rho^2(1/K)).
+    """Per-sample coding budget D_K = d_net - (1 - rho_+^2(1/K)).
 
     What is left of the field budget once the worst-case estimation error
-    across a sub-interval of width 1/K is paid.
+    across a sub-interval of width 1/K is paid, charged by
+    ``correlation._interp_r2``: a width past the monotone radius is refused.
     """
-    slack = _slack(model, d_net, k_intervals)
-    if slack <= 0:
+    budget = d_net - (1.0 - _interp_r2(model, 1.0 / k_intervals))
+    if budget <= 0:
         raise InfeasibleConfigError(f"K={k_intervals}: interval width 1/K leaves "
                                     f"no sample budget under d_net={d_net}")
-    if slack > 1.0:
-        raise InfeasibleConfigError(f"K={k_intervals}: budget {slack:.6g} exceeds 1")
-    return float(slack)
+    if budget > 1.0:
+        raise InfeasibleConfigError(f"K={k_intervals}: budget {budget:.6g} exceeds 1")
+    return float(budget)
 
 
 def p2p_rate_for_K(model, d_net, k_intervals):
@@ -218,9 +214,10 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
 
     The objective grows roughly linearly in K once the budget saturates, so
     the default window [K_min_feasible, 10 K_min_feasible] brackets the
-    minimizer without assuming unimodality.  Every K from K_min has a budget
-    D_K in (0, d_net), scored by -(K/2) ln D_K as ``p2p_rate_for_K`` does;
-    the first minimum, ties toward smaller K, is returned with its score.
+    minimizer without assuming unimodality.  Every K from K_min lies inside
+    the monotone radius with a budget D_K in (0, d_net), so each is scored
+    by ``p2p_rate_for_K`` without refusal; the first minimum, ties toward
+    smaller K, is returned with its score.
     With ``n_sensors`` the window keeps only the divisors of N up to N, the
     counts a TDMA schedule over N sensors can use.
     """
@@ -232,7 +229,7 @@ def optimize_K(model, d_net, k_max=None, n_sensors=None):
     if k_max < k_min:
         raise InfeasibleConfigError(f"no feasible K <= {k_max}: need at least "
                                     f"K = {k_min}")
-    rates = {k: -(k / 2.0) * math.log(_slack(model, d_net, k))
+    rates = {k: p2p_rate_for_K(model, d_net, k)
              for k in range(k_min, k_max + 1) if not (n_sensors and n_sensors % k)}
     if not rates:  # only the divisor filter can drop the feasible k_min
         raise InfeasibleConfigError(

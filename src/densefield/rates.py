@@ -291,15 +291,17 @@ def jmse_upper_bound(model, n_sensors, jprime):
 
     Cauchy-Schwarz worst case over the correlation between interpolation
     error and sensor reconstruction error:
-        (1 - r2) + j' + 2 sqrt(r2 (1 - r2) j'),   r2 = rho^2(1/(2N)).
+        (1 - r2) + j' + 2 sqrt(r2 (1 - r2) j'),   r2 = rho_+^2(1/(2N)),
+    charged by ``correlation._interp_r2``: a lag past the radius is refused.
     """
-    r2 = model(1.0 / (2 * n_sensors)) ** 2
+    r2 = _interp_r2(model, 1.0 / (2 * n_sensors))
     return (1.0 - r2) + jprime + 2.0 * math.sqrt(r2 * (1.0 - r2) * jprime)
 
 
 def jmse_lower_bound(model, n_sensors, jprime):
-    """Matching lower bound: r2 j' - 2 sqrt(r2 (1 - r2) j')."""
-    r2 = model(1.0 / (2 * n_sensors)) ** 2
+    """Matching lower bound r2 j' - 2 sqrt(r2 (1 - r2) j'), with the upper
+    bound's r2 and refusal."""
+    r2 = _interp_r2(model, 1.0 / (2 * n_sensors))
     return r2 * jprime - 2.0 * math.sqrt(r2 * (1.0 - r2) * jprime)
 
 
@@ -423,10 +425,16 @@ def centralized_rate(cov, avg_distortion):
     With the k largest modes above it the level is
     (N D - trace + their sum) / k, which rises with k toward the next mode
     while that mode lies above it: the modes are read in descending order,
-    and reading stops at the first one at or below the level.
+    and reading stops at the first one at or below the level.  A budget at
+    or below ``CLAMP_FLOOR`` is refused, as ``find_pmax`` refuses it: above
+    it the level stays above the floor, so no mode that exists only by
+    clamping is ever coded.
     """
     if avg_distortion <= 0:
         raise ValueError("distortion budget must be positive")
+    if avg_distortion <= CLAMP_FLOOR:
+        raise InfeasibleConfigError(
+            f"target {avg_distortion} at or below the clamp floor {CLAMP_FLOOR}")
     spec = _as_spectrum(cov)
     target, trace = spec.n * avg_distortion, spec.trace()
     modes = spec.modes()

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .correlation import EXP_MARKOV
+from .correlation import EXP_MARKOV, _interp_r2
 from .errors import InfeasibleConfigError
 from .field import (CovariancePack, _generator, _kms_precision,
                     check_dense_size, covariance_matrix, sample_snapshots,
@@ -234,12 +234,14 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
+    # the verdict's charge at lag 1/(2N), refused past the radius before any draw
+    _interp_r2(model, 1.0 / (2 * n_sensors))
     _check_inputs(m, grid_g)
     field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
 
     def bounds(jp):
-        return (float(jmse_lower_bound(model, n_sensors, jp)),
-                float(jmse_upper_bound(model, n_sensors, jp)))
+        return (jmse_lower_bound(model, n_sensors, jp),
+                jmse_upper_bound(model, n_sensors, jp))
 
     if not naive:
         check_dense_size(-(-m // _CHUNK) * n_sensors,
@@ -302,7 +304,8 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     (``quantizer=None`` models the infinite-codebook surrogate that reproduces
     samples exactly) and the field is reconstructed from the active sensor of
     each sub-interval.  The verdict checks the empirical field MSE against the
-    additive bound (1 - rho^2(1/K)) + empirical quantizer distortion.
+    additive bound (1 - rho_+^2(1/K)) + empirical quantizer distortion, whose
+    charge ``correlation._interp_r2`` refuses past the radius before any draw.
 
     Step i activates sensor ``i % (N/K) + (N/K) l`` (0-based) of sub-interval
     l.  Those K sensors sit 1/K apart whatever the phase, so a step's data is
@@ -316,6 +319,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     with m'.
     """
     n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
+    interp = 1.0 - _interp_r2(model, 1.0 / k_intervals)
     _check_inputs(n_steps, grid_g)
     frame = n_sensors // k_intervals
     a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
@@ -341,7 +345,6 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
         for frame_err in by_phase:
             err_sum += frame_err
     per_sensor = (err_sum / m_prime).T.ravel()
-    interp = 1.0 - model(1.0 / k_intervals) ** 2
     return _report(P2P_SCHEME, j_snap, jprime_snap, per_sensor, grid_g, seed,
-                   lambda jp: (0.0, float(interp + jp)))
+                   lambda jp: (0.0, interp + jp))
 

@@ -19,8 +19,9 @@ dsc errors instead of the bidiagonal recurrence along the sensors.
 The end of the file also holds helpers that only tests read, kept out of the
 library: the snapshot stream of an integer seed, the nearest-sample index
 and interpolation rule, the window-averaging and Prop. 1 bounds, codebook
-and report JSON, the per-sensor p2p rate, the TDMA activation maps and the
-interpolation-only integrated MSE.
+and report JSON, the per-sensor p2p rate, the TDMA activation maps, the
+interpolation-only integrated MSE and the test channel's exact per-sensor
+error from a covariance pack.
 """
 
 import json
@@ -558,3 +559,17 @@ def interpolation_only_jmse(model, n_sensors, grid_g=512):
     nodes = (np.arange(n_sensors * grid_g) + 0.5) / (n_sensors * grid_g)
     r2 = model(nodes - nearest_sample_location(nodes, n_sensors)) ** 2
     return float(np.mean(1.0 - r2))
+
+
+def mmse_error(cov, p):
+    """Exact per-sensor MSE of the optimal linear estimate at noise variance
+    p, one per sensor; its mean is ``estimation.avg_mmse_from_eigvals``.
+
+    The error covariance is Sigma - Sigma (Sigma + pI)^-1 Sigma, whose
+    eigenbasis form has mode errors lambda*p/(lambda+p); the diagonal is
+    recovered by ``CovariancePack.sensor_variances``.
+    """
+    if p < 0:
+        raise ValueError("noise variance must be nonnegative")
+    mode_mse = cov.eigvals * p / (cov.eigvals + p) if p > 0 else np.zeros(cov.n)
+    return cov.sensor_variances(mode_mse)

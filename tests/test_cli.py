@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -522,6 +523,42 @@ class TestSimulate:
         code, out = run_cli(["simulate", "--scheme", "p2p", "--model", f"table:{path}",
                              "--n", "480", "--k", "24", "--m-prime", "10"], capsys)
         assert code == 3 and out == ""
+
+    def test_p2p_non_psd_at_n_inside_the_radius_exits_3(self, capsys, tmp_path):
+        # a non-increasing staircase: exp(-tau) on the 1/24 grid, so the 24
+        # active sensors see a PSD covariance, but each step falls 1/480
+        # after its knot, and the 480-sensor covariance is not PSD
+        steps = [(t, math.exp(-(j + 1) / 24))
+                 for j in range(24) for t in (j / 24 + 1 / 480, (j + 1) / 24)]
+        path = tmp_path / "stairs.csv"
+        np.savetxt(path, [(0.0, 1.0), *steps], delimiter=",")
+        code = cli.main(["simulate", "--scheme", "p2p", "--model", f"table:{path}",
+                         "--n", "480", "--k", "24", "--m-prime", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("infeasible configuration: covariance is not "
+                                       "positive semidefinite")
+
+    @pytest.mark.parametrize("args", [
+        ["--scheme", "p2p", "--n", "480", "--k", "6", "--m-prime", "200"],
+        ["--scheme", "dsc", "--n", "3", "--p", "0.003", "--naive"],
+    ], ids=["p2p", "dsc-naive"])
+    def test_lag_past_the_radius_refused_before_any_draw(self, args, psd_table,
+                                                         capsys, tmp_path, monkeypatch):
+        # 1/K = 1/(2N) = 1/6 lies past the radius 0.157, where rho < 0: both
+        # runs once certified that lag and reported J near 0.5 as violated-high
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew snapshots for a refused run")
+
+        monkeypatch.setattr(sim_mod, "_generator", no_draw)
+        monkeypatch.setattr(sim_mod, "sample_snapshots", no_draw)
+        log = tmp_path / "runs.csv"
+        code = cli.main(["simulate", "--model", psd_table, *args,
+                         "--csv-log", str(log)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not log.exists()
+        assert captured.err.startswith("infeasible configuration: lag 0.166667 "
+                                       "outside monotone radius 0.157")
 
     def test_default_p_infeasible_n_exits_3(self, capsys):
         # default p needs D'(N); N=8 is below the smallest feasible N for exp

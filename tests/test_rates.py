@@ -10,7 +10,8 @@ import densefield as df
 from densefield.correlation import _bisect
 from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
-from densefield.quantizer import p2p_min_feasible_k
+from densefield.quantizer import (p2p_distortion_budget, p2p_min_feasible_k,
+                                  p2p_rate_for_K)
 from densefield.rates import jmse_lower_bound, jmse_upper_bound, smallest_feasible_n
 
 from oracles import (ddprime_root, dprime_root, feasibility_tables, find_theta_loop,
@@ -270,6 +271,14 @@ class TestCentralizedRate:
         with pytest.raises(ValueError):
             df.centralized_rate(cov, 0.0)
 
+    @pytest.mark.parametrize("d", [1e-12, df.rates.CLAMP_FLOOR])
+    def test_budget_at_or_below_clamp_floor_refused(self, sinc_model, d):
+        # a level under the floor would code all N floor modes, one entry each
+        spec = df.spectrum(sinc_model, 10 ** 6)
+        with pytest.raises(df.InfeasibleConfigError,
+                           match="at or below the clamp floor 1e-10"):
+            df.centralized_rate(spec, d)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=64),
            st.floats(0.01, 0.99))
@@ -481,3 +490,19 @@ def test_bound_helpers_are_inverse_of_targets(exp_model):
     assert jmse_upper_bound(exp_model, n, dp) == pytest.approx(d_net, abs=1e-12)
     dpp = df.reverse_distortion_bound(d_net, n, exp_model)
     assert jmse_lower_bound(exp_model, n, dpp) == pytest.approx(d_net, abs=1e-12)
+
+
+@pytest.mark.parametrize("charge", [
+    lambda m: jmse_upper_bound(m, 3, 0.01),
+    lambda m: jmse_lower_bound(m, 3, 0.01),
+    lambda m: p2p_distortion_budget(m, 0.1, 6),
+    lambda m: p2p_rate_for_K(m, 0.1, 6),
+], ids=["jmse_upper_bound", "jmse_lower_bound", "p2p_distortion_budget",
+        "p2p_rate_for_K"])
+def test_interpolation_charge_refused_past_the_radius(charge):
+    # lags 1/(2N) and 1/K = 1/6 lie past the radius 0.157 of e^(-t/10) cos 20t,
+    # where rho is negative: 1 - rho^2 there is no bound on the cell's error
+    model = df.make_correlation("custom-table", feasibility_tables()["psd"])
+    with pytest.raises(df.InfeasibleConfigError,
+                       match=f"lag 0.166667 outside monotone radius {model.theta_mono}"):
+        charge(model)

@@ -16,8 +16,9 @@ from densefield.sim import WITHIN
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      descending_eigvals, dsc_cross_term, dsc_expected_jmse,
                      integrated_mse, interpolate, interpolation_only_jmse,
-                     markov_dsc_errors, nearest_sample_index, quantizer_from_json,
-                     quantizer_to_json, report_to_json, seeded_generator)
+                     markov_dsc_errors, mmse_error, nearest_sample_index,
+                     quantizer_from_json, quantizer_to_json, report_to_json,
+                     seeded_generator)
 
 
 def assert_reports_equal(a, b):
@@ -54,7 +55,7 @@ class TestSimulateDsc:
         cov = df.covariance_matrix(exp_model, n)
         p = df.find_pmax(cov, d_prime)
         rep = df.simulate_dsc(exp_model, n, p, m=20_000, seed=101)
-        analytic = df.mmse_error(cov, p).mean()
+        analytic = mmse_error(cov, p).mean()
         assert abs(rep.j_prime_mse - analytic) <= 3 * rep.stderr_jprime
         assert rep.j_mse <= 0.1 + 3 * rep.stderr_jmse
         assert rep.verdict == WITHIN
@@ -252,7 +253,7 @@ class TestSimulateDsc:
         # (noise x 1.05 gives z near 25 with verdict "within").
         n, p, m, seeds = 64, 0.5, 2000, range(24)
         cov = df.covariance_matrix(exp_model, n)
-        diag = df.mmse_error(cov, p)
+        diag = mmse_error(cov, p)
         expected = dsc_expected_jmse(exp_model, n, diag)
         z = np.array([(rep.j_mse - expected) / rep.stderr_jmse
                       for rep in (df.simulate_dsc(exp_model, n, p, m=m, seed=s)
@@ -298,7 +299,7 @@ class TestSimulateDsc:
         # has variance sum_k V_ik^4 2 v_k^2 / m
         n, p, m, seeds = 16, 0.5, 2000, range(24)
         cov = df.covariance_matrix(model, n)
-        mmse = df.mmse_error(cov, p)
+        mmse = mmse_error(cov, p)
         v = cov.eigvals * p / (cov.eigvals + p)
         se = np.sqrt((cov.eigvecs ** 4) @ (2 * v ** 2) / m)
         z = np.array([(df.simulate_dsc(model, n, p, m=m, seed=s).per_sensor_mse
