@@ -182,13 +182,14 @@ _CSV_LOG_COLUMNS = ("scheme", "n_snapshots", "grid_points_per_gap", "seed",
 
 def cmd_simulate(cfg, model):
     """Run one seeded simulation and report the bound verdict."""
-    from . import quantizer as qz, rates, sim
+    from . import rates, sim
     if cfg.scheme == "dsc":
         p = cfg.p or rates.dsc_operating_point(model, cfg.d_net, cfg.n)[2]
         report = sim.simulate_dsc(model, cfg.n, p, m=cfg.m, grid_g=cfg.grid_g,
                                   seed=cfg.seed, naive=cfg.naive)
         resolved = {"p": p}
     else:
+        from . import quantizer as qz
         k = cfg.k or qz.optimize_K(model, cfg.d_net, n_sensors=cfg.n)[0]
         budget, levels, quant = _p2p_design(cfg, model, k)
         report = sim.simulate_p2p(model, cfg.n, k, quant, m_prime=cfg.m_prime,

@@ -61,23 +61,20 @@ def _clamped(raw, n):
     return eigvals, int(n_clamped), float(raw[-1]), float(raw[0])
 
 
-class CovariancePack(namedtuple("CovariancePack",
-                                "eigvals n_clamped raw_min raw_max backend "
-                                "sigma_x eigvals_raw blocks parity")):
-    """Sensor-sample covariance with its clamped spectrum and eigenvectors.
+class CovariancePack(namedtuple("CovariancePack", "eigvals n_clamped blocks parity")):
+    """Eigendecomposition of the sensor-sample covariance: what sampling and
+    the eigenbasis Monte Carlo read (rates read a ``rates.Spectrum``).
 
-    ``eigvals`` holds the N clamped eigenvalues, descending; with the next
-    four fields, rates read it as a dense ``rates.Spectrum``.
-    ``eigvals_raw`` keeps the unclamped spectrum for diagnostics.  Sampling,
-    MMSE solves, mutual information and water-filling all run on the clamped
-    spectrum, so every consumer sees one consistent field law.  ``blocks`` holds the
-    eigenvectors as built: from ``covariance_matrix`` (the reflection split,
-    for every kernel) the top ceil(N/2) rows of the unit-norm symmetric
-    modes and the top floor(N/2) rows of the skew ones, with ``parity`` +1
-    or -1 per mode (its bottom rows are its top rows reversed times parity);
-    from ``from_matrix`` the one N x N V, with ``parity`` None.  Every array
-    is read-only: ``covariance_matrix`` marks its own fresh arrays in place,
-    and ``from_matrix`` copies a writeable matrix it is given.
+    ``eigvals`` holds the N clamped eigenvalues, descending, and
+    ``n_clamped`` counts the modes the clamp raised.  Sampling and the MMSE
+    filter run on the clamped spectrum, so every consumer sees one
+    consistent field law.  ``blocks`` holds the eigenvectors as built: from
+    ``covariance_matrix`` (the reflection split, for every kernel) the top
+    ceil(N/2) rows of the unit-norm symmetric modes and the top floor(N/2)
+    rows of the skew ones, with ``parity`` +1 or -1 per mode (its bottom
+    rows are its top rows reversed times parity); from ``from_matrix`` the
+    one N x N V, with ``parity`` None.  Every array is read-only and the
+    pack's own: neither constructor keeps the matrix it decomposes.
     """
 
     n = property(lambda self: self.eigvals.size)
@@ -122,11 +119,8 @@ class CovariancePack(namedtuple("CovariancePack",
 
     @classmethod
     def from_matrix(cls, sigma):
-        sigma = _freeze(sigma)
         raw, vecs = np.linalg.eigh(sigma)
-        raw = _freeze(raw[::-1])
-        return cls(*_clamped(raw, raw.size), "dense", sigma, raw,
-                   (_freeze(vecs[:, ::-1]),), None)
+        return cls(*_clamped(raw[::-1], raw.size)[:2], (_freeze(vecs[:, ::-1]),), None)
 
 
 def _first_row(model, n):
@@ -186,40 +180,21 @@ def _split_eigpairs(row):
 
 
 def covariance_matrix(model, n_sensors):
-    """N x N Toeplitz covariance rho(|s_i - s_j|) of the N regular sensors,
-    with its eigendecomposition.
+    """The eigendecomposition of the N x N Toeplitz covariance
+    rho(|s_i - s_j|) of the N regular sensors, as a ``CovariancePack``.
 
     Every kernel takes its eigenpairs from the two half-size problems of the
-    reflection split (``_split_eigpairs``, one ``eigh`` each, backend
-    ``dense``), whose C-contiguous blocks the pack keeps uncopied.
-    Band-limited kernels are numerically rank deficient at large N; the
-    clamp floor keeps the decomposition usable for sampling and
-    log-determinant work, and ``n_clamped`` reports how often it engaged.
+    reflection split (``_split_eigpairs``, one ``eigh`` each), whose
+    C-contiguous blocks the pack keeps uncopied; the N x N matrix is never
+    formed.  Band-limited kernels are numerically rank deficient at large N;
+    the clamp floor keeps the decomposition usable for sampling and the MMSE
+    filter, and ``n_clamped`` reports how often it engaged.
     """
     n = _sensor_count(n_sensors)
-    row = _first_row(model, n)
-    raw, blocks, parity = _split_eigpairs(row)
-    for arr in (raw, parity, *blocks):
+    raw, blocks, parity = _split_eigpairs(_first_row(model, n))
+    for arr in (parity, *blocks):
         arr.flags.writeable = False
-    # a read-only view of 2N - 1 values: row i is rho at lags i, ..., 0, 1, ...
-    mirrored = np.concatenate([row[:0:-1], row])
-    sigma = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-    return CovariancePack(*_clamped(raw, n), "dense", sigma, raw, blocks, parity)
-
-
-def _kms_precision(n):
-    """Diagonal and off-diagonal value of the tridiagonal inverse of the
-    exp-markov covariance a^|i-j|, a = e^(-1/N): (1+a^2)/(1-a^2) inside,
-    1/(1-a^2) at both corners and -a/(1-a^2) off the diagonal, with 1-a^2
-    from expm1 as in ``rates._kms_constants``.  One sensor's covariance is
-    [1], and so is its inverse."""
-    if n == 1:
-        return np.ones(1), 0.0
-    a = np.exp(-1.0 / n)
-    c2 = -np.expm1(-2.0 / n)      # 1 - a^2
-    diag = np.full(n, (1.0 + a * a) / c2)
-    diag[[0, -1]] = 1.0 / c2
-    return diag, -a / c2
+    return CovariancePack(*_clamped(raw, n)[:2], blocks, parity)
 
 
 def _dense_spectrum(model, n):

@@ -12,7 +12,7 @@ Rates read a spectrum only through ``Spectrum.avg_mmse``,
 ``Spectrum.mutual_information`` and the descending ``Spectrum.modes`` with
 the trace.  The built-in kernels supply these on Python floats, so rates of
 exp-markov and sinc load no numpy and build nothing of size N; numpy loads
-only for a table's spectrum or a ``field.CovariancePack``.
+only for a table's spectrum.
 """
 
 import math
@@ -52,15 +52,15 @@ class Spectrum(namedtuple("Spectrum", "n top n_clamped raw_min raw_max backend")
     ``CLAMP_FLOOR``, read through the functionals the rates need.
 
     ``top`` holds the clamped eigenvalues the backend keeps, descending: all
-    N for ``dense`` (a read-only numpy array from LAPACK: a custom table, and
-    every ``CovariancePack``), those at or above the floor for ``slepian``
-    (the sinc Gram matrix of a 16-node Gauss-Legendre factor; every other
-    mode lies at the floor), none for ``kms`` (exp-markov, whose modes come
-    from its secular equation one at a time and whose sums have closed
-    forms).  ``n_clamped`` counts the modes the clamp raised and
-    ``raw_min``/``raw_max`` are the unclamped extremes (for ``slepian``, of
-    the min(N, 16) modes it computed).  p_max, the distributed sum rate and
-    water-filling read nothing else, so they never need eigenvectors.
+    N for ``dense`` (a custom table: a read-only numpy array from LAPACK),
+    those at or above the floor for ``slepian`` (the sinc Gram matrix of a
+    16-node Gauss-Legendre factor; every other mode lies at the floor), none
+    for ``kms`` (exp-markov, whose modes come from its secular equation one
+    at a time and whose sums have closed forms).  ``n_clamped`` counts the
+    modes the clamp raised and ``raw_min``/``raw_max`` are the unclamped
+    extremes (for ``slepian``, of the min(N, 16) modes it computed).  p_max,
+    the distributed sum rate and water-filling read nothing else, so they
+    never need eigenvectors.
     """
 
     __slots__ = ()
@@ -106,19 +106,11 @@ class Spectrum(namedtuple("Spectrum", "n top n_clamped raw_min raw_max backend")
                           (self.n - len(self.top)) * f(CLAMP_FLOOR)])
 
 
-def _as_spectrum(cov):
-    """A Spectrum as it is; a ``CovariancePack``'s clamped eigenvalues as a
-    dense one."""
-    if isinstance(cov, Spectrum):
-        return cov
-    return Spectrum(cov.n, cov.eigvals, cov.n_clamped, cov.raw_min, cov.raw_max,
-                    cov.backend)
-
-
 def _kms_constants(n):
     """a = e^(-1/N), 1 - a and 1 - a^2 for the exp-markov covariance
-    a^|i-j|; the last two from expm1, since the textbook forms cancel as
-    a -> 1 (a trace off by 1e-7 at N = 65,536)."""
+    a^|i-j|, read by its spectrum here and by its precision in ``sim``; the
+    last two from expm1, since the textbook forms cancel as a -> 1 (a trace
+    off by 1e-7 at N = 65,536)."""
     return math.exp(-1.0 / n), -math.expm1(-1.0 / n), -math.expm1(-2.0 / n)
 
 
@@ -353,8 +345,9 @@ def smallest_feasible_n(model, d_net):
     return _smallest_count(model, d_net, 2, _N_LIMIT, "N")
 
 
-def find_pmax(cov, target_mse):
-    """Largest test-channel noise variance whose MMSE stays within target_mse.
+def find_pmax(spec, target_mse):
+    """Largest test-channel noise variance whose average MMSE over the
+    ``Spectrum`` spec stays within target_mse.
 
     The average MMSE is increasing in p, so bracket by doubling from p=1 and
     bisect; the returned p satisfies avg_mse(p) <= target_mse and
@@ -368,7 +361,7 @@ def find_pmax(cov, target_mse):
         raise InfeasibleConfigError(
             f"target {target_mse} at or below the clamp floor {CLAMP_FLOOR}"
         )
-    avg_mmse = _as_spectrum(cov).avg_mmse
+    avg_mmse = spec.avg_mmse
     lo, hi = 0.0, 1.0
     while avg_mmse(hi) <= target_mse:
         lo, hi = hi, 2.0 * hi
@@ -395,15 +388,16 @@ def dsc_operating_point(model, d_net, n):
     return d_prime, spec, find_pmax(spec, d_prime)
 
 
-def dsc_sum_rate(cov, p):
-    """Sum rate of the distributed scheme at test-channel noise p.
+def dsc_sum_rate(spec, p):
+    """Sum rate of the distributed scheme at test-channel noise p, over the
+    ``Spectrum`` spec.
 
     Mutual information between the sensor vector and its noisy version:
     (1/2) sum_i ln(1 + lambda_i / p) nats per snapshot.
     """
     if p <= 0:
         raise ValueError("noise variance must be positive")
-    return _as_spectrum(cov).mutual_information(p)
+    return spec.mutual_information(p)
 
 
 class WaterfillSolution(namedtuple("WaterfillSolution",
@@ -415,14 +409,15 @@ class WaterfillSolution(namedtuple("WaterfillSolution",
     __slots__ = ()
 
 
-def centralized_rate(cov, avg_distortion):
-    """Smallest coding rate reaching the average distortion, by water-filling.
+def centralized_rate(spec, avg_distortion):
+    """Smallest coding rate reaching the average distortion, by water-filling
+    the ``Spectrum`` spec.
 
     Modes above the water level are coded down to it, modes below are sent as
     zero; the level is the exact piecewise-linear solution of
     sum_i min(lambda_i, level) = N * D, so the allocation meets D exactly
-    unless D is at or above the mean eigenvalue, where the rate is zero.
-    With the k largest modes above it the level is
+    unless D is at or above the mean eigenvalue less 1e-12, where the rate is
+    zero.  With the k largest modes above it the level is
     (N D - trace + their sum) / k, which rises with k toward the next mode
     while that mode lies above it: the modes are read in descending order,
     and reading stops at the first one at or below the level.  A budget at
@@ -435,10 +430,11 @@ def centralized_rate(cov, avg_distortion):
     if avg_distortion <= CLAMP_FLOOR:
         raise InfeasibleConfigError(
             f"target {avg_distortion} at or below the clamp floor {CLAMP_FLOOR}")
-    spec = _as_spectrum(cov)
     target, trace = spec.n * avg_distortion, spec.trace()
     modes = spec.modes()
-    if target >= trace:
+    # within 1e-12 N of the trace, the dense backend's own rounding (eigvalsh
+    # puts exp-markov's trace of exactly N a few ulps off it), nothing is coded
+    if target >= trace - 1e-12 * spec.n:
         level = max(next(modes)[0], avg_distortion)
         return WaterfillSolution(theta_level=level, per_mode_rate=(),
                                  total_rate_nats=0.0)

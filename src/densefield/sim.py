@@ -17,6 +17,7 @@ input is checked by ``field.check_dense_size`` before it is built.  A report
 is a plain namedtuple; the CLI writes its JSON body and its CSV log row.
 """
 
+import math
 import os
 import threading
 from collections import namedtuple
@@ -25,11 +26,9 @@ import numpy as np
 
 from .correlation import EXP_MARKOV, _interp_r2
 from .errors import InfeasibleConfigError
-from .field import (CovariancePack, _generator, _kms_precision,
-                    check_dense_size, covariance_matrix, sample_snapshots,
-                    sensor_positions)
-from .quantizer import quantize, tdma_schedule
-from .rates import jmse_lower_bound, jmse_upper_bound, spectrum
+from .field import (CovariancePack, _generator, check_dense_size,
+                    covariance_matrix, sample_snapshots, sensor_positions)
+from .rates import _kms_constants, jmse_lower_bound, jmse_upper_bound, spectrum
 
 DSC_SCHEME = "dsc-test-channel"
 P2P_SCHEME = "p2p-lloyd"
@@ -158,17 +157,23 @@ def _run_chunks(work, n_chunks):
 
 
 def _markov_factor(n, p):
-    """(u, w) of U for the exp-markov test channel's MMSE error, whose
-    precision Q = Sigma^-1 + I/p is tridiagonal (the N samples form an AR(1)
-    chain; Rue and Held 2005): Q = U U^T, U upper bidiagonal with diagonal u
-    and w[i] = U[i-1, i], factored from the last sensor up."""
-    diag, off = _kms_precision(n)
-    diag = diag + 1.0 / p
-    u, w = np.empty(n), np.zeros(n)
-    u[-1] = np.sqrt(diag[-1])
+    """(u, w), lists of N floats, of U for the exp-markov test channel's MMSE
+    error, whose precision Q = Sigma^-1 + I/p is tridiagonal (the N samples
+    form an AR(1) chain; Rue and Held 2005): Q = U U^T, U upper bidiagonal
+    with diagonal u and w[i] = U[i-1, i], factored from the last sensor up.
+    The inverse of a^|i-j| has (1+a^2)/(1-a^2) inside, 1/(1-a^2) at both
+    corners and -a/(1-a^2) off the diagonal, with a and 1-a^2 from
+    ``rates._kms_constants``; one sensor's covariance is [1], and so is its
+    inverse."""
+    if n == 1:
+        return [math.sqrt(1.0 + 1.0 / p)], [0.0]
+    a, _, c2 = _kms_constants(n)
+    corner, inner, off = 1.0 / c2 + 1.0 / p, (1.0 + a * a) / c2 + 1.0 / p, -a / c2
+    u, w = [0.0] * n, [0.0] * n
+    u[-1] = math.sqrt(corner)
     for i in range(n - 2, -1, -1):
         w[i + 1] = off / u[i + 1]
-        u[i] = np.sqrt(diag[i] - w[i + 1] ** 2)
+        u[i] = math.sqrt((inner if i else corner) - w[i + 1] ** 2)
     return u, w
 
 
@@ -183,7 +188,7 @@ def _error_sums(u, w, m, field_ss):
     keeps its own per-coordinate sums, added in chunk order.  Memory is O(m)
     plus N floats per chunk.
     """
-    n = u.size
+    n = len(u)
     chunk = _CHUNK
     starts = range(0, m, chunk)
     streams = [field_ss] + field_ss.spawn(len(starts) - 1)
@@ -318,6 +323,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     from one generator kept across blocks, so only the per-step J and J' grow
     with m'.
     """
+    from .quantizer import quantize, tdma_schedule
     n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
     interp = 1.0 - _interp_r2(model, 1.0 / k_intervals)
     _check_inputs(n_steps, grid_g)

@@ -1,6 +1,7 @@
 """Independent oracle implementations used to pin expected values.
 
 Everything here deliberately avoids the library's computational paths:
+the N x N covariance formed entry by entry instead of split by reflection,
 normal-equation solves instead of eigen-filters, brentq roots instead of
 closed forms, water-level bisection instead of the prefix solve, the
 centroid/midpoint fixed point instead of Newton's method, slogdet instead of eigenvalue sums,
@@ -37,6 +38,13 @@ from densefield.field import _generator
 from densefield.quantizer import ScalarQuantizer, lloyd_max, p2p_rate_for_K
 from densefield.rates import _GL_NODES, _GL_WEIGHTS, CLAMP_FLOOR
 from densefield.cli import _report_body
+
+
+def dense_covariance(model, n):
+    """The N x N covariance rho(|i - j| / N) of N regular sensors, formed
+    entry by entry (the library decomposes it without forming it)."""
+    lags = np.arange(n)
+    return model(np.abs(lags[:, None] - lags[None, :]) / n)
 
 
 def brute_force_mmse(sigma, p):
@@ -138,7 +146,7 @@ def lloyd_fixed_point(levels, tol=1e-11, max_iter=500_000):
     raise RuntimeError(f"fixed point did not reach tol={tol} in {max_iter} steps")
 
 
-def dsc_cross_term(model, positions, cov, p, grid_g=8):
+def dsc_cross_term(model, positions, p, grid_g=8):
     """Analytic integral of E[E_S E_Q] for the distributed scheme.
 
     E_S is the conditional-mean residual against the nearest sample, E_Q the
@@ -146,7 +154,7 @@ def dsc_cross_term(model, positions, cov, p, grid_g=8):
     form through the estimator matrix A = Sigma (Sigma + pI)^-1.
     """
     n = positions.size
-    sigma = cov.sigma_x
+    sigma = dense_covariance(model, n)
     a_mat = sigma @ np.linalg.inv(sigma + p * np.eye(n))
     nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
     idx = np.minimum((nodes * n).astype(int), n - 1)

@@ -17,11 +17,12 @@ import pytest
 
 import densefield as df
 import densefield.cli as cli
+from densefield.field import _dense_spectrum
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import smallest_feasible_n
 
-from oracles import (brute_force_mmse, ddprime_root, dprime_root, mmse_error,
-                     prop1_sum_rate_bound)
+from oracles import (brute_force_mmse, ddprime_root, dense_covariance, dprime_root,
+                     mmse_error, prop1_sum_rate_bound)
 from test_quantizer import independent_lloyd_residual
 
 D_NET = 0.1
@@ -124,8 +125,8 @@ class TestCriterion5OracleEquivalence:
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model_of(kind), n)
             res = mmse_error(cov, p)
-            worst = max(worst, float(np.max(np.abs(
-                res - brute_force_mmse(cov.sigma_x, p)))))
+            sigma = dense_covariance(model_of(kind), n)
+            worst = max(worst, float(np.max(np.abs(res - brute_force_mmse(sigma, p)))))
         check("5a mmse oracle", worst < 1e-10, f"max |diff| = {worst:.2e} over 50 configs")
 
     def test_waterfilling_complementary_slackness(self):
@@ -135,9 +136,9 @@ class TestCriterion5OracleEquivalence:
             kind = "exp-markov" if rng.integers(2) else "sinc"
             n = int(rng.integers(2, 49))
             d = float(rng.uniform(0.02, 0.95))
-            cov = df.covariance_matrix(model_of(kind), n)
-            sol = df.centralized_rate(cov, d)
-            lam = cov.eigvals
+            spec = _dense_spectrum(model_of(kind), n)
+            sol = df.centralized_rate(spec, d)
+            lam = spec.top
             active = np.arange(n) < len(sol.per_mode_rate)
             resid = 0.0
             if np.any(active):

@@ -5,7 +5,8 @@ import densefield as df
 from densefield.estimation import avg_mmse_from_eigvals
 from densefield.field import CovariancePack
 
-from oracles import averaging_estimator_mse_bound, brute_force_mmse, mmse_error
+from oracles import (averaging_estimator_mse_bound, brute_force_mmse,
+                     dense_covariance, mmse_error)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ class TestMmseError:
         cov = df.covariance_matrix(exp_model, 2)
         res = mmse_error(cov, 1.0)
         assert res.mean() == pytest.approx(0.4493574848063286, abs=1e-12)
-        oracle = brute_force_mmse(cov.sigma_x, 1.0)
+        oracle = brute_force_mmse(dense_covariance(exp_model, 2), 1.0)
         assert np.allclose(res, oracle, atol=1e-12)
 
     def test_monotone_in_noise(self, exp_model, sinc_model):
@@ -120,7 +121,7 @@ class TestMmseError:
             p = float(10 ** rng.uniform(-2, 1))
             cov = df.covariance_matrix(model, n)
             res = mmse_error(cov, p)
-            oracle = brute_force_mmse(cov.sigma_x, p)
+            oracle = brute_force_mmse(dense_covariance(model, n), p)
             assert np.max(np.abs(res - oracle)) < 1e-10
 
 

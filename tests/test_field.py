@@ -7,15 +7,23 @@ import pytest
 import densefield as df
 import densefield.field as field_mod
 import densefield.rates as rates_mod
+import densefield.sim as sim_mod
 from densefield.field import DENSE_BUDGET_BYTES, _clamped, check_dense_size
 from densefield.rates import CLAMP_FLOOR, Spectrum
 
-from oracles import (descending_eigvals, dpss_sinc_eigpairs, interpolate,
-                     kms_eigvals, nearest_sample_index, nearest_sample_location,
-                     seeded_generator, sinc_factor, slepian_tridiagonal_eigvals)
+from oracles import (dense_covariance, descending_eigvals, dpss_sinc_eigpairs,
+                     interpolate, kms_eigvals, nearest_sample_index,
+                     nearest_sample_location, seeded_generator, sinc_factor,
+                     slepian_tridiagonal_eigvals)
 
 D_NET = 0.1
 STRUCTURED_N = (*range(1, 257), 1000, 2047, 2048)
+
+
+def split_eigvals(model, n):
+    """The unclamped eigenvalues of the reflection split, descending, in the
+    order of the pack's modes (the pack keeps only the clamped ones)."""
+    return field_mod._split_eigpairs(field_mod._first_row(model, n))[0]
 
 
 @pytest.fixture(scope="module")
@@ -174,24 +182,27 @@ class TestSensorGrid:
 
 
 class TestCovariance:
+    # the pack decomposes the symmetric Toeplitz matrix of rho at the lags
+    # of _first_row, which holds the first row of the covariance
+
     def test_exp_two_sensor_entries(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 2)
-        assert cov.sigma_x[0, 1] == pytest.approx(0.6065306597126334, abs=1e-15)
-        assert cov.sigma_x[0, 0] == 1.0
+        row = field_mod._first_row(exp_model, 2)
+        assert row[1] == pytest.approx(0.6065306597126334, abs=1e-15)
+        assert row[0] == 1.0
 
     def test_single_sensor_unit(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 1)
-        assert cov.sigma_x.tolist() == [[1.0]]
+        assert field_mod._first_row(exp_model, 1).tolist() == [1.0]
 
     def test_sinc_three_sensor_far_entry(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, 3)
-        assert cov.sigma_x[0, 2] == pytest.approx(0.4134966715663441, abs=1e-15)
+        row = field_mod._first_row(sinc_model, 3)
+        assert row[2] == pytest.approx(0.4134966715663441, abs=1e-15)
 
     def test_exact_symmetry_and_bounded_offdiag(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, 17)
-        assert np.max(np.abs(cov.sigma_x - cov.sigma_x.T)) == 0.0
-        off = cov.sigma_x - np.diag(np.diag(cov.sigma_x))
-        assert np.max(np.abs(off)) <= 1.0
+        # the two halves eigh solves, and rho off the diagonal
+        row = field_mod._first_row(sinc_model, 17)
+        for half in field_mod._reflection_split(row):
+            assert np.max(np.abs(half - half.T)) == 0.0
+        assert np.max(np.abs(row[1:])) <= 1.0
 
     def test_non_psd_table_refused(self):
         # box kernel: rho = 1 below lag 0.3, else 0; not a valid covariance
@@ -224,8 +235,9 @@ class TestCovariance:
 
     def test_eigendecomposition_reconstructs(self, sinc_model):
         cov = df.covariance_matrix(sinc_model, 64)
-        recon = (cov.eigvecs * cov.eigvals_raw) @ cov.eigvecs.T
-        assert np.max(np.abs(recon - cov.sigma_x)) <= 1e-8
+        raw = split_eigvals(sinc_model, 64)
+        recon = (cov.eigvecs * raw) @ cov.eigvecs.T
+        assert np.max(np.abs(recon - dense_covariance(sinc_model, 64))) <= 1e-8
         assert cov.n_clamped > 0  # band-limited kernel is rank deficient
         assert np.all(cov.eigvals >= CLAMP_FLOOR)
 
@@ -253,12 +265,13 @@ class TestReflectionSplit:
     def test_matches_full_eigendecomposition(self, name, n):
         model = _split_models()[name]
         cov = df.covariance_matrix(model, n)
-        assert cov.backend == "dense"
-        full = np.linalg.eigvalsh(cov.sigma_x)[::-1]
-        np.testing.assert_allclose(cov.eigvals_raw, full, rtol=0, atol=1e-12 * n)
+        sigma = dense_covariance(model, n)
+        raw = split_eigvals(model, n)
+        full = np.linalg.eigvalsh(sigma)[::-1]
+        np.testing.assert_allclose(raw, full, rtol=0, atol=1e-12 * n)
         vecs = cov.eigvecs
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), rtol=0, atol=1e-12)
-        np.testing.assert_allclose((vecs * cov.eigvals_raw) @ vecs.T, cov.sigma_x,
+        np.testing.assert_allclose((vecs * raw) @ vecs.T, sigma,
                                    rtol=0, atol=1e-12 * n)
         assert set(np.unique(cov.parity)) <= {-1.0, 1.0}
         assert np.array_equal(vecs[::-1], vecs * cov.parity)
@@ -273,15 +286,16 @@ class TestReflectionSplit:
         # pack's one V, against the unfolded V of each
         split = df.covariance_matrix(_split_models()[name], n)
         s = np.random.default_rng(n).random(n)
-        for cov in (split, df.CovariancePack.from_matrix(split.sigma_x)):
+        sigma = dense_covariance(_split_models()[name], n)
+        for cov in (split, df.CovariancePack.from_matrix(sigma)):
             np.testing.assert_allclose(cov.sensor_variances(s),
                                        (cov.eigvecs ** 2) @ s,
                                        rtol=0, atol=1e-12)
 
     def test_pack_retains_less_than_one_matrix(self, exp_model):
-        # the two blocks hold ceil(N/2)^2 + floor(N/2)^2 = N^2 / 2 floats and
-        # sigma_x is a view of 2N - 1; an unfolded N x N eigvecs, a cached
-        # V sqrt(Lambda) or an N x N sigma_x each fill one N x N matrix more
+        # the two blocks hold ceil(N/2)^2 + floor(N/2)^2 = N^2 / 2 floats;
+        # an unfolded N x N eigvecs, a cached V sqrt(Lambda) or a kept N x N
+        # covariance each fill one N x N matrix more
         n = 1024
         tracemalloc.start()
         try:
@@ -308,12 +322,23 @@ class TestKmsPrecision:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
     def test_is_the_inverse(self, exp_model, n):
-        # one sensor's inverse is [1], not the corner value 1/(1 - a^2)
-        diag, off = field_mod._kms_precision(n)
-        prec = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-        sigma = df.covariance_matrix(exp_model, n).sigma_x
-        np.testing.assert_allclose(prec @ sigma, np.eye(n), rtol=0,
-                                   atol=1e-12 * n)
+        # U U^T of the bidiagonal factor is inv(Sigma) + I/p, against the
+        # dense inverse up to N = 64 and as U U^T Sigma = I + Sigma/p at every
+        # N (at N = 1024 the dense inverse is itself off by 3.6e-12 of its
+        # largest entry); one sensor's inverse is [1], not the corner value
+        # 1/(1 - a^2)
+        sigma = dense_covariance(exp_model, n)
+        for p in (1e-3, 1.0, 11.97, 1e6):
+            u, w = sim_mod._markov_factor(n, p)
+            factor = np.diag(u) + np.diag(w[1:], k=1)
+            precision = factor @ factor.T
+            rhs = np.eye(n) + sigma / p
+            np.testing.assert_allclose(precision @ sigma, rhs, rtol=0,
+                                       atol=1e-12 * np.max(rhs))
+            if n <= 64:
+                want = np.linalg.inv(sigma) + np.eye(n) / p
+                np.testing.assert_allclose(precision, want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1024, 8192])
     def test_clamp_never_engages(self, exp_model, n):
@@ -432,10 +457,11 @@ class TestSpectrumBackends:
         model = df.make_correlation("custom-table", np.column_stack([tau, np.exp(-tau)]))
         spec = df.spectrum(model, 50)
         cov = df.covariance_matrix(model, 50)
+        raw = split_eigvals(model, 50)
         assert spec.backend == "dense" and spec.n_clamped == cov.n_clamped == 0
         np.testing.assert_allclose(descending_eigvals(spec), cov.eigvals, rtol=1e-12)
-        assert (spec.raw_min, spec.raw_max) == pytest.approx(
-            (cov.eigvals_raw[-1], cov.eigvals_raw[0]), rel=1e-12)
+        assert (spec.raw_min, spec.raw_max) == pytest.approx((raw[-1], raw[0]),
+                                                             rel=1e-12)
         with pytest.raises(ValueError):
             spec.top[0] = 2.0
 
@@ -504,7 +530,7 @@ class TestSampling:
         # O(1) sums of N products, so 1e-13 is a few hundred ulps)
         cov = df.covariance_matrix(sinc_model, n)
         if pack == "matrix":
-            cov = df.CovariancePack.from_matrix(cov.sigma_x)
+            cov = df.CovariancePack.from_matrix(dense_covariance(sinc_model, n))
         rng = field_mod._generator(np.random.SeedSequence(5))
         want = rng.standard_normal((300, n)) @ (cov.eigvecs * np.sqrt(cov.eigvals)).T
         got = df.sample_snapshots(cov, 300, seeded_generator(5))
@@ -516,7 +542,7 @@ class TestSampling:
         cov = df.covariance_matrix(model, 8)
         snaps = df.sample_snapshots(cov, 100_000, seeded_generator(99))
         emp = snaps.T @ snaps / snaps.shape[0]
-        assert np.max(np.abs(emp - cov.sigma_x)) < 0.05
+        assert np.max(np.abs(emp - dense_covariance(model, 8))) < 0.05
 
 
 class TestNearestSample:
@@ -587,7 +613,7 @@ def test_snapshots_are_read_only(exp_model):
     with pytest.raises(ValueError):
         positions[0] = 0.0
     with pytest.raises(ValueError):
-        cov.sigma_x[0, 0] = 2.0
+        cov.eigvals[0] = 2.0
 
 
 @pytest.mark.parametrize("name", ["exp", "sinc", "table"])
@@ -595,16 +621,16 @@ def test_spectrum_and_pack_arrays_are_read_only(name):
     model = _split_models()[name]
     cov = df.covariance_matrix(model, 25)
     top = df.spectrum(model, 25).top    # a tuple for the built-in kernels
-    arrays = (cov.eigvals, cov.eigvals_raw, cov.parity, *cov.blocks)
+    arrays = (cov.eigvals, cov.parity, *cov.blocks)
     assert isinstance(top, tuple) or not top.flags.writeable
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_freezing_copies_the_callers_array_only_if_writeable():
     s = np.eye(3)
-    cov = df.CovariancePack.from_matrix(s)
+    frozen = field_mod._freeze(s)
     s[0, 0] = 2.0
-    assert cov.sigma_x[0, 0] == 1.0
+    assert frozen[0, 0] == 1.0
     fixed = np.arange(3.0)
     fixed.flags.writeable = False
     assert field_mod._freeze(fixed) is fixed
@@ -612,8 +638,8 @@ def test_freezing_copies_the_callers_array_only_if_writeable():
 
 @pytest.mark.parametrize("name", ["exp", "sinc", "table"])
 def test_covariance_blocks_reach_the_pack_uncopied(name, monkeypatch):
-    # sigma_x is a read-only view, so a 2-D array that _freeze copies can
-    # only be an eigenvector block
+    # the pack keeps no 2-D array but the blocks, so a 2-D array that
+    # _freeze copies can only be an eigenvector block
     copied = []
     freeze = field_mod._freeze
 

@@ -44,8 +44,9 @@ P2P_LOADS = CLI_LOADS | {"densefield.quantizer"}
 RATES_LOADS = CLI_LOADS | {"densefield.rates"}
 # a table's spectrum is LAPACK's, and its average MMSE is estimation's
 DENSE_LOADS = {"numpy", "densefield.field", "densefield.estimation"}
-SIM_LOADS = RATES_LOADS | {"numpy", "densefield.field", "densefield.quantizer",
-                           "densefield.sim"}
+# the Monte Carlo adds the field layer; only the p2p scheme runs the quantizer
+SIM_DSC_LOADS = RATES_LOADS | {"numpy", "densefield.field", "densefield.sim"}
+SIM_P2P_LOADS = SIM_DSC_LOADS | {"densefield.quantizer"}
 # the stdlib modules behind dataclasses and statistics.NormalDist: a process
 # without numpy loads none of them, and no process loads dataclasses (numpy
 # itself imports inspect)
@@ -76,8 +77,8 @@ def test_cli_import_loads_no_numpy():
     (["pmax-curve", "--model", "sinc", "--n", "64"], RATES_LOADS),
     (["pmax-curve", "--model", "exp", "--n", "64,1000000"], RATES_LOADS),
     (["simulate", "--scheme", "dsc", "--model", "exp", "--n", "64", "--p", "0.5"],
-     SIM_LOADS),
-    (["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"], SIM_LOADS),
+     SIM_DSC_LOADS),
+    (["simulate", "--scheme", "p2p", "--model", "exp", "--n", "48"], SIM_P2P_LOADS),
 ], ids=["p2p", "p2p-sinc", "rates", "rates-sinc", "pmax-curve", "pmax-curve-exp",
         "simulate-dsc", "simulate-p2p"])
 def test_each_command_loads_only_its_layers(args, loads):
@@ -150,14 +151,34 @@ def test_benchmark_span_names_a_public_function(span):
     assert obj.__module__ == mod.__name__
 
 
-def test_only_correlation_charges_interpolation_error():
-    # 1 - rho^2 at a sensor spacing is charged by correlation._interp_r2 alone,
-    # which clamps rho at 0 and refuses a lag past the monotone radius
+def _lines_matching(pattern, owner):
+    """file:line of every line of a package module other than ``owner``
+    that matches ``pattern``."""
     pkg = os.path.dirname(densefield.__file__)
     offenders = []
     for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py") and name != "correlation.py":
+        if name.endswith(".py") and name != owner:
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 offenders += [f"{name}:{i}" for i, line in enumerate(fh, 1)
-                              if re.search(r"model\(1\.0 /", line)]
-    assert offenders == []
+                              if re.search(pattern, line)]
+    return offenders
+
+
+def test_only_correlation_charges_interpolation_error():
+    # 1 - rho^2 at a sensor spacing is charged by correlation._interp_r2 alone,
+    # which clamps rho at 0 and refuses a lag past the monotone radius
+    assert _lines_matching(r"model\(1\.0 /", "correlation.py") == []
+
+
+def test_only_rates_forms_the_kms_constants():
+    # a = e^(-1/N) and 1 - a^2 come from rates._kms_constants alone, so the
+    # exp-markov spectrum and the Monte Carlo's precision read one a
+    assert _lines_matching(r"expm1\(-2\.0 /|exp\(-1\.0 /", "rates.py") == []
+
+
+def test_covariance_pack_keeps_what_sampling_reads():
+    # bench/spans.py probes a pack's n and n_clamped
+    assert densefield.CovariancePack._fields == ("eigvals", "n_clamped", "blocks",
+                                                 "parity")
+    cov = densefield.covariance_matrix(densefield.make_correlation("sinc"), 8)
+    assert cov.n == 8 and isinstance(cov.n_clamped, int)

@@ -14,6 +14,7 @@ from scipy.stats import norm
 
 import densefield as df
 from densefield import quantizer
+from densefield.field import _dense_spectrum
 from densefield.quantizer import (_norm_cdf, _norm_pdf, _norm_ppf,
                                   min_levels_for_distortion,
                                   p2p_distortion_budget, p2p_min_feasible_k)
@@ -465,6 +466,6 @@ def test_p2p_costs_more_than_distributed_coding(kind):
     model = df.make_correlation(kind)
     _, p2p_rate = df.optimize_K(model, 0.1)
     n = 256
-    cov = df.covariance_matrix(model, n)
-    p_max = df.find_pmax(cov, df.target_distortion_dsc(0.1, n, model))
-    assert p2p_rate > df.dsc_sum_rate(cov, p_max)
+    spec = _dense_spectrum(model, n)
+    p_max = df.find_pmax(spec, df.target_distortion_dsc(0.1, n, model))
+    assert p2p_rate > df.dsc_sum_rate(spec, p_max)

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 import densefield as df
 from densefield.correlation import _bisect
 from densefield.estimation import avg_mmse_from_eigvals
-from densefield.field import CovariancePack
+from densefield.field import _clamped, _dense_spectrum
 from densefield.quantizer import (p2p_distortion_budget, p2p_min_feasible_k,
                                   p2p_rate_for_K)
-from densefield.rates import jmse_lower_bound, jmse_upper_bound, smallest_feasible_n
+from densefield.rates import (Spectrum, jmse_lower_bound, jmse_upper_bound,
+                              smallest_feasible_n)
 
-from oracles import (ddprime_root, dprime_root, feasibility_tables, find_theta_loop,
-                     logdet_rate, prop1_sum_rate_bound, smallest_count_scan,
-                     smallest_feasible_n_scan, theta_root, waterfill_bisect)
+from oracles import (ddprime_root, dense_covariance, dprime_root, feasibility_tables,
+                     find_theta_loop, logdet_rate, prop1_sum_rate_bound,
+                     smallest_count_scan, smallest_feasible_n_scan, theta_root,
+                     waterfill_bisect)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,12 @@ def exp_model():
 @pytest.fixture(scope="module")
 def sinc_model():
     return df.make_correlation("sinc")
+
+
+def diagonal_spectrum(lam):
+    """The dense Spectrum of diag(lam)."""
+    raw = np.sort(np.asarray(lam, dtype=float))[::-1]
+    return Spectrum(raw.size, *_clamped(raw, raw.size), "dense")
 
 
 @pytest.fixture(scope="module")
@@ -161,44 +169,44 @@ class TestReverseDistortionBound:
 
 class TestFindPmax:
     def test_white_source_scalar_value(self):
-        cov = CovariancePack.from_matrix(np.eye(6))
-        assert df.find_pmax(cov, 0.5) == pytest.approx(1.0, rel=3e-6)
+        spec = diagonal_spectrum(np.ones(6))
+        assert df.find_pmax(spec, 0.5) == pytest.approx(1.0, rel=3e-6)
 
     def test_bracket_postcondition(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 32)
+        spec = _dense_spectrum(exp_model, 32)
         target = 0.07
-        p = df.find_pmax(cov, target)
-        assert avg_mmse_from_eigvals(cov.eigvals, p) <= target
-        assert avg_mmse_from_eigvals(cov.eigvals, p * (1 + 1e-6)) > target
+        p = df.find_pmax(spec, target)
+        assert avg_mmse_from_eigvals(spec.top, p) <= target
+        assert avg_mmse_from_eigvals(spec.top, p * (1 + 1e-6)) > target
 
     def test_nondecreasing_in_target(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 16)
-        values = [df.find_pmax(cov, d) for d in (0.05, 0.1, 0.3, 0.6, 0.9)]
+        spec = _dense_spectrum(exp_model, 16)
+        values = [df.find_pmax(spec, d) for d in (0.05, 0.1, 0.3, 0.6, 0.9)]
         assert np.all(np.diff(values) >= 0)
 
     def test_unbounded_target_rejected(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 4)
+        spec = _dense_spectrum(exp_model, 4)
         with pytest.raises(df.InfeasibleConfigError, match="unbounded"):
-            df.find_pmax(cov, 1.0)
+            df.find_pmax(spec, 1.0)
 
     def test_target_below_clamp_epsilon_rejected(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 4)
+        spec = _dense_spectrum(exp_model, 4)
         with pytest.raises(df.InfeasibleConfigError):
-            df.find_pmax(cov, 1e-11)
+            df.find_pmax(spec, 1e-11)
 
 
 class TestDscSumRate:
     def test_white_source(self):
-        cov = CovariancePack.from_matrix(np.eye(4))
-        assert df.dsc_sum_rate(cov, 1.0) == pytest.approx(2 * np.log(2), abs=1e-12)
+        spec = diagonal_spectrum(np.ones(4))
+        assert df.dsc_sum_rate(spec, 1.0) == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_vanishes_for_large_noise(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 8)
-        assert df.dsc_sum_rate(cov, 1e12) < 1e-10
+        spec = _dense_spectrum(exp_model, 8)
+        assert df.dsc_sum_rate(spec, 1e12) < 1e-10
 
     def test_exp_two_sensor_frozen_oracle_value(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 2)
-        assert df.dsc_sum_rate(cov, 1.0) == pytest.approx(0.64490832684911, abs=1e-12)
+        spec = _dense_spectrum(exp_model, 2)
+        assert df.dsc_sum_rate(spec, 1.0) == pytest.approx(0.64490832684911, abs=1e-12)
 
     def test_matches_logdet_oracle(self, exp_model, sinc_model):
         rng = np.random.default_rng(8)
@@ -206,37 +214,40 @@ class TestDscSumRate:
             model = exp_model if rng.integers(2) else sinc_model
             n = int(rng.integers(2, 7))
             p = float(10 ** rng.uniform(-1, 1))
-            cov = df.covariance_matrix(model, n)
-            assert df.dsc_sum_rate(cov, p) == pytest.approx(
-                logdet_rate(cov.sigma_x, p), abs=1e-9)
+            spec = _dense_spectrum(model, n)
+            assert df.dsc_sum_rate(spec, p) == pytest.approx(
+                logdet_rate(dense_covariance(model, n), p), abs=1e-9)
 
     def test_strictly_decreasing_in_noise(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, 16)
-        rates_ = [df.dsc_sum_rate(cov, p) for p in (0.1, 0.5, 1.0, 4.0)]
+        spec = _dense_spectrum(sinc_model, 16)
+        rates_ = [df.dsc_sum_rate(spec, p) for p in (0.1, 0.5, 1.0, 4.0)]
         assert np.all(np.diff(rates_) < 0)
 
     def test_nonpositive_noise_rejected(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 2)
+        spec = _dense_spectrum(exp_model, 2)
         with pytest.raises(ValueError):
-            df.dsc_sum_rate(cov, 0.0)
+            df.dsc_sum_rate(spec, 0.0)
 
 
 class TestCentralizedRate:
     def test_budget_covering_variance_gives_zero_rate(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 6)
-        sol = df.centralized_rate(cov, 1.0)
-        assert sol.total_rate_nats == 0.0
-        assert sol.per_mode_rate == ()
+        # exp-markov's trace is exactly N: the kms spectrum sums it so, the
+        # dense one from eigvalsh to 6.000000000000002, and a budget of N
+        # codes nothing from either
+        for spec in (_dense_spectrum(exp_model, 6), df.spectrum(exp_model, 6)):
+            sol = df.centralized_rate(spec, 1.0)
+            assert sol.total_rate_nats == 0.0, spec.backend
+            assert sol.per_mode_rate == (), spec.backend
 
     def test_white_source_equal_allocation(self):
-        cov = CovariancePack.from_matrix(np.eye(4))
-        sol = df.centralized_rate(cov, 0.25)
+        spec = diagonal_spectrum(np.ones(4))
+        sol = df.centralized_rate(spec, 0.25)
         assert sol.theta_level == pytest.approx(0.25, abs=1e-12)
         assert sol.total_rate_nats == pytest.approx(2 * np.log(4), abs=1e-12)
 
     def test_exp_two_sensor_hand_waterfill(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 2)
-        sol = df.centralized_rate(cov, 0.5)
+        spec = _dense_spectrum(exp_model, 2)
+        sol = df.centralized_rate(spec, 0.5)
         assert sol.theta_level == pytest.approx(0.6065306597126334, abs=1e-12)
         assert sol.total_rate_nats == pytest.approx(0.4870384920900533, abs=1e-12)
 
@@ -246,30 +257,30 @@ class TestCentralizedRate:
             model = exp_model if rng.integers(2) else sinc_model
             n = int(rng.integers(2, 33))
             d = float(rng.uniform(0.02, 0.9))
-            cov = df.covariance_matrix(model, n)
-            sol = df.centralized_rate(cov, d)
-            level, rate = waterfill_bisect(cov.eigvals, d)
+            spec = _dense_spectrum(model, n)
+            sol = df.centralized_rate(spec, d)
+            level, rate = waterfill_bisect(spec.top, d)
             assert sol.total_rate_nats == pytest.approx(rate, abs=1e-8)
 
     def test_distortion_constraint_met(self, sinc_model):
-        cov = df.covariance_matrix(sinc_model, 40)
+        spec = _dense_spectrum(sinc_model, 40)
         for d in (0.05, 0.2, 0.5):
-            sol = df.centralized_rate(cov, d)
-            achieved = np.minimum(cov.eigvals, sol.theta_level).sum() / 40
+            sol = df.centralized_rate(spec, d)
+            achieved = np.minimum(spec.top, sol.theta_level).sum() / 40
             assert abs(achieved - d) / d < 1e-9
 
     def test_complementary_slackness(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 25)
-        sol = df.centralized_rate(cov, 0.15)
-        lam = cov.eigvals
+        spec = _dense_spectrum(exp_model, 25)
+        sol = df.centralized_rate(spec, 0.15)
+        lam = spec.top
         active = np.arange(lam.size) < len(sol.per_mode_rate)
         assert np.all(lam[active] > sol.theta_level - 1e-9)
         assert np.all(lam[~active] <= sol.theta_level + 1e-9)
 
     def test_nonpositive_budget_rejected(self, exp_model):
-        cov = df.covariance_matrix(exp_model, 2)
+        spec = _dense_spectrum(exp_model, 2)
         with pytest.raises(ValueError):
-            df.centralized_rate(cov, 0.0)
+            df.centralized_rate(spec, 0.0)
 
     @pytest.mark.parametrize("d", [1e-12, df.rates.CLAMP_FLOOR])
     def test_budget_at_or_below_clamp_floor_refused(self, sinc_model, d):
@@ -286,7 +297,7 @@ class TestCentralizedRate:
         # D below the mean eigenvalue, so the level lies under the top mode
         lam = np.asarray(lam)
         d = fraction * float(lam.mean())
-        sol = df.centralized_rate(CovariancePack.from_matrix(np.diag(lam)), d)
+        sol = df.centralized_rate(diagonal_spectrum(lam), d)
         level, _ = waterfill_bisect(lam, d)
         assert sol.theta_level == pytest.approx(level, rel=1e-9)
         assert np.minimum(lam, sol.theta_level).sum() == pytest.approx(lam.size * d,
@@ -381,8 +392,8 @@ class TestConstantBounds:
         for model in (exp_model, sinc_model):
             theta = df.find_theta(model, 0.1)
             for n in (32, 128):
-                cov = df.covariance_matrix(model, n)
-                rate = df.dsc_sum_rate(cov, theta ** 2 * n)
+                spec = _dense_spectrum(model, n)
+                rate = df.dsc_sum_rate(spec, theta ** 2 * n)
                 assert rate <= prop1_sum_rate_bound(theta) + 1e-9
 
     def test_prop1_rejects_nonpositive(self):
@@ -406,10 +417,10 @@ class TestConstantBounds:
         for model in (exp_model, sinc_model):
             eps = 0.05 * d_net
             theta = df.find_theta(model, d_net - eps)
-            cov = df.covariance_matrix(model, n)
-            gap = (df.dsc_sum_rate(cov, theta ** 2 * n)
+            spec = _dense_spectrum(model, n)
+            gap = (df.dsc_sum_rate(spec, theta ** 2 * n)
                    - df.centralized_rate(
-                       cov, df.reverse_distortion_bound(d_net, n, model)).total_rate_nats)
+                       spec, df.reverse_distortion_bound(d_net, n, model)).total_rate_nats)
             assert gap <= df.rate_loss_bound(d_net, eps, theta)
 
 

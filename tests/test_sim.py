@@ -9,14 +9,16 @@ import pytest
 
 import densefield as df
 from densefield import sim
+from densefield.field import _dense_spectrum
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN
 
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
-                     descending_eigvals, dsc_cross_term, dsc_expected_jmse,
-                     integrated_mse, interpolate, interpolation_only_jmse,
-                     markov_dsc_errors, mmse_error, nearest_sample_index,
+                     dense_covariance, descending_eigvals, dsc_cross_term,
+                     dsc_expected_jmse, integrated_mse, interpolate,
+                     interpolation_only_jmse, markov_dsc_errors, mmse_error,
+                     nearest_sample_index,
                      quantizer_from_json, quantizer_to_json, report_to_json,
                      seeded_generator)
 
@@ -53,7 +55,7 @@ class TestSimulateDsc:
         n = 64
         d_prime = df.target_distortion_dsc(0.1, n, exp_model)
         cov = df.covariance_matrix(exp_model, n)
-        p = df.find_pmax(cov, d_prime)
+        p = df.find_pmax(_dense_spectrum(exp_model, n), d_prime)
         rep = df.simulate_dsc(exp_model, n, p, m=20_000, seed=101)
         analytic = mmse_error(cov, p).mean()
         assert abs(rep.j_prime_mse - analytic) <= 3 * rep.stderr_jprime
@@ -315,7 +317,7 @@ class TestSimulateDsc:
         # differ in sign, give the same errors up to rounding
         split = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
         full_pack = lambda model, n: df.CovariancePack.from_matrix(
-            df.covariance_matrix(model, n).sigma_x)
+            dense_covariance(model, n))
         monkeypatch.setattr(sim, "covariance_matrix", full_pack)
         full = df.simulate_dsc(sinc_model, n, 0.5, m=2000, seed=17)
         assert split.j_mse == pytest.approx(full.j_mse, rel=1e-12)
@@ -366,8 +368,7 @@ class TestSimulateDsc:
         # the corner value 1/(1 - a^2) in place of [1] reads 0.386 for 0.412
         p, m = 0.7, 100_000
         rep = df.simulate_dsc(exp_model, n, p, m=m, seed=29)
-        sigma = df.covariance_matrix(exp_model, n).sigma_x
-        mmse = brute_force_mmse(np.array(sigma), p)
+        mmse = brute_force_mmse(dense_covariance(exp_model, n), p)
         assert np.all(np.abs(rep.per_sensor_mse - mmse)
                       <= 4 * np.sqrt(2 / m) * mmse)
 
@@ -590,8 +591,7 @@ class TestCrossTermDecomposition:
 
     @pytest.mark.parametrize("n,p", [(8, 0.5), (16, 1.0)])
     def test_dsc_independent_error_formula_fails(self, exp_model, n, p):
-        cov = df.covariance_matrix(exp_model, n)
-        cross = dsc_cross_term(exp_model, df.sensor_positions(n), cov, p, grid_g=8)
+        cross = dsc_cross_term(exp_model, df.sensor_positions(n), p, grid_g=8)
         hybrid = df.simulate_dsc(exp_model, n, p, m=20_000, seed=31)
         naive = df.simulate_dsc(exp_model, n, p, m=20_000, seed=32, naive=True)
         margin = 3 * (hybrid.stderr_jmse + naive.stderr_jmse)
