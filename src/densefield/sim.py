@@ -9,7 +9,9 @@ quadrature node is available behind a flag as a slower oracle for small N.
 Both simulators score a sample error e as a0 + c e^2 through one quadrature
 cell.  ``simulate_dsc`` draws e by one precision recurrence for every kernel,
 in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
-``naive`` and ``simulate_p2p`` run in blocks of rows.  Every reduction runs
+``naive`` and ``simulate_p2p`` run in blocks of rows, and ``simulate_p2p``
+draws exp-markov's K-sensor grid by the recurrence of its own precision, so
+only ``naive`` decomposes or multiplies a matrix for exp-markov.  Every reduction runs
 in an order that neither the block size nor the thread schedule changes, so
 a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
 product differently with the block height.  Every array that grows with the
@@ -164,7 +166,8 @@ def _markov_factor(n, p):
     The inverse of a^|i-j| has (1+a^2)/(1-a^2) inside, 1/(1-a^2) at both
     corners and -a/(1-a^2) off the diagonal, with a and 1-a^2 from
     ``rates._kms_constants``; one sensor's covariance is [1], and so is its
-    inverse."""
+    inverse.  p = inf gives the factor of the field's own precision
+    Sigma^-1, from which U^-T g draws the field at the N sensors."""
     if n == 1:
         return [math.sqrt(1.0 + 1.0 / p)], [0.0]
     a, _, c2 = _kms_constants(n)
@@ -175,6 +178,20 @@ def _markov_factor(n, p):
         w[i + 1] = off / u[i + 1]
         u[i] = math.sqrt((inner if i else corner) - w[i + 1] ** 2)
     return u, w
+
+
+def _markov_snapshots(u, w, rows, rng):
+    """A fresh (rows, N) array of x = U^-T g, U upper bidiagonal with
+    diagonal u and w[i] = U[i-1, i], for (rows, N) standard normals g drawn
+    row-major from the Generator ``rng``: the recurrence
+    x_i = (g_i - w_i x_(i-1)) / u_i of ``_error_sums``, one sensor column at
+    a time."""
+    x = rng.standard_normal((rows, len(u)))
+    x[:, 0] /= u[0]
+    for i in range(1, len(u)):
+        x[:, i] -= w[i] * x[:, i - 1]
+        x[:, i] /= u[i]
+    return x
 
 
 def _error_sums(u, w, m, field_ss):
@@ -321,24 +338,38 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     By translation symmetry its K cells are equal, so only the first is built.
     Steps are drawn, quantized and scored a block of whole frames at a time
     from one generator kept across blocks, so only the per-step J and J' grow
-    with m'.
+    with m'; the largest block, (N/K) K = N floats per frame, is checked
+    against the size rule first.  exp-markov draws a block's rows by the
+    recurrence of the K-grid's tridiagonal precision (``_markov_factor`` at
+    p = inf, ``_markov_snapshots``), so it forms, decomposes and multiplies
+    no K x K matrix; any other kernel samples the K-grid's
+    ``covariance_matrix`` pack.  Both take the block's Gaussians row-major
+    from the same generator.
     """
     from .quantizer import quantize, tdma_schedule
     n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
     interp = 1.0 - _interp_r2(model, 1.0 / k_intervals)
     _check_inputs(n_steps, grid_g)
     frame = n_sensors // k_intervals
+    block_frames = max(hi - lo for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES))
+    check_dense_size(block_frames * n_sensors,
+                     f"a block of {block_frames} frames of N = {n_sensors} sensors")
     a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
                                        frame * grid_g) for j in range(frame)]).T
 
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)
     field_rng = _generator(np.random.SeedSequence(seed).spawn(2)[0])
-    cov = covariance_matrix(model, k_intervals)
+    if model.kind == EXP_MARKOV:
+        factor = _markov_factor(k_intervals, math.inf)
+        draw = lambda rows: _markov_snapshots(*factor, rows, field_rng)
+    else:
+        cov = covariance_matrix(model, k_intervals)
+        draw = lambda rows: sample_snapshots(cov, rows, field_rng)
     j_snap, jprime_snap = np.empty(n_steps), np.empty(n_steps)
     err_sum = np.zeros((frame, k_intervals))
     for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES):
-        active = sample_snapshots(cov, (hi - lo) * frame, field_rng)
+        active = draw((hi - lo) * frame)
         if quantizer is None:
             err2 = np.zeros_like(active)
         else:

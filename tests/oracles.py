@@ -194,23 +194,39 @@ def chunked_gaussians(n, m, seed, chunk=None):
                       for ss, lo in zip(streams, starts)])
 
 
-def markov_dsc_errors(n, p, m, seed, chunk=None):
-    """simulate_dsc's exp-markov sensor errors as an m x N array, densely.
+def markov_precision_factor(n, p):
+    """The upper-triangular U of Q = inv(Sigma) + I/p = U U^T, densely.
 
-    Q = inv(Sigma) + I/p from the dense inverse of a^|i-j|, a = e^(-1/N);
-    its upper-triangular factor Q = U U^T is the Cholesky factor of Q with
-    rows and columns reversed, reversed back (unique with a positive
-    diagonal, so it is the library's bidiagonal U).  U^T e = g is solved for
-    e, g the ``chunked_gaussians`` of ``seed``.
+    Q comes from the dense inverse of a^|i-j|, a = e^(-1/N) (p = inf gives
+    the field's own precision); U is the Cholesky factor of Q with rows and
+    columns reversed, reversed back (unique with a positive diagonal, so it
+    is the library's bidiagonal U).
     """
-    from scipy.linalg import solve_triangular
-
     lags = np.arange(n)
     sigma = np.exp(-np.abs(lags[:, None] - lags[None, :]) / n)
     q = np.linalg.inv(sigma) + np.eye(n) / p
-    u = np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
+    return np.linalg.cholesky(q[::-1, ::-1])[::-1, ::-1]
+
+
+def markov_dsc_errors(n, p, m, seed, chunk=None):
+    """simulate_dsc's exp-markov sensor errors as an m x N array, densely:
+    U^T e = g solved for e, U the ``markov_precision_factor`` and g the
+    ``chunked_gaussians`` of ``seed``."""
+    from scipy.linalg import solve_triangular
+
     g = chunked_gaussians(n, m, seed, chunk)
-    return solve_triangular(u.T, g, lower=True).T
+    return solve_triangular(markov_precision_factor(n, p).T, g, lower=True).T
+
+
+def markov_field_draws(n, m, rng):
+    """m rows of the exp-markov field at N regular sensors, densely: U^T x = g
+    solved for x, U the ``markov_precision_factor`` at p = inf and g the
+    (m, N) Gaussians of the Generator ``rng``, drawn row-major."""
+    from scipy.linalg import solve_triangular
+
+    g = rng.standard_normal((m, n))
+    return solve_triangular(markov_precision_factor(n, np.inf).T, g.T,
+                            lower=True).T
 
 
 def integrated_mse(truth, recon_fn, grid_g, *, model, positions, grid_truth=None):

@@ -318,7 +318,8 @@ class TestReflectionSplit:
 
 class TestKmsPrecision:
     """The tridiagonal inverse of the exp-markov covariance, from which
-    simulate_dsc draws its test-channel error without eigenvectors."""
+    simulate_dsc draws its test-channel error, and simulate_p2p (at p = inf)
+    the field, without eigenvectors."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
     def test_is_the_inverse(self, exp_model, n):
@@ -326,9 +327,9 @@ class TestKmsPrecision:
         # dense inverse up to N = 64 and as U U^T Sigma = I + Sigma/p at every
         # N (at N = 1024 the dense inverse is itself off by 3.6e-12 of its
         # largest entry); one sensor's inverse is [1], not the corner value
-        # 1/(1 - a^2)
+        # 1/(1 - a^2); p = inf gives inv(Sigma) itself
         sigma = dense_covariance(exp_model, n)
-        for p in (1e-3, 1.0, 11.97, 1e6):
+        for p in (1e-3, 1.0, 11.97, 1e6, math.inf):
             u, w = sim_mod._markov_factor(n, p)
             factor = np.diag(u) + np.diag(w[1:], k=1)
             precision = factor @ factor.T

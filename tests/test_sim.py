@@ -17,7 +17,8 @@ from densefield.sim import WITHIN
 from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      dense_covariance, descending_eigvals, dsc_cross_term,
                      dsc_expected_jmse, integrated_mse, interpolate,
-                     interpolation_only_jmse, markov_dsc_errors, mmse_error,
+                     interpolation_only_jmse, markov_dsc_errors,
+                     markov_field_draws, mmse_error,
                      nearest_sample_index,
                      quantizer_from_json, quantizer_to_json, report_to_json,
                      seeded_generator)
@@ -340,11 +341,15 @@ class TestSimulateDsc:
             shapes.clear()
             df.covariance_matrix(model, 1024)
             assert shapes == [(512, 512), (512, 512)], model.kind
-        # p2p's pack is the K-sensor grid's, and exp-markov's N-sensor
-        # spectrum is the KMS secular equation's
+        # sinc p2p's pack is the K-sensor grid's; exp-markov p2p draws that
+        # grid by its precision recurrence and takes its N-sensor spectrum in
+        # closed form, so it decomposes nothing
+        shapes.clear()
+        df.simulate_p2p(sinc_model, 480, 24, m_prime=20, seed=1)
+        assert shapes == [(12, 12), (12, 12)]
         shapes.clear()
         df.simulate_p2p(exp_model, 480, 24, m_prime=20, seed=1)
-        assert shapes == [(12, 12), (12, 12)]
+        assert shapes == []
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7])
     def test_markov_matches_dense_precision_oracle(self, exp_model, n):
@@ -585,6 +590,28 @@ def test_quadrature_nodes_over_budget_refused(exp_model, run):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("kind,n,k", [
+    ("exp-markov", 2**23, 2**23),
+    ("exp-markov", 4_194_312, 24),
+    ("sinc", 2**23, 2**23),
+])
+def test_p2p_block_over_budget_refused(kind, n, k):
+    # 16 frames of N floats are 512 MiB and a little more at N = 4,194,312
+    # (K = 24) and 1 GiB at N = 2^23: the block is refused before it, the
+    # (N/K)-cell quadrature, the K-grid's factor or its pack is built
+    model = df.make_correlation(kind)
+    tracemalloc.start()
+    try:
+        with pytest.raises(df.InfeasibleConfigError,
+                           match=rf"block of 16 frames of N = {n} sensors: "
+                                 r".* 512 MiB"):
+            df.simulate_p2p(model, n, k, None, m_prime=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 class TestCrossTermDecomposition:
     """The nearest-sample split of the error has correlated parts under
     distributed coding but independent parts under per-sensor coding."""
@@ -629,6 +656,40 @@ class TestCrossTermDecomposition:
         direct = js.mean()
         direct_se = js.std(ddof=1) / np.sqrt(m)
         assert abs(direct - hybrid.j_mse) <= 3 * (direct_se + hybrid.stderr_jmse)
+
+
+def assert_p2p_scores_k_grid_draws(model, n, k, draws_of):
+    """Rebuild simulate_p2p's report from ``draws_of(steps, rng)``, every
+    step's K-grid row drawn at once from the run's field stream (the run
+    draws them over several blocks of that stream), scoring every step
+    through the schedule's own sensor map."""
+    m_prime, grid_g, seed = 50, 8, 21
+    quant = df.lloyd_max(4)
+    rep = df.simulate_p2p(model, n, k, quant, m_prime=m_prime, grid_g=grid_g,
+                          seed=seed)
+    n_steps = df.tdma_schedule(n, k, m_prime)
+    field_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    draws = draws_of(n_steps, sim._generator(field_ss))
+    positions = df.sensor_positions(n)
+    nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
+    sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
+    js = np.empty(n_steps)
+    jps = np.empty(n_steps)
+    err_sum = np.zeros(n)
+    hits = np.zeros(n)
+    for i in range(n_steps):
+        active = np.asarray(active_sensors_at(n, k, i + 1)) - 1
+        _, rep_i = df.quantize(quant, draws[i])
+        e2 = (draws[i] - rep_i) ** 2
+        r2 = model(nodes - positions[active][sub_of_node]) ** 2
+        js[i] = np.mean(1.0 - r2 + r2 * e2[sub_of_node])
+        jps[i] = e2.mean()
+        err_sum[active] += e2
+        hits[active] += 1
+    assert rep.j_mse == pytest.approx(js.mean(), abs=1e-12)
+    assert rep.j_prime_mse == pytest.approx(jps.mean(), abs=1e-12)
+    np.testing.assert_allclose(rep.per_sensor_mse, err_sum / hits, rtol=0,
+                               atol=1e-12)
 
 
 class TestSimulateP2p:
@@ -725,36 +786,35 @@ class TestSimulateP2p:
         assert peak < m_prime * n * 8 / 4
 
     def test_matches_k_grid_draws(self, exp_model):
-        # rebuild the K-sensor draws of simulate_p2p and score every step
-        # through the schedule's own sensor map
-        n, k, m_prime, grid_g, seed = 12, 4, 50, 8, 21
-        quant = df.lloyd_max(4)
-        rep = df.simulate_p2p(exp_model, n, k, quant, m_prime=m_prime,
-                              grid_g=grid_g, seed=seed)
-        n_steps = df.tdma_schedule(n, k, m_prime)
-        field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        cov = df.covariance_matrix(exp_model, k)
-        draws = df.sample_snapshots(cov, n_steps, sim._generator(field_ss))
-        positions = df.sensor_positions(n)
-        nodes = (np.arange(n * grid_g) + 0.5) / (n * grid_g)
-        sub_of_node = np.minimum((nodes * k).astype(int), k - 1)
-        js = np.empty(n_steps)
-        jps = np.empty(n_steps)
-        err_sum = np.zeros(n)
-        hits = np.zeros(n)
-        for i in range(n_steps):
-            active = np.asarray(active_sensors_at(n, k, i + 1)) - 1
-            _, rep_i = df.quantize(quant, draws[i])
-            e2 = (draws[i] - rep_i) ** 2
-            r2 = exp_model(nodes - positions[active][sub_of_node]) ** 2
-            js[i] = np.mean(1.0 - r2 + r2 * e2[sub_of_node])
-            jps[i] = e2.mean()
-            err_sum[active] += e2
-            hits[active] += 1
-        assert rep.j_mse == pytest.approx(js.mean(), abs=1e-12)
-        assert rep.j_prime_mse == pytest.approx(jps.mean(), abs=1e-12)
-        np.testing.assert_allclose(rep.per_sensor_mse, err_sum / hits, rtol=0,
-                                   atol=1e-12)
+        # exp-markov's K-grid rows from the dense Cholesky factor of the
+        # grid's precision and a triangular solve
+        assert_p2p_scores_k_grid_draws(
+            exp_model, 12, 4, lambda m, rng: markov_field_draws(4, m, rng))
+
+    def test_matches_k_grid_pack_draws(self, sinc_model):
+        # sinc's K-grid rows sampled from the grid's pack
+        pack = df.covariance_matrix(sinc_model, 8)
+        assert_p2p_scores_k_grid_draws(
+            sinc_model, 24, 8, lambda m, rng: df.sample_snapshots(pack, m, rng))
+
+    def test_markov_path_builds_no_covariance(self, exp_model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "covariance_matrix",
+                            lambda *args: calls.append("covariance_matrix"))
+        monkeypatch.setattr(sim, "sample_snapshots",
+                            lambda *args: calls.append("sample_snapshots"))
+        df.simulate_p2p(exp_model, 48, 24, df.lloyd_max(4), m_prime=40)
+        assert calls == []
+
+    def test_exp_runs_past_the_dense_limit(self, exp_model):
+        # the K-grid recurrence builds no K x K matrix: K = 10,000 would be
+        # a 763 MiB covariance, but a block holds 16 frames of N floats.
+        # No z-bound on J': 10,000 strongly correlated samples per step
+        # skew its mean
+        report = df.simulate_p2p(exp_model, 20_000, 10_000, df.lloyd_max(8),
+                                 m_prime=100)
+        assert report.n_snapshots == 200
+        assert report.per_sensor_mse.size == 20_000
 
     def test_json_round_tripped_codebook_drives_simulation(self, sinc_model):
         q = quantizer_from_json(quantizer_to_json(df.lloyd_max(8)))
