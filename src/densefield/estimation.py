@@ -9,7 +9,8 @@ V^T for each call, and ``avg_mmse_from_eigvals`` gives the mean error over
 the sensors from the eigenvalues alone.  Both work on the covariance pack's
 cached eigendecomposition (a shift of the eigenvalues by p) rather than an
 explicit inverse, which stays stable for near-singular band-limited
-covariances across p sweeps.
+covariances across p sweeps.  No library module imports this one (p_max
+reads ``rates.Spectrum.avg_mmse``); both remain for the benchmark's spans.
 """
 
 import numpy as np

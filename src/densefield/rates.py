@@ -10,9 +10,9 @@ the CLI's.
 
 Rates read a spectrum only through ``Spectrum.avg_mmse``,
 ``Spectrum.mutual_information`` and the descending ``Spectrum.modes`` with
-the trace.  The built-in kernels supply these on Python floats, so rates of
-exp-markov and sinc load no numpy and build nothing of size N; numpy loads
-only for a table's spectrum.
+the trace.  exp-markov's sums are closed forms, and any listed spectrum's
+(sinc's modes, a table's eigenvalues) one exact ``math.fsum``: this module
+imports no numpy, which loads only for a table's eigenvalues.
 """
 
 import math
@@ -60,7 +60,8 @@ class Spectrum(namedtuple("Spectrum", "n top n_clamped raw_min raw_max backend")
     modes the clamp raised and ``raw_min``/``raw_max`` are the unclamped
     extremes (for ``slepian``, of the min(N, 16) modes it computed).  p_max,
     the distributed sum rate and water-filling read nothing else, so they
-    never need eigenvectors.
+    never need eigenvectors; every backend but ``kms`` sums its listed
+    modes with ``_sum``.
     """
 
     __slots__ = ()
@@ -70,18 +71,12 @@ class Spectrum(namedtuple("Spectrum", "n top n_clamped raw_min raw_max backend")
         the optimal estimate through the test channel at noise p."""
         if self.backend == "kms":
             return _kms_sums(self.n, p)[0] / self.n
-        if self.backend == "dense":
-            from .estimation import avg_mmse_from_eigvals
-            return avg_mmse_from_eigvals(self.top, p)
         return self._sum(lambda lam: lam * p / (lam + p)) / self.n
 
     def mutual_information(self, p):
         """(1/2) sum ln(1 + lambda/p) over the modes, in nats."""
         if self.backend == "kms":
             return _kms_sums(self.n, p)[1]
-        if self.backend == "dense":
-            import numpy as np
-            return float(0.5 * np.sum(np.log1p(self.top / p)))
         return 0.5 * self._sum(lambda lam: math.log1p(lam / p))
 
     def trace(self):

@@ -51,9 +51,10 @@ _BLOCK_ROWS = 64
 # process on 2 vCPUs: one stream 0.34-0.41 s, two chunks 0.22-0.26 s
 # (chunks of 2,500 pay more CPU: 0.51-0.54 s against 0.39-0.43 s)
 _CHUNK = 10_000
-# whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, median time
-# at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames 0.095 s /
-# 10.0 MB, 16 0.071 s / 12.2 MB, 64 0.068 s / 23.7 MB (over its 19.2 MB bound)
+# whole frames per simulate_p2p block.  exp recurrence, K = 24, m' = 2000,
+# median time at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames
+# 0.086 s / 10.0 MB, 16 0.047 s / 12.1 MB, 64 0.040-0.047 s / 21.2 MB (over
+# the test's 19.2 MB bound)
 _P2P_BLOCK_FRAMES = 16
 
 

@@ -42,8 +42,8 @@ CLI_LOADS = {"densefield.cli", "densefield.correlation", "densefield.errors"}
 P2P_LOADS = CLI_LOADS | {"densefield.quantizer"}
 # the built-in kernels' spectra and rates run on the standard library
 RATES_LOADS = CLI_LOADS | {"densefield.rates"}
-# a table's spectrum is LAPACK's, and its average MMSE is estimation's
-DENSE_LOADS = {"numpy", "densefield.field", "densefield.estimation"}
+# a table's eigenvalues are LAPACK's, and its sums are rates'
+DENSE_LOADS = {"numpy", "densefield.field"}
 # the Monte Carlo adds the field layer; only the p2p scheme runs the quantizer
 SIM_DSC_LOADS = RATES_LOADS | {"numpy", "densefield.field", "densefield.sim"}
 SIM_P2P_LOADS = SIM_DSC_LOADS | {"densefield.quantizer"}
@@ -174,6 +174,15 @@ def test_only_rates_forms_the_kms_constants():
     # a = e^(-1/N) and 1 - a^2 come from rates._kms_constants alone, so the
     # exp-markov spectrum and the Monte Carlo's precision read one a
     assert _lines_matching(r"expm1\(-2\.0 /|exp\(-1\.0 /", "rates.py") == []
+
+
+def test_no_layer_imports_estimation_and_rates_no_numpy():
+    # every spectrum's mean MMSE and sum rate are rates.Spectrum's fsum or
+    # closed form: no layer imports estimation, and rates imports no numpy
+    assert _lines_matching(r"\bestimation import|import .*\bestimation\b",
+                           "estimation.py") == []
+    with open(os.path.join(SRC, "densefield", "rates.py"), encoding="utf-8") as fh:
+        assert not re.search(r"^\s*(import|from) numpy\b", fh.read(), re.M)
 
 
 def test_covariance_pack_keeps_what_sampling_reads():

@@ -229,6 +229,33 @@ class TestDscSumRate:
             df.dsc_sum_rate(spec, 0.0)
 
 
+class TestListedSpectrumSums:
+    """A listed spectrum's p_max mean and sum rate are one correctly rounded
+    fsum over its modes, whatever backend listed them."""
+
+    @pytest.fixture(scope="class", params=["exp-markov", "sinc", "custom-table"])
+    def model(self, request):
+        # the table is a triangle kernel, positive definite by Polya's criterion
+        tau = np.linspace(0.0, 1.0, 101)
+        triangle = np.column_stack([tau, np.maximum(0.0, 1.0 - tau / 0.6)])
+        return df.make_correlation(request.param,
+                                   triangle if request.param == "custom-table" else ())
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_functionals_are_the_fsum_of_the_modes(self, model, n):
+        spec = _dense_spectrum(model, n)
+        lam = spec.top.tolist()
+        for p in (1e-3, 1.0, 1e3):
+            mmse = math.fsum(v * p / (v + p) for v in lam) / n
+            info = 0.5 * math.fsum(math.log1p(v / p) for v in lam)
+            assert (spec.avg_mmse(p), spec.mutual_information(p)) == (mmse, info)
+            # numpy's pairwise sums agree to rounding
+            assert mmse == pytest.approx(avg_mmse_from_eigvals(spec.top, p),
+                                         rel=1e-15, abs=0)
+            assert info == pytest.approx(0.5 * np.sum(np.log1p(spec.top / p)),
+                                         rel=1e-15, abs=0)
+
+
 class TestCentralizedRate:
     def test_budget_covering_variance_gives_zero_rate(self, exp_model):
         # exp-markov's trace is exactly N: the kms spectrum sums it so, the
