@@ -6,8 +6,8 @@ from, the conditional variance 1 - rho^2(s - n(s)) enters analytically and
 only the sensor-located error is simulated.  This removes the variance of the
 off-sensor field draw; a full "naive" simulation that draws the field at every
 quadrature node is available behind a flag as a slower oracle for small N.
-Both simulators score a sample error e as a0 + c e^2 through one quadrature
-cell.  ``simulate_dsc`` draws e by one precision recurrence for every kernel,
+Both simulators score a sample error e as a0 + c e^2, (a0, c) per TDMA
+phase.  ``simulate_dsc`` draws e by one precision recurrence for every kernel,
 in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
 ``naive`` and ``simulate_p2p`` run in blocks of rows, and ``simulate_p2p``
 draws exp-markov's K-sensor grid by the recurrence of its own precision, so
@@ -64,16 +64,20 @@ class SimulationReport(namedtuple("SimulationReport", (
     __slots__ = ()
 
 
-def _cell_quadrature(model, position, n_cells, grid_g):
-    """(a0, c): the first of ``n_cells`` equal cells of [0, 1], by the
-    midpoint rule on grid_g nodes reconstructed from the sample at
-    ``position`` with error e, adds a0 + c e^2 to the integrated squared
-    error, and so does each translate of it."""
-    check_dense_size(grid_g, f"a quadrature cell of {grid_g} nodes")
-    nodes = (np.arange(grid_g) + 0.5) / (n_cells * grid_g)
-    r2 = model(nodes - position) ** 2
-    w = 1.0 / (n_cells * grid_g)
-    return float(np.sum(1.0 - r2) * w), float(np.sum(r2 * w))
+def _cell_quadrature(model, n_sensors, k_intervals, grid_g):
+    """Per-phase arrays (a0, c) of K equal cells of [0, 1]: by the midpoint
+    rule on its W = (N/K) grid_g nodes, a cell reconstructed with error e from
+    its phase-j sensor, at ((N/K) l + j + 1/2)/N, adds a0[j] + c[j] e^2.  All
+    lags lie on one grid, (t + (1 - grid_g)/2)/(N grid_g) for
+    grid_g - W <= t < W: rho^2 is evaluated once, c[j] is a window of its
+    cumulative sum and a0 = 1/K - c.  The distributed scheme is K = N."""
+    width = n_sensors // k_intervals * grid_g
+    check_dense_size(2 * width - grid_g, f"a quadrature cell of {width} nodes")
+    lags = np.arange(grid_g - width, width) + 0.5 * (1 - grid_g)
+    cum = np.concatenate([[0.0], np.cumsum(model(lags / (n_sensors * grid_g)) ** 2)])
+    starts = np.arange(width - grid_g, -1, -grid_g)
+    c = (cum[starts + width] - cum[starts]) / (n_sensors * grid_g)
+    return 1.0 / k_intervals - c, c
 
 
 def _check_inputs(n_snapshots, grid_g):
@@ -251,9 +255,10 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     S = sum_i e_i^2 unchanged, and S scores J = N a0 + c S and J' = S/N.
     This hybrid J leaves out the cross term of the sample error with the
     off-sensor field (twice it is -13% of J for exp at N = 64 at the design
-    point, -1.2% at N = 512, under 3e-4 for sinc); only ``naive``, which
-    draws the field at every node and the noise from a second generator in
-    blocks of rows, measures the scheme's own J.
+    point, -1.2% at N = 512, under 3e-4 for sinc); only ``naive`` measures
+    the scheme's own J: in blocks of rows it draws the field at every node
+    and the noise z from a second generator, and it filters u = x + sqrt(p) z
+    by H = V diag(lambda/(lambda + p)) V^T, built once from the pack's blocks.
     """
     if p <= 0:
         raise ValueError("test-channel noise must be positive")
@@ -269,8 +274,7 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     if not naive:
         check_dense_size(-(-m // _CHUNK) * n_sensors,
                          f"the per-chunk sums of N = {n_sensors} sensors")
-        a0, c = _cell_quadrature(model, sensor_positions(n_sensors)[0],
-                                 n_sensors, grid_g)
+        (a0,), (c,) = _cell_quadrature(model, n_sensors, n_sensors, grid_g)
         if model.kind == EXP_MARKOV:
             row_sum, per_sensor = _error_sums(*_markov_factor(n_sensors, p),
                                               m, field_ss)
@@ -295,20 +299,16 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     joint_pos = np.concatenate([positions, nodes])
     law = CovariancePack.from_matrix(
         model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-    gain = cov.eigvals / (cov.eigvals + p)
+    h = cov.to_sensors(cov.to_sensors(np.diag(cov.eigvals / (cov.eigvals + p))).T)
     j_snap, jprime_snap = np.empty(m), np.empty(m)
     err_sum = np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
-        rows = hi - lo
-        draw = sample_snapshots(law, rows, field_rng)
-        # the estimate's error, e' = x'(1 - gain) - sqrt(p) gain z'
-        err_eig = draw[:, :n_sensors] @ cov.eigvecs
-        err_eig *= 1.0 - gain
-        err_eig -= np.sqrt(p) * gain * noise_rng.standard_normal((rows, n_sensors))
-        err = cov.to_sensors(err_eig)
-        recon_nodes = rho_nodes * (draw[:, :n_sensors] - err)[:, node_idx]
+        draw = sample_snapshots(law, hi - lo, field_rng)
+        x = draw[:, :n_sensors]
+        x_hat = (x + np.sqrt(p) * noise_rng.standard_normal(x.shape)) @ h
+        recon_nodes = rho_nodes * x_hat[:, node_idx]
         j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
-        err2 = np.square(err)
+        err2 = np.square(x - x_hat)
         jprime_snap[lo:hi] = err2.sum(axis=1) / n_sensors
         # row by row: numpy sums down a single column pairwise, so a
         # column sum would round by the block size
@@ -336,7 +336,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     Phase j's sensors form the K-sensor grid shifted to
     ``((N/K) l + j + 1/2) / N``, whose cells are the sub-intervals, so its
     quadrature is the distributed scheme's with (N/K) grid_g nodes per cell.
-    By translation symmetry its K cells are equal, so only the first is built.
+    By translation symmetry its K cells are equal; all phases share one lag grid.
     Steps are drawn, quantized and scored a block of whole frames at a time
     from one generator kept across blocks, so only the per-step J and J' grow
     with m'; the largest block, (N/K) K = N floats per frame, is checked
@@ -355,8 +355,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     block_frames = max(hi - lo for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES))
     check_dense_size(block_frames * n_sensors,
                      f"a block of {block_frames} frames of N = {n_sensors} sensors")
-    a0, c = np.array([_cell_quadrature(model, (j + 0.5) / n_sensors, k_intervals,
-                                       frame * grid_g) for j in range(frame)]).T
+    a0, c = _cell_quadrature(model, n_sensors, k_intervals, grid_g)
 
     # refuses a kernel that is not PSD at the N sensors
     spectrum(model, n_sensors)

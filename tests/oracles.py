@@ -13,7 +13,8 @@ every N and K instead of one bisection, a grid walk and a bisection of
 its first failing cell instead of find_theta's one bisection, a linear scan
 over every codebook size instead of doubling and bisection, one scalar p2p
 rate per sub-interval count instead of optimize_K's one array pass, a direct node-by-node quadrature of the dsc
-field error's closed-form mean instead of the simulator's cell weights, and
+field error's closed-form mean instead of the simulator's cell weights, one
+TDMA cell built per phase instead of one lag grid's cumulative sum, and
 a dense inverse, Cholesky factor and triangular solve for the exp-markov
 dsc errors instead of the bidiagonal recurrence along the sensors.
 
@@ -178,6 +179,20 @@ def dsc_expected_jmse(model, n_sensors, per_sample_mse, grid_g=8):
     idx = np.minimum((nodes * n_sensors).astype(int), n_sensors - 1)
     r2 = model(nodes - (2 * idx + 1) / (2 * n_sensors)) ** 2
     return float(np.mean(1.0 - r2 + r2 * np.asarray(per_sample_mse)[idx]))
+
+
+def tdma_cell_quadrature(model, n_sensors, k_intervals, grid_g):
+    """Per-phase arrays (a0, c) of the K equal cells of [0, 1], one phase at
+    a time: the midpoint rule on the first cell's (N/K) grid_g nodes, each
+    reconstructed from phase j's sensor at (j + 1/2)/N, summed as 1 - rho^2
+    and rho^2 times the node weight."""
+    frame = n_sensors // k_intervals
+    width = frame * grid_g
+    w = 1.0 / (k_intervals * width)
+    nodes = (np.arange(width) + 0.5) / (k_intervals * width)
+    r2 = [model(nodes - (j + 0.5) / n_sensors) ** 2 for j in range(frame)]
+    return (np.array([np.sum(1.0 - r) * w for r in r2]),
+            np.array([np.sum(r * w) for r in r2]))
 
 
 def chunked_gaussians(n, m, seed, chunk=None):

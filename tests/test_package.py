@@ -185,6 +185,12 @@ def test_no_layer_imports_estimation_and_rates_no_numpy():
         assert not re.search(r"^\s*(import|from) numpy\b", fh.read(), re.M)
 
 
+def test_only_estimation_unfolds_the_eigenvectors():
+    # the naive Monte Carlo filters through H built once from the pack's
+    # blocks, so only estimation.mmse_estimate reads the N x N V
+    assert _lines_matching(r"\.eigvecs\b", "estimation.py") == []
+
+
 def test_covariance_pack_keeps_what_sampling_reads():
     # bench/spans.py probes a pack's n and n_clamped
     assert densefield.CovariancePack._fields == ("eigvals", "n_clamped", "blocks",

@@ -9,7 +9,9 @@ import pytest
 
 import densefield as df
 from densefield import sim
-from densefield.field import _dense_spectrum
+from densefield.correlation import CorrelationModel
+from densefield.estimation import mmse_estimate
+from densefield.field import _dense_spectrum, _generator
 from densefield.quantizer import min_levels_for_distortion, p2p_distortion_budget
 from densefield.rates import jmse_lower_bound, jmse_upper_bound
 from densefield.sim import WITHIN
@@ -21,7 +23,7 @@ from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      markov_field_draws, mmse_error,
                      nearest_sample_index,
                      quantizer_from_json, quantizer_to_json, report_to_json,
-                     seeded_generator)
+                     seeded_generator, tdma_cell_quadrature)
 
 
 def assert_reports_equal(a, b):
@@ -138,6 +140,32 @@ class TestSimulateDsc:
                                    rtol=0, atol=1e-12)
         assert got.verdict == whole.verdict
 
+    @pytest.mark.parametrize("kind, n", [("exp-markov", 6), ("sinc", 8)])
+    def test_naive_runs_the_test_channel(self, kind, n):
+        # x_hat = (x + sqrt(p) z) H, x the joint draw's sensor columns and z
+        # the noise child's Gaussians: the 64-row blocks of each stream are
+        # one m-row draw, and only BLAS rounds them differently
+        model, m, p, g, seed = df.make_correlation(kind), 301, 0.7, 8, 13
+        rep = df.simulate_dsc(model, n, p, m=m, grid_g=g, seed=seed, naive=True)
+        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+        positions = df.sensor_positions(n)
+        nodes = (np.arange(n * g) + 0.5) / (n * g)
+        idx = nearest_sample_index(nodes, n)
+        joint_pos = np.concatenate([positions, nodes])
+        law = df.CovariancePack.from_matrix(
+            model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
+        draw = df.sample_snapshots(law, m, _generator(field_ss))
+        x = draw[:, :n]
+        z = _generator(noise_ss).standard_normal((m, n))
+        x_hat = mmse_estimate(df.covariance_matrix(model, n), p, x + np.sqrt(p) * z)
+        recon = model(nodes - positions[idx]) * x_hat[:, idx]
+        err2 = (x - x_hat) ** 2
+        assert rep.j_mse == pytest.approx(((draw[:, n:] - recon) ** 2).mean(),
+                                          rel=1e-12)
+        assert rep.j_prime_mse == pytest.approx(err2.mean(), rel=1e-12)
+        np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
+                                   rtol=1e-12, atol=0)
+
     def test_peak_memory_does_not_grow_with_m(self, sinc_model):
         # The recurrence keeps the m-long row sum (160 KB at m = 20,000) and
         # two chunk-long vectors per chunk (80 KB each) beside the pack's two
@@ -191,7 +219,7 @@ class TestSimulateDsc:
         # snapshot's J is N a0 + c N J'
         model = df.make_correlation(kind)
         rep = df.simulate_dsc(model, n, 0.5, m=600, seed=5)
-        a0, c = sim._cell_quadrature(model, 0.5 / n, n, 8)
+        a0, c = sim._cell_quadrature(model, n, n, 8)
         assert rep.j_mse == pytest.approx(n * a0 + c * n * rep.j_prime_mse,
                                           rel=1e-14)
 
@@ -242,8 +270,8 @@ class TestSimulateDsc:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_naive_sensor_mse_agrees_with_fast_path(self, exp_model, seed):
         # J' is the same quantity on both paths; the naive run draws the
-        # joint sensor-and-node field and rotates its sensor rows into the
-        # eigenbasis itself.  Distinct seeds keep the two runs independent.
+        # joint sensor-and-node field and filters its noisy sensor rows
+        # itself.  Distinct seeds keep the two runs independent.
         fast = df.simulate_dsc(exp_model, 8, 0.5, m=2000, seed=seed)
         naive = df.simulate_dsc(exp_model, 8, 0.5, m=2000, seed=seed + 100,
                                 naive=True)
@@ -570,15 +598,47 @@ class TestSimulateDsc:
             df.simulate_dsc(exp_model, 8, p=0.5, m=10, grid_g=1)
 
 
+@pytest.mark.parametrize("n, k, g", [(1, 1, 2), (7, 7, 8), (480, 24, 8),
+                                     (96, 4, 5), (24, 1, 16), (9600, 24, 8)])
+def test_cell_quadrature_matches_per_phase_cells(n, k, g):
+    # one lag grid's cumulative sum against a cell built per phase; K a0
+    # and K c are a cell's share of the integral, O(1)
+    for model in (df.make_correlation("exp-markov"), df.make_correlation("sinc"),
+                  df.make_correlation("custom-table",
+                                      [[0.0, 1.0], [0.6, 0.0], [1.0, 0.0]])):
+        want = tdma_cell_quadrature(model, n, k, g)
+        for name, a, b in zip(("a0", "c"), sim._cell_quadrature(model, n, k, g), want):
+            assert a.shape == (n // k,), name
+            np.testing.assert_allclose(k * a, k * b, rtol=0, atol=1e-13,
+                                       err_msg=f"{model.kind} {name}")
+
+
+def test_p2p_evaluates_one_lag_grid(exp_model):
+    # every phase's lags lie on one grid of (2 N/K - 1) grid_g points, so
+    # rho is read there once, not (N/K)^2 grid_g times over N/K cells
+    lags = []
+
+    class CountingModel(CorrelationModel):
+        __slots__ = ()
+
+        def __call__(self, tau):
+            lags.append(np.size(tau))
+            return super().__call__(tau)
+
+    df.simulate_p2p(CountingModel(*exp_model), 9_600, 24, None, m_prime=2)
+    assert sum(lags) <= 2 * 9_600 // 24 * 8
+
+
 @pytest.mark.parametrize("run", [
     lambda model: df.simulate_dsc(model, 4, 0.5, m=2, grid_g=2**27),
     lambda model: df.simulate_p2p(model, 1024, 32, None, m_prime=2,
                                   grid_g=2**22),
 ], ids=["dsc", "p2p"])
 def test_quadrature_nodes_over_budget_refused(exp_model, run):
-    # one cell of 2^27 nodes (grid_g for dsc, (N/K) grid_g = 32 * 2^22 per
-    # TDMA phase for p2p) is a 1 GiB float64 vector, over the 512 MiB dense
-    # budget: refused before any node is allocated
+    # a cell of 2^27 nodes (grid_g for dsc, (N/K) grid_g = 32 * 2^22 for
+    # p2p, whose phases share (2 N/K - 1) grid_g lags) needs 1 GiB or more
+    # of float64 lags, over the 512 MiB dense budget: refused before any
+    # lag is allocated
     tracemalloc.start()
     try:
         with pytest.raises(df.InfeasibleConfigError,
