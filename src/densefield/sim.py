@@ -11,12 +11,13 @@ phase.  ``simulate_dsc`` draws e by one precision recurrence for every kernel,
 in fixed chunks of snapshots on worker threads, one spawned stream per chunk;
 ``naive`` and ``simulate_p2p`` run in blocks of rows, and ``simulate_p2p``
 draws exp-markov's K-sensor grid by the recurrence of its own precision, so
-only ``naive`` decomposes or multiplies a matrix for exp-markov.  Every reduction runs
-in an order that neither the block size nor the thread schedule changes, so
-a seed pins the report bit-for-bit; only BLAS may round a row of a matrix
-product differently with the block height.  Every array that grows with the
-input is checked by ``field.check_dense_size`` before it is built.  A report
-is a plain namedtuple; the CLI writes its JSON body and its CSV log row.
+only ``naive`` decomposes or multiplies a matrix for exp-markov.  J and J'
+fold into running moments as they are drawn.  Every reduction runs in an
+order that neither the block size nor the thread schedule changes, so a seed
+pins the report bit-for-bit; only BLAS may round a row of a matrix product
+differently with the block height.  Every array that grows with the input is
+checked by ``field.check_dense_size`` before it is built.  A report is a
+plain namedtuple; the CLI writes its JSON body and its CSV log row.
 """
 
 import math
@@ -51,10 +52,10 @@ _BLOCK_ROWS = 64
 # process on 2 vCPUs: one stream 0.34-0.41 s, two chunks 0.22-0.26 s
 # (chunks of 2,500 pay more CPU: 0.51-0.54 s against 0.39-0.43 s)
 _CHUNK = 10_000
-# whole frames per simulate_p2p block.  exp recurrence, K = 24, m' = 2000,
+# whole frames per simulate_p2p block.  exp, K = 24, m' = 2000, 11 levels,
 # median time at N = 480 / tracemalloc peak at N = 4,800 (2 vCPUs): 3 frames
-# 0.086 s / 10.0 MB, 16 0.047 s / 12.1 MB, 64 0.040-0.047 s / 21.2 MB (over
-# the test's 19.2 MB bound)
+# 0.101 s / 0.8 MB, 16 0.054 s / 3.8 MB, 32 0.048 s / 7.6 MB, 64 0.046 s /
+# 15.2 MB; the N = 480 CLI child peaks at 35.7 MB RSS at 32, 35.3 MB at 16
 _P2P_BLOCK_FRAMES = 16
 
 
@@ -81,8 +82,8 @@ def _cell_quadrature(model, n_sensors, k_intervals, grid_g):
 
 
 def _check_inputs(n_snapshots, grid_g):
-    """Refuse a run whose report would be undefined, or whose per-snapshot
-    sums would not fit the dense budget, before allocating."""
+    """Refuse a run whose report would be undefined, or whose snapshot count
+    is over the dense budget (no array holds one value per snapshot)."""
     if grid_g < 2:
         raise ValueError("need at least two quadrature points per gap")
     if n_snapshots < 2:
@@ -91,15 +92,14 @@ def _check_inputs(n_snapshots, grid_g):
     check_dense_size(n_snapshots, f"the sums of {n_snapshots} snapshots")
 
 
-def _report(scheme, j_snap, jprime_snap, per_sensor, grid_g, seed, bounds):
-    """Means, standard errors and verdict of the per-snapshot field errors
-    ``j_snap`` and sensor-sample MSEs ``jprime_snap``; ``bounds(j')`` is the
-    (low, high) pair the field MSE is checked against."""
-    m = j_snap.size
-    j_mse = float(j_snap.mean())
-    jprime = float(jprime_snap.mean())
-    stderr_j = float(j_snap.std(ddof=1) / np.sqrt(m))
-    stderr_jp = float(jprime_snap.std(ddof=1) / np.sqrt(m))
+def _report(scheme, acc, per_sensor, grid_g, seed, bounds):
+    """Means, standard errors and verdict from acc = [m, shift, (s1, s2)],
+    the sums of d and d^2 over m snapshots of d = (J, J') - shift;
+    ``bounds(j')`` is the (low, high) pair the field MSE is checked against."""
+    m, shift, (s1, s2) = acc
+    j_mse, jprime = (shift + s1 / m).tolist()
+    stderr_j, stderr_jp = (np.sqrt(np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1))
+                           / np.sqrt(m)).tolist()
     low, high = bounds(jprime)
     margin = SIGMA_MARGIN * stderr_j
     verdict = (VIOLATED_LOW if j_mse < low - margin
@@ -110,6 +110,17 @@ def _report(scheme, j_snap, jprime_snap, per_sensor, grid_g, seed, bounds):
         grid_points_per_gap=int(grid_g), seed=int(seed), bound_low=low,
         bound_high=high, verdict=verdict, stderr_jmse=stderr_j,
         stderr_jprime=stderr_jp)
+
+
+def _fold(acc, steps):
+    """``_report``'s acc (None before the first block) with the rows (J, J')
+    of ``steps`` added, the first row the shift; each sum runs row by row
+    (``np.cumsum`` from the total so far), so where blocks end changes no bit."""
+    m, shift, sums = acc or (0, steps[0].copy(), np.zeros((2, 2)))
+    d = steps - shift
+    terms = np.stack([d, d * d], axis=1)
+    terms[0] += sums
+    return [m + len(steps), shift, np.cumsum(terms, axis=0)[-1]]
 
 
 def _blocks(m, rows):
@@ -200,26 +211,26 @@ def _markov_snapshots(u, w, rows, rng):
 
 
 def _error_sums(u, w, m, field_ss):
-    """Per-snapshot sums and per-coordinate means of e_i^2 over m draws of
+    """Mean and M2 (sum of squared deviations) of the per-snapshot sums
+    S = sum_i e_i^2, and per-coordinate means of e_i^2, over m draws of
     e = U^-T g, U upper bidiagonal with diagonal u and w[i] = U[i-1, i]:
     the recurrence e_i = (g_i - w_i e_(i-1)) / u_i.  The snapshots run in
     chunks of ``_CHUNK`` (the last may be short) on worker threads, each
     drawing coordinate-major into a chunk-long vector from its own stream:
     chunk 0 from the field child ``field_ss``, chunk c >= 1 from its (c-1)-th
-    spawned child.  A chunk adds e_i^2 into its own slice of the row sum and
-    keeps its own per-coordinate sums, added in chunk order.  Memory is O(m)
-    plus N floats per chunk.
-    """
+    spawned child.  Each chunk keeps its own row sums, reduced to (mean, M2)
+    at its end, and per-coordinate sums; chunks merge in chunk order, (mean,
+    M2) by Chan, Golub and LeVeque's (1979) pairwise update.  Memory is three
+    chunk-long vectors per worker plus N floats per chunk."""
     n = len(u)
-    chunk = _CHUNK
-    starts = range(0, m, chunk)
+    starts = range(0, m, _CHUNK)
     streams = [field_ss] + field_ss.spawn(len(starts) - 1)
-    row_sum, chunk_sums = np.zeros(m), np.empty((len(starts), n))
+    chunk_sums, chunk_moments = np.empty((len(starts), n)), np.empty((len(starts), 3))
 
     def draw(c):
         rng = _generator(streams[c])
-        rows = row_sum[starts[c]:starts[c] + chunk]
-        g, e = np.empty(rows.size), np.zeros(rows.size)
+        size = min(_CHUNK, m - starts[c])
+        rows, g, e = np.zeros(size), np.empty(size), np.zeros(size)
         for i in range(n):
             rng.standard_normal(out=g)
             e *= -w[i]
@@ -228,12 +239,18 @@ def _error_sums(u, w, m, field_ss):
             e2 = np.square(e, out=g)
             rows += e2
             chunk_sums[c, i] = e2.sum()
+        mean = rows.mean()
+        rows -= mean
+        chunk_moments[c] = size, mean, np.square(rows, out=rows).sum()
 
     _run_chunks(draw, len(starts))
-    err_sum = np.zeros(n)
-    for sums in chunk_sums:
+    count, mean, m2, err_sum = 0, 0.0, 0.0, np.zeros(n)
+    for (size, mean_c, m2_c), sums in zip(chunk_moments, chunk_sums):
+        delta, count = mean_c - mean, count + size
+        mean += delta * size / count
+        m2 += m2_c + delta * delta * (count - size) * size / count
         err_sum += sums
-    return row_sum, err_sum / m
+    return (mean, m2), err_sum / m
 
 
 def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
@@ -276,16 +293,18 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
                          f"the per-chunk sums of N = {n_sensors} sensors")
         (a0,), (c,) = _cell_quadrature(model, n_sensors, n_sensors, grid_g)
         if model.kind == EXP_MARKOV:
-            row_sum, per_sensor = _error_sums(*_markov_factor(n_sensors, p),
-                                              m, field_ss)
+            (mean, m2), per_sensor = _error_sums(
+                *_markov_factor(n_sensors, p), m, field_ss)
         else:
             cov = covariance_matrix(model, n_sensors)
-            row_sum, per_mode = _error_sums(
+            (mean, m2), per_mode = _error_sums(
                 np.sqrt(1.0 / cov.eigvals + 1.0 / p), np.zeros(n_sensors), m,
                 field_ss)
             per_sensor = cov.sensor_variances(per_mode)
-        return _report(DSC_SCHEME, n_sensors * a0 + c * row_sum,
-                       row_sum / n_sensors, per_sensor, grid_g, seed, bounds)
+        # J = N a0 + c S and J' = S/N, shifted by their means (so s1 = 0)
+        acc = [m, np.array([n_sensors * a0 + c * mean, mean / n_sensors]),
+               np.array([[0.0, 0.0], [c * c * m2, m2 / n_sensors**2]])]
+        return _report(DSC_SCHEME, acc, per_sensor, grid_g, seed, bounds)
 
     joint = n_sensors * (1 + grid_g)
     check_dense_size(joint**2, f"the joint law of N (1 + grid_g) = {joint} points")
@@ -300,22 +319,21 @@ def simulate_dsc(model, n_sensors, p, m=20_000, grid_g=8, seed=0, naive=False):
     law = CovariancePack.from_matrix(
         model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
     h = cov.to_sensors(cov.to_sensors(np.diag(cov.eigvals / (cov.eigvals + p))).T)
-    j_snap, jprime_snap = np.empty(m), np.empty(m)
-    err_sum = np.zeros(n_sensors)
+    acc, err_sum = None, np.zeros(n_sensors)
     for lo, hi in _blocks(m, _BLOCK_ROWS):
         draw = sample_snapshots(law, hi - lo, field_rng)
         x = draw[:, :n_sensors]
         x_hat = (x + np.sqrt(p) * noise_rng.standard_normal(x.shape)) @ h
         recon_nodes = rho_nodes * x_hat[:, node_idx]
-        j_snap[lo:hi] = ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1)
         err2 = np.square(x - x_hat)
-        jprime_snap[lo:hi] = err2.sum(axis=1) / n_sensors
+        acc = _fold(acc, np.column_stack([
+            ((draw[:, n_sensors:] - recon_nodes) ** 2).mean(axis=1),
+            err2.sum(axis=1) / n_sensors]))
         # row by row: numpy sums down a single column pairwise, so a
         # column sum would round by the block size
         for row in err2:
             err_sum += row
-    return _report(DSC_SCHEME, j_snap, jprime_snap, err_sum / m, grid_g, seed,
-                   bounds)
+    return _report(DSC_SCHEME, acc, err_sum / m, grid_g, seed, bounds)
 
 
 def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
@@ -338,14 +356,14 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     quadrature is the distributed scheme's with (N/K) grid_g nodes per cell.
     By translation symmetry its K cells are equal; all phases share one lag grid.
     Steps are drawn, quantized and scored a block of whole frames at a time
-    from one generator kept across blocks, so only the per-step J and J' grow
-    with m'; the largest block, (N/K) K = N floats per frame, is checked
-    against the size rule first.  exp-markov draws a block's rows by the
-    recurrence of the K-grid's tridiagonal precision (``_markov_factor`` at
-    p = inf, ``_markov_snapshots``), so it forms, decomposes and multiplies
-    no K x K matrix; any other kernel samples the K-grid's
-    ``covariance_matrix`` pack.  Both take the block's Gaussians row-major
-    from the same generator.
+    from one generator kept across blocks, their J and J' folded into running
+    moments, so nothing grows with m'; the largest block, (N/K) K = N floats
+    per frame, is checked against the size rule first.  exp-markov draws a
+    block's rows by the recurrence of the K-grid's tridiagonal precision
+    (``_markov_factor`` at p = inf, ``_markov_snapshots``), so it forms,
+    decomposes and multiplies no K x K matrix; any other kernel samples the
+    K-grid's ``covariance_matrix`` pack.  Both take the block's Gaussians
+    row-major from the same generator.
     """
     from .quantizer import quantize, tdma_schedule
     n_steps = tdma_schedule(n_sensors, k_intervals, m_prime)
@@ -366,8 +384,7 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
     else:
         cov = covariance_matrix(model, k_intervals)
         draw = lambda rows: sample_snapshots(cov, rows, field_rng)
-    j_snap, jprime_snap = np.empty(n_steps), np.empty(n_steps)
-    err_sum = np.zeros((frame, k_intervals))
+    acc, err_sum = None, np.zeros((frame, k_intervals))
     for lo, hi in _blocks(m_prime, _P2P_BLOCK_FRAMES):
         active = draw((hi - lo) * frame)
         if quantizer is None:
@@ -376,12 +393,12 @@ def simulate_p2p(model, n_sensors, k_intervals, quantizer=None, m_prime=2000,
             _, rep = quantize(quantizer, active)
             err2 = (active - rep) ** 2
         by_phase = err2.reshape(hi - lo, frame, k_intervals)
-        j_snap[lo * frame:hi * frame] = (k_intervals * a0
-                                         + c * by_phase.sum(axis=2)).ravel()
-        jprime_snap[lo * frame:hi * frame] = err2.mean(axis=1)
+        acc = _fold(acc, np.column_stack([
+            (k_intervals * a0 + c * by_phase.sum(axis=2)).ravel(),
+            err2.mean(axis=1)]))
         for frame_err in by_phase:
             err_sum += frame_err
     per_sensor = (err_sum / m_prime).T.ravel()
-    return _report(P2P_SCHEME, j_snap, jprime_snap, per_sensor, grid_g, seed,
+    return _report(P2P_SCHEME, acc, per_sensor, grid_g, seed,
                    lambda jp: (0.0, interp + jp))
 

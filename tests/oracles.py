@@ -245,7 +245,16 @@ def markov_field_draws(n, m, rng):
 
 
 def integrated_mse(truth, recon_fn, grid_g, *, model, positions, grid_truth=None):
-    """Average integrated squared reconstruction error over [0, 1].
+    """Average integrated squared reconstruction error over [0, 1]: the mean
+    of ``snapshot_integrated_mse``."""
+    return float(snapshot_integrated_mse(truth, recon_fn, grid_g, model=model,
+                                         positions=positions,
+                                         grid_truth=grid_truth).mean())
+
+
+def snapshot_integrated_mse(truth, recon_fn, grid_g, *, model, positions,
+                            grid_truth=None):
+    """Integrated squared reconstruction error over [0, 1], one per snapshot.
 
     ``truth`` holds the m snapshots at the sensor ``positions`` as rows, and
     ``recon_fn(i, nodes)`` returns the reconstruction for snapshot i at the
@@ -269,7 +278,16 @@ def integrated_mse(truth, recon_fn, grid_g, *, model, positions, grid_truth=None
         else:
             vals = (np.asarray(grid_truth[i], dtype=float) - rec) ** 2
         js[i] = vals.mean()
-    return float(js.mean())
+    return js
+
+
+def snapshot_moments(js, jps):
+    """(mean J, mean J', stderr J, stderr J') of the per-snapshot field errors
+    ``js`` and sensor-sample MSEs ``jps``, as numpy computes them from the
+    whole arrays: mean() and std(ddof=1) / sqrt(m)."""
+    m = js.size
+    return (js.mean(), jps.mean(), js.std(ddof=1) / np.sqrt(m),
+            jps.std(ddof=1) / np.sqrt(m))
 
 
 def dpss_sinc_eigpairs(n, k):

@@ -23,7 +23,8 @@ from oracles import (active_sensors_at, brute_force_mmse, chunked_gaussians,
                      markov_field_draws, mmse_error,
                      nearest_sample_index,
                      quantizer_from_json, quantizer_to_json, report_to_json,
-                     seeded_generator, tdma_cell_quadrature)
+                     seeded_generator, snapshot_integrated_mse,
+                     snapshot_moments, tdma_cell_quadrature)
 
 
 def assert_reports_equal(a, b):
@@ -43,6 +44,15 @@ def exp_model():
 @pytest.fixture(scope="module")
 def sinc_model():
     return df.make_correlation("sinc")
+
+
+def assert_report_moments(rep, js, jps):
+    """rep's means and standard errors are numpy's over the per-snapshot J
+    and J' (``snapshot_moments``) to 1e-12 relative."""
+    got = (rep.j_mse, rep.j_prime_mse, rep.stderr_jmse, rep.stderr_jprime)
+    for name, g, want in zip(("j_mse", "j_prime_mse", "stderr_jmse",
+                              "stderr_jprime"), got, snapshot_moments(js, jps)):
+        assert g == pytest.approx(want, rel=1e-12, abs=0), name
 
 
 class TestSimulateDsc:
@@ -144,35 +154,40 @@ class TestSimulateDsc:
     def test_naive_runs_the_test_channel(self, kind, n):
         # x_hat = (x + sqrt(p) z) H, x the joint draw's sensor columns and z
         # the noise child's Gaussians: the 64-row blocks of each stream are
-        # one m-row draw, and only BLAS rounds them differently
-        model, m, p, g, seed = df.make_correlation(kind), 301, 0.7, 8, 13
-        rep = df.simulate_dsc(model, n, p, m=m, grid_g=g, seed=seed, naive=True)
-        field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-        positions = df.sensor_positions(n)
-        nodes = (np.arange(n * g) + 0.5) / (n * g)
-        idx = nearest_sample_index(nodes, n)
-        joint_pos = np.concatenate([positions, nodes])
-        law = df.CovariancePack.from_matrix(
-            model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
-        draw = df.sample_snapshots(law, m, _generator(field_ss))
-        x = draw[:, :n]
-        z = _generator(noise_ss).standard_normal((m, n))
-        x_hat = mmse_estimate(df.covariance_matrix(model, n), p, x + np.sqrt(p) * z)
-        recon = model(nodes - positions[idx]) * x_hat[:, idx]
-        err2 = (x - x_hat) ** 2
-        assert rep.j_mse == pytest.approx(((draw[:, n:] - recon) ** 2).mean(),
-                                          rel=1e-12)
-        assert rep.j_prime_mse == pytest.approx(err2.mean(), rel=1e-12)
-        np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
-                                   rtol=1e-12, atol=0)
+        # one m-row draw, and only BLAS rounds them differently.  m = 2 is
+        # one block of two
+        model, p, g, seed = df.make_correlation(kind), 0.7, 8, 13
+        for m in (301, 2):
+            rep = df.simulate_dsc(model, n, p, m=m, grid_g=g, seed=seed,
+                                  naive=True)
+            field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+            positions = df.sensor_positions(n)
+            nodes = (np.arange(n * g) + 0.5) / (n * g)
+            idx = nearest_sample_index(nodes, n)
+            joint_pos = np.concatenate([positions, nodes])
+            law = df.CovariancePack.from_matrix(
+                model(np.abs(joint_pos[:, None] - joint_pos[None, :])))
+            draw = df.sample_snapshots(law, m, _generator(field_ss))
+            x = draw[:, :n]
+            z = _generator(noise_ss).standard_normal((m, n))
+            x_hat = mmse_estimate(df.covariance_matrix(model, n), p,
+                                  x + np.sqrt(p) * z)
+            recon = model(nodes - positions[idx]) * x_hat[:, idx]
+            js = ((draw[:, n:] - recon) ** 2).mean(axis=1)
+            err2 = (x - x_hat) ** 2
+            assert rep.j_mse == pytest.approx(js.mean(), rel=1e-12)
+            assert rep.j_prime_mse == pytest.approx(err2.mean(), rel=1e-12)
+            np.testing.assert_allclose(rep.per_sensor_mse, err2.mean(axis=0),
+                                       rtol=1e-12, atol=0)
+            assert_report_moments(rep, js, err2.mean(axis=1))
 
     def test_peak_memory_does_not_grow_with_m(self, sinc_model):
-        # The recurrence keeps the m-long row sum (160 KB at m = 20,000) and
-        # two chunk-long vectors per chunk (80 KB each) beside the pack's two
-        # half-size blocks and the split's half-size matrices (128 KB each
-        # at N = 256), 1.6 MiB in all.  Holding the m x N draws, observations
-        # and estimates at once, as a run over all snapshots does, needs five
-        # or more 41 MB arrays; one quarter of one is the bound.
+        # The recurrence keeps three chunk-long vectors per worker (80 KB
+        # each at chunks of 10,000) beside the pack's two half-size blocks
+        # and the split's half-size matrices (128 KB each at N = 256), 0.7 MiB
+        # in all on 2 vCPUs.  Holding the m x N draws, observations and
+        # estimates at once, as a run over all snapshots does, needs five or
+        # more 41 MB arrays; one quarter of one is the bound.
         n, m = 256, 20_000
         tracemalloc.start()
         try:
@@ -420,9 +435,9 @@ class TestSimulateDsc:
         assert calls == []
 
     def test_markov_peak_memory_is_a_few_snapshot_vectors(self, exp_model):
-        # the draw, the error and the row sum are m-vectors (160 KB each at
-        # m = 20,000) beside the per-snapshot J and J'; the eigenbasis path's
-        # two eigenvector blocks alone are 4 MiB at N = 1024
+        # each worker's draw, error and row sum are chunk-long vectors (80 KB
+        # each at chunks of 10,000), 0.54 MiB on 2 vCPUs; the eigenbasis
+        # path's two eigenvector blocks alone are 4 MiB at N = 1024
         n, m = 1024, 20_000
         tracemalloc.start()
         try:
@@ -436,34 +451,45 @@ class TestSimulateDsc:
     def test_markov_chunks_match_dense_precision_oracle(self, exp_model,
                                                         monkeypatch, n):
         # three chunks of at most 100 snapshots, the last one short, each
-        # drawn sensor-major from its own stream
+        # drawn sensor-major from its own stream; m = 2 is one chunk of two
         monkeypatch.setattr(sim, "_CHUNK", 100)
-        p, m, seed = 0.7, 207, 13
-        rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
-        err = markov_dsc_errors(n, p, m, seed, chunk=100)
-        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=exp_model, positions=df.sensor_positions(n))
-        assert rep.j_mse == pytest.approx(got, abs=1e-12)
-        assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
-        np.testing.assert_allclose(rep.per_sensor_mse, (err ** 2).mean(axis=0),
-                                   rtol=0, atol=1e-12)
+        p, seed = 0.7, 13
+        for m in (207, 2):
+            rep = df.simulate_dsc(exp_model, n, p, m=m, grid_g=8, seed=seed)
+            err = markov_dsc_errors(n, p, m, seed, chunk=100)
+            js = snapshot_integrated_mse(
+                err, lambda i, nodes: np.zeros_like(nodes), 8,
+                model=exp_model, positions=df.sensor_positions(n))
+            assert rep.j_mse == pytest.approx(js.mean(), abs=1e-12)
+            assert rep.j_prime_mse == pytest.approx((err ** 2).mean(), abs=1e-12)
+            np.testing.assert_allclose(rep.per_sensor_mse,
+                                       (err ** 2).mean(axis=0),
+                                       rtol=0, atol=1e-12)
+            assert_report_moments(rep, js, (err ** 2).mean(axis=1))
 
     def test_uncoupled_error_sums_are_the_direct_draw(self, monkeypatch):
         # with every w_i = 0 the recurrence is e_i = g_i / u_i: three chunks
-        # of the same streams, scaled and summed in the library's order,
-        # give the same bits
+        # of the same streams, scaled, summed and merged in the library's
+        # order, give the same bits
         monkeypatch.setattr(sim, "_CHUNK", 100)
         n, m, seed = 5, 207, 11
         u = np.linspace(0.5, 2.5, n)
         field_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        row_sum, per_coord = sim._error_sums(u, np.zeros(n), m, field_ss)
+        moments, per_coord = sim._error_sums(u, np.zeros(n), m, field_ss)
         e2 = (chunked_gaussians(n, m, seed, chunk=100) / u[:, None]) ** 2
-        rows, sums = np.zeros(m), np.zeros(n)
-        for i in range(n):
-            rows += e2[i]
+        count, mean, m2, sums = 0, 0.0, 0.0, np.zeros(n)
         for lo in range(0, m, 100):
+            rows = np.zeros(min(100, m - lo))
+            for i in range(n):
+                rows += e2[i, lo:lo + 100]
+            size, mean_c = rows.size, rows.mean()
+            m2_c = ((rows - mean_c) ** 2).sum()
+            delta = mean_c - mean
+            mean += delta * size / (count + size)
+            m2 += m2_c + delta * delta * count * size / (count + size)
+            count += size
             sums += [e2[i, lo:lo + 100].sum() for i in range(n)]
-        assert np.array_equal(row_sum, rows)
+        assert moments == (mean, m2)
         assert np.array_equal(per_coord, sums / m)
 
     @pytest.mark.parametrize("kind", ["exp-markov", "sinc"])
@@ -718,12 +744,12 @@ class TestCrossTermDecomposition:
         assert abs(direct - hybrid.j_mse) <= 3 * (direct_se + hybrid.stderr_jmse)
 
 
-def assert_p2p_scores_k_grid_draws(model, n, k, draws_of):
+def assert_p2p_scores_k_grid_draws(model, n, k, draws_of, m_prime):
     """Rebuild simulate_p2p's report from ``draws_of(steps, rng)``, every
     step's K-grid row drawn at once from the run's field stream (the run
     draws them over several blocks of that stream), scoring every step
     through the schedule's own sensor map."""
-    m_prime, grid_g, seed = 50, 8, 21
+    grid_g, seed = 8, 21
     quant = df.lloyd_max(4)
     rep = df.simulate_p2p(model, n, k, quant, m_prime=m_prime, grid_g=grid_g,
                           seed=seed)
@@ -750,6 +776,7 @@ def assert_p2p_scores_k_grid_draws(model, n, k, draws_of):
     assert rep.j_prime_mse == pytest.approx(jps.mean(), abs=1e-12)
     np.testing.assert_allclose(rep.per_sensor_mse, err_sum / hits, rtol=0,
                                atol=1e-12)
+    assert_report_moments(rep, js, jps)
 
 
 class TestSimulateP2p:
@@ -831,10 +858,11 @@ class TestSimulateP2p:
 
     def test_peak_memory_does_not_hold_every_step(self, exp_model):
         # N = 4800, K = 24, m' = 2000: 400,000 steps of 24 active samples.
-        # Blocks of 16 whole frames keep a few 3,200 x 24 arrays, so only the
-        # per-step J and J' (3.2 MB each) grow with m'.  Drawing every step
-        # at once holds the 76.8 MB m' x N draws, their squared errors and
-        # more, a 317 MB peak; a quarter of one such array is the bound.
+        # Blocks of 16 whole frames keep a few 3,200 x 24 arrays (3.7 MiB)
+        # and J and J' fold into running moments, so nothing grows with m'.
+        # Drawing every step at once holds the 76.8 MB m' x N draws, their
+        # squared errors and more, a 317 MB peak; a quarter of one such
+        # array is the bound.
         n, k, m_prime = 4800, 24, 2000
         quant = df.lloyd_max(11)
         tracemalloc.start()
@@ -847,15 +875,20 @@ class TestSimulateP2p:
 
     def test_matches_k_grid_draws(self, exp_model):
         # exp-markov's K-grid rows from the dense Cholesky factor of the
-        # grid's precision and a triangular solve
-        assert_p2p_scores_k_grid_draws(
-            exp_model, 12, 4, lambda m, rng: markov_field_draws(4, m, rng))
+        # grid's precision and a triangular solve; m' = 2 is one block of
+        # two frames
+        for m_prime in (50, 2):
+            assert_p2p_scores_k_grid_draws(
+                exp_model, 12, 4, lambda m, rng: markov_field_draws(4, m, rng),
+                m_prime)
 
     def test_matches_k_grid_pack_draws(self, sinc_model):
         # sinc's K-grid rows sampled from the grid's pack
         pack = df.covariance_matrix(sinc_model, 8)
-        assert_p2p_scores_k_grid_draws(
-            sinc_model, 24, 8, lambda m, rng: df.sample_snapshots(pack, m, rng))
+        for m_prime in (50, 2):
+            assert_p2p_scores_k_grid_draws(
+                sinc_model, 24, 8,
+                lambda m, rng: df.sample_snapshots(pack, m, rng), m_prime)
 
     def test_markov_path_builds_no_covariance(self, exp_model, monkeypatch):
         calls = []
@@ -891,6 +924,39 @@ def dsc_fast_path_errors(cov, p, m, seed, chunk=None):
     u = np.sqrt(1.0 / cov.eigvals + 1.0 / p)
     err_eig = chunked_gaussians(cov.n, m, seed, chunk).T / u
     return err_eig @ cov.eigvecs.T, (err_eig ** 2).mean(axis=0)
+
+
+class TestRunningMoments:
+    # every simulator folds J and J' into running moments as it draws, so
+    # no report keeps a vector as long as the snapshots or steps
+
+    @pytest.mark.parametrize("scheme, kind, n, m", [
+        ("dsc", "exp-markov", 64, 20_000), ("dsc", "sinc", 64, 20_000),
+        ("naive", "exp-markov", 4, 1_000), ("p2p", "exp-markov", 480, 100)])
+    def test_peak_memory_does_not_grow_with_the_snapshot_count(
+            self, monkeypatch, scheme, kind, n, m):
+        # one worker, so one chunk's three vectors are alive at a time in
+        # either run, and a warm-up run keeps one-time allocations out of
+        # both peaks.  The per-snapshot J and J' of the run ten times longer
+        # would add 2.9 MB (dsc), 144 KB (naive) or 288 KB (p2p); the
+        # spawned streams and per-chunk sums of its extra chunks add 12 KB
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+        model, quant = df.make_correlation(kind), df.lloyd_max(4)
+        run = {"dsc": lambda m: df.simulate_dsc(model, n, 0.5, m=m),
+               "naive": lambda m: df.simulate_dsc(model, n, 0.5, m=m,
+                                                  naive=True),
+               "p2p": lambda m: df.simulate_p2p(model, n, 24, quant,
+                                                m_prime=m)}[scheme]
+        run(m)
+        peaks = []
+        for scale in (1, 10):
+            tracemalloc.start()
+            try:
+                run(scale * m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 2**10, peaks
 
 
 class TestIntegratedMse:
@@ -954,22 +1020,24 @@ class TestIntegratedMse:
     def test_matches_simulate_dsc_fast_path_across_blocks(self, sinc_model,
                                                           monkeypatch):
         # as above with m spanning several chunks and a short last one, so a
-        # slip at a chunk boundary shows; the per-sensor MSE is the per-mode
-        # mean squares weighted by V o V
+        # slip at a chunk boundary shows, and with one chunk of two; the
+        # per-sensor MSE is the per-mode mean squares weighted by V o V
         monkeypatch.setattr(sim, "_CHUNK", 100)
         n, p, seed = 6, 0.7, 13
-        m = 3 * sim._CHUNK + 45
-        rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
         cov = df.covariance_matrix(sinc_model, n)
-        err, per_mode = dsc_fast_path_errors(cov, p, m, seed, chunk=100)
-        got = integrated_mse(err, lambda i, nodes: np.zeros_like(nodes), 8,
-                             model=sinc_model, positions=df.sensor_positions(n))
-        assert got == pytest.approx(rep.j_mse, abs=1e-12)
-        err2 = err ** 2
-        assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
-        np.testing.assert_allclose(rep.per_sensor_mse,
-                                   (cov.eigvecs ** 2) @ per_mode,
-                                   rtol=0, atol=1e-12)
+        for m in (3 * sim._CHUNK + 45, 2):
+            rep = df.simulate_dsc(sinc_model, n, p, m=m, grid_g=8, seed=seed)
+            err, per_mode = dsc_fast_path_errors(cov, p, m, seed, chunk=100)
+            js = snapshot_integrated_mse(
+                err, lambda i, nodes: np.zeros_like(nodes), 8,
+                model=sinc_model, positions=df.sensor_positions(n))
+            assert js.mean() == pytest.approx(rep.j_mse, abs=1e-12)
+            err2 = err ** 2
+            assert rep.j_prime_mse == pytest.approx(err2.mean(), abs=1e-12)
+            np.testing.assert_allclose(rep.per_sensor_mse,
+                                       (cov.eigvecs ** 2) @ per_mode,
+                                       rtol=0, atol=1e-12)
+            assert_report_moments(rep, js, err2.mean(axis=1))
 
 
 class TestReportSerialization:
